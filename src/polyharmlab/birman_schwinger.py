@@ -370,6 +370,20 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
         mid = inverse_transform(Field(grid, dsym * fhat.values, "frequency")).values
         return wgt * mid
 
+    def sandwich(q: ResolventQuery, bs: BSMatrix) -> Callable[[np.ndarray], np.ndarray]:
+        """W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W for the block bs of q."""
+        def apply(vec: np.ndarray) -> np.ndarray:
+            u = half_sandwich(vec)
+            if projected:
+                u = projector(u)
+            r = perturbed_resolvent_apply(
+                pot, q, Field(grid, u.reshape(grid.shape)), bs=bs
+            ).values.reshape(-1)
+            if projected:
+                r = projector(r)
+            return half_sandwich_out(r.reshape(grid.shape)).reshape(-1)
+        return apply
+
     report = ProbeReport(
         name="supersmooth_sweep",
         params={"m": m, "n": n, "gamma": gamma, "eps": eps,
@@ -385,32 +399,9 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
                 q = ResolventQuery(z=z, m=m, n=n)
                 qc = ResolventQuery(z=np.conj(z), m=m, n=n)
                 bs = assemble_M(pot, q)
-                bsc = assemble_M(pot, qc)
-
-                def apply_a(vec, _q=q, _bs=bs):
-                    u = half_sandwich(vec)
-                    if projected:
-                        u = projector(u)
-                    r = perturbed_resolvent_apply(
-                        pot, _q, Field(grid, u.reshape(grid.shape)), bs=_bs
-                    ).values.reshape(-1)
-                    if projected:
-                        r = projector(r)
-                    return half_sandwich_out(r.reshape(grid.shape)).reshape(-1)
-
-                def apply_a_adj(vec, _q=qc, _bs=bsc):
-                    u = half_sandwich(vec)
-                    if projected:
-                        u = projector(u)
-                    r = perturbed_resolvent_apply(
-                        pot, _q, Field(grid, u.reshape(grid.shape)), bs=_bs
-                    ).values.reshape(-1)
-                    if projected:
-                        r = projector(r)
-                    return half_sandwich_out(r.reshape(grid.shape)).reshape(-1)
-
-                est = operator_norm(apply_a, apply_a_adj, grid.size, rng=rng,
-                                    max_iter=max_iter)
+                est = operator_norm(sandwich(q, bs),
+                                    sandwich(qc, assemble_M(pot, qc)),
+                                    grid.size, rng=rng, max_iter=max_iter)
                 report.add_row(lam=lam, theta=th,
                                side="+" if side_sign > 0 else "-",
                                norm=est.norm, sigma_min=bs.sigma_min() if bs.size else 1.0,

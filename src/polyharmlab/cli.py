@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -502,55 +503,54 @@ def run(config_path, subcommand: str, out_dir: Optional[str] = None,
         return EXIT_VALIDATION
 
     names = list(PROBE_SUBCOMMANDS) if subcommand == "all" else [subcommand]
-    reports: Dict[str, ProbeReport] = {}
-    failure: Optional[str] = None
 
-    def job(name: str):
-        return name, PROBE_RUNNERS[name](cfg)
+    def attempt(name: str):
+        """The probe's report, or the numerical failure it raised."""
+        try:
+            return PROBE_RUNNERS[name](cfg)
+        except ConfigError:
+            raise
+        except Exception as exc:  # numerical failure: the other probes still run
+            return exc
 
     try:
         if len(names) > 1 and cfg.threads > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for name, rep in pool.map(job, names):
-                    reports[name] = rep
+                outcomes = dict(zip(names, pool.map(attempt, names)))
         else:
-            for name in names:
-                reports[name] = PROBE_RUNNERS[name](cfg)
+            outcomes = {name: attempt(name) for name in names}
     except ConfigError as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # numerical failure: preserve partial reports
-        failure = f"{type(exc).__name__}: {exc}"
+    reports: Dict[str, ProbeReport] = {
+        n: o for n, o in outcomes.items() if not isinstance(o, Exception)}
+    errors = {n: o for n, o in outcomes.items() if isinstance(o, Exception)}
 
-    for name in names:
-        if name in reports:
-            _write_reports(reports[name], cfg.output_dir, name)
+    for name, rep in reports.items():
+        _write_reports(rep, cfg.output_dir, name)
 
     if subcommand == "all":
         summary = {
             "schema_version": SCHEMA_VERSION,
             "seed": cfg.seed,
-            "probes": {name: reports[name].summary()
-                       for name in names if name in reports},
-            "passed": (failure is None
-                       and all(reports[n].passed() for n in names
-                               if n in reports)
-                       and len(reports) == len(names)),
+            "probes": {name: rep.summary() for name, rep in reports.items()},
+            "passed": (not errors
+                       and all(rep.passed() for rep in reports.values())),
         }
-        if failure is not None:
-            summary["failure"] = failure
+        if errors:
+            summary["failures"] = {n: f"{type(e).__name__}: {e}"
+                                   for n, e in errors.items()}
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         (cfg.output_dir / "all.json").write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
-    if failure is not None:
-        print(f"numerical failure: {failure}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if all(reports[n].passed() for n in names):
-        return EXIT_OK
-    failed = [n for n in names if not reports[n].passed()]
-    print(f"pass flags false in: {', '.join(failed)}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    for name, exc in errors.items():
+        print(f"numerical failure in {name}:", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
+    failed = [n for n, rep in reports.items() if not rep.passed()]
+    if failed:
+        print(f"pass flags false in: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_NUMERICAL if errors or failed else EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:

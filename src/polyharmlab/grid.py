@@ -184,6 +184,8 @@ class Field:
                     f"values size {vals.size} does not match grid size {self.grid.size}"
                 )
             vals = vals.reshape(self.grid.shape)
+        # freeze a view, so the caller's array stays writeable
+        vals = vals.view()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -1,10 +1,13 @@
 """Matrix-free Hamiltonian H = (-Delta)^m + V: eigensolvers, bound-state
 counting, the absolutely-continuous projector, and time propagation.
 
-Eigenpairs come from Lanczos with full reorthogonalization; the negative
-spectrum is collected by repeated deflated runs so eigenvalue multiplicities
-are not missed.  Propagation uses a Chebyshev expansion of e^{itH} scaled to
-the estimated spectral interval, one matvec per term.
+Eigenpairs come from ARPACK's implicitly restarted Lanczos
+(scipy.sparse.linalg.eigsh) on H as a real symmetric operator.  The negative
+spectrum is the lowest k pairs, with k doubled until at most half of them lie
+below the cut, so multiplicities are captured without deflation; an
+unconverged solve raises instead of truncating the count.  Propagation uses a
+Chebyshev expansion of e^{itH} scaled to the estimated spectral interval, one
+matvec per term.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import jv
 
 from .grid import Field, GridSpec, forward_transform, inverse_transform
@@ -60,10 +64,6 @@ class Hamiltonian:
         return self._eigenset
 
 
-def apply_H(h: Hamiltonian, f: Field) -> Field:
-    return h.apply(f)
-
-
 @dataclass
 class EigenSet:
     """Ritz pairs with residuals; count_negative tracks N0."""
@@ -81,132 +81,74 @@ class EigenSet:
 
 
 class LanczosError(RuntimeError):
-    def __init__(self, msg, residuals):
-        super().__init__(msg)
-        self.residuals = residuals
-
-
-def _lanczos_tridiag(apply_op: Callable[[np.ndarray], np.ndarray], size: int,
-                     steps: int, rng: np.random.Generator,
-                     deflate: Sequence[np.ndarray] = ()):
-    """Lanczos recurrence with full reorthogonalization (including against the
-    deflation set); returns (alphas, betas, basis)."""
-    v = rng.standard_normal(size)
-    v = v.astype(np.complex128)
-    for d in deflate:
-        v -= np.vdot(d, v) * d
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        raise LanczosError("start vector annihilated by deflation", [])
-    v /= nv
-    basis = [v]
-    alphas, betas = [], []
-    for j in range(steps):
-        w = apply_op(basis[-1])
-        a = float(np.real(np.vdot(basis[-1], w)))
-        alphas.append(a)
-        w = w - a * basis[-1]
-        if j > 0:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization, twice for stability
-        for _ in range(2):
-            for d in deflate:
-                w -= np.vdot(d, w) * d
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        b = float(np.linalg.norm(w))
-        if b < 1e-13:
-            break
-        betas.append(b)
-        basis.append(w / b)
-    return np.array(alphas), np.array(betas[: len(alphas) - 1]), basis
+    """An eigensolve did not converge."""
 
 
 def lanczos_extreme(h: Hamiltonian, k: int, which: str = "low",
-                    tol: float = 1e-10, max_steps: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None,
-                    deflate: Sequence[np.ndarray] = ()) -> EigenSet:
-    """k Ritz pairs at the requested end of the spectrum.
+                    tol: float = 0.0,
+                    rng: Optional[np.random.Generator] = None) -> EigenSet:
+    """k eigenpairs at the requested end of the spectrum, ordered from that
+    end inward, from one ARPACK run on H restricted to real vectors.
 
-    Raises LanczosError when residuals have not reached tol at the step cap.
+    H maps real vectors to real vectors (V is real and the symbol is real and
+    even), and the real symmetric solver returns orthonormal vectors inside a
+    degenerate level.  tol is ARPACK's relative accuracy; 0 means machine
+    precision.  The start vector is drawn from rng, so results are
+    deterministic.  Raises LanczosError when ARPACK does not converge.
     """
     if which not in ("low", "high"):
         raise ValueError(f"which must be 'low' or 'high', got {which!r}")
     if k > 50:
         raise ValueError(f"k capped at 50, got {k}")
     size = h.grid.size
-    if max_steps is None:
-        max_steps = min(size, max(60, 12 * k))
     if rng is None:
         rng = np.random.default_rng(0)
-
-    alphas, betas, basis = _lanczos_tridiag(h.apply_flat, size, max_steps,
-                                            rng, deflate)
-    nsteps = len(alphas)
-    tmat = np.diag(alphas)
-    if len(betas):
-        tmat += np.diag(betas, 1) + np.diag(betas, -1)
-    evals, evecs = np.linalg.eigh(tmat)
-    order = np.argsort(evals) if which == "low" else np.argsort(evals)[::-1]
-    take = order[: min(k, nsteps)]
-
+    op = LinearOperator((size, size), dtype=np.float64,
+                        matvec=lambda x: h.apply_flat(x).real)
+    try:
+        vals, vecs = eigsh(op, k=k, which="SA" if which == "low" else "LA",
+                           tol=tol, v0=rng.standard_normal(size))
+    except ArpackNoConvergence as exc:
+        raise LanczosError(
+            f"ARPACK unconverged for {k} eigenpairs: {exc}") from exc
+    order = np.argsort(vals) if which == "low" else np.argsort(vals)[::-1]
     out_vals, out_vecs, out_res = [], [], []
-    bmat = np.array(basis[:nsteps]).T  # (size, nsteps)
-    for idx in take:
-        vec = bmat @ evecs[:, idx]
-        vec /= np.linalg.norm(vec)
-        resid = np.linalg.norm(h.apply_flat(vec) - evals[idx] * vec)
-        out_vals.append(float(evals[idx]))
+    for idx in order:
+        vec = vecs[:, idx]
+        out_vals.append(float(vals[idx]))
         out_vecs.append(Field(h.grid, vec.reshape(h.grid.shape)))
-        out_res.append(float(resid))
-    if any(r > tol * max(1.0, abs(v)) * 100 for r, v in zip(out_res, out_vals)):
-        # Ritz pairs at the far interior may be unconverged; only the extreme
-        # ones are promised.  Report failure if even the first is bad.
-        if out_res[0] > tol * max(1.0, abs(out_vals[0])) * 100:
-            raise LanczosError(
-                f"Lanczos unconverged after {nsteps} steps", out_res
-            )
+        out_res.append(float(np.linalg.norm(h.apply_flat(vec) - vals[idx] * vec)))
     return EigenSet(out_vals, out_vecs, out_res)
 
 
 def negative_spectrum(h: Hamiltonian, k_cap: int = 50,
                       tau_neg: Optional[float] = None,
                       rng: Optional[np.random.Generator] = None) -> EigenSet:
-    """All eigenvalues below -tau_neg with eigenvectors, found by repeated
-    deflated Lanczos runs (so multiplicities are captured one copy per run)."""
+    """All eigenvalues below -tau_neg with eigenvectors.
+
+    The lowest k pairs are computed for k = 4, 8, 16, ... (capped at k_cap
+    and at size - 1) until at most half of them lie below -tau_neg.  Lanczos
+    sees a second copy of a degenerate level only once rounding has grown it
+    from the start vector; the pairs above the cut and the convergence to
+    machine precision give it the iterations to do so (with only one pair
+    above the cut, or at tol 1e-10, copies were missed on 12^3 test wells).
+    """
     if tau_neg is None:
         tau_neg = 1e-6 * max(1.0, h.potential.max_abs)
     if rng is None:
         rng = np.random.default_rng(0)
-    vals: List[float] = []
-    vecs: List[Field] = []
-    ress: List[float] = []
-    deflate: List[np.ndarray] = []
-    for _ in range(k_cap + 1):
-        if len(vals) > k_cap:
-            raise RuntimeError(f"negative-eigenvalue count exceeds cap {k_cap}")
-        steps = min(h.grid.size, 200)
-        try:
-            es = lanczos_extreme(h, 1, "low", rng=rng, deflate=deflate,
-                                 max_steps=steps)
-        except LanczosError:
-            # one harder retry before concluding the negative spectrum is
-            # exhausted (the run after the last bound state converges slowly
-            # onto the continuum edge and is allowed to give up)
-            try:
-                es = lanczos_extreme(h, 1, "low", rng=rng, deflate=deflate,
-                                     max_steps=3 * steps)
-            except LanczosError:
-                break
-        if not es.eigenvalues or es.eigenvalues[0] >= -tau_neg:
+    k_max = min(k_cap, h.grid.size - 1)
+    k = min(4, k_max)
+    while True:
+        es = lanczos_extreme(h, k, "low", rng=rng)
+        below = sum(1 for e in es.eigenvalues if e < -tau_neg)
+        if 2 * below <= k or (k == k_max and below < k):
             break
-        vals.append(es.eigenvalues[0])
-        vecs.append(es.vectors[0])
-        ress.append(es.residuals[0])
-        deflate.append(es.vectors[0].values.reshape(-1))
-    order = np.argsort(vals)
-    return EigenSet([vals[i] for i in order], [vecs[i] for i in order],
-                    [ress[i] for i in order])
+        if k == k_max:
+            raise RuntimeError(f"more than {k} eigenvalues below -{tau_neg:g}")
+        k = min(2 * k, k_max)
+    return EigenSet(es.eigenvalues[:below], es.vectors[:below],
+                    es.residuals[:below])
 
 
 def clr_check(h: Hamiltonian, c: float) -> Tuple[int, float, bool]:

@@ -25,6 +25,7 @@ from .grid import (
     apply_multiplier,
     boundary_decay,
     evaluate_symbol,
+    inverse_transform,
     norm_lp,
     radial_symbol,
     weight_abs_power,
@@ -182,8 +183,6 @@ def bandlimited_samples(grid: GridSpec, count: int,
         )
     if carrier_radius <= 0 or spectral_width <= 0:
         raise ValueError("carrier radius and spectral width must be positive")
-    from .grid import inverse_transform
-
     freqs = grid.freqs()
     kidx = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts).astype(int)
     keep = np.ones(grid.shape, dtype=bool)
@@ -667,7 +666,6 @@ def _shell_localized_samples(grid: GridSpec, rho: float, count: int,
         width = grid.h_xi * rng.uniform(1.0, 3.0)
         prof = np.exp(-((xi_abs - rho) / width) ** 2)
         phases = np.exp(2j * np.pi * rng.random(grid.shape))
-        from .grid import inverse_transform
         fld = inverse_transform(Field(grid, prof * phases, "frequency"))
         # impose edge decay with a fixed physical envelope
         env = np.exp(-grid.radii() ** 2 / (2.0 * (grid.half_width / 8.0) ** 2))

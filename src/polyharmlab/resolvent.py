@@ -21,6 +21,7 @@ from .grid import (
     Field,
     GridSpec,
     forward_transform,
+    inverse_transform,
     sphere_area,
     weight_bracket_power,
 )
@@ -192,15 +193,12 @@ def weighted_resolvent_norm(
     if not np.isfinite(sym[zero]):
         raise ValueError("resolvent symbol singular at the zero mode (z = 0?)")
     sym_c = np.conj(sym)
-    phase = None  # transforms handled through Field machinery below
 
     def mk_apply(symbol):
         def apply(vflat: np.ndarray) -> np.ndarray:
             fld = Field(grid, w * vflat.reshape(grid.shape))
             fhat = forward_transform(fld)
             out = Field(grid, symbol * fhat.values, "frequency")
-            from .grid import inverse_transform
-
             return (w * inverse_transform(out).values).reshape(-1)
 
         return apply

@@ -13,6 +13,7 @@ from polyharmlab.cli import (
     parse_config,
     run,
 )
+from polyharmlab.reporting import ProbeReport
 
 
 def base_config(**overrides):
@@ -178,3 +179,46 @@ class TestCounterexampleSubcommand:
         assert data["metrics"]["eigen_residual"] < 1e-3
         assert (out / "embedded_pair" / "manifest.json").exists()
         assert (out / "embedded_pair" / "potential.field").exists()
+
+
+class TestAllSubcommand:
+    @staticmethod
+    def _fake_runners(monkeypatch, failing, exc):
+        def passing(name):
+            def runner(cfg):
+                rep = ProbeReport(name=name)
+                rep.add_row(x=1.0)
+                rep.passes["ok"] = True
+                return rep
+            return runner
+
+        def raising(cfg):
+            raise exc
+
+        for name in cli.PROBE_SUBCOMMANDS:
+            monkeypatch.setitem(cli.PROBE_RUNNERS, name,
+                                raising if name == failing else passing(name))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_probe_keeps_other_reports(self, tmp_path, monkeypatch,
+                                              threads):
+        self._fake_runners(monkeypatch, "spectrum",
+                           FloatingPointError("diverged"))
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert run(path, "all", out_dir=str(out), threads=threads) == 1
+        summary = json.loads((out / "all.json").read_text())
+        assert summary["passed"] is False
+        assert summary["failures"] == {"spectrum": "FloatingPointError: diverged"}
+        others = [n for n in cli.PROBE_SUBCOMMANDS if n != "spectrum"]
+        assert list(summary["probes"]) == others
+        assert all((out / f"{n}.json").exists() for n in others)
+        assert not (out / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_config_error_in_probe_exit_two(self, tmp_path, monkeypatch,
+                                            threads):
+        self._fake_runners(monkeypatch, "strichartz", ConfigError("bad pair"))
+        path = write_config(tmp_path, base_config())
+        assert run(path, "all", out_dir=str(tmp_path / "out"),
+                   threads=threads) == 2

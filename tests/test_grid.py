@@ -71,6 +71,17 @@ class TestGridSpec:
         assert sphere_area(3, 2.0) == pytest.approx(4 * np.pi * 4.0)
 
 
+class TestField:
+    def test_caller_array_stays_writeable(self):
+        g = GridSpec(3, 8, 3.0)
+        a = np.zeros(g.shape, complex)
+        f = Field(g, a)
+        assert a.flags.writeable
+        a[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.values[0, 0, 0] = 2.0
+
+
 class TestTransforms:
     @pytest.mark.parametrize("n,npts", [(1, 32), (3, 16)])
     def test_round_trip(self, n, npts):

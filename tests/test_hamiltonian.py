@@ -4,10 +4,13 @@ Chebyshev propagation."""
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from polyharmlab import hamiltonian
 from polyharmlab.grid import Field, GridSpec, forward_transform, inverse_transform
 from polyharmlab.hamiltonian import (
     Hamiltonian,
+    LanczosError,
     clr_check,
     duhamel,
     lanczos_extreme,
@@ -107,6 +110,32 @@ class TestEigensolvers:
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, bracket_decay(g, 2.0, 3.0))
         assert negative_spectrum(h).count_negative == 0
+
+    @pytest.mark.parametrize("m,npts,half_width,depth,count", [
+        (1, 8, 3.0, 20.0, 5),   # ground state, 3-fold level, one more
+        (2, 12, 4.0, 30.0, 4),  # 3-fold level just below the edge
+    ])
+    def test_negative_spectrum_matches_dense(self, m, npts, half_width, depth,
+                                             count):
+        g = GridSpec(3, npts, half_width)
+        h = Hamiltonian(g, m, gaussian_well(g, depth))
+        evals = np.linalg.eigvalsh(dense_matrix(h).real)
+        tau = 1e-6 * max(1.0, h.potential.max_abs)
+        want = evals[evals < -tau]
+        es = negative_spectrum(h)
+        assert len(want) == count
+        assert len(es) == count
+        np.testing.assert_allclose(es.eigenvalues, want, rtol=0, atol=1e-10)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(hamiltonian, "eigsh", unconverged)
+        g = GridSpec(3, 8, 3.0)
+        with pytest.raises(LanczosError):
+            negative_spectrum(Hamiltonian(g, 1, gaussian_well(g, 20.0)))
 
     def test_k_cap(self, small_h):
         with pytest.raises(ValueError):
