@@ -309,10 +309,19 @@ def build_potential(cfg: RunConfig) -> Potential:
 # probe runners
 # ---------------------------------------------------------------------------
 
+def _stream_tag(name: str) -> int:
+    return sum(ord(c) * 31 ** i for i, c in enumerate(name)) % (2 ** 31)
+
+
 def _probe_rng(cfg: RunConfig, name: str) -> np.random.Generator:
     """Independent deterministic stream per probe, stable across subsets."""
-    tag = sum(ord(c) * 31 ** i for i, c in enumerate(name)) % (2 ** 31)
-    return np.random.default_rng([cfg.seed, tag])
+    return np.random.default_rng([cfg.seed, _stream_tag(name)])
+
+
+def _with_seed(report: ProbeReport, cfg: RunConfig, name: str) -> ProbeReport:
+    """Record the seed and the stream tag of the probe's _probe_rng."""
+    report.provenance.update(seed=cfg.seed, stream_tag=_stream_tag(name))
+    return report
 
 
 def _run_kernels(cfg: RunConfig) -> ProbeReport:
@@ -408,13 +417,14 @@ def _run_smoothing(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["smoothing"]
     pot = build_potential(cfg)
     h = Hamiltonian(cfg.grid, cfg.m, pot)
-    return kato_smoothing_probe(
+    report = kato_smoothing_probe(
         h, float(block["gamma"]), eps=float(block["eps"]),
         t_final=float(block["t_final"]), samples=int(block["samples"]),
         time_step=float(block["time_step"]),
         rng=_probe_rng(cfg, "smoothing"),
         refine_iters=int(block["refine_iters"]),
         plateau_tol=float(block["plateau_tol"]))
+    return _with_seed(report, cfg, "smoothing")
 
 
 def _run_strichartz(cfg: RunConfig) -> ProbeReport:
@@ -428,11 +438,12 @@ def _run_strichartz(cfg: RunConfig) -> ProbeReport:
                               float(block["alpha"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return strichartz_probe(
+    report = strichartz_probe(
         h, pair, mode=str(block["mode"]), t_final=float(block["t_final"]),
         samples=int(block["samples"]), time_step=float(block["time_step"]),
         rng=_probe_rng(cfg, "strichartz"),
         plateau_tol=float(block["plateau_tol"]))
+    return _with_seed(report, cfg, "strichartz")
 
 
 def _run_sobolev(cfg: RunConfig) -> ProbeReport:
@@ -442,21 +453,23 @@ def _run_sobolev(cfg: RunConfig) -> ProbeReport:
     grid = GridSpec(cfg.grid.n, int(npts), float(half_width))
     mags = np.geomspace(float(block["z_min"]), float(block["z_max"]),
                         int(block["z_count"]))
-    return sobolev_scaling_probe(
+    report = sobolev_scaling_probe(
         grid, cfg.m, float(block["alpha"]), float(block["p"]),
         float(block["q"]), mags, z_arg=float(block["z_arg"]),
         samples=int(block["samples"]), rng=_probe_rng(cfg, "sobolev"),
         slope_tol=float(block["slope_tol"]))
+    return _with_seed(report, cfg, "sobolev")
 
 
 def _run_stein_weiss(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["stein-weiss"]
-    return stein_weiss_probe(
+    report = stein_weiss_probe(
         float(block["lam"]), float(block["alpha"]), float(block["beta"]),
         cfg.grid.n, npts_ladder=[int(x) for x in block["npts_ladder"]],
         half_width=float(block["half_width"]),
         rng=_probe_rng(cfg, "stein-weiss"),
         stab_tol=float(block["stab_tol"]))
+    return _with_seed(report, cfg, "stein-weiss")
 
 
 PROBE_RUNNERS: Dict[str, Callable[[RunConfig], ProbeReport]] = {

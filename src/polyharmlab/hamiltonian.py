@@ -5,9 +5,11 @@ Eigenpairs come from ARPACK's implicitly restarted Lanczos
 (scipy.sparse.linalg.eigsh) on H as a real symmetric operator.  The negative
 spectrum is the lowest k pairs, with k doubled until at most half of them lie
 below the cut, so multiplicities are captured without deflation; an
-unconverged solve raises instead of truncating the count.  Propagation uses a
-Chebyshev expansion of e^{itH} scaled to the estimated spectral interval, one
-matvec per term.
+unconverged solve raises instead of truncating the count.
+
+Propagation expands e^{itH} in Chebyshev polynomials of H scaled to the
+estimated spectral interval.  One recurrence from the initial state, one
+matvec per term, serves every output time of a call.
 """
 
 from __future__ import annotations
@@ -201,24 +203,29 @@ def projector_ac_flat(h: Hamiltonian) -> Callable[[np.ndarray], np.ndarray]:
     return proj
 
 
-def _chebyshev_coeffs(a: float, tol: float) -> np.ndarray:
-    """Coefficients (2 - delta_k0) i^k J_k(a) truncated when eight consecutive
-    terms fall below tol."""
-    coeffs = []
-    k = 0
+def _chebyshev_coeffs(args: np.ndarray, tol: float) -> np.ndarray:
+    """Coefficients (2 - delta_k0) i^k J_k(a) for every argument a (rows)
+    and order k (columns), truncated once eight consecutive orders fall below
+    tol at every argument."""
+    a_max = float(np.max(np.abs(args), initial=0.0))
+    kmax = int(a_max) + 200 + int(40 * max(1.0, a_max) ** (1.0 / 3.0))
+    cols = []
     small = 0
-    kmax = int(abs(a)) + 200 + int(40 * max(1.0, abs(a)) ** (1.0 / 3.0))
-    while k <= kmax:
-        c = (2.0 if k else 1.0) * (1j ** k) * jv(k, a)
-        coeffs.append(c)
-        if abs(c) < tol:
+    for k in range(kmax + 1):
+        c = (2.0 if k else 1.0) * (1j ** k) * jv(k, args)
+        cols.append(c)
+        if np.max(np.abs(c), initial=0.0) < tol:
             small += 1
             if small >= 8:
                 break
         else:
             small = 0
-        k += 1
-    return np.array(coeffs)
+    return np.stack(cols, axis=-1)
+
+
+#: Chebyshev vectors held at once; each block is folded into the output
+#: with one (times x block) @ (block x points) product.
+_BLOCK = 32
 
 
 def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float],
@@ -227,13 +234,14 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float],
     """e^{itH} psi0 at each requested time via the Chebyshev expansion of the
     exponential scaled to the spectral interval.
 
-    Stepping goes from one output time to the next, so the Bessel argument per
-    step stays proportional to the time increment.  A diverging recurrence
+    One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
+    1984): the vectors do not depend on t, so each state is sum_k c_k(t)
+    T_k(H~) psi0, truncated against the largest |t|.  A diverging recurrence
     (iterate norms blowing up) means the spectral-bound estimate was violated;
     the bounds are padded and the run retried.
     """
-    times = list(times)
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+    times = np.asarray(list(times), dtype=float)
+    if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
     if psi0.rep != "physical":
         psi0 = inverse_transform(psi0)
@@ -244,7 +252,7 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float],
         half = 0.5 * (e_max - e_min) * (1.0 + pad) + 1e-12
         mid = 0.5 * (e_max + e_min)
         try:
-            return _chebyshev_run(h, psi0, times, half, mid, tol)
+            return _chebyshev_sum(h, psi0, times, half, mid, tol)
         except _RecurrenceDiverged:
             pad = pad * 4 + 0.25
     raise RuntimeError("Chebyshev recurrence diverged despite padded bounds")
@@ -254,37 +262,29 @@ class _RecurrenceDiverged(Exception):
     pass
 
 
-def _chebyshev_run(h: Hamiltonian, psi0: Field, times, half, mid, tol):
+def _chebyshev_sum(h: Hamiltonian, psi0: Field, times: np.ndarray,
+                   half: float, mid: float, tol: float) -> List[Field]:
     grid = h.grid
-    norm0 = np.linalg.norm(psi0.values)
-    out: List[Field] = []
-    cur = psi0.values.reshape(-1).astype(np.complex128)
-    t_prev = 0.0
-
-    def apply_scaled(vec):
-        return (h.apply_flat(vec) - mid * vec) / half
-
-    for t in times:
-        dt = t - t_prev
-        if dt != 0.0:
-            a = half * dt
-            coeffs = _chebyshev_coeffs(a, tol * 1e-2)
-            t0 = cur
-            t1 = apply_scaled(cur)
-            acc = coeffs[0] * t0
-            if len(coeffs) > 1:
-                acc = acc + coeffs[1] * t1
-            for k in range(2, len(coeffs)):
-                t2 = 2.0 * apply_scaled(t1) - t0
-                nrm = np.linalg.norm(t2)
-                if not np.isfinite(nrm) or nrm > 50.0 * max(norm0, 1e-300):
+    coeffs = _chebyshev_coeffs(half * times, tol * 1e-2)
+    coeffs *= np.exp(1j * mid * times)[:, None]
+    v0 = psi0.values.reshape(-1).astype(np.complex128)
+    limit = 50.0 * max(np.linalg.norm(v0), 1e-300)
+    out = np.zeros((times.size, v0.size), dtype=np.complex128)
+    block = np.empty((min(_BLOCK, coeffs.shape[1]), v0.size), dtype=np.complex128)
+    prev = cur = v0
+    for start in range(0, coeffs.shape[1], _BLOCK):
+        stop = min(start + _BLOCK, coeffs.shape[1])
+        for k in range(start, stop):
+            if k == 1:
+                prev, cur = v0, (h.apply_flat(v0) - mid * v0) / half
+            elif k > 1:
+                prev, cur = cur, 2.0 * (h.apply_flat(cur) - mid * cur) / half - prev
+                nrm = np.linalg.norm(cur)
+                if not np.isfinite(nrm) or nrm > limit:
                     raise _RecurrenceDiverged
-                acc = acc + coeffs[k] * t2
-                t0, t1 = t1, t2
-            cur = np.exp(1j * mid * dt) * acc
-            t_prev = t
-        out.append(Field(grid, cur.reshape(grid.shape)))
-    return out
+            block[k - start] = cur
+        out += coeffs[:, start:stop] @ block[:stop - start]
+    return [Field(grid, row.reshape(grid.shape)) for row in out]
 
 
 def duhamel(h: Hamiltonian, forcing: Sequence[Field], f_times: Sequence[float],
@@ -309,12 +309,12 @@ def duhamel(h: Hamiltonian, forcing: Sequence[Field], f_times: Sequence[float],
     fvals = [f.values.reshape(-1).astype(np.complex128) for f in forcing]
     for j in range(f_times.size):
         if j > 0:
+            # trapezoid step by linearity: one propagation per interval
             dt = f_times[j] - f_times[j - 1]
-            stepped = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                                [dt], tol=tol)[0].values.reshape(-1)
-            prev_forced = propagate(h, Field(grid, fvals[j - 1].reshape(grid.shape)),
-                                    [dt], tol=tol)[0].values.reshape(-1)
-            acc = stepped + 1j * 0.5 * dt * (prev_forced + fvals[j])
+            acc = acc + 0.5j * dt * fvals[j - 1]
+            acc = propagate(h, Field(grid, acc.reshape(grid.shape)),
+                            [dt], tol=tol)[0].values.reshape(-1)
+            acc = acc + 0.5j * dt * fvals[j]
         while ti < len(times) and np.isclose(times[ti], f_times[j], rtol=0, atol=1e-12):
             out.append(Field(grid, acc.reshape(grid.shape)))
             ti += 1

@@ -323,10 +323,12 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         sup_ratio_samples=best_ratio,
         sup_ratio_refined=refined,
         plateau_increments=incs,
+        plateau_increment=incs[-1],
+        plateau_tol=plateau_tol,
         t_checks=t_checks,
     )
     report.passes["finite"] = bool(np.isfinite(refined))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol * 3)
+    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
     return report
 
 
@@ -460,9 +462,10 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
 
     incs = plateau_increments(best_checks) if best_checks else [math.inf]
     report.metrics.update(sup_ratio=sup_ratio, plateau_increments=incs,
+                          plateau_increment=incs[-1], plateau_tol=plateau_tol,
                           t_checks=t_checks)
     report.passes["finite"] = bool(np.isfinite(sup_ratio))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol * 3)
+    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
     return report
 
 
@@ -555,12 +558,13 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
     powers = [r ** p for r in best_ratios] if not math.isinf(p) else best_ratios
     incs = plateau_increments(powers)
     report.metrics.update(sup_ratio=sup_ratio, plateau_increments=incs,
+                          plateau_increment=incs[-1], plateau_tol=plateau_tol,
                           t_checks=t_checks)
     if mode == "gain":
         report.metrics.update(sobolev_partner_q1=q1,
                               sobolev_fitted_constant=sobolev_const)
     report.passes["finite"] = bool(np.isfinite(sup_ratio))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol * 3)
+    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
     return report
 
 

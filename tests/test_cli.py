@@ -28,6 +28,22 @@ def base_config(**overrides):
     return cfg
 
 
+def small_lab_config():
+    """Every probe on an 8^3 grid with one bound state, kept small."""
+    cfg = base_config(grid={"n": 3, "npts": 8, "half_width": 4.0})
+    cfg["probes"] = {
+        "kernels": {"trials": 50},
+        "bs-sweep": {"lambda_count": 1, "thetas": [0.03]},
+        "counterexample": {"npts": 24},
+        "smoothing": {"t_final": 2.0, "samples": 1},
+        "strichartz": {"p": 8.0 / 3.0, "q": 4.0, "alpha": 1.5,
+                       "t_final": 2.0, "samples": 1},
+        "sobolev": {"z_count": 3, "samples": 1, "npts": 16},
+        "stein-weiss": {"npts_ladder": [8, 16]},
+    }
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -222,3 +238,14 @@ class TestAllSubcommand:
         path = write_config(tmp_path, base_config())
         assert run(path, "all", out_dir=str(tmp_path / "out"),
                    threads=threads) == 2
+
+
+class TestSeedProvenance:
+    @pytest.mark.parametrize("probe", ["smoothing", "strichartz", "sobolev",
+                                       "stein-weiss"])
+    def test_report_records_seed_and_stream(self, tmp_path, probe):
+        path = write_config(tmp_path, small_lab_config())
+        run(path, probe, out_dir=str(tmp_path))
+        provenance = json.loads((tmp_path / f"{probe}.json").read_text())["provenance"]
+        assert provenance["seed"] == 3
+        assert provenance["stream_tag"] == cli._stream_tag(probe)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.special import jv
 
 from polyharmlab import hamiltonian
 from polyharmlab.grid import Field, GridSpec, forward_transform, inverse_transform
@@ -36,6 +37,77 @@ def dense_matrix(h):
     for j in range(sz):
         mat[:, j] = h.apply_flat(eye[:, j].astype(np.complex128))
     return mat
+
+
+# ---------------------------------------------------------------------------
+# stepped Chebyshev propagation: restarts the recurrence at every output time,
+# stepping from one time to the next.  Kept here as the independent oracle of
+# the single-recurrence propagate.
+# ---------------------------------------------------------------------------
+
+def _stepped_coeffs(a, tol):
+    """Coefficients (2 - delta_k0) i^k J_k(a) truncated when eight consecutive
+    terms fall below tol."""
+    coeffs = []
+    k = 0
+    small = 0
+    kmax = int(abs(a)) + 200 + int(40 * max(1.0, abs(a)) ** (1.0 / 3.0))
+    while k <= kmax:
+        c = (2.0 if k else 1.0) * (1j ** k) * jv(k, a)
+        coeffs.append(c)
+        if abs(c) < tol:
+            small += 1
+            if small >= 8:
+                break
+        else:
+            small = 0
+        k += 1
+    return np.array(coeffs)
+
+
+def _stepped_run(h, psi0, times, half, mid, tol):
+    grid = h.grid
+    norm0 = np.linalg.norm(psi0.values)
+    out = []
+    cur = psi0.values.reshape(-1).astype(np.complex128)
+    t_prev = 0.0
+
+    def apply_scaled(vec):
+        return (h.apply_flat(vec) - mid * vec) / half
+
+    for t in times:
+        dt = t - t_prev
+        if dt != 0.0:
+            a = half * dt
+            coeffs = _stepped_coeffs(a, tol * 1e-2)
+            t0 = cur
+            t1 = apply_scaled(cur)
+            acc = coeffs[0] * t0
+            if len(coeffs) > 1:
+                acc = acc + coeffs[1] * t1
+            for k in range(2, len(coeffs)):
+                t2 = 2.0 * apply_scaled(t1) - t0
+                nrm = np.linalg.norm(t2)
+                if not np.isfinite(nrm) or nrm > 50.0 * max(norm0, 1e-300):
+                    raise AssertionError("stepped oracle diverged")
+                acc = acc + coeffs[k] * t2
+                t0, t1 = t1, t2
+            cur = np.exp(1j * mid * dt) * acc
+            t_prev = t
+        out.append(Field(grid, cur.reshape(grid.shape)))
+    return out
+
+
+def _scaling(h, pad=0.01):
+    """half-width and centre of the padded spectral interval, as propagate
+    scales H on its first attempt."""
+    e_min, e_max = h.spectral_bounds
+    return 0.5 * (e_max - e_min) * (1.0 + pad) + 1e-12, 0.5 * (e_max + e_min)
+
+
+def _unit_random(g):
+    psi = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
+    return Field(g, psi.values / psi.norm2())
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +309,60 @@ class TestPropagation:
         psi = Field(g, RNG.standard_normal(g.shape) + 0j)
         with pytest.raises(ValueError):
             propagate(h, psi, [2.0, 1.0])
+
+    @pytest.mark.parametrize("m,t_final", [(1, 4.0), (2, 0.25)])
+    def test_matches_stepped_oracle(self, m, t_final):
+        # symmetric grid of 65 times, as the smoothing and strichartz probes use
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, m, gaussian_well(g, 15.0))
+        psi = _unit_random(g)
+        times = np.linspace(-t_final, t_final, 65)
+        half, mid = _scaling(h)
+        want = _stepped_run(h, psi, times, half, mid, 1e-10)
+        got = propagate(h, psi, times)
+        assert len(got) == times.size
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-10)
+
+    def test_one_matvec_per_term(self, monkeypatch):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
+        times = np.linspace(-3.0, 3.0, 33)
+        half, _ = _scaling(h)
+        terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
+        calls = []
+        apply_flat = h.apply_flat
+        monkeypatch.setattr(h, "apply_flat",
+                            lambda vec: calls.append(1) or apply_flat(vec))
+        propagate(h, _unit_random(g), times, tol=1e-10)
+        assert terms > 2 * hamiltonian._BLOCK
+        assert len(calls) == terms - 1
+
+    def test_narrow_bounds_retry(self, monkeypatch):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
+        e_min, e_max = h.spectral_bounds
+        # the top quarter of the spectrum lies outside the assumed interval;
+        # the padding of the third attempt covers it
+        monkeypatch.setattr(Hamiltonian, "spectral_bounds",
+                            property(lambda self: (e_min, 0.75 * e_max)))
+        attempts = []
+        run = hamiltonian._chebyshev_sum
+
+        def recording(*args):
+            try:
+                out = run(*args)
+            except hamiltonian._RecurrenceDiverged:
+                attempts.append("diverged")
+                raise
+            attempts.append("ok")
+            return out
+
+        monkeypatch.setattr(hamiltonian, "_chebyshev_sum", recording)
+        states = propagate(h, _unit_random(g), np.linspace(-2.0, 2.0, 9))
+        assert attempts[0] == "diverged" and attempts[-1] == "ok"
+        for st in states:
+            assert st.norm2() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDuhamel:

@@ -108,6 +108,24 @@ class TestKatoSmoothingProbe:
         assert rep.metrics["sup_ratio_samples"] > 0
         assert len(rep.metrics["plateau_increments"]) == 2
 
+    def test_plateau_flag_against_stated_tolerance(self):
+        g = GridSpec(3, 16, 6.0)
+        h = Hamiltonian(g, 1, zero_potential(g))
+
+        def probe(tol):
+            return kato_smoothing_probe(h, 0.25, t_final=2.0, samples=1,
+                                        refine_iters=0, plateau_tol=tol,
+                                        rng=np.random.default_rng(2))
+
+        inc = probe(0.05).metrics["plateau_increment"]
+        assert inc > 0
+        for tol, flag in ((inc / 2.0, False), (inc * 2.0, True)):
+            rep = probe(tol)
+            assert rep.metrics["plateau_increment"] == inc
+            assert rep.metrics["plateau_increments"][-1] == inc
+            assert rep.metrics["plateau_tol"] == tol
+            assert rep.passes["plateau"] is flag
+
     def test_refinement_never_below_samples(self):
         g = GridSpec(3, 16, 6.0)
         h = Hamiltonian(g, 1, zero_potential(g))
