@@ -6,24 +6,31 @@ The sandwiched resolvent w R0(z) v is translation-invariant between grid
 points, so the dense block is gathered from a single resolvent column (the
 multiplier applied to a delta at the origin index) instead of one transform
 per support point; the result is identical to the column-by-column definition.
+
+sigma_min(M) = lambda_max(M^{-H} M^{-1})^{-1/2}, from ARPACK on the LU factors
+of M, which also serve solve().  Since V is real, w = U v with U = sgn V and
+M(z-bar) = U M(z)^H U: sigma_min(M(z-bar)) = sigma_min(M(z)) and
+v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweeps factor one M per pair z, z-bar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import Field, GridSpec, forward_transform, inverse_transform, weight_abs_power, weight_bracket_power
+from .grid import (Field, GridSpec, apply_multiplier, inverse_transform, weight_abs_power,
+                   weight_bracket_power)
 from .kernels import ResolventQuery, riesz_kernel
 from .operators import operator_norm
 from .potentials import Potential
 from .reporting import ProbeReport
 from .resolvent import boundary_symbol
 
-DENSE_SVD_CAP = 2000
 DEFAULT_SUPPORT_CAP = 6000
 
 
@@ -41,9 +48,7 @@ def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
 def apply_resolvent(grid: GridSpec, q: ResolventQuery, values: np.ndarray) -> np.ndarray:
     """R0(z) applied to a physical-space array (returns physical array)."""
     fld = Field(grid, np.asarray(values, dtype=np.complex128))
-    fhat = forward_transform(fld)
-    sym = resolvent_symbol_array(grid, q)
-    return inverse_transform(Field(grid, sym * fhat.values, "frequency")).values
+    return apply_multiplier(fld, resolvent_symbol_array(grid, q)).values
 
 
 def resolvent_base_column(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
@@ -81,19 +86,24 @@ class BSMatrix:
     support: np.ndarray  # flat grid indices, sorted
     grid: GridSpec
     potential_name: str = ""
-    _lu: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return int(self.support.size)
 
-    def sigma_min(self) -> float:
-        return sigma_min(self.matrix)
+    @cached_property
+    def factors(self) -> tuple:
+        """(lu, piv) of M; an exactly zero pivot marks M singular."""
+        return scipy.linalg.lu_factor(self.matrix)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.matrix)
-        return scipy.linalg.lu_solve(self._lu, rhs)
+    def sigma_min(self) -> float:
+        return sigma_min(self.factors)[0]
+
+    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """M^{-1} rhs, or M^{-H} rhs with adjoint=True."""
+        if not np.all(np.diagonal(self.factors[0])):
+            raise scipy.linalg.LinAlgError(f"M({self.query.z}) is singular")
+        return scipy.linalg.lu_solve(self.factors, rhs, trans=2 if adjoint else 0)
 
     def inv_norm(self) -> float:
         """||M^{-1}||_2 = 1 / sigma_min."""
@@ -103,34 +113,40 @@ class BSMatrix:
         return 1.0 / s
 
 
-def sigma_min(matrix: np.ndarray) -> float:
-    """Smallest singular value: dense SVD up to DENSE_SVD_CAP, inverse
-    iteration with an LU solve beyond it."""
-    nn = matrix.shape[0]
+class SigmaMinError(RuntimeError):
+    """The smallest-singular-value solve did not converge."""
+
+
+def sigma_min(lu: tuple) -> Tuple[float, int]:
+    """(sigma_min(M), operator applications) from the LU factors lu of M
+    (scipy.linalg.lu_factor).
+
+    ARPACK (k = 1, tol = 0: machine precision, fixed-seed start) finds
+    lambda_max of x -> M^{-H} M^{-1} x in its real form on [Re x; Im x]; the
+    complex solver varied in the last digits between runs at two BLAS
+    threads.  An exactly zero pivot gives 0; no convergence raises."""
+    nn = lu[0].shape[0]
     if nn == 0:
-        return 1.0
-    if nn <= DENSE_SVD_CAP:
-        return float(scipy.linalg.svdvals(matrix)[-1])
+        return 1.0, 0
+    if not np.all(np.diagonal(lu[0])):
+        return 0.0, 0
+    applications = 0
+
+    def inverse_gram(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        y = scipy.linalg.lu_solve(lu, x[:nn] + 1j * x[nn:], check_finite=False)
+        y = scipy.linalg.lu_solve(lu, y, trans=2, check_finite=False)
+        return np.concatenate([y.real, y.imag])
+
+    op = LinearOperator((2 * nn, 2 * nn), matvec=inverse_gram, dtype=np.float64)
     try:
-        lu = scipy.linalg.lu_factor(matrix)
-    except scipy.linalg.LinAlgError:
-        return 0.0
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(40):
-        # one step of inverse iteration on M^H M
-        u = scipy.linalg.lu_solve(lu, v)
-        u = scipy.linalg.lu_solve(lu, u, trans=2)
-        nu = np.linalg.norm(u)
-        new_est = np.sqrt(1.0 / nu) if nu > 0 else 0.0
-        v = u / nu
-        if est and abs(new_est - est) <= 1e-8 * est:
-            est = new_est
-            break
-        est = new_est
-    return float(est)
+        lam = eigsh(op, k=1, which="LA", tol=0,
+                    v0=np.random.default_rng(7).standard_normal(2 * nn),
+                    return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise SigmaMinError(f"ARPACK unconverged on a {nn}-point block: {exc}") from exc
+    return float(lam[0]) ** -0.5, applications
 
 
 def _gather_block(grid: GridSpec, base_column: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -226,21 +242,19 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
         params={"m": m, "n": n, "nu": nu, "potential": pot.name,
                 "excluded_lambdas": list(map(float, excluded))},
     )
-    sup = 0.0
     sup_by_theta = {}
     for lam in lambdas:
         for th in thetas:
-            for side, sgn in (("+", 1.0), ("-", -1.0)):
-                q = ResolventQuery(z=complex(lam, sgn * th), m=m, n=n)
-                bs = assemble_M(pot, q)
-                smin = bs.sigma_min()
-                norm = 1.0 / smin if smin > 0 else np.inf
+            # sigma_min(M(z-bar)) = sigma_min(M(z)): one solve serves both rows.
+            # Neither M nor its factors are kept past the solve (peak memory).
+            q = ResolventQuery(z=complex(lam, th), m=m, n=n)
+            smin, applications = sigma_min(assemble_M(pot, q).factors)
+            norm = 1.0 / smin if smin > 0 else np.inf
+            for side in ("+", "-"):
                 report.add_row(lam=lam, theta=th, side=side, norm=norm,
-                               sigma_min=smin, iterations=0)
-                sup = max(sup, norm)
-                key = float(th)
-                sup_by_theta[key] = max(sup_by_theta.get(key, 0.0), norm)
-    report.metrics["sup"] = sup
+                               sigma_min=smin, iterations=applications)
+            sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), norm)
+    sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
     if thetas.size >= 2:
         a, b = sup_by_theta[float(thetas[-1])], sup_by_theta[float(thetas[-2])]
         report.metrics["plateau_ratio"] = a / b if b else np.inf
@@ -254,13 +268,10 @@ def detect_zero_resonance(pot: Potential, m: int, tau_res: float = 1e-3,
 
     The flag is raised when sigma_min < tau_res and, if a refined-grid
     potential is supplied, sigma_min fails to grow under the refinement."""
-    q = ResolventQuery(z=0.0, m=m, n=pot.grid.n)
-    smin = assemble_M(pot, q).sigma_min()
+    smin = _sigma_at(pot, m, 0.0)
     flag = smin < tau_res
     if flag and refined is not None:
-        q2 = ResolventQuery(z=0.0, m=m, n=refined.grid.n)
-        smin_ref = assemble_M(refined, q2).sigma_min()
-        flag = smin_ref < 2.0 * smin  # did not grow: still suspect
+        flag = _sigma_at(refined, m, 0.0) < 2.0 * smin  # did not grow: still suspect
     return float(smin), bool(flag)
 
 
@@ -306,22 +317,27 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     formula R = R0 - R0 v M^{-1} w R0 with M = I + w R0 v.
 
     (With M in this convention the inner factors must appear in the order
-    v M^{-1} w for mixed-sign V; for sign-definite V the orders coincide.)"""
+    v M^{-1} w for mixed-sign V; for sign-definite V the orders coincide.)
+    bs may also be the block of the conjugate point z-bar: then
+    v M(z)^{-1} w = w M(z-bar)^{-H} v is applied from its factors."""
     grid = pot.grid
     if f.rep != "physical":
         f = inverse_transform(f)
     if bs is None:
         bs = assemble_M(pot, q)
+    conjugate = complex(bs.query.z) != complex(q.z)
+    if conjugate and complex(bs.query.z) != complex(q.z).conjugate():
+        raise ValueError(f"block of z = {bs.query.z} given for z = {q.z}")
     g0 = apply_resolvent(grid, q, f.values)
     if bs.size == 0:
         return Field(grid, g0)
     support = bs.support
     w = pot.w().reshape(-1)[support]
     v = pot.v().reshape(-1)[support]
-    rhs = w * g0.reshape(-1)[support]
-    coeffs = bs.solve(rhs)
+    left, right = (v, w) if conjugate else (w, v)
+    coeffs = bs.solve(left * g0.reshape(-1)[support], adjoint=conjugate)
     spread = np.zeros(grid.size, dtype=np.complex128)
-    spread[support] = v * coeffs
+    spread[support] = right * coeffs
     correction = apply_resolvent(grid, q, spread.reshape(grid.shape))
     return Field(grid, g0 - correction)
 
@@ -354,21 +370,15 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
     dsym = grid.xi_radii() ** gamma
     if gamma < 0:
         dsym[(0,) * n] = 0.0  # zero-frequency rule for negative-order |D|^gamma
-    elif gamma == 0:
-        dsym = np.ones(grid.shape)
 
     def half_sandwich(vec: np.ndarray) -> np.ndarray:
         """|D|^gamma (W vec) as a physical array."""
-        fld = Field(grid, (wgt * vec.reshape(grid.shape)))
-        fhat = forward_transform(fld)
-        return inverse_transform(Field(grid, dsym * fhat.values, "frequency")).values
+        return apply_multiplier(Field(grid, wgt * vec.reshape(grid.shape)), dsym).values
 
     def half_sandwich_out(vec: np.ndarray) -> np.ndarray:
         """W (|D|^gamma vec): adjoint order of half_sandwich (both factors are
         self-adjoint, so this is the conjugate-transpose composition)."""
-        fhat = forward_transform(Field(grid, vec))
-        mid = inverse_transform(Field(grid, dsym * fhat.values, "frequency")).values
-        return wgt * mid
+        return wgt * apply_multiplier(Field(grid, vec), dsym).values
 
     def sandwich(q: ResolventQuery, bs: BSMatrix) -> Callable[[np.ndarray], np.ndarray]:
         """W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W for the block bs of q."""
@@ -390,26 +400,21 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
                 "projected": projected, "potential": pot.name},
         provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width}},
     )
-    sup = 0.0
     sup_by_theta = {}
     for lam in lambdas:
         for th in np.sort(np.asarray(list(thetas)))[::-1]:
-            for side_sign in (1.0, -1.0):
-                z = complex(lam, side_sign * th)
-                q = ResolventQuery(z=z, m=m, n=n)
-                qc = ResolventQuery(z=np.conj(z), m=m, n=n)
-                bs = assemble_M(pot, q)
-                est = operator_norm(sandwich(q, bs),
-                                    sandwich(qc, assemble_M(pot, qc)),
+            qp = ResolventQuery(z=complex(lam, th), m=m, n=n)
+            qm = ResolventQuery(z=complex(lam, -th), m=m, n=n)
+            bs = assemble_M(pot, qp)  # serves z and z-bar (module docstring)
+            smin = bs.sigma_min()
+            # each row's operator at z, and its adjoint at z-bar
+            for side, q, qc in (("+", qp, qm), ("-", qm, qp)):
+                est = operator_norm(sandwich(q, bs), sandwich(qc, bs),
                                     grid.size, rng=rng, max_iter=max_iter)
-                report.add_row(lam=lam, theta=th,
-                               side="+" if side_sign > 0 else "-",
-                               norm=est.norm, sigma_min=bs.sigma_min() if bs.size else 1.0,
-                               iterations=est.iterations)
-                sup = max(sup, est.norm)
-                key = float(th)
-                sup_by_theta[key] = max(sup_by_theta.get(key, 0.0), est.norm)
-    report.metrics["sup"] = sup
+                report.add_row(lam=lam, theta=th, side=side, norm=est.norm,
+                               sigma_min=smin, iterations=est.iterations)
+                sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), est.norm)
+    sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
     ths = sorted(sup_by_theta)
     if len(ths) >= 2:
         report.metrics["plateau_ratio"] = (

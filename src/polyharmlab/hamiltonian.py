@@ -15,7 +15,7 @@ matvec per term, serves every output time of a call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -187,20 +187,11 @@ def projector_ac(h: Hamiltonian, f: Field) -> Field:
     if f.rep != "physical":
         f = inverse_transform(f)
     out = f.values.copy()
-    cell = h.grid.cell_volume
     for psi in es.vectors:
         # eigenvectors are unit in the flat l2 sense; projection uses the same
         coeff = np.vdot(psi.values.reshape(-1), out.reshape(-1))
         out = out - coeff * psi.values
     return Field(h.grid, out)
-
-
-def projector_ac_flat(h: Hamiltonian) -> Callable[[np.ndarray], np.ndarray]:
-    """Flat-vector adapter of projector_ac for power-iteration callbacks."""
-    def proj(vec: np.ndarray) -> np.ndarray:
-        fld = Field(h.grid, vec.reshape(h.grid.shape))
-        return projector_ac(h, fld).values.reshape(-1)
-    return proj
 
 
 def _chebyshev_coeffs(args: np.ndarray, tol: float) -> np.ndarray:

@@ -1,0 +1,48 @@
+"""Acceptance checks at reference scale (configs/reference.yaml).
+
+Marked slow; `python -m pytest -q -m slow` runs only these.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from polyharmlab import cli
+
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+
+# bs-sweep rows (lambda, theta, side, sigma_min) at configs/reference.yaml,
+# each sigma_min taken from a dense SVD (scipy.linalg.svdvals) of M(lambda +/- i theta).
+BS_SWEEP_ROWS = [
+    (0.5, 0.03, "+", 0.49821202584574642),
+    (0.5, 0.03, "-", 0.49821202584574642),
+    (0.5, 0.01, "+", 0.42963771506465492),
+    (0.5, 0.01, "-", 0.42963771506465509),
+    (1.6666666666666667, 0.03, "+", 0.47192860578265605),
+    (1.6666666666666667, 0.03, "-", 0.471928605782656),
+    (1.6666666666666667, 0.01, "+", 0.39959877740686667),
+    (1.6666666666666667, 0.01, "-", 0.39959877740686672),
+    (2.8333333333333335, 0.03, "+", 0.62374825128675859),
+    (2.8333333333333335, 0.03, "-", 0.6237482512867587),
+    (2.8333333333333335, 0.01, "+", 0.61809286797233731),
+    (2.8333333333333335, 0.01, "-", 0.61809286797233765),
+    (4.0, 0.03, "+", 0.51715327207950834),
+    (4.0, 0.03, "-", 0.51715327207950834),
+    (4.0, 0.01, "+", 0.41048443575182142),
+    (4.0, 0.01, "-", 0.41048443575182136),
+]
+
+
+@pytest.mark.slow
+def test_reference_bs_sweep(tmp_path):
+    assert cli.run(REFERENCE, "bs-sweep", out_dir=str(tmp_path), threads=1) == 0
+    with open(tmp_path / "bs-sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == len(BS_SWEEP_ROWS)
+    for row, (lam, theta, side, smin) in zip(rows, BS_SWEEP_ROWS):
+        assert float(row["lam"]) == pytest.approx(lam, rel=1e-15)
+        assert float(row["theta"]) == pytest.approx(theta, rel=1e-15)
+        assert row["side"] == side
+        assert float(row["sigma_min"]) == pytest.approx(smin, rel=1e-10)
+        assert int(row["iterations"]) > 0

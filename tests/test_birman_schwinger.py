@@ -3,8 +3,13 @@ resolvent identity."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from polyharmlab import birman_schwinger
 from polyharmlab.birman_schwinger import (
+    BSMatrix,
+    SigmaMinError,
     apply_resolvent,
     assemble_M,
     detect_point_spectrum,
@@ -13,6 +18,7 @@ from polyharmlab.birman_schwinger import (
     neumann_threshold,
     perturbed_resolvent_apply,
     riesz_base_column,
+    sigma_min,
     supersmooth_sweep,
 )
 from polyharmlab.grid import Field, GridSpec
@@ -30,6 +36,14 @@ def truncated_well(grid, depth, width=1.0, rcut=3.0, name=None):
         return np.where(r2 <= rcut ** 2, -depth * np.exp(-r2 / width ** 2), 0.0)
     return potential_from_callable(grid, fn, 2.0 * grid.n,
                                    name=name or f"trunc_well({depth:g})")
+
+
+def dipole(grid):
+    """Mixed-sign V = 3 x exp(-|x|^2), truncated at |x| = 2.5."""
+    def fn(x, y, z):
+        r2 = x ** 2 + y ** 2 + z ** 2
+        return np.where(r2 <= 6.25, 3.0 * x * np.exp(-r2), 0.0)
+    return potential_from_callable(grid, fn, 6.0, name="dipole")
 
 
 class TestAssembly:
@@ -83,6 +97,106 @@ class TestAssembly:
         pot = truncated_well(g, 2.0, rcut=1.5)
         bs = assemble_M(pot, ResolventQuery(z=-1.0 + 0.5j, m=1, n=3))
         assert bs.inv_norm() == pytest.approx(1.0 / bs.sigma_min(), rel=1e-12)
+
+
+def _block(pot, z):
+    return assemble_M(pot, ResolventQuery(z=z, m=1, n=pot.grid.n)).matrix
+
+
+def _sigma_case(name):
+    """(matrix given to sigma_min, matrix whose dense SVD it must match)."""
+    g = GridSpec(3, 12, 5.0)
+    z = 0.8 + 0.05j
+    if name == "well":
+        mat = _block(truncated_well(g, 5.0, rcut=2.5), z)
+        return mat, mat
+    if name == "mixed-sign":
+        mat = _block(dipole(g), z)
+        return mat, mat
+    if name.startswith("conjugate-pair"):
+        # the sweeps take sigma_min(M(z-bar)) from M(z)
+        pot = dipole(g) if name.endswith("mixed-sign") else truncated_well(g, 5.0, rcut=2.5)
+        return _block(pot, z), _block(pot, np.conj(z))
+    size = int(name.split("-")[1])
+    rng = np.random.default_rng(size)
+    mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return mat, mat
+
+
+class TestSigmaMin:
+    @pytest.mark.parametrize("case", ["well", "mixed-sign", "conjugate-pair",
+                                      "conjugate-pair-mixed-sign",
+                                      "size-1", "size-2", "size-3"])
+    def test_matches_dense_svd(self, case):
+        mat, dense = _sigma_case(case)
+        got, applications = sigma_min(scipy.linalg.lu_factor(mat))
+        want = scipy.linalg.svdvals(dense)[-1]
+        assert got == pytest.approx(want, rel=1e-10)
+        assert applications > 0
+
+    def test_deterministic(self):
+        mat, _ = _sigma_case("mixed-sign")
+        assert sigma_min(scipy.linalg.lu_factor(mat)) == sigma_min(scipy.linalg.lu_factor(mat))
+
+    def test_exact_zero_pivot_is_singular(self):
+        g = GridSpec(3, 8, 3.0)
+        mat = np.diag([1.0, 2.0, 0.0, 3.0, 4.0]).astype(np.complex128)
+        bs = BSMatrix(ResolventQuery(z=1.0 + 0.1j, m=1, n=3), mat,
+                      np.arange(5), g)
+        with pytest.warns(scipy.linalg.LinAlgWarning):  # from lu_factor
+            assert bs.sigma_min() == 0.0
+        assert bs.inv_norm() == np.inf
+        with pytest.raises(scipy.linalg.LinAlgError):
+            bs.solve(np.ones(5))
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(birman_schwinger, "eigsh", unconverged)
+        mat, _ = _sigma_case("well")
+        with pytest.raises(SigmaMinError):
+            sigma_min(scipy.linalg.lu_factor(mat))
+
+    def test_sweep_records_applications(self, monkeypatch):
+        # one solve per conjugate pair; each application is two LU solves
+        solves = []
+        lu_solve = scipy.linalg.lu_solve
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return lu_solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+        g = GridSpec(3, 8, 3.0)
+        pot = dipole(g)
+        rep = inv_norm_sweep(pot, 1, [1.0], [0.1], nu=0.1)
+        plus, minus = rep.rows
+        assert (plus["side"], minus["side"]) == ("+", "-")
+        assert plus["iterations"] == minus["iterations"] == len(solves) // 2 > 0
+        assert plus["sigma_min"] == minus["sigma_min"]
+        for row in rep.rows:
+            z = complex(1.0, 0.1 if row["side"] == "+" else -0.1)
+            want = scipy.linalg.svdvals(_block(pot, z))[-1]
+            assert row["sigma_min"] == pytest.approx(want, rel=1e-10)
+
+
+class TestBirmanSchwingerCount:
+    """For V <= 0, the eigenvalues of H below -tau are counted by the negative
+    eigenvalues of the Hermitian M(-tau) = I - |V|^{1/2} (H0 + tau)^{-1} |V|^{1/2}."""
+
+    @pytest.mark.parametrize("npts, half_width, depth, count", [
+        (8, 3.0, 20.0, 5), (12, 5.0, 5.0, 1), (12, 5.0, 15.0, 5),
+        (12, 4.0, 30.0, 10)])
+    def test_count_matches_eigensolver(self, npts, half_width, depth, count):
+        g = GridSpec(3, npts, half_width)
+        pot = gaussian_well(g, depth)
+        tau = 1e-6 * max(1.0, pot.max_abs)  # negative_spectrum's default cut
+        mat = _block(pot, -tau)
+        bs_count = int(np.sum(scipy.linalg.eigvalsh(0.5 * (mat + mat.conj().T)) < 0))
+        es = negative_spectrum(Hamiltonian(g, 1, pot))
+        assert bs_count == es.count_negative == count
 
 
 class TestBoundStates:
@@ -144,18 +258,54 @@ class TestPerturbedResolvent:
 
     def test_mixed_sign_potential(self):
         g = GridSpec(3, 12, 5.0)
-
-        def fn(x, y, z):
-            r2 = x ** 2 + y ** 2 + z ** 2
-            return np.where(r2 <= 6.25, 3.0 * x * np.exp(-r2), 0.0)
-
-        pot = potential_from_callable(g, fn, 6.0, name="dipole")
+        pot = dipole(g)
         h = Hamiltonian(g, 1, pot)
         q = ResolventQuery(z=-1.5 + 0.7j, m=1, n=3)
         f = Field(g, RNG.standard_normal(g.shape).astype(complex))
         rf = perturbed_resolvent_apply(pot, q, f)
         back = h.apply(rf).values - complex(q.z) * rf.values
         np.testing.assert_allclose(back, f.values, atol=1e-9 * np.max(np.abs(f.values)))
+
+
+class TestConjugateBlock:
+    @pytest.mark.parametrize("make", [lambda g: truncated_well(g, 4.0, rcut=2.5),
+                                      dipole], ids=["well", "mixed-sign"])
+    def test_adjoint_apply_matches_fresh_block(self, make):
+        # R(z-bar) from the factors of M(z) equals R(z-bar) from M(z-bar)
+        g = GridSpec(3, 12, 5.0)
+        pot = make(g)
+        z = 0.7 + 0.2j
+        q, qc = (ResolventQuery(z=zz, m=1, n=3) for zz in (z, np.conj(z)))
+        f = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
+        got = perturbed_resolvent_apply(pot, qc, f, bs=assemble_M(pot, q)).values
+        want = perturbed_resolvent_apply(pot, qc, f).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_sweeps_assemble_one_block_per_pair(self, monkeypatch):
+        queries = []
+        assemble = birman_schwinger.assemble_M
+
+        def recording(pot, q, *args, **kwargs):
+            queries.append(complex(q.z))
+            return assemble(pot, q, *args, **kwargs)
+
+        monkeypatch.setattr(birman_schwinger, "assemble_M", recording)
+        g = GridSpec(3, 8, 3.0)
+        pot = truncated_well(g, 2.0, rcut=1.5)
+        inv = inv_norm_sweep(pot, 1, [0.5, 1.0], [0.1, 0.03], nu=0.1)
+        sup = supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], [0.1])
+        assert (len(inv.rows), len(sup.rows)) == (8, 2)
+        assert queries == [complex(0.5, 0.1), complex(0.5, 0.03), complex(1.0, 0.1),
+                           complex(1.0, 0.03), complex(1.0, 0.1)]
+
+    def test_unrelated_block_rejected(self):
+        g = GridSpec(3, 8, 3.0)
+        pot = truncated_well(g, 2.0, rcut=1.5)
+        bs = assemble_M(pot, ResolventQuery(z=1.0 + 0.1j, m=1, n=3))
+        f = Field(g, np.ones(g.shape, dtype=complex))
+        with pytest.raises(ValueError):
+            perturbed_resolvent_apply(pot, ResolventQuery(z=1.0 + 0.2j, m=1, n=3),
+                                      f, bs=bs)
 
 
 class TestSweeps:
