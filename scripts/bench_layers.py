@@ -1,0 +1,198 @@
+"""Per-call wall time of the spectral kernel and the operators built on it.
+
+    python3 scripts/bench_layers.py                           # this checkout
+    python3 scripts/bench_layers.py --baseline OTHER/src      # interleaved with another tree
+
+Layers (ROADMAP "layer by layer"):
+
+  L0  H matvec at 32^3 (Hamiltonian.apply_flat, m = 1, Gaussian well);
+      multiplier round trip at 160^3 (apply_multiplier with the complex
+      resolvent symbol 1 / (|xi|^2 - z), z = 0.3 e^{0.5i}, as in the sobolev
+      probe at alpha = 0).
+  L1  H matvec at 16^3; one assemble_M on the 1419-point support of the
+      depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the benchmark's
+      spectral workload), z = 0.5 + 0.03i.
+
+Each measurement pass runs in a fresh process that imports polyharmlab from
+the given source tree, warms every layer once and then times fixed batches.
+With --baseline, passes alternate between the baseline tree and this one,
+with the order flipped every round.  The output JSON (--out) holds, per tree
+and layer, the median and quartiles of the per-call time over all batches of
+all rounds, the sample count, the current/baseline ratio of the medians, and
+the machine: cores, CPU, numpy/scipy versions and thread settings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# layer -> (calls per batch, batches per pass)
+BATCHES = {
+    "L0.h_matvec_32": (20, 10),
+    "L0.multiplier_160": (1, 4),
+    "L1.h_matvec_16": (100, 10),
+    "L1.assemble_M_1419": (1, 6),
+}
+
+# ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
+# workers, and the kernel runs at scipy.fft's default of one.
+TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
+
+
+def _layers():
+    """name -> zero-argument callable doing one call of the layer."""
+    import numpy as np
+    from polyharmlab.birman_schwinger import assemble_M
+    from polyharmlab.grid import Field, GridSpec, apply_multiplier
+    from polyharmlab.hamiltonian import Hamiltonian
+    from polyharmlab.kernels import ResolventQuery
+    from polyharmlab.potentials import gaussian_well
+
+    rng = np.random.default_rng(0)
+
+    def matvec(npts, half_width):
+        g = GridSpec(3, npts, half_width)
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
+        vec = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        return lambda: h.apply_flat(vec)
+
+    big = GridSpec(3, 160, 10.0)
+    fld = Field(big, rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape))
+    sym = 1.0 / (big.xi_radii() ** 2 - 0.3 * np.exp(0.5j))
+
+    spectral = GridSpec(3, 16, 6.0)
+    well = gaussian_well(spectral, 20.0)
+    query = ResolventQuery(z=0.5 + 0.03j, m=1, n=3)
+    if well.support_indices().size != 1419:
+        raise RuntimeError("the spectral well no longer has a 1419-point support")
+
+    return {
+        "L0.h_matvec_32": matvec(32, 12.0),
+        "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
+        "L1.h_matvec_16": matvec(16, 8.0),
+        "L1.assemble_M_1419": lambda: assemble_M(well, query),
+    }
+
+
+def _worker() -> None:
+    """One measurement pass: per layer, the per-call time of every batch."""
+    layers = _layers()
+    out = {}
+    for name, fn in layers.items():
+        calls, batches = BATCHES[name]
+        fn()  # warm caches, plans and lazy set-up
+        times = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            times.append((time.perf_counter() - start) / calls)
+        out[name] = times
+    print(json.dumps(out))
+
+
+def _run_pass(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, __file__, "--worker"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values):
+    import numpy as np
+
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3),
+            "samples": len(values)}
+
+
+def _commit(src: Path) -> str:
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"],
+                              cwd=src, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _machine() -> dict:
+    import numpy
+    import scipy
+    import scipy.fft
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    threads = {k: os.environ.get(k) for k in
+               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads["scipy.fft.workers"] = scipy.fft.get_workers()
+    return {
+        "cores": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "threads": threads,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline", type=Path, default=None,
+                    help="src directory of another tree, measured interleaved")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_5.json")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        _worker()
+        return 0
+
+    trees = {"current": ROOT / "src"}
+    if args.baseline is not None:
+        trees = {"baseline": args.baseline.resolve(), **trees}
+    samples = {label: {name: [] for name in BATCHES} for label in trees}
+    order = list(trees)
+    for rnd in range(args.rounds):
+        for label in (order if rnd % 2 == 0 else order[::-1]):
+            for name, times in _run_pass(trees[label]).items():
+                samples[label][name].extend(times)
+            print(f"round {rnd + 1}/{args.rounds}: {label} done", file=sys.stderr)
+
+    report = {
+        "machine": _machine(),
+        "batches": {name: {"calls": c, "batches_per_pass": b}
+                    for name, (c, b) in BATCHES.items()},
+        "rounds": args.rounds,
+        "targets_s": TARGETS_S,
+        "trees": {label: {"commit": _commit(src.parent),
+                          "layers": {name: _quartiles(vals)
+                                     for name, vals in samples[label].items()}}
+                  for label, src in trees.items()},
+    }
+    if "baseline" in trees:
+        report["ratio_current_over_baseline"] = {
+            name: report["trees"]["current"]["layers"][name]["median_s"]
+            / report["trees"]["baseline"]["layers"][name]["median_s"]
+            for name in BATCHES}
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(report["trees"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -407,13 +407,15 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
             qm = ResolventQuery(z=complex(lam, -th), m=m, n=n)
             bs = assemble_M(pot, qp)  # serves z and z-bar (module docstring)
             smin = bs.sigma_min()
-            # each row's operator at z, and its adjoint at z-bar
-            for side, q, qc in (("+", qp, qm), ("-", qm, qp)):
-                est = operator_norm(sandwich(q, bs), sandwich(qc, bs),
-                                    grid.size, rng=rng, max_iter=max_iter)
+            # W, |D|^gamma and P_ac are self-adjoint and R(z-bar) = R(z)*, so
+            # the operator at z-bar is the adjoint of the one at z: one norm
+            # estimate serves both rows
+            est = operator_norm(sandwich(qp, bs), sandwich(qm, bs),
+                                grid.size, rng=rng, max_iter=max_iter)
+            for side in ("+", "-"):
                 report.add_row(lam=lam, theta=th, side=side, norm=est.norm,
                                sigma_min=smin, iterations=est.iterations)
-                sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), est.norm)
+            sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), est.norm)
     sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
     ths = sorted(sup_by_theta)
     if len(ths) >= 2:

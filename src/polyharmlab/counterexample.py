@@ -9,36 +9,21 @@ agrees with G outside a ball B(0, delta) therefore yields a potential
 supported in B(0, delta) with ((-Delta)^m + V) phi = phi: an eigenvalue
 embedded at 1 inside the essential spectrum [0, infinity).
 
-Two constructions of phi are provided:
-
-* "mollified" (default): phi = G * rho_sigma with a Gaussian mollifier, so
-  phi-hat = e^{-sigma^2 xi^2 / 4} / (1 + |xi|^2) exactly and the numerator
-  phi - (-Delta)^m phi = Q(-Delta) rho_sigma is an analytic bump of width
-  sigma (Q the polynomial (1 - t^m)/(1 + t) in t = -Delta).  The grid phi is
-  synthesized from the exact symbol, so the residual of the eigen-identity is
-  limited only by the Gaussian tail of the symbol at the lattice Nyquist
-  radius and collapses spectrally under refinement.  The support of V leaks
-  by the Gaussian factor e^{-r^2/sigma^2}, quantified in the residual record.
-
-* "blend": cap G's origin singularity by an even polynomial, phi(r) =
-  chi(r) P(r^2) + (1 - chi(r)) G(r), with chi a smooth cutoff supported in
-  r < delta and P the even polynomial of degree 2m + 2 matching G's value
-  and first m + 1 derivatives in u = r^2 at r = delta (1 - eta), eta = 0.2.
-  The cutoff's high derivatives multiply the P - G mismatch, so the
-  constructed V carries sharp features of amplitude O(10^2-10^3), and the
-  spectral (-Delta)^m applied to those features rings far outside the
-  support ball where the potential is truncated to zero: measured
-  eigen-residuals stay O(10) at practical grid sizes (14.8 / 52 / 64 at
-  N = 24 / 48 / 96 in 3D).  Kept for its explicit radial profile; the
-  mollified construction is the one that meets tight residual targets.
+The construction (method "mollified") takes phi = G * rho_sigma with a
+Gaussian mollifier, so phi-hat = e^{-sigma^2 xi^2 / 4} / (1 + |xi|^2) exactly
+and the numerator phi - (-Delta)^m phi = Q(-Delta) rho_sigma is an analytic
+bump of width sigma (Q the polynomial (1 - t^m)/(1 + t) in t = -Delta).  The
+grid phi is synthesized from the exact symbol, so the residual of the
+eigen-identity is limited only by the Gaussian tail of the symbol at the
+lattice Nyquist radius and collapses spectrally under refinement.  The
+support of V leaks by the Gaussian factor e^{-r^2/sigma^2}, quantified in the
+residual record.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -47,74 +32,12 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    forward_transform,
     inverse_transform,
     read_field,
     write_field,
 )
 from .potentials import Potential
 from .reporting import ProbeReport
-
-
-@lru_cache(maxsize=32)
-def _bessel_symbolic(n: int):
-    """Sympy expression for the kernel of (1 - Delta)^{-1} in odd dimension n,
-    built by the two-dimension recursion K_{n+2} = -(2 pi r)^{-1} dK_n/dr."""
-    import sympy as sp
-
-    r = sp.symbols("r", positive=True)
-    g = sp.exp(-r) / (4 * sp.pi * r)
-    for _ in range((n - 3) // 2):
-        g = sp.simplify(-sp.diff(g, r) / (2 * sp.pi * r))
-    return r, g
-
-
-@lru_cache(maxsize=64)
-def _cap_coefficients(m: int, n: int, r_match: float) -> tuple:
-    """Taylor coefficients (c_0, ..., c_{m+1}) of G in the variable u = r^2
-    around u_0 = r_match^2, so P(u) = sum_k c_k (u - u_0)^k matches G's value
-    and first m + 1 u-derivatives at r_match."""
-    import sympy as sp
-
-    r, g = _bessel_symbolic(n)
-    u = sp.symbols("u", positive=True)
-    gu = g.subs(r, sp.sqrt(u))
-    u0 = sp.Float(r_match * r_match, 30)
-    coeffs = []
-    expr = gu
-    for k in range(m + 2):
-        coeffs.append(float(expr.subs(u, u0)) / math.factorial(k))
-        expr = sp.diff(expr, u)
-    return tuple(coeffs)
-
-
-def _cap_eval(coeffs: tuple, u0: float, u: np.ndarray) -> np.ndarray:
-    du = u - u0
-    out = np.zeros_like(du)
-    for c in reversed(coeffs):
-        out = out * du + c
-    return out
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for t <= 0, 0 for t >= 1."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape)
-    out[t <= 0.0] = 1.0
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    a = np.exp(-1.0 / ti)
-    b = np.exp(-1.0 / (1.0 - ti))
-    out[inside] = b / (a + b)
-    return out
-
-
-def bessel_kernel_radial(n: int, r: np.ndarray) -> np.ndarray:
-    """Vectorized kernel of (1 - Delta)^{-1}; thin wrapper over the closed
-    form shared with the resolvent kernels."""
-    from .kernels import bessel_kernel
-
-    return np.asarray(bessel_kernel(n, r))
 
 
 def _check_parameters(m: int, n: int, delta: float) -> None:
@@ -125,97 +48,6 @@ def _check_parameters(m: int, n: int, delta: float) -> None:
         raise ValueError(f"odd n >= 3 required, got {n}")
     if delta <= 0:
         raise ValueError(f"support radius must be positive, got {delta}")
-
-
-@dataclass(frozen=True)
-class BlendProfile:
-    """The radial profile phi: polynomial cap inside, Bessel kernel outside,
-    smooth transition on [delta (1 - eta), delta]."""
-
-    m: int
-    n: int
-    delta: float
-    eta: float
-    cap: tuple  # Taylor coefficients of P in u = r^2 around u0
-    u0: float
-
-    @property
-    def r_match(self) -> float:
-        return self.delta * (1.0 - self.eta)
-
-    def cap_values(self, r: np.ndarray) -> np.ndarray:
-        return _cap_eval(self.cap, self.u0, np.asarray(r, dtype=np.float64) ** 2)
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        chi = _smoothstep((r - self.r_match) / (self.delta - self.r_match))
-        out = chi * self.cap_values(r)
-        outer = chi < 1.0
-        if np.any(outer):
-            out[outer] += (1.0 - chi[outer]) * bessel_kernel_radial(self.n, r[outer])
-        return out
-
-
-def make_blend_profile(m: int, n: int, delta: float, eta: float = 0.2) -> BlendProfile:
-    """Construct the capped profile; rejects parameters whose polynomial cap
-    is not strictly positive on [0, delta]."""
-    _check_parameters(m, n, delta)
-    if not 0 < eta < 1:
-        raise ValueError(f"matching offset eta must lie in (0, 1), got {eta}")
-    r_match = delta * (1.0 - eta)
-    cap = _cap_coefficients(m, n, r_match)
-    profile = BlendProfile(m, n, delta, eta, cap, r_match * r_match)
-    r_check = np.linspace(0.0, delta, 4097)
-    if np.min(profile.cap_values(r_check)) <= 0.0:
-        raise ValueError(
-            f"polynomial cap not strictly positive on [0, {delta:g}] "
-            f"(m={m}, n={n}); parameters rejected"
-        )
-    return profile
-
-
-def _image_offsets(n: int, period: float, corner: float, d_cut: float) -> np.ndarray:
-    """Nonzero lattice offsets k with period*|k| - corner <= d_cut (images
-    whose nearest approach to the box is within the kernel cutoff distance)."""
-    radius = (d_cut + corner) / period
-    s = int(math.ceil(radius))
-    axis = np.arange(-s, s + 1)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    ks = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    norms = np.sqrt(np.sum(ks.astype(np.float64) ** 2, axis=1))
-    keep = (norms > 0) & (norms <= radius)
-    return ks[keep]
-
-
-def _periodized_samples(grid: GridSpec, profile: BlendProfile,
-                        image_rtol: float) -> np.ndarray:
-    """Samples of sum_k phi(x + 2L k): the direct term plus Bessel-kernel
-    images (every image lies far outside the cap ball, so only G contributes;
-    images whose kernel value at nearest approach is below image_rtol times
-    the profile peak are dropped)."""
-    axes = grid.axis_coords()
-
-    def shifted_r2(shift: np.ndarray) -> np.ndarray:
-        r2 = np.zeros(grid.shape)
-        for a in range(grid.n):
-            shape = [1] * grid.n
-            shape[a] = grid.npts
-            r2 = r2 + (axes.reshape(shape) + shift[a]) ** 2
-        return r2
-
-    phi = profile(np.sqrt(shifted_r2(np.zeros(grid.n))))
-    peak = float(np.max(phi))
-
-    period = 2.0 * grid.half_width
-    corner = grid.half_width * math.sqrt(grid.n)
-    # distance beyond which the kernel drops below the image cutoff
-    d_cut = 1.0
-    while bessel_kernel_radial(profile.n, np.array([d_cut]))[0] > image_rtol * peak:
-        d_cut += 0.5
-    for kv in _image_offsets(grid.n, period, corner, d_cut):
-        r2k = shifted_r2(period * kv.astype(np.float64))
-        phi += bessel_kernel_radial(profile.n, np.sqrt(r2k))
-    return phi
 
 
 @dataclass(frozen=True)
@@ -264,19 +96,20 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float, alias_shells: int = 1):
 
 def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
                         method: str = "mollified",
-                        sigma: Optional[float] = None,
-                        eta: float = 0.2,
-                        image_rtol: Optional[float] = None) -> EmbeddedPair:
+                        sigma: Optional[float] = None) -> EmbeddedPair:
     """Construct the embedded-eigenvalue pair on a grid.
 
     The potential is evaluated spectrally from the sampled profile and then
     truncated to the ball |x| <= delta + 2h, outside of which the continuum
-    potential vanishes (mollified: up to the recorded Gaussian leak); the
-    discarded exterior values are recorded as support_leak, not silently
-    dropped.  The eigen-residual ||H phi - phi|| / ||phi|| measures exactly
-    that truncation and decreases under N-refinement.
+    potential vanishes up to the recorded Gaussian leak; the discarded
+    exterior values are recorded as support_leak, not silently dropped.  The
+    eigen-residual ||H phi - phi|| / ||phi|| measures exactly that truncation
+    and decreases under N-refinement.  method must be "mollified", the only
+    construction.
     """
     _check_parameters(m, grid.n, delta)
+    if method != "mollified":
+        raise ValueError(f"unknown construction {method!r}; use 'mollified'")
     if delta < 4.0 * grid.h:
         raise ValueError(
             f"support radius {delta:g} under-resolved: need delta >= 4h = "
@@ -288,26 +121,11 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
             f"radius {delta:g}"
         )
 
-    if method == "mollified":
-        if sigma is None:
-            sigma = 0.135 * delta
-        if not 0 < sigma < delta:
-            raise ValueError(f"mollifier width must lie in (0, delta), got {sigma}")
-        phi, numer = _mollified_phi(grid, m, sigma)
-        params = {"sigma": sigma}
-    elif method == "blend":
-        profile = make_blend_profile(m, grid.n, delta, eta)
-        if image_rtol is None:
-            image_rtol = 1e-13 if grid.n == 3 else 1e-7
-        phi = _periodized_samples(grid, profile, image_rtol)
-        phat = forward_transform(Field(grid, phi.astype(np.complex128)))
-        sym = grid.xi_radii() ** (2 * m)
-        numer = phi - inverse_transform(
-            Field(grid, sym * phat.values, "frequency")).values.real
-        params = {"eta": eta, "image_rtol": image_rtol}
-    else:
-        raise ValueError(f"unknown construction {method!r}; "
-                         "use 'mollified' or 'blend'")
+    if sigma is None:
+        sigma = 0.135 * delta
+    if not 0 < sigma < delta:
+        raise ValueError(f"mollifier width must lie in (0, delta), got {sigma}")
+    phi, numer = _mollified_phi(grid, m, sigma)
 
     if np.min(phi) <= 0.0:
         raise ValueError("constructed profile not strictly positive on the grid")
@@ -328,7 +146,7 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
         "positivity_margin": float(np.min(phi)),
         "max_abs_v": pot.max_abs,
         "method": method,
-        **params,
+        "sigma": sigma,
     }
     object.__setattr__(pair, "residuals", residuals)
     return pair

@@ -1,4 +1,5 @@
-"""Periodic spectral grid on [-L, L]^n with unitary discrete Fourier transforms.
+"""Periodic spectral grid on [-L, L]^n: unitary discrete Fourier transforms and
+the Fourier-multiplier kernel.
 
 The physical lattice is x_j = -L + j*h per axis (h = 2L/N) and the frequency
 lattice is xi_k = (pi/L)*k with k in {-N/2, ..., N/2 - 1}.  The transforms use
@@ -11,7 +12,13 @@ volume h^n on the physical side, h_xi^n on the frequency side) is identical in
 both representations.
 
 Frequency-side arrays are stored in FFT ordering (numpy.fft.fftfreq), row-major
-over axes, matching the physical layout.
+over axes, matching the physical layout.  Transforms run on scipy.fft.
+
+A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
+the centring phase and the scale factors of the unitary transforms cancel
+between the forward and the inverse, so a multiplier applies neither.  The
+transforms are kept for quantities that live on the frequency side (shell
+integrals, the boundary pairing, frequency-built samples).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from functools import lru_cache
 from typing import BinaryIO, Callable, Union
 
 import numpy as np
+import scipy.fft
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -220,8 +228,9 @@ def forward_transform(f: Field) -> Field:
     """Unitary DFT, physical -> frequency."""
     f.require(PHYSICAL)
     g = f.grid
-    scale = g.cell_volume / (2.0 * np.pi) ** (g.n / 2)
-    vals = scale * _center_phase(g) * np.fft.fftn(f.values)
+    vals = scipy.fft.fftn(f.values)
+    vals *= _center_phase(g)
+    vals *= g.cell_volume / (2.0 * np.pi) ** (g.n / 2)
     return Field(g, vals, FREQUENCY)
 
 
@@ -229,8 +238,8 @@ def inverse_transform(f: Field) -> Field:
     """Exact inverse of forward_transform, frequency -> physical."""
     f.require(FREQUENCY)
     g = f.grid
-    scale = g.cell_volume_xi * g.size / (2.0 * np.pi) ** (g.n / 2)
-    vals = scale * np.fft.ifftn(_center_phase(g) * f.values)
+    vals = scipy.fft.ifftn(_center_phase(g) * f.values, overwrite_x=True)
+    vals *= g.cell_volume_xi * g.size / (2.0 * np.pi) ** (g.n / 2)
     return Field(g, vals, PHYSICAL)
 
 
@@ -266,9 +275,18 @@ def radial_symbol(fn: Callable) -> Callable:
     return sigma
 
 
+def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """ifftn(sym * fftn(values)) over every axis: the Fourier multiplier sym
+    (lattice array in FFT ordering) on physical samples.  Only the kernel's
+    own temporary is overwritten, never values."""
+    out = scipy.fft.fftn(values)
+    out *= sym
+    return scipy.fft.ifftn(out, overwrite_x=True)
+
+
 def apply_multiplier(f: Field, sigma, zero_mode: Union[float, complex, None] = None) -> Field:
-    """Fourier multiplier: inverse(sigma(xi) * forward(f)); preserves the
-    representation tag of the input.
+    """Fourier multiplier: inverse(sigma(xi) * forward(f)), computed by
+    apply_symbol; preserves the representation tag of the input.
 
     sigma may be a callable of the frequency array or a precomputed lattice
     array in FFT ordering.
@@ -277,11 +295,10 @@ def apply_multiplier(f: Field, sigma, zero_mode: Union[float, complex, None] = N
     if callable(sigma):
         mult = evaluate_symbol(g, sigma, zero_mode)
     else:
-        mult = np.asarray(sigma, dtype=np.complex128).reshape(g.shape)
+        mult = np.asarray(sigma).reshape(g.shape)
     if f.rep == FREQUENCY:
         return Field(g, mult * f.values, FREQUENCY)
-    fhat = forward_transform(f)
-    return inverse_transform(Field(g, mult * fhat.values, FREQUENCY))
+    return Field(g, apply_symbol(f.values, mult))
 
 
 def norm_lp(f: Field, p: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import jv
 
-from .grid import Field, GridSpec, forward_transform, inverse_transform
+from .grid import Field, GridSpec, apply_symbol, inverse_transform
 from .potentials import Potential
 
 
@@ -52,10 +52,9 @@ class Hamiltonian:
     def apply(self, f: Field) -> Field:
         if f.rep != "physical":
             f = inverse_transform(f)
-        fhat = forward_transform(f)
-        kin = inverse_transform(Field(self.grid, self._symbol * fhat.values,
-                                      "frequency")).values
-        return Field(self.grid, kin + self.potential.values * f.values)
+        out = apply_symbol(f.values, self._symbol)
+        out += self.potential.values * f.values
+        return Field(self.grid, out)
 
     def apply_flat(self, vec: np.ndarray) -> np.ndarray:
         return self.apply(Field(self.grid, vec.reshape(self.grid.shape))).values.reshape(-1)
@@ -168,14 +167,11 @@ def repulsive_check(pot: Potential, tau_grad: Optional[float] = None) -> Tuple[b
     grid = pot.grid
     if tau_grad is None:
         tau_grad = 1e-6 * max(1.0, pot.max_abs)
-    vhat = forward_transform(Field(grid, pot.values.astype(np.complex128)))
     coords = grid.coords()
     freqs = grid.freqs()
     radial = np.zeros(grid.shape)
     for a in range(grid.n):
-        dva = inverse_transform(Field(grid, 1j * freqs[a] * vhat.values,
-                                      "frequency")).values.real
-        radial += coords[a] * dva
+        radial += coords[a] * apply_symbol(pot.values, 1j * freqs[a]).real
     repulsive = bool(np.max(radial) <= tau_grad)
     nonneg = bool(np.min(pot.values) >= -tau_grad)
     return repulsive, nonneg

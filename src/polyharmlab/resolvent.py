@@ -20,8 +20,8 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
+    apply_symbol,
     forward_transform,
-    inverse_transform,
     sphere_area,
     weight_bracket_power,
 )
@@ -196,10 +196,9 @@ def weighted_resolvent_norm(
 
     def mk_apply(symbol):
         def apply(vflat: np.ndarray) -> np.ndarray:
-            fld = Field(grid, w * vflat.reshape(grid.shape))
-            fhat = forward_transform(fld)
-            out = Field(grid, symbol * fhat.values, "frequency")
-            return (w * inverse_transform(out).values).reshape(-1)
+            out = apply_symbol(w * vflat.reshape(grid.shape), symbol)
+            out *= w
+            return out.reshape(-1)
 
         return apply
 

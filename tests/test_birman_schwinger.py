@@ -21,9 +21,10 @@ from polyharmlab.birman_schwinger import (
     sigma_min,
     supersmooth_sweep,
 )
-from polyharmlab.grid import Field, GridSpec
+from polyharmlab.grid import Field, GridSpec, apply_multiplier, weight_bracket_power
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum
 from polyharmlab.kernels import ResolventQuery
+from polyharmlab.operators import operator_norm
 from polyharmlab.potentials import gaussian_well, potential_from_callable
 
 RNG = np.random.default_rng(9)
@@ -345,3 +346,61 @@ class TestSweeps:
         rep = supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], [0.1])
         assert rep.passes["finite"]
         assert rep.metrics["sup"] > 0
+
+
+class TestSupersmoothPair:
+    """One power iteration per conjugate pair: the operator at z-bar is the
+    adjoint of the one at z, so both rows carry the same norm."""
+
+    LAMBDAS, THETAS = [0.5, 1.5], [0.1, 0.03]
+
+    @pytest.fixture(scope="class")
+    def dipole_sweep(self):
+        g = GridSpec(3, 12, 5.0)
+        return g, dipole(g), supersmooth_sweep(dipole(g), 1, 0.5, 0.5,
+                                               self.LAMBDAS, self.THETAS)
+
+    def test_rows_of_a_pair_are_equal(self, dipole_sweep):
+        rows = dipole_sweep[2].rows
+        assert len(rows) == 8
+        for plus, minus in zip(rows[0::2], rows[1::2]):
+            assert (plus["side"], minus["side"]) == ("+", "-")
+            assert (plus["lam"], plus["theta"]) == (minus["lam"], minus["theta"])
+            assert plus["norm"] == minus["norm"] > 0
+            assert plus["iterations"] == minus["iterations"]
+
+    def test_minus_row_matches_its_own_power_iteration(self, dipole_sweep):
+        # the - operator built from a freshly assembled M(z-bar), its adjoint
+        # from M(z): W |D|^gamma R(z-bar) |D|^gamma W with gamma = m - 1/2
+        g, pot, rep = dipole_sweep
+        wgt = weight_bracket_power(g, -1.0)
+        dsym = g.xi_radii() ** 0.5
+
+        def op(z):
+            q = ResolventQuery(z=z, m=1, n=3)
+            bs = assemble_M(pot, q)
+
+            def apply(vec):
+                u = apply_multiplier(Field(g, wgt * vec.reshape(g.shape)), dsym)
+                r = perturbed_resolvent_apply(pot, q, u, bs=bs)
+                return (wgt * apply_multiplier(r, dsym).values).reshape(-1)
+            return apply
+
+        for row in rep.rows[1::2]:
+            z = complex(row["lam"], -row["theta"])
+            est = operator_norm(op(z), op(np.conj(z)), g.size,
+                                rng=np.random.default_rng(3))
+            assert row["norm"] == pytest.approx(est.norm, rel=1e-6)
+
+    def test_one_power_iteration_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return operator_norm(*args, **kwargs)
+
+        monkeypatch.setattr(birman_schwinger, "operator_norm", counting)
+        g = GridSpec(3, 8, 3.0)
+        rep = supersmooth_sweep(dipole(g), 1, 0.5, 0.5, self.LAMBDAS, self.THETAS)
+        assert len(rep.rows) == 8
+        assert len(calls) == 4

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from polyharmlab.counterexample import (
-    BlendProfile,
     build_embedded_pair,
-    bessel_kernel_radial,
     load_embedded_pair,
-    make_blend_profile,
     save_embedded_pair,
     verify_embedded,
 )
@@ -55,43 +52,8 @@ class TestBuildMollified:
             build_embedded_pair(g, 2, delta=1.0, sigma=1.5)
         with pytest.raises(ValueError):
             build_embedded_pair(g, 2, delta=1.0, method="nope")
-
-
-class TestBlendConstruction:
-    def test_profile_matches_kernel_outside(self):
-        prof = make_blend_profile(2, 3, 1.0)
-        r = np.linspace(1.0, 3.0, 7)
-        np.testing.assert_allclose(prof(r), bessel_kernel_radial(3, r),
-                                   rtol=1e-12)
-
-    def test_profile_smooth_positive_inside(self):
-        prof = make_blend_profile(2, 3, 1.0)
-        r = np.linspace(1e-4, 1.0, 513)
-        vals = prof(r)
-        assert np.all(vals > 0)
-        assert np.all(np.isfinite(vals))
-
-    def test_cap_matches_value_at_junction(self):
-        prof = make_blend_profile(2, 3, 1.0)
-        rm = prof.r_match
-        assert prof.cap_values(np.array([rm]))[0] == pytest.approx(
-            bessel_kernel_radial(3, np.array([rm]))[0], rel=1e-10)
-
-    def test_blend_pair_coarse_residual(self):
-        pair = build_embedded_pair(GridSpec(3, 24, 1.1), 2, delta=1.0,
-                                   method="blend")
-        # spectral ringing of the truncated sharp features dominates: the
-        # blend residual is finite but orders of magnitude above mollified
-        assert np.isfinite(pair.residuals["eigen_residual"])
-        assert pair.residuals["eigen_residual"] < 100.0
-        assert pair.residuals["eigen_residual"] > 1.0
-        assert np.min(pair.phi.values.real) > 0.0
-
-    def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            make_blend_profile(2, 3, 1.0, eta=0.0)
-        with pytest.raises(ValueError):
-            make_blend_profile(2, 3, 1.0, eta=1.0)
+        with pytest.raises(ValueError, match="unknown construction"):
+            build_embedded_pair(g, 2, delta=1.0, method="blend")  # removed
 
 
 class TestSerialization:

@@ -10,6 +10,7 @@ from polyharmlab.grid import (
     GridSpec,
     RepresentationError,
     apply_multiplier,
+    apply_symbol,
     boundary_decay,
     evaluate_symbol,
     field_from_function,
@@ -159,6 +160,60 @@ class TestSymbols:
         twice = apply_multiplier(apply_multiplier(f, lap), lap)
         once = apply_multiplier(f, lambda xi: np.sum(xi ** 2, axis=0) ** 2)
         np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
+
+
+def centred_composition(f, sym):
+    """The multiplier through the unitary transforms: forward, sigma, inverse."""
+    fhat = forward_transform(f)
+    return inverse_transform(Field(f.grid, sym * fhat.values, "frequency")).values
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_multiplier_matches_centred_composition(self, n, npts, kind):
+        g = GridSpec(n, npts, 2.5)
+        f = random_field(g)
+        xi2 = g.xi_radii() ** 2
+        sym = xi2 ** 2 if kind == "real" else 1.0 / (xi2 - (1.0 + 0.3j))
+        assert max_rel(apply_multiplier(f, sym).values,
+                       centred_composition(f, sym)) <= 1e-12
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    def test_zero_mode_override_matches_centred_composition(self, n, npts):
+        g = GridSpec(n, npts, 2.5)
+        f = random_field(g)
+        sigma = radial_symbol(lambda r: r ** -1.5)
+        zero_mode = 0.5 - 0.25j
+        got = apply_multiplier(f, sigma, zero_mode=zero_mode).values
+        want = centred_composition(f, evaluate_symbol(g, sigma, zero_mode))
+        assert max_rel(got, want) <= 1e-12
+        # the override is what reaches the constant mode
+        ones = Field(g, np.ones(g.shape, dtype=complex))
+        np.testing.assert_allclose(apply_multiplier(ones, sigma, zero_mode).values,
+                                   zero_mode, rtol=1e-12)
+
+    def test_kernel_leaves_caller_array_alone(self):
+        g = GridSpec(3, 8, 2.0)
+        vals = random_field(g).values.copy()
+        before = vals.copy()
+        apply_multiplier(Field(g, vals), g.xi_radii() ** 2 + 0.5j)
+        out = apply_symbol(vals, g.xi_radii() ** 2)
+        np.testing.assert_array_equal(vals, before)
+        assert vals.flags.writeable
+        assert out is not vals and not np.shares_memory(out, vals)
+
+    def test_derivative_of_real_input(self):
+        g = GridSpec(1, 64, 6.0)
+        x = g.coords()[0]
+        vals = np.exp(-x ** 2)
+        out = apply_symbol(vals, 1j * g.freqs()[0])  # d/dx
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out.real, -2.0 * x * vals, atol=1e-10)
 
 
 class TestNormsAndWeights:

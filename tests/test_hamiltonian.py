@@ -121,6 +121,48 @@ def small_dense(small_h):
     return dense_matrix(small_h)
 
 
+class TestSpectralKernel:
+    @pytest.mark.parametrize("n,npts,m", [(1, 16, 1), (1, 16, 2), (3, 8, 1), (3, 8, 2)])
+    def test_apply_matches_centred_composition(self, n, npts, m):
+        g = GridSpec(n, npts, 3.0)
+        h = Hamiltonian(g, m, gaussian_well(g, 5.0))
+        psi = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
+        fhat = forward_transform(psi)
+        kin = inverse_transform(Field(g, g.xi_radii() ** (2 * m) * fhat.values,
+                                      "frequency")).values
+        want = kin + h.potential.values * psi.values
+        got = h.apply(psi).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # a frequency-side input is the same state
+        got_hat = h.apply(fhat).values
+        assert np.max(np.abs(got_hat - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_apply_matches_explicit_dft_matrix(self):
+        # H = F^{-1} diag(|xi|^2) F + diag(V), with F the unitary continuum
+        # DFT fhat(xi_k) = (2 pi)^{-1/2} sum_j f(x_j) e^{-i xi_k x_j} h
+        g = GridSpec(1, 16, 3.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
+        x = g.axis_coords()
+        xi = g.axis_freqs()
+        fwd = g.h / np.sqrt(2.0 * np.pi) * np.exp(-1j * np.outer(xi, x))
+        inv = g.h_xi / np.sqrt(2.0 * np.pi) * np.exp(1j * np.outer(x, xi))
+        np.testing.assert_allclose(inv @ fwd, np.eye(g.size), atol=1e-12)
+        want = inv @ np.diag(xi ** 2) @ fwd + np.diag(h.potential.values)
+        got = dense_matrix(h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_apply_flat_leaves_input_alone(self):
+        g = GridSpec(3, 8, 3.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
+        for vec in (RNG.standard_normal(g.size) + 1j * RNG.standard_normal(g.size),
+                    RNG.standard_normal(g.size)):
+            before = vec.copy()
+            out = h.apply_flat(vec)
+            np.testing.assert_array_equal(vec, before)
+            assert vec.flags.writeable
+            assert not np.shares_memory(out, vec)
+
+
 class TestDenseEquivalence:
     def test_hermitian(self, small_dense):
         assert np.max(np.abs(small_dense - small_dense.conj().T)) < 1e-12

@@ -12,6 +12,7 @@ from polyharmlab.grid import (
     forward_transform,
     weight_bracket_power,
 )
+from polyharmlab import resolvent
 from polyharmlab.kernels import ResolventQuery
 from polyharmlab.resolvent import (
     boundary_symbol,
@@ -21,6 +22,8 @@ from polyharmlab.resolvent import (
     spectral_density,
     weighted_resolvent_norm,
 )
+
+RNG = np.random.default_rng(21)
 
 
 def gaussian_pairing_oracle(lam=1.0):
@@ -161,6 +164,28 @@ class TestWeightedResolventNorm:
         top = float(np.linalg.svd(dense, compute_uv=False)[0])
         est = weighted_resolvent_norm(g, q, 1.0, max_iter=200, rtol=1e-10)
         assert est.norm == pytest.approx(top, rel=1e-6)
+
+    def test_closures_leave_input_alone(self, monkeypatch):
+        # the power-iteration closures must not overwrite the iterate
+        g = GridSpec(3, 8, 3.0)
+        checked = []
+        norm = resolvent.operator_norm
+
+        def checking(apply_a, apply_at, size, **kwargs):
+            for fn in (apply_a, apply_at):
+                vec = RNG.standard_normal(size) + 1j * RNG.standard_normal(size)
+                before = vec.copy()
+                out = fn(vec)
+                np.testing.assert_array_equal(vec, before)
+                assert vec.flags.writeable and not np.shares_memory(out, vec)
+                checked.append(fn)
+            return norm(apply_a, apply_at, size, **kwargs)
+
+        monkeypatch.setattr(resolvent, "operator_norm", checking)
+        for q in (ResolventQuery(z=-2.0 + 0.5j, m=1, n=3),
+                  ResolventQuery(z=1.0, m=1, n=3, side="-")):
+            weighted_resolvent_norm(g, q, 1.0, max_iter=3)
+        assert len(checked) == 4
 
     def test_boundary_query_uses_regularized_symbol(self):
         g = GridSpec(3, 32, 6.0)
