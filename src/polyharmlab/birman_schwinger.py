@@ -23,26 +23,15 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import (Field, GridSpec, apply_multiplier, inverse_transform, weight_abs_power,
-                   weight_bracket_power)
+from .grid import (Field, GridSpec, abs_derivative_symbol, apply_multiplier,
+                   check_smoothing_gamma, inverse_transform, smoothing_weight)
 from .kernels import ResolventQuery, riesz_kernel
 from .operators import operator_norm
 from .potentials import Potential
 from .reporting import ProbeReport
-from .resolvent import boundary_symbol
+from .resolvent import resolvent_symbol_array
 
 DEFAULT_SUPPORT_CAP = 6000
-
-
-def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
-    """Lattice symbol of R0(z): boundary-regularized on the positive half-line,
-    plain 1/(|xi|^{2m} - z) elsewhere.  z = 0 is handled by the Riesz kernel
-    path (see riesz_base_column), not here."""
-    if complex(q.z) == 0:
-        raise ValueError("z = 0 resolvent uses the Riesz kernel, not a symbol")
-    if q.side is not None:
-        return boundary_symbol(grid, float(np.real(q.z)), q.m, q.side)
-    return q.symbol(grid.xi_radii())
 
 
 def apply_resolvent(grid: GridSpec, q: ResolventQuery, values: np.ndarray) -> np.ndarray:
@@ -350,26 +339,21 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
                       max_iter: int = 50) -> ProbeReport:
     """Sup over the sweep of ||W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W||.
 
-    gamma must satisfy m - n/2 < gamma <= m - 1/2; at the upper edge the
-    weight is <x>^{-1/2-eps}, otherwise |x|^{-m+gamma}.  With projected=True a
-    projector callback (physical flat array -> physical flat array) must be
-    supplied and the lambda grid may cross eigenvalue neighborhoods.
+    gamma must satisfy m - n/2 < gamma <= m - 1/2, and W is
+    grid.smoothing_weight: <x>^{-1/2-eps} at the upper edge, otherwise
+    |x|^{-m+gamma}.  With projected=True a projector callback (physical flat
+    array -> physical flat array) must be supplied and the lambda grid may
+    cross eigenvalue neighborhoods.
     """
     grid = pot.grid
     n = grid.n
-    if not (m - n / 2.0 < gamma <= m - 0.5):
-        raise ValueError(f"gamma={gamma} outside (m - n/2, m - 1/2]")
+    check_smoothing_gamma(m, n, gamma)
     if projected and projector is None:
         raise ValueError("projected sweep needs a projector callback")
     if rng is None:
         rng = np.random.default_rng(0)
-    if gamma == m - 0.5:
-        wgt = weight_bracket_power(grid, -(0.5 + eps))
-    else:
-        wgt = weight_abs_power(grid, gamma - m)
-    dsym = grid.xi_radii() ** gamma
-    if gamma < 0:
-        dsym[(0,) * n] = 0.0  # zero-frequency rule for negative-order |D|^gamma
+    wgt = smoothing_weight(grid, m, gamma, eps)
+    dsym = abs_derivative_symbol(grid, gamma)
 
     def half_sandwich(vec: np.ndarray) -> np.ndarray:
         """|D|^gamma (W vec) as a physical array."""

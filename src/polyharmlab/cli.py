@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import math
+import numbers
 import os
 import sys
 import traceback
@@ -191,6 +192,38 @@ def _require(cond: bool, invariant: str) -> None:
         raise ConfigError(invariant)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _coerce(where: str, kind: str, value: Any) -> Any:
+    """A probe parameter typed by its schema kind; None passes through.
+
+    int must be integral, number goes through float() (so a YAML string such
+    as 1e-12 is accepted), list must be a sequence of numbers, bool and str
+    must already have their type."""
+    if value is None:
+        return None
+    if kind == "int":
+        _require(_is_number(value) and (isinstance(value, numbers.Integral)
+                                        or float(value).is_integer()),
+                 f"{where} must be an integer, got {value!r}")
+        return int(value)
+    if kind == "number":
+        _require(not isinstance(value, bool), f"{where} must be a number, got {value!r}")
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if kind == "list":
+        _require(isinstance(value, (list, tuple)) and all(map(_is_number, value)),
+                 f"{where} must be a list of numbers, got {value!r}")
+        return list(value)
+    _require(isinstance(value, {"bool": bool, "str": str}[kind]),
+             f"{where} must be a {kind}, got {value!r}")
+    return value
+
+
 def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                  threads: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
@@ -247,9 +280,10 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                 _require(not meta["required"] or name not in user_probes,
                          f"probe {name!r} requires parameter {key!r}")
                 block[key] = meta["default"]
+            block[key] = _coerce(f"{name}.{key}", meta["type"], block[key])
         for key in _TOLERANCE_KEYS:
             if key in block and block[key] is not None:
-                _require(float(block[key]) > 0,
+                _require(block[key] > 0,
                          f"tolerance {name}.{key} must be strictly positive")
         probes[name] = block
 
@@ -328,7 +362,7 @@ def _run_kernels(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["kernels"]
     rng = _probe_rng(cfg, "kernels")
     m, n = cfg.m, cfg.grid.n
-    trials, tol = int(block["trials"]), float(block["tol"])
+    trials, tol = block["trials"], block["tol"]
     report = ProbeReport(
         name="kernels",
         params={"m": m, "n": n, "trials": trials, "tol": tol},
@@ -356,12 +390,10 @@ def _run_kernels(cfg: RunConfig) -> ProbeReport:
 def _run_bs_sweep(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["bs-sweep"]
     pot = build_potential(cfg)
-    lambdas = np.linspace(float(block["lambda_min"]),
-                          float(block["lambda_max"]),
-                          int(block["lambda_count"]))
-    report = inv_norm_sweep(pot, cfg.m, list(lambdas),
-                            [float(t) for t in block["thetas"]],
-                            float(block["nu"]))
+    lambdas = np.linspace(block["lambda_min"], block["lambda_max"],
+                          block["lambda_count"])
+    report = inv_norm_sweep(pot, cfg.m, list(lambdas), block["thetas"],
+                            block["nu"])
     report.provenance.update(seed=cfg.seed,
                              grid={"n": cfg.grid.n, "N": cfg.grid.npts,
                                    "L": cfg.grid.half_width})
@@ -372,41 +404,37 @@ def _run_spectrum(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["spectrum"]
     pot = build_potential(cfg)
     h = Hamiltonian(cfg.grid, cfg.m, pot)
-    n0, bound, ok = clr_check(h, float(block["clr_constant"]))
+    n0, bound, ok = clr_check(h, block["clr_constant"])
     es = h.eigenset()
     report = ProbeReport(
         name="spectrum",
         params={"m": cfg.m, "n": cfg.grid.n, "potential": pot.name,
-                "clr_constant": float(block["clr_constant"])},
+                "clr_constant": block["clr_constant"]},
         provenance={"seed": cfg.seed,
                     "grid": {"n": cfg.grid.n, "N": cfg.grid.npts,
                              "L": cfg.grid.half_width},
-                    "residual_tol": float(block["residual_tol"])},
+                    "residual_tol": block["residual_tol"]},
     )
     for ev, res in zip(es.eigenvalues, es.residuals):
         report.add_row(eigenvalue=ev, residual=res)
     report.metrics.update(count_negative=n0, clr_bound=bound)
     report.passes["clr_bound_holds"] = bool(ok)
     report.passes["eigenpairs_converged"] = bool(
-        all(r < float(block["residual_tol"]) * max(1.0, abs(e))
+        all(r < block["residual_tol"] * max(1.0, abs(e))
             for e, r in zip(es.eigenvalues, es.residuals)))
     return report
 
 
 def _run_counterexample(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["counterexample"]
-    grid = GridSpec(int(block["n"]), int(block["npts"]),
-                    float(block["half_width"]))
-    sigma = block["sigma"]
-    pair = build_embedded_pair(grid, int(block["m"]),
-                               float(block["delta"]),
-                               method=str(block["method"]),
-                               sigma=None if sigma is None else float(sigma))
+    grid = GridSpec(block["n"], block["npts"], block["half_width"])
+    pair = build_embedded_pair(grid, block["m"], block["delta"],
+                               method=block["method"],
+                               sigma=block["sigma"])
     report = verify_embedded(pair)
     report.provenance.update(seed=cfg.seed)
-    tol = float(block["residual_tol"])
     report.passes["residual_below_tol"] = bool(
-        pair.residuals["eigen_residual"] < tol)
+        pair.residuals["eigen_residual"] < block["residual_tol"])
     if block.get("save"):
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         save_embedded_pair(pair, cfg.output_dir / "embedded_pair")
@@ -418,12 +446,10 @@ def _run_smoothing(cfg: RunConfig) -> ProbeReport:
     pot = build_potential(cfg)
     h = Hamiltonian(cfg.grid, cfg.m, pot)
     report = kato_smoothing_probe(
-        h, float(block["gamma"]), eps=float(block["eps"]),
-        t_final=float(block["t_final"]), samples=int(block["samples"]),
-        time_step=float(block["time_step"]),
-        rng=_probe_rng(cfg, "smoothing"),
-        refine_iters=int(block["refine_iters"]),
-        plateau_tol=float(block["plateau_tol"]))
+        h, block["gamma"], eps=block["eps"], t_final=block["t_final"],
+        samples=block["samples"], time_step=block["time_step"],
+        rng=_probe_rng(cfg, "smoothing"), refine_iters=block["refine_iters"],
+        plateau_tol=block["plateau_tol"])
     return _with_seed(report, cfg, "smoothing")
 
 
@@ -434,15 +460,13 @@ def _run_strichartz(cfg: RunConfig) -> ProbeReport:
     pot = build_potential(cfg)
     h = Hamiltonian(cfg.grid, cfg.m, pot)
     try:
-        pair = AdmissiblePair(float(block["p"]), float(block["q"]),
-                              float(block["alpha"]))
+        pair = AdmissiblePair(block["p"], block["q"], block["alpha"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = strichartz_probe(
-        h, pair, mode=str(block["mode"]), t_final=float(block["t_final"]),
-        samples=int(block["samples"]), time_step=float(block["time_step"]),
-        rng=_probe_rng(cfg, "strichartz"),
-        plateau_tol=float(block["plateau_tol"]))
+        h, pair, mode=block["mode"], t_final=block["t_final"],
+        samples=block["samples"], time_step=block["time_step"],
+        rng=_probe_rng(cfg, "strichartz"), plateau_tol=block["plateau_tol"])
     return _with_seed(report, cfg, "strichartz")
 
 
@@ -450,25 +474,22 @@ def _run_sobolev(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["sobolev"]
     npts = block["npts"] or cfg.grid.npts
     half_width = block["half_width"] or cfg.grid.half_width
-    grid = GridSpec(cfg.grid.n, int(npts), float(half_width))
-    mags = np.geomspace(float(block["z_min"]), float(block["z_max"]),
-                        int(block["z_count"]))
+    grid = GridSpec(cfg.grid.n, npts, half_width)
+    mags = np.geomspace(block["z_min"], block["z_max"], block["z_count"])
     report = sobolev_scaling_probe(
-        grid, cfg.m, float(block["alpha"]), float(block["p"]),
-        float(block["q"]), mags, z_arg=float(block["z_arg"]),
-        samples=int(block["samples"]), rng=_probe_rng(cfg, "sobolev"),
-        slope_tol=float(block["slope_tol"]))
+        grid, cfg.m, block["alpha"], block["p"], block["q"], mags,
+        z_arg=block["z_arg"], samples=block["samples"],
+        rng=_probe_rng(cfg, "sobolev"), slope_tol=block["slope_tol"])
     return _with_seed(report, cfg, "sobolev")
 
 
 def _run_stein_weiss(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["stein-weiss"]
     report = stein_weiss_probe(
-        float(block["lam"]), float(block["alpha"]), float(block["beta"]),
-        cfg.grid.n, npts_ladder=[int(x) for x in block["npts_ladder"]],
-        half_width=float(block["half_width"]),
-        rng=_probe_rng(cfg, "stein-weiss"),
-        stab_tol=float(block["stab_tol"]))
+        block["lam"], block["alpha"], block["beta"], cfg.grid.n,
+        npts_ladder=[int(x) for x in block["npts_ladder"]],
+        half_width=block["half_width"], rng=_probe_rng(cfg, "stein-weiss"),
+        stab_tol=block["stab_tol"])
     return _with_seed(report, cfg, "stein-weiss")
 
 

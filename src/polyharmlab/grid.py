@@ -176,7 +176,11 @@ def _center_phase(grid: GridSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class Field:
     """Complex-valued function on a GridSpec, in physical or frequency
-    representation.  Values are immutable after construction."""
+    representation.
+
+    The values are handed over, not copied: a C-contiguous complex128 array
+    becomes a read-only view of the caller's array, so writing to that array
+    afterwards changes the field.  (A copy would cost every matvec.)"""
 
     grid: GridSpec
     values: np.ndarray
@@ -266,15 +270,6 @@ def evaluate_symbol(grid: GridSpec, sigma: Callable, zero_mode: Union[float, com
     return vals
 
 
-def radial_symbol(fn: Callable) -> Callable:
-    """Lift a function of |xi| to a symbol of xi."""
-
-    def sigma(xi):
-        return fn(np.sqrt(np.sum(xi ** 2, axis=0)))
-
-    return sigma
-
-
 def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """ifftn(sym * fftn(values)) over every axis: the Fourier multiplier sym
     (lattice array in FFT ordering) on physical samples.  Only the kernel's
@@ -321,6 +316,36 @@ def weight_abs_power(grid: GridSpec, exponent: float) -> np.ndarray:
 def weight_bracket_power(grid: GridSpec, exponent: float) -> np.ndarray:
     """<x>^exponent = (1+|x|^2)^(exponent/2) on the grid."""
     return (1.0 + grid.radii() ** 2) ** (exponent / 2.0)
+
+
+def check_smoothing_gamma(m: int, n: int, gamma: float) -> None:
+    """Reject a smoothing order outside the window m - n/2 < gamma <= m - 1/2."""
+    if not (m - n / 2.0 < gamma <= m - 0.5):
+        raise ValueError(
+            f"gamma={gamma} outside the admissible window "
+            f"({m - n / 2.0}, {m - 0.5}] for m={m}, n={n}"
+        )
+
+
+def smoothing_weight(grid: GridSpec, m: int, gamma: float,
+                     eps: float) -> np.ndarray:
+    """Spatial weight W of the gamma-smoothing operator W |D|^gamma:
+    |x|^{-m+gamma} in the interior of the admissible range, switching to
+    <x>^{-1/2-eps} at the endpoint gamma = m - 1/2 where the homogeneous
+    weight fails."""
+    if abs(gamma - (m - 0.5)) < 1e-12:
+        return weight_bracket_power(grid, -0.5 - eps)
+    return weight_abs_power(grid, -m + gamma)
+
+
+def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
+    """Lattice symbol |xi|^order of |D|^order, zero at the zero mode when the
+    order is negative."""
+    with np.errstate(divide="ignore"):
+        sym = grid.xi_radii() ** order
+    if order < 0:
+        sym[(0,) * grid.n] = 0.0
+    return sym
 
 
 def weighted_l2_norm(f: Field, weight) -> float:

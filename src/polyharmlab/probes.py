@@ -15,25 +15,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .grid import (
     Field,
     GridSpec,
+    abs_derivative_symbol,
     apply_multiplier,
     boundary_decay,
-    evaluate_symbol,
+    check_smoothing_gamma,
     inverse_transform,
     norm_lp,
-    radial_symbol,
+    smoothing_weight,
     weight_abs_power,
-    weight_bracket_power,
     weighted_l2_norm,
 )
 from .hamiltonian import Hamiltonian, projector_ac, propagate, duhamel
-from .operators import operator_norm
+from .operators import NormEstimate, operator_norm
 from .reporting import ProbeReport, fit_loglog
 
 #: Relative increment on the last T-doubling below which a time integral is
@@ -227,27 +227,37 @@ def plateau_increments(values: Sequence[float]) -> List[float]:
     return out
 
 
+def _sup_over_samples(report: ProbeReport, packs: Sequence[Field],
+                      ratios_of: Callable[[Field], List[float]],
+                      t_checks: Sequence[float], plateau_tol: float,
+                      power: float) -> Tuple[float, Field]:
+    """Sup over sample states of a functional truncated to [-T, T].
+
+    ratios_of(psi0) gives the functional's ratio at each T-checkpoint; each
+    becomes a row.  The sample with the largest final ratio is the sup, and
+    its plateau increments are taken on ratio ** power, the time integral
+    itself.  Sets the plateau metrics and the finite / plateau flags, and
+    returns (sup ratio, sup sample)."""
+    if not packs:
+        raise ValueError("need at least one sample")
+    best_ratios, best_state = None, None
+    for idx, psi0 in enumerate(packs):
+        ratios = ratios_of(psi0)
+        for tc, ratio in zip(t_checks, ratios):
+            report.add_row(sample=idx, t_check=tc, ratio=ratio)
+        if best_ratios is None or ratios[-1] > best_ratios[-1]:
+            best_ratios, best_state = ratios, psi0
+    incs = plateau_increments([r ** power for r in best_ratios])
+    report.metrics.update(plateau_increments=incs, plateau_increment=incs[-1],
+                          plateau_tol=plateau_tol, t_checks=t_checks)
+    report.passes["finite"] = bool(np.isfinite(best_ratios[-1]))
+    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
+    return best_ratios[-1], best_state
+
+
 # ---------------------------------------------------------------------------
 # Kato smoothing (homogeneous)
 # ---------------------------------------------------------------------------
-
-def smoothing_weight(grid: GridSpec, m: int, gamma: float,
-                     eps: float) -> np.ndarray:
-    """Spatial weight of the gamma-smoothing functional: |x|^{-m+gamma} in the
-    interior of the admissible range, switching to <x>^{-1/2-eps} at the
-    endpoint gamma = m - 1/2 where the homogeneous weight fails."""
-    if abs(gamma - (m - 0.5)) < 1e-12:
-        return weight_bracket_power(grid, -0.5 - eps)
-    return weight_abs_power(grid, -m + gamma)
-
-
-def _check_gamma(m: int, n: int, gamma: float) -> None:
-    if not (m - n / 2.0 < gamma <= m - 0.5):
-        raise ValueError(
-            f"gamma={gamma} outside the admissible window "
-            f"({m - n / 2.0}, {m - 0.5}] for m={m}, n={n}"
-        )
-
 
 def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
                          t_final: float = 8.0, samples: int = 6,
@@ -260,19 +270,19 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
 
         integral_{-T}^{T} || W |D|^gamma e^{itH} P_ac psi0 ||^2 dt / ||psi0||^2
 
-    with W from smoothing_weight.  The max over seeded wave packets is refined
-    by power iteration on the induced quadratic form; the report carries the
-    plateau curve over the T-checkpoints T/4, T/2, T.
+    with W from grid.smoothing_weight.  The max over seeded wave packets is
+    refined by power iteration on the induced quadratic form; the report
+    carries the plateau curve over the T-checkpoints T/4, T/2, T.
     """
     grid = h.grid
-    _check_gamma(h.m, grid.n, gamma)
+    check_smoothing_gamma(h.m, grid.n, gamma)
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
     if rng is None:
         rng = np.random.default_rng(0)
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
-    dsym = radial_symbol(lambda xa: xa ** gamma)
+    dsym = abs_derivative_symbol(grid, gamma)
     times = _symmetric_times(t_final, time_step)
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
@@ -285,101 +295,77 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
                     "seed": "caller rng", "plateau_tol": plateau_tol},
     )
 
-    def functional(psi0: Field) -> List[float]:
-        phi = projector_ac(h, psi0)
-        states = propagate(h, phi, list(times))
+    def ratios_of(psi0: Field) -> List[float]:
+        states = propagate(h, projector_ac(h, psi0), list(times))
         sq = np.array([
             weighted_l2_norm(apply_multiplier(st, dsym), weight) ** 2
             for st in states
         ])
-        return _partial_trapezoids(times, sq, t_checks)
-
-    best_ratio = 0.0
-    best_state: Optional[Field] = None
-    best_ratios: Optional[List[float]] = None
-    if sample_states is not None:
-        packs = list(sample_states)
-    else:
-        packs = frequency_localized_samples(grid, samples, rng)
-    for idx, psi0 in enumerate(packs):
-        checks = functional(psi0)
         denom = psi0.norm2() ** 2
-        ratios = [c / denom for c in checks]
-        for tc, ratio in zip(t_checks, ratios):
-            report.add_row(sample=idx, t_check=tc, ratio=ratio)
-        if ratios[-1] > best_ratio:
-            best_ratio = ratios[-1]
-            best_state = psi0
-            best_ratios = ratios
+        return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
+
+    packs = (list(sample_states) if sample_states is not None
+             else frequency_localized_samples(grid, samples, rng))
+    best_ratio, best_state = _sup_over_samples(
+        report, packs, ratios_of, t_checks, plateau_tol, power=1)
 
     refined = best_ratio
-    if refine_iters > 0 and best_state is not None:
-        refined = _refine_quadratic_smoothing(
+    if refine_iters > 0:
+        est = _refine_quadratic_smoothing(
             h, weight, dsym, times, best_state, refine_iters)
-        refined = max(refined, best_ratio)
-
-    incs = plateau_increments(best_ratios)
-    report.metrics.update(
-        sup_ratio_samples=best_ratio,
-        sup_ratio_refined=refined,
-        plateau_increments=incs,
-        plateau_increment=incs[-1],
-        plateau_tol=plateau_tol,
-        t_checks=t_checks,
-    )
-    report.passes["finite"] = bool(np.isfinite(refined))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
+        refined = max(est.norm ** 2, best_ratio)
+        report.metrics.update(refine_iterations=est.iterations,
+                              refine_converged=est.converged)
+        report.passes["finite"] = bool(np.isfinite(refined))
+    report.metrics.update(sup_ratio_samples=best_ratio,
+                          sup_ratio_refined=refined)
     return report
 
 
-def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray, dsym,
-                                times: np.ndarray, start: Field,
-                                iters: int) -> float:
-    """Rayleigh-quotient refinement of the quadratic smoothing functional.
+def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
+                                dsym: np.ndarray, times: np.ndarray,
+                                start: Field, iters: int) -> NormEstimate:
+    """Power iteration on the quadratic smoothing form B*B, at most iters
+    steps from start; the form's value is the estimate's norm squared.
 
-    One application of the form operator is a forward propagation sweep, a
-    pointwise weighting of every snapshot, and a single backward sweep that
-    accumulates sum_k w_k e^{-i t_k H} g_k via nested short steps.
+    B maps psi to the snapshots (sqrt(w_k) W |D|^gamma e^{i t_k H} P_ac psi)_k
+    with trapezoid weights w_k: a forward propagation sweep.  B* weights every
+    snapshot back and accumulates sum_k e^{-i t_k H} (...) in one backward
+    sweep of short steps.  The flat l2 form is scale-invariant, so the
+    cell-volume factors cancel in the ratio.
     """
     grid = h.grid
     tw = np.zeros(times.size)
     tw[:-1] += 0.5 * np.diff(times)
     tw[1:] += 0.5 * np.diff(times)
-    w2 = weight ** 2
+    sw = np.sqrt(tw)
 
-    def apply_form(vec: np.ndarray) -> np.ndarray:
+    def apply_b(vec: np.ndarray) -> np.ndarray:
         phi = projector_ac(h, Field(grid, vec.reshape(grid.shape)))
         states = propagate(h, phi, list(times))
-        weighted = []
-        for st, wk in zip(states, tw):
-            g = apply_multiplier(st, dsym)
-            g = Field(grid, w2 * g.values)
-            g = apply_multiplier(g, dsym)
-            weighted.append(wk * g.values.reshape(-1))
+        return np.concatenate([
+            sk * weight.reshape(-1) * apply_multiplier(st, dsym).flat
+            for sk, st in zip(sw, states)
+        ])
+
+    def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
+        weighted = [
+            sk * apply_multiplier(Field(grid, weight * g.reshape(grid.shape)), dsym).flat
+            for sk, g in zip(sw, snaps.reshape(times.size, -1))
+        ]
         acc = weighted[-1]
         for k in range(len(times) - 2, -1, -1):
             dt = times[k + 1] - times[k]
             stepped = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                                [-dt])[0].values.reshape(-1)
+                                [-dt])[0].flat
             acc = weighted[k] + stepped
         if times[0] != 0.0:
             acc = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                            [-times[0]])[0].values.reshape(-1)
-        return projector_ac(h, Field(grid, acc.reshape(grid.shape))).values.reshape(-1)
+                            [-times[0]])[0].flat
+        return projector_ac(h, Field(grid, acc.reshape(grid.shape))).flat
 
-    v = start.values.reshape(-1).copy()
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iters):
-        w = apply_form(v)
-        rho = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    # the form was built on flat l2 vectors; ratio is scale-invariant so the
-    # cell-volume factors cancel between numerator and denominator
-    return max(rho, 0.0)
+    return operator_norm(apply_b, apply_b_adjoint, grid.size,
+                         max_iter=iters, start=start.values)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +394,19 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
 
         ratio = ||W |D|^gamma u||_{L2_{t,x}} / ||W^{-1} |D|^{-gamma} F||_{L2_{t,x}},
 
-    with W from smoothing_weight and the dual weight its pointwise inverse
+    with W from grid.smoothing_weight and the dual weight its pointwise inverse
     (bracket weight <x>^{1/2+eps} with |D|^{-m+1/2} at the endpoint gamma).
+    The plateau is judged on ratio ** 2, the time integral of the numerator.
     """
     grid = h.grid
-    _check_gamma(h.m, grid.n, gamma)
+    check_smoothing_gamma(h.m, grid.n, gamma)
     if rng is None:
         rng = np.random.default_rng(0)
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
     dual_weight = 1.0 / weight
-    dsym = radial_symbol(lambda xa: xa ** gamma)
-    dsym_inv = radial_symbol(lambda xa: xa ** (-gamma))
+    dsym = abs_derivative_symbol(grid, gamma)
+    dsym_inv = abs_derivative_symbol(grid, -gamma)
 
     nt = max(4, int(round(t_final / time_step)))
     times = np.linspace(0.0, t_final, nt + 1)
@@ -435,10 +422,8 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
     )
 
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
-    sup_ratio = 0.0
-    best_checks = None
-    packs = frequency_localized_samples(grid, samples, rng)
-    for idx, g in enumerate(packs):
+
+    def ratios_of(g: Field) -> List[float]:
         forcing = [Field(grid, a * g.values) for a in bump]
         outs = duhamel(h, forcing, times, list(times))
         num_sq = np.array([
@@ -449,23 +434,13 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
             weighted_l2_norm(apply_multiplier(f, dsym_inv), dual_weight) ** 2
             for f in forcing
         ])
-        num_checks = _partial_trapezoids(times, num_sq, t_checks)
         den = math.sqrt(float(np.trapezoid(den_sq, times)))
-        if den == 0.0:
-            continue
-        ratios = [math.sqrt(c) / den for c in num_checks]
-        for tc, ratio in zip(t_checks, ratios):
-            report.add_row(sample=idx, t_check=tc, ratio=ratio)
-        if ratios[-1] > sup_ratio:
-            sup_ratio = ratios[-1]
-            best_checks = ratios
+        return [math.sqrt(c) / den
+                for c in _partial_trapezoids(times, num_sq, t_checks)]
 
-    incs = plateau_increments(best_checks) if best_checks else [math.inf]
-    report.metrics.update(sup_ratio=sup_ratio, plateau_increments=incs,
-                          plateau_increment=incs[-1], plateau_tol=plateau_tol,
-                          t_checks=t_checks)
-    report.passes["finite"] = bool(np.isfinite(sup_ratio))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
+    packs = frequency_localized_samples(grid, samples, rng)
+    report.metrics["sup_ratio"], _ = _sup_over_samples(
+        report, packs, ratios_of, t_checks, plateau_tol, power=2)
     return report
 
 
@@ -484,7 +459,8 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
         standard: alpha = n/(2m), functional || e^{itH} P_ac psi0 ||_{p,q}
         gain:     alpha = n/2,    functional || |D|^{2(m-1)/p} e^{itH} P_ac psi0 ||_{p,q}
 
-    reported as the sup ratio to ||psi0||_2 with a plateau curve in T.  In
+    reported as the sup ratio to ||psi0||_2 with a plateau curve in T, judged
+    on ratio ** p (the time integral; the ratio itself when p = inf).  In
     gain mode the report also records the sharpest constant observed in the
     embedding ||f||_{q1} <= C || |D|^{2(m-1)/p} f ||_q on the propagated
     states, where 1/q = 1/q1 + 2(m-1)/(p n).
@@ -505,7 +481,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
 
     p, q = pair.p_float, pair.q_float
     gain_order = 2.0 * (m - 1) / p if mode == "gain" else 0.0
-    gsym = radial_symbol(lambda xa: xa ** gain_order) if gain_order else None
+    gsym = abs_derivative_symbol(grid, gain_order) if gain_order else None
 
     times = _symmetric_times(t_final, time_step)
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
@@ -525,46 +501,31 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
         q1 = 1.0 / inv_q1 if inv_q1 > 0 else math.inf
     sobolev_const = 0.0
 
-    sup_ratio = 0.0
-    best_ratios = None
-    if sample_states is not None:
-        packs = list(sample_states)
-    else:
-        packs = frequency_localized_samples(grid, samples, rng)
-    for idx, psi0 in enumerate(packs):
-        phi = projector_ac(h, psi0)
-        states = propagate(h, phi, list(times))
+    def ratios_of(psi0: Field) -> List[float]:
+        nonlocal sobolev_const
+        states = propagate(h, projector_ac(h, psi0), list(times))
         snap_q = np.empty(times.size)
         for k, st in enumerate(states):
-            meas = apply_multiplier(st, gsym) if gsym else st
+            meas = apply_multiplier(st, gsym) if gsym is not None else st
             snap_q[k] = norm_lp(meas, q)
             if mode == "gain" and snap_q[k] > 0:
                 sobolev_const = max(sobolev_const, norm_lp(st, q1) / snap_q[k])
-        ratios = []
-        for tc in t_checks:
-            sel = np.abs(times) <= tc + 1e-12
-            if math.isinf(p):
-                mixed = float(np.max(snap_q[sel]))
-            else:
-                mixed = float(np.trapezoid(snap_q[sel] ** p, times[sel])) ** (1.0 / p)
-            ratios.append(mixed / psi0.norm2())
-            report.add_row(sample=idx, t_check=tc, ratio=ratios[-1])
-        if ratios[-1] > sup_ratio:
-            sup_ratio = ratios[-1]
-            best_ratios = ratios
+        if math.isinf(p):
+            mixed = [float(np.max(snap_q[np.abs(times) <= tc + 1e-12]))
+                     for tc in t_checks]
+        else:
+            mixed = [c ** (1.0 / p) for c in
+                     _partial_trapezoids(times, snap_q ** p, t_checks)]
+        return [c / psi0.norm2() for c in mixed]
 
-    # mixed p-norm plateau is checked on the p-th power (the nondecreasing
-    # time integral), matching the smoothing probes
-    powers = [r ** p for r in best_ratios] if not math.isinf(p) else best_ratios
-    incs = plateau_increments(powers)
-    report.metrics.update(sup_ratio=sup_ratio, plateau_increments=incs,
-                          plateau_increment=incs[-1], plateau_tol=plateau_tol,
-                          t_checks=t_checks)
+    packs = (list(sample_states) if sample_states is not None
+             else frequency_localized_samples(grid, samples, rng))
+    report.metrics["sup_ratio"], _ = _sup_over_samples(
+        report, packs, ratios_of, t_checks, plateau_tol,
+        power=1 if math.isinf(p) else p)
     if mode == "gain":
         report.metrics.update(sobolev_partner_q1=q1,
                               sobolev_fitted_constant=sobolev_const)
-    report.passes["finite"] = bool(np.isfinite(sup_ratio))
-    report.passes["plateau"] = bool(incs[-1] < plateau_tol)
     return report
 
 
@@ -773,13 +734,12 @@ def stein_weiss_probe(lam: float, alpha: float, beta: float, n: int,
         provenance={"seed": "caller rng", "stab_tol": stab_tol},
     )
 
-    sym_fn = radial_symbol(lambda xa: xa ** (lam - n))
     norms = []
     for npts in npts_ladder:
         grid = GridSpec(n, int(npts), half_width)
         w_in = weight_abs_power(grid, -alpha)
         w_out = weight_abs_power(grid, -beta)
-        mult = evaluate_symbol(grid, sym_fn)
+        mult = abs_derivative_symbol(grid, lam - n)
 
         def apply_a(vec, grid=grid, w_in=w_in, w_out=w_out, mult=mult):
             fld = Field(grid, w_in * vec.reshape(grid.shape))

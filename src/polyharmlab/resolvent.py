@@ -170,6 +170,17 @@ def spectral_density(f: Field, lam: float, m: int) -> float:
     return float(np.real(surf)) * lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
 
 
+def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
+    """Lattice symbol of R0(z): boundary-regularized on the positive half-line,
+    plain 1/(|xi|^{2m} - z) elsewhere.  z = 0 is handled by the Riesz kernel
+    path (birman_schwinger.riesz_base_column), not here."""
+    if complex(q.z) == 0:
+        raise ValueError("z = 0 resolvent uses the Riesz kernel, not a symbol")
+    if q.side is not None:
+        return boundary_symbol(grid, float(np.real(q.z)), q.m, q.side)
+    return q.symbol(grid.xi_radii())
+
+
 def weighted_resolvent_norm(
     grid: GridSpec,
     q: ResolventQuery,
@@ -181,17 +192,10 @@ def weighted_resolvent_norm(
 ) -> NormEstimate:
     """Operator norm of <x>^{-s} R0(z) <x>^{-s} on the grid, matrix-free.
 
-    Boundary queries (side set, z = lambda on the positive half-line) use the
-    regularized boundary symbol; interior z uses 1/(|xi|^{2m} - z) directly.
+    The resolvent symbol is resolvent_symbol_array's, so z = 0 is rejected.
     """
     w = weight_bracket_power(grid, -s)
-    if q.side is not None:
-        sym = boundary_symbol(grid, float(np.real(q.z)), q.m, q.side)
-    else:
-        sym = q.symbol(grid.xi_radii())
-    zero = (0,) * grid.n
-    if not np.isfinite(sym[zero]):
-        raise ValueError("resolvent symbol singular at the zero mode (z = 0?)")
+    sym = resolvent_symbol_array(grid, q)
     sym_c = np.conj(sym)
 
     def mk_apply(symbol):

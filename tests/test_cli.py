@@ -114,6 +114,42 @@ class TestValidation:
         with pytest.raises(ConfigError, match="requires parameter"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("probe, block, message", [
+        ("kernels", {"trials": "abc"}, "kernels.trials must be an integer"),
+        ("kernels", {"tol": "abc"}, "kernels.tol must be a number"),
+        ("stein-weiss", {"npts_ladder": 8},
+         "stein-weiss.npts_ladder must be a list of numbers"),
+        ("counterexample", {"save": "no"}, "counterexample.save must be a bool"),
+    ])
+    def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
+                                         message):
+        path = write_config(tmp_path, base_config(probes={probe: block}))
+        assert run(path, probe, out_dir=str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_parameters_typed_by_schema(self):
+        cfg = parse_config(base_config(probes={
+            "kernels": {"trials": 50.0, "tol": "1e-9"},
+            "bs-sweep": {"lambda_min": 1, "thetas": (0.03, 1)},
+        }))
+        assert cfg.probes["kernels"] == {"trials": 50, "tol": 1e-9}
+        assert isinstance(cfg.probes["kernels"]["trials"], int)
+        assert isinstance(cfg.probes["bs-sweep"]["lambda_min"], float)
+        assert cfg.probes["bs-sweep"]["thetas"] == [0.03, 1]
+        for block in ({"trials": 2.5}, {"trials": True}, {"tol": True}):
+            with pytest.raises(ConfigError, match="kernels"):
+                parse_config(base_config(probes={"kernels": block}))
+
+    def test_unquoted_exponent_tolerance_runs(self, tmp_path):
+        # YAML 1.1 reads 1e-12 (no dot) as a string; float() accepts it
+        path = write_config(tmp_path, base_config())
+        path.write_text(path.read_text().replace("trials: 50",
+                                                 "trials: 50\n    tol: 1e-12"))
+        assert yaml.safe_load(path.read_text())["probes"]["kernels"]["tol"] == "1e-12"
+        out = tmp_path / "out"
+        assert run(path, "kernels", out_dir=str(out)) == 0
+        assert json.loads((out / "kernels.json").read_text())["params"]["tol"] == 1e-12
+
     def test_validation_exit_code(self, tmp_path):
         cfg = base_config()
         del cfg["seed"]

@@ -9,16 +9,18 @@ from polyharmlab.grid import (
     Field,
     GridSpec,
     RepresentationError,
+    abs_derivative_symbol,
     apply_multiplier,
     apply_symbol,
     boundary_decay,
+    check_smoothing_gamma,
     evaluate_symbol,
     field_from_function,
     forward_transform,
     inverse_transform,
     norm_lp,
-    radial_symbol,
     read_field,
+    smoothing_weight,
     sphere_area,
     unit_ball_volume,
     weight_abs_power,
@@ -129,14 +131,30 @@ class TestTransforms:
 class TestSymbols:
     def test_negative_order_zero_mode_rule(self):
         g = GridSpec(3, 8, 2.0)
-        sym = evaluate_symbol(g, radial_symbol(lambda r: 1.0 / r ** 2))
+        sym = evaluate_symbol(g, lambda xi: 1.0 / np.sum(xi ** 2, axis=0))
         assert sym[(0, 0, 0)] == 0.0
         assert np.all(np.isfinite(sym))
 
     def test_explicit_zero_mode(self):
         g = GridSpec(3, 8, 2.0)
-        sym = evaluate_symbol(g, radial_symbol(lambda r: 1.0 / r ** 2), zero_mode=7.0)
+        sym = evaluate_symbol(g, lambda xi: 1.0 / np.sum(xi ** 2, axis=0),
+                              zero_mode=7.0)
         assert sym[(0, 0, 0)] == 7.0
+
+    def test_smoothing_operator(self):
+        g = GridSpec(3, 8, 2.0)
+        d = abs_derivative_symbol(g, -0.5)
+        assert d[(0, 0, 0)] == 0.0
+        assert d[(0, 0, 1)] == g.xi_radii()[(0, 0, 1)] ** -0.5
+        np.testing.assert_array_equal(smoothing_weight(g, 1, 0.25, 0.1),
+                                      weight_abs_power(g, -0.75))
+        # the endpoint gamma = m - 1/2 is matched to a tolerance, not exactly
+        np.testing.assert_array_equal(smoothing_weight(g, 1, 0.5 - 1e-14, 0.1),
+                                      weight_bracket_power(g, -0.6))
+        check_smoothing_gamma(1, 3, 0.5)
+        for gamma in (0.75, -0.5):
+            with pytest.raises(ValueError, match="admissible window"):
+                check_smoothing_gamma(1, 3, gamma)
 
     def test_nonfinite_off_origin_rejected(self):
         g = GridSpec(1, 8, np.pi)
@@ -187,7 +205,7 @@ class TestSpectralKernel:
     def test_zero_mode_override_matches_centred_composition(self, n, npts):
         g = GridSpec(n, npts, 2.5)
         f = random_field(g)
-        sigma = radial_symbol(lambda r: r ** -1.5)
+        sigma = lambda xi: np.sum(xi ** 2, axis=0) ** -0.75
         zero_mode = 0.5 - 0.25j
         got = apply_multiplier(f, sigma, zero_mode=zero_mode).values
         want = centred_composition(f, evaluate_symbol(g, sigma, zero_mode))

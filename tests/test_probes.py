@@ -5,11 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyharmlab.grid import GridSpec
-from polyharmlab.hamiltonian import Hamiltonian
+from polyharmlab.grid import (
+    Field,
+    GridSpec,
+    abs_derivative_symbol,
+    apply_multiplier,
+    smoothing_weight,
+)
+from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
 from polyharmlab.potentials import bracket_decay, gaussian_well, zero_potential
 from polyharmlab.probes import (
     AdmissiblePair,
+    _refine_quadratic_smoothing,
     bandlimited_samples,
     frequency_localized_samples,
     inhomogeneous_smoothing_probe,
@@ -108,24 +115,6 @@ class TestKatoSmoothingProbe:
         assert rep.metrics["sup_ratio_samples"] > 0
         assert len(rep.metrics["plateau_increments"]) == 2
 
-    def test_plateau_flag_against_stated_tolerance(self):
-        g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
-
-        def probe(tol):
-            return kato_smoothing_probe(h, 0.25, t_final=2.0, samples=1,
-                                        refine_iters=0, plateau_tol=tol,
-                                        rng=np.random.default_rng(2))
-
-        inc = probe(0.05).metrics["plateau_increment"]
-        assert inc > 0
-        for tol, flag in ((inc / 2.0, False), (inc * 2.0, True)):
-            rep = probe(tol)
-            assert rep.metrics["plateau_increment"] == inc
-            assert rep.metrics["plateau_increments"][-1] == inc
-            assert rep.metrics["plateau_tol"] == tol
-            assert rep.passes["plateau"] is flag
-
     def test_refinement_never_below_samples(self):
         g = GridSpec(3, 16, 6.0)
         h = Hamiltonian(g, 1, zero_potential(g))
@@ -146,6 +135,117 @@ class TestKatoSmoothingProbe:
             kato_smoothing_probe(h, -0.5)  # at/below m - n/2
         with pytest.raises(ValueError):
             kato_smoothing_probe(h, 0.25, t_final=-1.0)
+
+
+class TestRefinement:
+    @staticmethod
+    def rayleigh_loop(h, weight, dsym, times, start, iters):
+        """The quadratic form's own power iteration: forward sweep, W^2
+        weighting, backward sweep of short steps."""
+        grid = h.grid
+        tw = np.zeros(times.size)
+        tw[:-1] += 0.5 * np.diff(times)
+        tw[1:] += 0.5 * np.diff(times)
+
+        def apply_form(vec):
+            states = propagate(h, projector_ac(h, Field(grid, vec)), list(times))
+            weighted = []
+            for st, wk in zip(states, tw):
+                g = apply_multiplier(st, dsym)
+                g = apply_multiplier(Field(grid, weight ** 2 * g.values), dsym)
+                weighted.append(wk * g.flat)
+            acc = weighted[-1]
+            for k in range(len(times) - 2, -1, -1):
+                step = propagate(h, Field(grid, acc), [times[k] - times[k + 1]])
+                acc = weighted[k] + step[0].flat
+            acc = propagate(h, Field(grid, acc), [-times[0]])[0].flat
+            return projector_ac(h, Field(grid, acc)).flat
+
+        v = start.flat / np.linalg.norm(start.flat)
+        for _ in range(iters):
+            w = apply_form(v)
+            rho = float(np.real(np.vdot(v, w)))
+            v = w / np.linalg.norm(w)
+        return rho
+
+    @pytest.mark.parametrize("iters", [2, 6])
+    def test_matches_rayleigh_loop(self, iters):
+        g = GridSpec(3, 10, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0, 1.0))
+        weight = smoothing_weight(g, 1, 0.25, 0.1)
+        dsym = abs_derivative_symbol(g, 0.25)
+        times = np.linspace(-1.0, 1.0, 9)
+        start = frequency_localized_samples(g, 1, np.random.default_rng(2))[0]
+        est = _refine_quadratic_smoothing(h, weight, dsym, times, start, iters)
+        assert 1 <= est.iterations <= iters
+        ref = self.rayleigh_loop(h, weight, dsym, times, start, est.iterations)
+        assert est.norm ** 2 == pytest.approx(ref, rel=1e-12)
+
+    def test_report_records_iterations(self):
+        g = GridSpec(3, 10, 5.0)
+        h = Hamiltonian(g, 1, zero_potential(g))
+        kw = dict(t_final=1.0, samples=1, rng=np.random.default_rng(2))
+        rep = kato_smoothing_probe(h, 0.25, refine_iters=2, **kw)
+        assert 1 <= rep.metrics["refine_iterations"] <= 2
+        assert isinstance(rep.metrics["refine_converged"], bool)
+        bare = kato_smoothing_probe(h, 0.25, refine_iters=0, **kw)
+        assert "refine_iterations" not in bare.metrics
+
+
+def _smoothing(h, **kw):
+    return kato_smoothing_probe(h, 0.25, refine_iters=0, **kw), 1
+
+
+def _inhomogeneous(h, **kw):
+    return inhomogeneous_smoothing_probe(h, 0.25, **kw), 2
+
+
+def _strichartz(h, **kw):
+    pair = AdmissiblePair(Fraction(8, 3), 4, Fraction(3, 2))
+    return strichartz_probe(h, pair, **kw), 8.0 / 3.0
+
+
+TIME_INTEGRAL_PROBES = {"smoothing": _smoothing,
+                        "inhomogeneous": _inhomogeneous,
+                        "strichartz": _strichartz}
+
+
+class TestTimeIntegralDriver:
+    @pytest.mark.parametrize("name", TIME_INTEGRAL_PROBES)
+    def test_plateau_flag_against_stated_tolerance(self, name):
+        g = GridSpec(3, 16, 6.0)
+        h = Hamiltonian(g, 1, zero_potential(g))
+
+        def probe(tol):
+            return TIME_INTEGRAL_PROBES[name](
+                h, t_final=2.0, samples=3, plateau_tol=tol,
+                rng=np.random.default_rng(2))
+
+        rep, power = probe(0.05)
+        # increment of the time integral ratio ** power over the last two
+        # checkpoints of the sample with the largest final ratio
+        finals = {row["sample"]: row["ratio"] for row in rep.rows}
+        best = max(finals, key=finals.get)
+        assert best > 0  # not the first sample, so the sup is a real choice
+        sup = rep.metrics.get("sup_ratio", rep.metrics.get("sup_ratio_samples"))
+        assert sup == finals[best]
+        a, b = [row["ratio"] ** power for row in rep.rows
+                if row["sample"] == best][-2:]
+        inc = rep.metrics["plateau_increment"]
+        assert inc == (b - a) / a > 0
+        for tol, flag in ((inc / 2.0, False), (inc * 2.0, True)):
+            rep, _ = probe(tol)
+            assert rep.metrics["plateau_increment"] == inc
+            assert rep.metrics["plateau_increments"][-1] == inc
+            assert rep.metrics["plateau_tol"] == tol
+            assert rep.passes["plateau"] is flag
+
+    @pytest.mark.parametrize("name", TIME_INTEGRAL_PROBES)
+    def test_zero_samples_rejected(self, name):
+        g = GridSpec(3, 8, 4.0)
+        h = Hamiltonian(g, 1, zero_potential(g))
+        with pytest.raises(ValueError, match="need at least one sample"):
+            TIME_INTEGRAL_PROBES[name](h, t_final=1.0, samples=0)
 
 
 class TestStrichartzProbe:

@@ -193,6 +193,11 @@ class TestWeightedResolventNorm:
         est = weighted_resolvent_norm(g, q, 1.0)
         assert np.isfinite(est.norm) and est.norm > 0
 
+    def test_zero_z_rejected(self):
+        g = GridSpec(3, 8, 3.0)
+        with pytest.raises(ValueError, match="Riesz kernel"):
+            weighted_resolvent_norm(g, ResolventQuery(z=0.0, m=1, n=3), 1.0)
+
 
 class TestDecayProbe:
     def test_validation(self):
