@@ -8,8 +8,8 @@ from .grid import (
     GridSpec,
     apply_multiplier,
     field_from_function,
+    field_from_spectrum,
     forward_transform,
-    inverse_transform,
     norm_lp,
     read_field,
     weighted_l2_norm,

@@ -23,8 +23,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import (Field, GridSpec, abs_derivative_symbol, apply_multiplier,
-                   check_smoothing_gamma, inverse_transform, smoothing_weight)
+from .grid import (Field, GridSpec, abs_derivative_symbol, apply_symbol,
+                   check_smoothing_gamma, smoothing_weight)
 from .kernels import ResolventQuery, riesz_kernel
 from .operators import operator_norm
 from .potentials import Potential
@@ -36,8 +36,8 @@ DEFAULT_SUPPORT_CAP = 6000
 
 def apply_resolvent(grid: GridSpec, q: ResolventQuery, values: np.ndarray) -> np.ndarray:
     """R0(z) applied to a physical-space array (returns physical array)."""
-    fld = Field(grid, np.asarray(values, dtype=np.complex128))
-    return apply_multiplier(fld, resolvent_symbol_array(grid, q)).values
+    vals = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
+    return apply_symbol(vals, resolvent_symbol_array(grid, q))
 
 
 def resolvent_base_column(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
@@ -310,8 +310,6 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     bs may also be the block of the conjugate point z-bar: then
     v M(z)^{-1} w = w M(z-bar)^{-H} v is applied from its factors."""
     grid = pot.grid
-    if f.rep != "physical":
-        f = inverse_transform(f)
     if bs is None:
         bs = assemble_M(pot, q)
     conjugate = complex(bs.query.z) != complex(q.z)
@@ -357,12 +355,12 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
 
     def half_sandwich(vec: np.ndarray) -> np.ndarray:
         """|D|^gamma (W vec) as a physical array."""
-        return apply_multiplier(Field(grid, wgt * vec.reshape(grid.shape)), dsym).values
+        return apply_symbol(wgt * vec.reshape(grid.shape), dsym)
 
     def half_sandwich_out(vec: np.ndarray) -> np.ndarray:
         """W (|D|^gamma vec): adjoint order of half_sandwich (both factors are
         self-adjoint, so this is the conjugate-transpose composition)."""
-        return wgt * apply_multiplier(Field(grid, vec), dsym).values
+        return wgt * apply_symbol(vec, dsym)
 
     def sandwich(q: ResolventQuery, bs: BSMatrix) -> Callable[[np.ndarray], np.ndarray]:
         """W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W for the block bs of q."""

@@ -61,19 +61,21 @@ class ConfigError(ValueError):
 # parameter schemas (the machine-readable probe table)
 # ---------------------------------------------------------------------------
 
-def _f(default=None, required=False, kind="number", doc=""):
-    return {"default": default, "required": required, "type": kind, "doc": doc}
+def _f(default=None, required=False, kind="number", doc="", minimum=None):
+    return {"default": default, "required": required, "type": kind, "doc": doc,
+            "minimum": minimum}
 
 
 PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
     "kernels": {
-        "trials": _f(1000, kind="int", doc="random (xi, z) identity checks"),
+        "trials": _f(1000, kind="int", doc="random (xi, z) identity checks",
+                     minimum=1),
         "tol": _f(1e-12, doc="max allowed partial-fraction residual"),
     },
     "bs-sweep": {
         "lambda_min": _f(0.5, doc="low end of the energy sweep"),
         "lambda_max": _f(4.0, doc="high end of the energy sweep"),
-        "lambda_count": _f(4, kind="int"),
+        "lambda_count": _f(4, kind="int", minimum=1),
         "thetas": _f([0.03, 0.01], kind="list", doc="imaginary-offset ladder"),
         "nu": _f(0.2, doc="exclusion radius around known point spectrum"),
     },
@@ -96,9 +98,10 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "gamma": _f(0.0, doc="derivative order of the weighted functional"),
         "eps": _f(0.1, doc="endpoint bracket-weight exponent margin"),
         "t_final": _f(8.0),
-        "samples": _f(3, kind="int"),
+        "samples": _f(3, kind="int", minimum=1),
         "time_step": _f(0.25),
-        "refine_iters": _f(0, kind="int", doc="quadratic-form power-iteration steps"),
+        "refine_iters": _f(0, kind="int", doc="quadratic-form power-iteration steps",
+                           minimum=0),
         "plateau_tol": _f(0.05, doc="relative increment budget per T-doubling"),
     },
     "strichartz": {
@@ -107,7 +110,7 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "alpha": _f(None, required=True, doc="pair scaling parameter"),
         "mode": _f("standard", kind="str", doc="standard | gain"),
         "t_final": _f(8.0),
-        "samples": _f(3, kind="int"),
+        "samples": _f(3, kind="int", minimum=1),
         "time_step": _f(0.25),
         "plateau_tol": _f(0.05),
     },
@@ -117,9 +120,9 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "q": _f(6.0),
         "z_min": _f(0.3),
         "z_max": _f(10.0),
-        "z_count": _f(7, kind="int"),
+        "z_count": _f(7, kind="int", minimum=3),
         "z_arg": _f(math.pi / 2, doc="ray angle in (0, 2 pi)"),
-        "samples": _f(3, kind="int"),
+        "samples": _f(3, kind="int", minimum=1),
         "slope_tol": _f(0.05),
         "npts": _f(None, kind="int", doc="probe-grid override (default: main grid)"),
         "half_width": _f(None, doc="probe-grid override (default: main grid)"),
@@ -128,7 +131,7 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "lam": _f(2.0, doc="multiplier order offset (|D|^{-n+lam})"),
         "alpha": _f(0.0, doc="input weight exponent"),
         "beta": _f(1.0, doc="output weight exponent"),
-        "npts_ladder": _f([8, 16, 32], kind="list"),
+        "npts_ladder": _f([8, 16, 32], kind="int_list"),
         "half_width": _f(6.0),
         "stab_tol": _f(0.05, doc="relative change budget on the last doubling"),
     },
@@ -196,18 +199,21 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integral(value: Any) -> bool:
+    return _is_number(value) and (isinstance(value, numbers.Integral)
+                                  or float(value).is_integer())
+
+
 def _coerce(where: str, kind: str, value: Any) -> Any:
     """A probe parameter typed by its schema kind; None passes through.
 
     int must be integral, number goes through float() (so a YAML string such
-    as 1e-12 is accepted), list must be a sequence of numbers, bool and str
-    must already have their type."""
+    as 1e-12 is accepted), list must be a sequence of numbers and int_list one
+    of integers, bool and str must already have their type."""
     if value is None:
         return None
     if kind == "int":
-        _require(_is_number(value) and (isinstance(value, numbers.Integral)
-                                        or float(value).is_integer()),
-                 f"{where} must be an integer, got {value!r}")
+        _require(_is_integral(value), f"{where} must be an integer, got {value!r}")
         return int(value)
     if kind == "number":
         _require(not isinstance(value, bool), f"{where} must be a number, got {value!r}")
@@ -219,6 +225,10 @@ def _coerce(where: str, kind: str, value: Any) -> Any:
         _require(isinstance(value, (list, tuple)) and all(map(_is_number, value)),
                  f"{where} must be a list of numbers, got {value!r}")
         return list(value)
+    if kind == "int_list":
+        _require(isinstance(value, (list, tuple)) and all(map(_is_integral, value)),
+                 f"{where} must be a list of integers, got {value!r}")
+        return [int(x) for x in value]
     _require(isinstance(value, {"bool": bool, "str": str}[kind]),
              f"{where} must be a {kind}, got {value!r}")
     return value
@@ -281,6 +291,10 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                          f"probe {name!r} requires parameter {key!r}")
                 block[key] = meta["default"]
             block[key] = _coerce(f"{name}.{key}", meta["type"], block[key])
+            if meta["minimum"] is not None and block[key] is not None:
+                _require(block[key] >= meta["minimum"],
+                         f"{name}.{key} must be >= {meta['minimum']}, "
+                         f"got {block[key]!r}")
         for key in _TOLERANCE_KEYS:
             if key in block and block[key] is not None:
                 _require(block[key] > 0,
@@ -487,7 +501,7 @@ def _run_stein_weiss(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["stein-weiss"]
     report = stein_weiss_probe(
         block["lam"], block["alpha"], block["beta"], cfg.grid.n,
-        npts_ladder=[int(x) for x in block["npts_ladder"]],
+        npts_ladder=block["npts_ladder"],
         half_width=block["half_width"], rng=_probe_rng(cfg, "stein-weiss"),
         stab_tol=block["stab_tol"])
     return _with_seed(report, cfg, "stein-weiss")

@@ -32,7 +32,7 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    inverse_transform,
+    field_from_spectrum,
     read_field,
     write_field,
 )
@@ -87,10 +87,8 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float, alias_shells: int = 1):
     phi_hat *= (2.0 * np.pi) ** (-grid.n / 2.0)
     xi2 = grid.xi_radii() ** 2
     numer_hat = (1.0 - xi2 ** m) * phi_hat
-    phi = inverse_transform(Field(grid, phi_hat.astype(np.complex128),
-                                  "frequency")).values.real
-    numer = inverse_transform(Field(grid, numer_hat.astype(np.complex128),
-                                    "frequency")).values.real
+    phi = field_from_spectrum(grid, phi_hat).values.real
+    numer = field_from_spectrum(grid, numer_hat).values.real
     return phi, numer
 
 

@@ -7,39 +7,35 @@ the unitary continuum normalization
 
     fhat(xi) = (2*pi)^(-n/2) * sum_j f(x_j) e^{-i xi . x_j} h^n,
 
-so Parseval holds without conversion factors: the discrete L^2 norm (with cell
-volume h^n on the physical side, h_xi^n on the frequency side) is identical in
-both representations.
+so Parseval holds without conversion factors: the discrete L^2 norm with cell
+volume h^n of the samples equals that with cell volume h_xi^n of the
+transform.
 
 Frequency-side arrays are stored in FFT ordering (numpy.fft.fftfreq), row-major
 over axes, matching the physical layout.  Transforms run on scipy.fft.
 
+A Field holds physical samples only.  The frequency side is a plain array in
+FFT ordering that only the transform pair produces (forward_transform) and
+consumes (field_from_spectrum); it serves the quantities that live there
+(shell integrals, the boundary pairing, frequency-built samples).
+
 A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
 the centring phase and the scale factors of the unitary transforms cancel
-between the forward and the inverse, so a multiplier applies neither.  The
-transforms are kept for quantities that live on the frequency side (shell
-integrals, the boundary pairing, frequency-built samples).
+between the forward and the inverse, so a multiplier applies neither.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, Union
+from typing import BinaryIO, Callable
 
 import numpy as np
 import scipy.fft
 
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
-
 #: Default cap on total grid points (N^n); guards against accidental huge FFTs.
 DEFAULT_MAX_POINTS = 2 ** 25
-
-
-class RepresentationError(ValueError):
-    """A field was passed in the wrong representation (physical vs frequency)."""
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,7 @@ def _center_phase(grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex-valued function on a GridSpec, in physical or frequency
-    representation.
+    """Physical samples f(x_j) of a complex-valued function on a GridSpec.
 
     The values are handed over, not copied: a C-contiguous complex128 array
     becomes a read-only view of the caller's array, so writing to that array
@@ -184,11 +179,8 @@ class Field:
 
     grid: GridSpec
     values: np.ndarray
-    rep: str = PHYSICAL
 
     def __post_init__(self):
-        if self.rep not in (PHYSICAL, FREQUENCY):
-            raise RepresentationError(f"unknown representation {self.rep!r}")
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
             if vals.size != self.grid.size:
@@ -205,69 +197,34 @@ class Field:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def require(self, rep: str) -> None:
-        if self.rep != rep:
-            raise RepresentationError(f"expected a {rep} field, got {self.rep}")
-
     def norm2(self) -> float:
-        """Discrete L^2 norm; valid in either representation (Parseval)."""
-        w = self.grid.cell_volume if self.rep == PHYSICAL else self.grid.cell_volume_xi
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * w))
-
-    def inner(self, other: "Field") -> complex:
-        """<f, g> = integral f conj(g); both fields must share representation."""
-        if self.rep != other.rep or self.grid != other.grid:
-            raise ValueError("inner product requires matching grid and representation")
-        w = self.grid.cell_volume if self.rep == PHYSICAL else self.grid.cell_volume_xi
-        return complex(np.sum(self.values * np.conj(other.values)) * w)
+        """Discrete L^2 norm (sum |f|^2 h^n)^(1/2)."""
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
 
-def field_from_function(grid: GridSpec, fn: Callable, rep: str = PHYSICAL) -> Field:
+def field_from_function(grid: GridSpec, fn: Callable) -> Field:
     """Sample a callable fn(x) with x of shape (n,) + grid shape."""
-    pts = grid.coords() if rep == PHYSICAL else grid.freqs()
-    return Field(grid, np.asarray(fn(pts), dtype=np.complex128), rep)
+    return Field(grid, np.asarray(fn(grid.coords()), dtype=np.complex128))
 
 
-def forward_transform(f: Field) -> Field:
-    """Unitary DFT, physical -> frequency."""
-    f.require(PHYSICAL)
+def forward_transform(f: Field) -> np.ndarray:
+    """Unitary DFT of the samples: the frequency-lattice array fhat (FFT
+    ordering, grid shape)."""
     g = f.grid
     vals = scipy.fft.fftn(f.values)
     vals *= _center_phase(g)
     vals *= g.cell_volume / (2.0 * np.pi) ** (g.n / 2)
-    return Field(g, vals, FREQUENCY)
-
-
-def inverse_transform(f: Field) -> Field:
-    """Exact inverse of forward_transform, frequency -> physical."""
-    f.require(FREQUENCY)
-    g = f.grid
-    vals = scipy.fft.ifftn(_center_phase(g) * f.values, overwrite_x=True)
-    vals *= g.cell_volume_xi * g.size / (2.0 * np.pi) ** (g.n / 2)
-    return Field(g, vals, PHYSICAL)
-
-
-def evaluate_symbol(grid: GridSpec, sigma: Callable, zero_mode: Union[float, complex, None] = None) -> np.ndarray:
-    """Evaluate a symbol xi -> complex on the frequency lattice.
-
-    sigma receives the (n,)+shape frequency array.  A non-finite value at the
-    zero mode is replaced by `zero_mode` (default 0, the declared rule for
-    negative-order multipliers); non-finite values elsewhere are an error.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(sigma(grid.freqs()), dtype=np.complex128)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    else:
-        vals = vals.copy()
-    zero_idx = (0,) * grid.n
-    if not np.isfinite(vals[zero_idx]):
-        vals[zero_idx] = 0.0 if zero_mode is None else zero_mode
-    elif zero_mode is not None:
-        vals[zero_idx] = zero_mode
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol is non-finite at a nonzero lattice point")
     return vals
+
+
+def field_from_spectrum(grid: GridSpec, hat: np.ndarray) -> Field:
+    """The field whose forward_transform is hat: exact inverse of
+    forward_transform.  hat is read as complex128 (a real array gives the
+    field of its complex cast) and left unchanged."""
+    hat = np.asarray(hat, dtype=np.complex128)
+    vals = scipy.fft.ifftn(_center_phase(grid) * hat, overwrite_x=True)
+    vals *= grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** (grid.n / 2)
+    return Field(grid, vals)
 
 
 def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -279,26 +236,14 @@ def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return scipy.fft.ifftn(out, overwrite_x=True)
 
 
-def apply_multiplier(f: Field, sigma, zero_mode: Union[float, complex, None] = None) -> Field:
-    """Fourier multiplier: inverse(sigma(xi) * forward(f)), computed by
-    apply_symbol; preserves the representation tag of the input.
-
-    sigma may be a callable of the frequency array or a precomputed lattice
-    array in FFT ordering.
-    """
-    g = f.grid
-    if callable(sigma):
-        mult = evaluate_symbol(g, sigma, zero_mode)
-    else:
-        mult = np.asarray(sigma).reshape(g.shape)
-    if f.rep == FREQUENCY:
-        return Field(g, mult * f.values, FREQUENCY)
-    return Field(g, apply_symbol(f.values, mult))
+def apply_multiplier(f: Field, sym: np.ndarray) -> Field:
+    """The Fourier multiplier sym (lattice array in FFT ordering) on a field,
+    computed by apply_symbol."""
+    return Field(f.grid, apply_symbol(f.values, sym))
 
 
 def norm_lp(f: Field, p: float) -> float:
     """Discrete L^p norm (sum |f|^p h^n)^(1/p); max norm for p = inf."""
-    f.require(PHYSICAL)
     if p < 1:
         raise ValueError(f"L^p norm requires p >= 1, got p={p}")
     a = np.abs(f.values)
@@ -351,7 +296,6 @@ def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
 def weighted_l2_norm(f: Field, weight) -> float:
     """||weight * f||_2 with cell-volume weighting; weight is a callable of x
     or a precomputed nonnegative array."""
-    f.require(PHYSICAL)
     if callable(weight):
         w = np.asarray(weight(f.grid.coords()), dtype=np.float64)
     else:
@@ -366,7 +310,6 @@ def weighted_l2_norm(f: Field, weight) -> float:
 def boundary_decay(f: Field) -> float:
     """Largest |f| on the faces of the box, relative to max |f|; probe runners
     reject inputs whose boundary decay exceeds their periodization budget."""
-    f.require(PHYSICAL)
     a = np.abs(f.values)
     peak = a.max()
     if peak == 0:
@@ -379,15 +322,15 @@ def boundary_decay(f: Field) -> float:
 
 
 # Flat binary serialization: magic, n, N, L, tag byte, then interleaved
-# re/im float64 payload in row-major order.
+# re/im float64 payload in row-major order.  The tag byte is 0 (physical
+# samples); tag 1 marked a frequency-side field, which a Field cannot hold.
 
 _MAGIC = b"PHLF"
 
 
 def write_field(f: Field, fh: BinaryIO) -> None:
     fh.write(_MAGIC)
-    fh.write(struct.pack("<iidB", f.grid.n, f.grid.npts, f.grid.half_width,
-                         0 if f.rep == PHYSICAL else 1))
+    fh.write(struct.pack("<iidB", f.grid.n, f.grid.npts, f.grid.half_width, 0))
     inter = np.empty(f.grid.size * 2, dtype=np.float64)
     flat = f.flat
     inter[0::2] = flat.real
@@ -400,7 +343,9 @@ def read_field(fh: BinaryIO) -> Field:
     if magic != _MAGIC:
         raise ValueError("not a field binary (bad magic)")
     n, npts, half_width, tag = struct.unpack("<iidB", fh.read(struct.calcsize("<iidB")))
+    if tag != 0:
+        raise ValueError(f"field binary has tag {tag}; only physical samples (tag 0) are read")
     grid = GridSpec(n=n, npts=npts, half_width=half_width)
     inter = np.frombuffer(fh.read(grid.size * 16), dtype=np.float64)
     vals = inter[0::2] + 1j * inter[1::2]
-    return Field(grid, vals, PHYSICAL if tag == 0 else FREQUENCY)
+    return Field(grid, vals)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import jv
 
-from .grid import Field, GridSpec, apply_symbol, inverse_transform
+from .grid import Field, GridSpec, apply_symbol
 from .potentials import Potential
 
 
@@ -50,8 +50,6 @@ class Hamiltonian:
         return (min(0.0, vmin), sym_max + max(0.0, vmax))
 
     def apply(self, f: Field) -> Field:
-        if f.rep != "physical":
-            f = inverse_transform(f)
         out = apply_symbol(f.values, self._symbol)
         out += self.potential.values * f.values
         return Field(self.grid, out)
@@ -180,8 +178,6 @@ def repulsive_check(pot: Potential, tau_grad: Optional[float] = None) -> Tuple[b
 def projector_ac(h: Hamiltonian, f: Field) -> Field:
     """P_ac f = f minus projections onto all computed bound states."""
     es = h.eigenset()
-    if f.rep != "physical":
-        f = inverse_transform(f)
     out = f.values.copy()
     for psi in es.vectors:
         # eigenvectors are unit in the flat l2 sense; projection uses the same
@@ -230,8 +226,6 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float],
     times = np.asarray(list(times), dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
-    if psi0.rep != "physical":
-        psi0 = inverse_transform(psi0)
 
     e_min, e_max = h.spectral_bounds
     pad = bound_pad

@@ -24,9 +24,10 @@ from .grid import (
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
+    apply_symbol,
     boundary_decay,
     check_smoothing_gamma,
-    inverse_transform,
+    field_from_spectrum,
     norm_lp,
     smoothing_weight,
     weight_abs_power,
@@ -198,7 +199,7 @@ def bandlimited_samples(grid: GridSpec, count: int,
         d2 = sum((freqs[a] - carrier[a]) ** 2 for a in range(grid.n))
         amp = np.exp(-d2 / (2.0 * spectral_width ** 2)).astype(np.complex128)
         amp *= keep
-        fld = inverse_transform(Field(grid, amp, "frequency"))
+        fld = field_from_spectrum(grid, amp)
         out.append(Field(grid, fld.values / fld.norm2()))
     return out
 
@@ -264,8 +265,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
                          time_step: float = 0.25,
                          rng: Optional[np.random.Generator] = None,
                          refine_iters: int = 6,
-                         plateau_tol: float = PLATEAU_TOL,
-                         sample_states: Optional[Sequence[Field]] = None) -> ProbeReport:
+                         plateau_tol: float = PLATEAU_TOL) -> ProbeReport:
     """Sup over inputs of the truncated smoothing integral
 
         integral_{-T}^{T} || W |D|^gamma e^{itH} P_ac psi0 ||^2 dt / ||psi0||^2
@@ -304,8 +304,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         denom = psi0.norm2() ** 2
         return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
 
-    packs = (list(sample_states) if sample_states is not None
-             else frequency_localized_samples(grid, samples, rng))
+    packs = frequency_localized_samples(grid, samples, rng)
     best_ratio, best_state = _sup_over_samples(
         report, packs, ratios_of, t_checks, plateau_tol, power=1)
 
@@ -350,7 +349,7 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
 
     def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
         weighted = [
-            sk * apply_multiplier(Field(grid, weight * g.reshape(grid.shape)), dsym).flat
+            sk * apply_symbol(weight * g.reshape(grid.shape), dsym).reshape(-1)
             for sk, g in zip(sw, snaps.reshape(times.size, -1))
         ]
         acc = weighted[-1]
@@ -452,8 +451,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
                      mode: str = "standard", t_final: float = 8.0,
                      samples: int = 6, time_step: float = 0.25,
                      rng: Optional[np.random.Generator] = None,
-                     plateau_tol: float = PLATEAU_TOL,
-                     sample_states: Optional[Sequence[Field]] = None) -> ProbeReport:
+                     plateau_tol: float = PLATEAU_TOL) -> ProbeReport:
     """Mixed L_t^p L_x^q quadrature of the propagated state over [-T, T],
 
         standard: alpha = n/(2m), functional || e^{itH} P_ac psi0 ||_{p,q}
@@ -518,8 +516,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
                      _partial_trapezoids(times, snap_q ** p, t_checks)]
         return [c / psi0.norm2() for c in mixed]
 
-    packs = (list(sample_states) if sample_states is not None
-             else frequency_localized_samples(grid, samples, rng))
+    packs = frequency_localized_samples(grid, samples, rng)
     report.metrics["sup_ratio"], _ = _sup_over_samples(
         report, packs, ratios_of, t_checks, plateau_tol,
         power=1 if math.isinf(p) else p)
@@ -588,11 +585,7 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     norms = []
     for mag in mags:
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
-        sym = xi_abs ** alpha / (xi_abs ** (2 * m) - z)
-        zero = (0,) * n
-        if not np.isfinite(sym[zero]):
-            sym = sym.copy()
-            sym[zero] = 0.0
+        sym = abs_derivative_symbol(grid, alpha) / (xi_abs ** (2 * m) - z)
         rho = mag ** (1.0 / (2 * m))
         cands = list(packs)
         cands.extend(_shell_localized_samples(grid, rho, count=2, rng=rng))
@@ -631,7 +624,7 @@ def _shell_localized_samples(grid: GridSpec, rho: float, count: int,
         width = grid.h_xi * rng.uniform(1.0, 3.0)
         prof = np.exp(-((xi_abs - rho) / width) ** 2)
         phases = np.exp(2j * np.pi * rng.random(grid.shape))
-        fld = inverse_transform(Field(grid, prof * phases, "frequency"))
+        fld = field_from_spectrum(grid, prof * phases)
         # impose edge decay with a fixed physical envelope
         env = np.exp(-grid.radii() ** 2 / (2.0 * (grid.half_width / 8.0) ** 2))
         vals = fld.values * env
@@ -659,14 +652,14 @@ def _pq_norm_refine(start: Field, sym: np.ndarray, p: float, q: float,
         den = norm_lp(fld, p)
         if den == 0.0:
             break
-        u = apply_multiplier(fld, sym).values
+        u = apply_symbol(fld.values, sym)
         ratio = norm_lp(Field(grid, u), q) / den
         best = max(best, ratio)
         if prev > 0 and abs(ratio - prev) <= rtol * prev:
             break
         prev = ratio
         g = np.abs(u) ** (q - 2.0) * u
-        w = apply_multiplier(Field(grid, g), sym_c).values
+        w = apply_symbol(g, sym_c)
         aw = np.abs(w)
         peak = aw.max()
         if peak == 0.0:
@@ -742,14 +735,12 @@ def stein_weiss_probe(lam: float, alpha: float, beta: float, n: int,
         mult = abs_derivative_symbol(grid, lam - n)
 
         def apply_a(vec, grid=grid, w_in=w_in, w_out=w_out, mult=mult):
-            fld = Field(grid, w_in * vec.reshape(grid.shape))
-            out = apply_multiplier(fld, mult)
-            return (w_out * out.values).reshape(-1)
+            out = apply_symbol(w_in * vec.reshape(grid.shape), mult)
+            return (w_out * out).reshape(-1)
 
         def apply_at(vec, grid=grid, w_in=w_in, w_out=w_out, mult=mult):
-            fld = Field(grid, w_out * vec.reshape(grid.shape))
-            out = apply_multiplier(fld, mult)
-            return (w_in * out.values).reshape(-1)
+            out = apply_symbol(w_out * vec.reshape(grid.shape), mult)
+            return (w_in * out).reshape(-1)
 
         est = operator_norm(apply_a, apply_at, grid.size, rng=rng,
                             max_iter=120, rtol=1e-8)

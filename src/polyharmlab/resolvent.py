@@ -77,9 +77,7 @@ def boundary_value_pairing(f: Field, g: Field, lam: float, side: str, m: int) ->
     rho = lam ** (1.0 / (2 * m))
     _check_shell(grid, rho)
 
-    fhat = forward_transform(f).values if f.rep == "physical" else f.values
-    ghat = forward_transform(g).values if g.rep == "physical" else g.values
-    density = fhat * np.conj(ghat)
+    density = forward_transform(f) * np.conj(forward_transform(g))
 
     xi_abs = grid.xi_radii()
     s = xi_abs ** (2 * m) - lam
@@ -165,8 +163,7 @@ def spectral_density(f: Field, lam: float, m: int) -> float:
         raise ValueError(f"spectral density needs lambda > 0, got {lam}")
     grid = f.grid
     rho = lam ** (1.0 / (2 * m))
-    fhat = forward_transform(f).values if f.rep == "physical" else f.values
-    surf = shell_integral(grid, np.abs(fhat) ** 2, rho)
+    surf = shell_integral(grid, np.abs(forward_transform(f)) ** 2, rho)
     return float(np.real(surf)) * lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
 
 

@@ -118,8 +118,11 @@ class TestValidation:
         ("kernels", {"trials": "abc"}, "kernels.trials must be an integer"),
         ("kernels", {"tol": "abc"}, "kernels.tol must be a number"),
         ("stein-weiss", {"npts_ladder": 8},
-         "stein-weiss.npts_ladder must be a list of numbers"),
+         "stein-weiss.npts_ladder must be a list of integers"),
         ("counterexample", {"save": "no"}, "counterexample.save must be a bool"),
+        ("stein-weiss", {"npts_ladder": [8.5, 16]},
+         "stein-weiss.npts_ladder must be a list of integers"),
+        ("smoothing", {"samples": 0}, "smoothing.samples must be >= 1"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):
@@ -139,6 +142,22 @@ class TestValidation:
         for block in ({"trials": 2.5}, {"trials": True}, {"tol": True}):
             with pytest.raises(ConfigError, match="kernels"):
                 parse_config(base_config(probes={"kernels": block}))
+        ladder = parse_config(base_config(probes={
+            "stein-weiss": {"npts_ladder": [8.0, 16]}})).probes["stein-weiss"]
+        assert ladder["npts_ladder"] == [8, 16]
+        assert all(isinstance(x, int) for x in ladder["npts_ladder"])
+        # counts are held to their schema minimum
+        pair = {"p": 8.0 / 3.0, "q": 4.0, "alpha": 1.5}
+        for probe, key, least in [
+                ("kernels", "trials", 1), ("bs-sweep", "lambda_count", 1),
+                ("smoothing", "samples", 1), ("strichartz", "samples", 1),
+                ("sobolev", "samples", 1), ("smoothing", "refine_iters", 0),
+                ("sobolev", "z_count", 3)]:
+            extra = pair if probe == "strichartz" else {}
+            cfg = parse_config(base_config(probes={probe: {**extra, key: least}}))
+            assert cfg.probes[probe][key] == least
+            with pytest.raises(ConfigError, match=f"{probe}.{key} must be >= {least}"):
+                parse_config(base_config(probes={probe: {**extra, key: least - 1}}))
 
     def test_unquoted_exponent_tolerance_runs(self, tmp_path):
         # YAML 1.1 reads 1e-12 (no dot) as a string; float() accepts it

@@ -1,6 +1,7 @@
 """Grid, transforms, multipliers, norms, and field serialization."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -8,16 +9,14 @@ import pytest
 from polyharmlab.grid import (
     Field,
     GridSpec,
-    RepresentationError,
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol,
     boundary_decay,
     check_smoothing_gamma,
-    evaluate_symbol,
     field_from_function,
+    field_from_spectrum,
     forward_transform,
-    inverse_transform,
     norm_lp,
     read_field,
     smoothing_weight,
@@ -90,13 +89,23 @@ class TestTransforms:
     def test_round_trip(self, n, npts):
         g = GridSpec(n, npts, 3.0)
         f = random_field(g)
-        back = inverse_transform(forward_transform(f))
+        hat = forward_transform(f)
+        before = hat.copy()
+        back = field_from_spectrum(g, hat)
         np.testing.assert_allclose(back.values, f.values, atol=1e-12)
+        np.testing.assert_array_equal(hat, before)  # the caller's hat is left alone
+        # a real hat reaches the inverse FFT as its complex128 cast, bit for bit
+        np.testing.assert_array_equal(
+            field_from_spectrum(g, hat.real).values,
+            field_from_spectrum(g, hat.real.astype(np.complex128)).values)
 
     def test_parseval(self):
         g = GridSpec(3, 16, 3.0)
         f = random_field(g)
-        assert forward_transform(f).norm2() == pytest.approx(f.norm2(), rel=1e-12)
+        fhat = forward_transform(f)
+        assert isinstance(fhat, np.ndarray) and fhat.shape == g.shape
+        hat_norm = np.sqrt(np.sum(np.abs(fhat) ** 2) * g.cell_volume_xi)
+        assert hat_norm == pytest.approx(f.norm2(), rel=1e-12)
 
     def test_gaussian_transform_matches_continuum(self):
         # e^{-x^2/2} is its own unitary Fourier transform
@@ -105,23 +114,15 @@ class TestTransforms:
         fhat = forward_transform(f)
         xi = np.sort(g.axis_freqs())
         expect = np.exp(-xi ** 2 / 2.0)
-        got = np.real(fhat.values[np.argsort(g.axis_freqs())])
+        got = np.real(fhat[np.argsort(g.axis_freqs())])
         np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_representation_guard(self):
-        g = GridSpec(1, 8, 1.0)
-        f = random_field(g)
-        with pytest.raises(RepresentationError):
-            inverse_transform(f)
-        with pytest.raises(RepresentationError):
-            forward_transform(forward_transform(f))
 
     def test_plane_wave_is_delta(self):
         g = GridSpec(1, 16, np.pi)
         k = 3
         f = field_from_function(g, lambda x: np.exp(1j * k * x[0]))
         fhat = forward_transform(f)
-        mags = np.abs(fhat.values)
+        mags = np.abs(fhat)
         peak = np.argmax(mags)
         assert g.axis_freqs()[peak] == pytest.approx(float(k))
         mags_rest = np.delete(mags, peak)
@@ -131,15 +132,9 @@ class TestTransforms:
 class TestSymbols:
     def test_negative_order_zero_mode_rule(self):
         g = GridSpec(3, 8, 2.0)
-        sym = evaluate_symbol(g, lambda xi: 1.0 / np.sum(xi ** 2, axis=0))
+        sym = abs_derivative_symbol(g, -2.0)
         assert sym[(0, 0, 0)] == 0.0
         assert np.all(np.isfinite(sym))
-
-    def test_explicit_zero_mode(self):
-        g = GridSpec(3, 8, 2.0)
-        sym = evaluate_symbol(g, lambda xi: 1.0 / np.sum(xi ** 2, axis=0),
-                              zero_mode=7.0)
-        assert sym[(0, 0, 0)] == 7.0
 
     def test_smoothing_operator(self):
         g = GridSpec(3, 8, 2.0)
@@ -156,34 +151,24 @@ class TestSymbols:
             with pytest.raises(ValueError, match="admissible window"):
                 check_smoothing_gamma(1, 3, gamma)
 
-    def test_nonfinite_off_origin_rejected(self):
-        g = GridSpec(1, 8, np.pi)
-
-        def bad(xi):
-            return 1.0 / (np.sqrt(np.sum(xi ** 2, axis=0)) - 1.0)
-
-        with pytest.raises(ValueError):
-            evaluate_symbol(g, bad)
-
     def test_multiplier_identity(self):
         g = GridSpec(3, 8, 2.0)
         f = random_field(g)
-        out = apply_multiplier(f, lambda xi: np.ones(g.shape))
+        out = apply_multiplier(f, np.ones(g.shape))
         np.testing.assert_allclose(out.values, f.values, atol=1e-12)
 
     def test_multiplier_composition(self):
         g = GridSpec(3, 8, 2.0)
         f = random_field(g)
-        lap = lambda xi: np.sum(xi ** 2, axis=0)
+        lap = g.xi_radii() ** 2
         twice = apply_multiplier(apply_multiplier(f, lap), lap)
-        once = apply_multiplier(f, lambda xi: np.sum(xi ** 2, axis=0) ** 2)
+        once = apply_multiplier(f, lap ** 2)
         np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
 
 
 def centred_composition(f, sym):
     """The multiplier through the unitary transforms: forward, sigma, inverse."""
-    fhat = forward_transform(f)
-    return inverse_transform(Field(f.grid, sym * fhat.values, "frequency")).values
+    return field_from_spectrum(f.grid, sym * forward_transform(f)).values
 
 
 def max_rel(got, want):
@@ -203,17 +188,16 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
     def test_zero_mode_override_matches_centred_composition(self, n, npts):
+        # |D|^{-3/2}: abs_derivative_symbol overrides the infinite zero mode by 0
         g = GridSpec(n, npts, 2.5)
         f = random_field(g)
-        sigma = lambda xi: np.sum(xi ** 2, axis=0) ** -0.75
-        zero_mode = 0.5 - 0.25j
-        got = apply_multiplier(f, sigma, zero_mode=zero_mode).values
-        want = centred_composition(f, evaluate_symbol(g, sigma, zero_mode))
-        assert max_rel(got, want) <= 1e-12
+        sym = abs_derivative_symbol(g, -1.5)
+        got = apply_multiplier(f, sym).values
+        assert max_rel(got, centred_composition(f, sym)) <= 1e-12
         # the override is what reaches the constant mode
         ones = Field(g, np.ones(g.shape, dtype=complex))
-        np.testing.assert_allclose(apply_multiplier(ones, sigma, zero_mode).values,
-                                   zero_mode, rtol=1e-12)
+        np.testing.assert_allclose(apply_multiplier(ones, sym).values, 0.0,
+                                   atol=1e-12)
 
     def test_kernel_leaves_caller_array_alone(self):
         g = GridSpec(3, 8, 2.0)
@@ -273,17 +257,26 @@ class TestSerialization:
         buf.seek(0)
         back = read_field(buf)
         assert back.grid == GridSpec(3, 8, 2.5)
-        assert back.rep == f.rep
         np.testing.assert_array_equal(back.values, f.values)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             read_field(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
-    def test_frequency_tag_preserved(self):
+    def test_frequency_tag_rejected(self):
+        # the format is unchanged: tag byte 0 after the header, then the
+        # interleaved payload; tag 1 (a frequency-side field) is not read
         g = GridSpec(1, 8, 1.0)
-        f = forward_transform(random_field(g))
+        f = random_field(g)
         buf = io.BytesIO()
         write_field(f, buf)
-        buf.seek(0)
-        assert read_field(buf).rep == "frequency"
+        raw = buf.getvalue()
+        head = b"PHLF" + struct.pack("<iidB", 1, 8, 1.0, 0)
+        assert raw[:len(head)] == head
+        assert len(raw) == len(head) + 16 * g.size
+        np.testing.assert_array_equal(
+            np.frombuffer(raw[len(head):], dtype=np.float64)[1::2], f.flat.imag)
+        tagged = bytearray(raw)
+        tagged[len(head) - 1] = 1
+        with pytest.raises(ValueError, match="tag 1"):
+            read_field(io.BytesIO(bytes(tagged)))
