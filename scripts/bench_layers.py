@@ -12,6 +12,9 @@ Layers (ROADMAP "layer by layer"):
   L1  H matvec at 16^3; one assemble_M on the 1419-point support of the
       depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the benchmark's
       spectral workload), z = 0.5 + 0.03i.
+  L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
+      depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
+      time grid of the smoothing and Strichartz probes.
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
@@ -41,6 +44,7 @@ BATCHES = {
     "L0.multiplier_160": (1, 4),
     "L1.h_matvec_16": (100, 10),
     "L1.assemble_M_1419": (1, 6),
+    "L2.propagate_16_T8": (1, 6),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -53,7 +57,7 @@ def _layers():
     import numpy as np
     from polyharmlab.birman_schwinger import assemble_M
     from polyharmlab.grid import Field, GridSpec, apply_multiplier
-    from polyharmlab.hamiltonian import Hamiltonian
+    from polyharmlab.hamiltonian import Hamiltonian, propagate
     from polyharmlab.kernels import ResolventQuery
     from polyharmlab.potentials import gaussian_well
 
@@ -64,6 +68,12 @@ def _layers():
         h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
         vec = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         return lambda: h.apply_flat(vec)
+
+    lab = GridSpec(3, 16, 8.0)
+    lab_h = Hamiltonian(lab, 1, gaussian_well(lab, 5.0))
+    psi = rng.standard_normal(lab.shape) + 1j * rng.standard_normal(lab.shape)
+    psi = Field(lab, psi / np.linalg.norm(psi))
+    times = np.linspace(-8.0, 8.0, 65)
 
     big = GridSpec(3, 160, 10.0)
     fld = Field(big, rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape))
@@ -80,6 +90,7 @@ def _layers():
         "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
         "L1.h_matvec_16": matvec(16, 8.0),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
+        "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
     }
 
 

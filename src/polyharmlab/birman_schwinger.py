@@ -178,10 +178,11 @@ def assemble_M(pot: Potential, q: ResolventQuery,
     return BSMatrix(q, mat, support, grid, pot.name)
 
 
-def neumann_threshold(pot: Potential, m: int, radii: Iterable[float],
-                      n_args: int = 4) -> Tuple[float, ProbeReport]:
+def neumann_threshold(pot: Potential, m: int,
+                      radii: Iterable[float]) -> Tuple[float, ProbeReport]:
     """Smallest sampled radius r with ||w R0(z) v|| <= 1/2 on the circle
-    |z| = r (interior sample arguments plus both boundary sides at real z)."""
+    |z| = r (the arguments pi/2, pi and 3 pi/2 plus both boundary sides at
+    real z)."""
     radii = np.sort(np.asarray(list(radii), dtype=float))
     if radii.size == 0 or radii[0] <= 0:
         raise ValueError("radii must be positive")
@@ -195,8 +196,8 @@ def neumann_threshold(pot: Potential, m: int, radii: Iterable[float],
         worst = 0.0
         queries = [ResolventQuery(z=complex(r), m=m, n=n, side="+"),
                    ResolventQuery(z=complex(r), m=m, n=n, side="-")]
-        for k in range(1, n_args):
-            ang = 2.0 * np.pi * k / n_args
+        for k in range(1, 4):
+            ang = 2.0 * np.pi * k / 4
             queries.append(ResolventQuery(z=r * np.exp(1j * ang), m=m, n=n))
         for q in queries:
             bs = assemble_M(pot, q)
@@ -251,17 +252,11 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
     return report
 
 
-def detect_zero_resonance(pot: Potential, m: int, tau_res: float = 1e-3,
-                          refined: Optional[Potential] = None):
-    """Smallest singular value of M(0) plus a resonance-suspect flag.
-
-    The flag is raised when sigma_min < tau_res and, if a refined-grid
-    potential is supplied, sigma_min fails to grow under the refinement."""
+def detect_zero_resonance(pot: Potential, m: int) -> Tuple[float, bool]:
+    """Smallest singular value of M(0) plus a resonance-suspect flag, raised
+    when sigma_min < 1e-3."""
     smin = _sigma_at(pot, m, 0.0)
-    flag = smin < tau_res
-    if flag and refined is not None:
-        flag = _sigma_at(refined, m, 0.0) < 2.0 * smin  # did not grow: still suspect
-    return float(smin), bool(flag)
+    return float(smin), bool(smin < 1e-3)
 
 
 def _sigma_at(pot: Potential, m: int, e: float) -> float:
@@ -271,15 +266,14 @@ def _sigma_at(pot: Potential, m: int, e: float) -> float:
 
 def detect_point_spectrum(pot: Potential, m: int,
                           interval: Tuple[float, float],
-                          scan_points: int = 200,
-                          tol: float = 1e-6,
-                          sigma_tol: float = 1e-2) -> List[float]:
+                          scan_points: int = 200) -> List[float]:
     """Negative eigenvalues of H located as the E < 0 where M(E) turns
     singular: coarse scan of sigma_min then derivative-sign bisection on each
-    dip, refined to tol in E."""
+    dip, refined to 1e-6 in E; a dip counts when sigma_min < 1e-2 there."""
     a, b = float(interval[0]), float(interval[1])
     if not (a < b < 0.0):
         raise ValueError(f"interval must lie in (-inf, 0), got {interval}")
+    tol = 1e-6
     es = np.linspace(a, b, scan_points)
     sig = np.array([_sigma_at(pot, m, e) for e in es])
     roots: List[float] = []
@@ -295,7 +289,7 @@ def detect_point_spectrum(pot: Potential, m: int,
                 else:
                     hi = mid
             e_root = 0.5 * (lo + hi)
-            if _sigma_at(pot, m, e_root) < sigma_tol:
+            if _sigma_at(pot, m, e_root) < 1e-2:
                 roots.append(float(e_root))
     return roots
 
@@ -331,25 +325,22 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
 
 def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
                       lambdas: Sequence[float], thetas: Sequence[float],
-                      projected: bool = False,
-                      projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                      rng: Optional[np.random.Generator] = None,
-                      max_iter: int = 50) -> ProbeReport:
+                      projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                      ) -> ProbeReport:
     """Sup over the sweep of ||W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W||.
 
     gamma must satisfy m - n/2 < gamma <= m - 1/2, and W is
     grid.smoothing_weight: <x>^{-1/2-eps} at the upper edge, otherwise
-    |x|^{-m+gamma}.  With projected=True a projector callback (physical flat
-    array -> physical flat array) must be supplied and the lambda grid may
-    cross eigenvalue neighborhoods.
+    |x|^{-m+gamma}.  A projector callback (physical flat array -> physical
+    flat array) applies P_ac on both sides; with it the lambda grid may cross
+    eigenvalue neighborhoods.  Each norm is at most 50 power iterations, all
+    drawing their start vectors from one seed-0 stream.
     """
     grid = pot.grid
     n = grid.n
     check_smoothing_gamma(m, n, gamma)
-    if projected and projector is None:
-        raise ValueError("projected sweep needs a projector callback")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    projected = projector is not None
+    rng = np.random.default_rng(0)
     wgt = smoothing_weight(grid, m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma)
 
@@ -367,7 +358,7 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
         def apply(vec: np.ndarray) -> np.ndarray:
             u = half_sandwich(vec)
             if projected:
-                u = projector(u)
+                u = projector(u.reshape(-1))
             r = perturbed_resolvent_apply(
                 pot, q, Field(grid, u.reshape(grid.shape)), bs=bs
             ).values.reshape(-1)
@@ -393,7 +384,7 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
             # the operator at z-bar is the adjoint of the one at z: one norm
             # estimate serves both rows
             est = operator_norm(sandwich(qp, bs), sandwich(qm, bs),
-                                grid.size, rng=rng, max_iter=max_iter)
+                                grid.size, rng=rng)
             for side in ("+", "-"):
                 report.add_row(lam=lam, theta=th, side=side, norm=est.norm,
                                sigma_min=smin, iterations=est.iterations)

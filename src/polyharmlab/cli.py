@@ -380,7 +380,6 @@ def _run_kernels(cfg: RunConfig) -> ProbeReport:
     report = ProbeReport(
         name="kernels",
         params={"m": m, "n": n, "trials": trials, "tol": tol},
-        provenance={"seed": cfg.seed},
     )
     worst = 0.0
     for t in range(trials):
@@ -398,7 +397,7 @@ def _run_kernels(cfg: RunConfig) -> ProbeReport:
                            residual=resid)
     report.metrics.update(max_residual=worst)
     report.passes["identity_holds"] = bool(worst < tol)
-    return report
+    return _with_seed(report, cfg, "kernels")
 
 
 def _run_bs_sweep(cfg: RunConfig) -> ProbeReport:

@@ -66,18 +66,18 @@ class EmbeddedPair:
         return self.potential.grid
 
 
-def _mollified_phi(grid: GridSpec, m: int, sigma: float, alias_shells: int = 1):
+def _mollified_phi(grid: GridSpec, m: int, sigma: float):
     """Grid samples of the periodized G * rho_sigma and of the numerator
     phi - (-Delta)^m phi, synthesized from the exact continuum symbol.
 
-    The symbol is alias-summed over +-alias_shells Nyquist periods, so the
-    synthesized values are exact samples of the periodized (strictly
-    positive) function rather than its band-limited interpolant."""
+    The symbol is alias-summed over the neighbouring Nyquist period on each
+    side, so the synthesized values are exact samples of the periodized
+    (strictly positive) function rather than its band-limited interpolant."""
     axis = grid.axis_freqs()
     width = 2.0 * grid.nyquist_radius
-    shifts = np.arange(-alias_shells, alias_shells + 1) * width
+    shifts = np.arange(-1, 2) * width
     phi_hat = np.zeros(grid.shape)
-    for kv in np.ndindex(*([2 * alias_shells + 1] * grid.n)):
+    for kv in np.ndindex(*([3] * grid.n)):
         xi2 = np.zeros(grid.shape)
         for a in range(grid.n):
             shape = [1] * grid.n

@@ -293,13 +293,10 @@ def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
     return sym
 
 
-def weighted_l2_norm(f: Field, weight) -> float:
-    """||weight * f||_2 with cell-volume weighting; weight is a callable of x
-    or a precomputed nonnegative array."""
-    if callable(weight):
-        w = np.asarray(weight(f.grid.coords()), dtype=np.float64)
-    else:
-        w = np.asarray(weight, dtype=np.float64).reshape(f.grid.shape)
+def weighted_l2_norm(f: Field, weight: np.ndarray) -> float:
+    """||weight * f||_2 with cell-volume weighting; weight is a nonnegative
+    array on the grid."""
+    w = np.asarray(weight, dtype=np.float64).reshape(f.grid.shape)
     if not np.all(np.isfinite(w)):
         raise ValueError("weight must be finite on the grid (regularize the origin cell)")
     if np.any(w < 0):

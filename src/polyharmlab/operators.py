@@ -13,12 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class PowerIterationError(RuntimeError):
-    def __init__(self, msg, residual):
-        super().__init__(msg)
-        self.residual = residual
-
-
 @dataclass
 class NormEstimate:
     norm: float

@@ -74,14 +74,16 @@ class Potential:
         bracket = np.sqrt(1.0 + r ** 2)
         return bool(np.all(np.abs(self.values) <= c * bracket ** (-self.decay_exponent) + 1e-300))
 
-    def scaled(self, coupling: float, name: Optional[str] = None) -> "Potential":
+    def scaled(self, coupling: float) -> "Potential":
+        """coupling * V, named "<name>*<coupling>"."""
         return Potential(self.grid, coupling * self.values, self.decay_exponent,
-                         name or f"{self.name}*{coupling:g}")
+                         f"{self.name}*{coupling:g}")
 
 
 def gaussian_well(grid: GridSpec, depth: float, width: float = 1.0,
-                  center: Optional[tuple] = None, name: Optional[str] = None) -> Potential:
-    """V(x) = -depth exp(-|x - c|^2 / width^2): attractive for depth > 0."""
+                  center: Optional[tuple] = None) -> Potential:
+    """V(x) = -depth exp(-|x - c|^2 / width^2): attractive for depth > 0,
+    named "gauss(depth=...,width=...)"."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     coords = grid.coords()
@@ -91,18 +93,18 @@ def gaussian_well(grid: GridSpec, depth: float, width: float = 1.0,
     vals = -depth * np.exp(-r2 / width ** 2)
     # a Gaussian beats any polynomial decay rate; declare a generic fast one
     return Potential(grid, vals, decay_exponent=2.0 * grid.n,
-                     name=name or f"gauss(depth={depth:g},width={width:g})")
+                     name=f"gauss(depth={depth:g},width={width:g})")
 
 
-def bracket_decay(grid: GridSpec, amplitude: float, s: float,
-                  name: Optional[str] = None) -> Potential:
-    """V(x) = amplitude <x>^{-s}; repulsive for amplitude > 0."""
+def bracket_decay(grid: GridSpec, amplitude: float, s: float) -> Potential:
+    """V(x) = amplitude <x>^{-s}; repulsive for amplitude > 0, named
+    "bracket(a=...,s=...)"."""
     if s <= 0:
         raise ValueError(f"decay exponent must be positive, got {s}")
     r = grid.radii()
     vals = amplitude * (1.0 + r ** 2) ** (-s / 2.0)
     return Potential(grid, vals, decay_exponent=s,
-                     name=name or f"bracket(a={amplitude:g},s={s:g})")
+                     name=f"bracket(a={amplitude:g},s={s:g})")
 
 
 def potential_from_callable(grid: GridSpec, fn: Callable, decay_exponent: float,

@@ -81,26 +81,17 @@ def validate_admissible(p, q, alpha) -> bool:
     """True iff (p, q) is an alpha-admissible exponent pair:
     1/p = alpha (1/2 - 1/q), 2 <= p, q <= inf, and (p, q, alpha) != (2, inf, 1).
 
-    Exact rational arithmetic whenever the inputs are rational.
+    Exact rational arithmetic; an input with no exact rational value (NaN,
+    an infinite alpha, p or q = 0) is not admissible.
     """
     ip, iq, a = _reciprocal(p), _reciprocal(q), _as_fraction(alpha)
     if ip is None or iq is None or a is None:
-        # irrational input: fall back to floating comparison
-        ip = 0.0 if math.isinf(p) else 1.0 / float(p)
-        iq = 0.0 if math.isinf(q) else 1.0 / float(q)
-        a = float(alpha)
-        if not (0 <= ip <= 0.5 and 0 <= iq <= 0.5):
-            return False
-        if abs(ip - a * (Fraction(1, 2) - iq)) > 1e-12:
-            return False
-    else:
-        if not (0 <= ip <= Fraction(1, 2) and 0 <= iq <= Fraction(1, 2)):
-            return False
-        if ip != a * (Fraction(1, 2) - iq):
-            return False
-    if ip == Fraction(1, 2) and iq == 0 and a == 1:
         return False
-    return True
+    if not (0 <= ip <= Fraction(1, 2) and 0 <= iq <= Fraction(1, 2)):
+        return False
+    if ip != a * (Fraction(1, 2) - iq):
+        return False
+    return not (ip == Fraction(1, 2) and iq == 0 and a == 1)
 
 
 @dataclass(frozen=True)
@@ -119,25 +110,16 @@ class AdmissiblePair:
                 "an admissible pair"
             )
 
-    @property
-    def p_float(self) -> float:
-        return float(self.p)
-
-    @property
-    def q_float(self) -> float:
-        return float(self.q)
-
 
 # ---------------------------------------------------------------------------
 # sample states
 # ---------------------------------------------------------------------------
 
 def frequency_localized_samples(grid: GridSpec, count: int,
-                                rng: np.random.Generator,
-                                xi_frac: float = 0.4) -> List[Field]:
+                                rng: np.random.Generator) -> List[Field]:
     """Seeded family of normalized wave packets: Gaussian envelopes (edge
     decay below EDGE_DECAY_TOL) modulated at random carrier frequencies up to
-    xi_frac of the Nyquist radius.  The first sample is unmodulated (the
+    0.4 of the Nyquist radius.  The first sample is unmodulated (the
     low-frequency representative)."""
     out: List[Field] = []
     coords = grid.coords()
@@ -149,7 +131,7 @@ def frequency_localized_samples(grid: GridSpec, count: int,
             carrier = np.zeros(grid.n)
         else:
             carrier = rng.uniform(-1.0, 1.0, size=grid.n)
-            carrier *= xi_frac * grid.nyquist_radius / max(1.0, np.linalg.norm(carrier)) * rng.uniform(0.2, 1.0)
+            carrier *= 0.4 * grid.nyquist_radius / max(1.0, np.linalg.norm(carrier)) * rng.uniform(0.2, 1.0)
         r2 = sum((coords[a] - center[a]) ** 2 for a in range(grid.n))
         phase = sum(carrier[a] * coords[a] for a in range(grid.n))
         vals = np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase)
@@ -161,46 +143,6 @@ def frequency_localized_samples(grid: GridSpec, count: int,
             )
         nrm = fld.norm2()
         out.append(Field(grid, vals / nrm))
-    return out
-
-
-def bandlimited_samples(grid: GridSpec, count: int,
-                        rng: np.random.Generator, kmax: int,
-                        carrier_radius: float,
-                        spectral_width: float) -> List[Field]:
-    """Grid-transferable wave packets: spectral Gaussian envelopes at random
-    carrier frequencies of magnitude carrier_radius, truncated to the mode
-    lattice |k_i| <= kmax.  Any grid with the same box and npts >= 2 (kmax + 1)
-    retains exactly these modes, so the samples are the *same functions* at
-    every such resolution -- the input family for grid-stability comparisons,
-    where physically enveloped packets cannot be both resolved and
-    box-confined at coarse npts."""
-    if kmax < 1:
-        raise ValueError(f"band limit must be >= 1, got {kmax}")
-    if 2 * (kmax + 1) > grid.npts:
-        raise ValueError(
-            f"band limit {kmax} does not fit: need npts >= {2 * (kmax + 1)}, "
-            f"got {grid.npts}"
-        )
-    if carrier_radius <= 0 or spectral_width <= 0:
-        raise ValueError("carrier radius and spectral width must be positive")
-    freqs = grid.freqs()
-    kidx = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts).astype(int)
-    keep = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.n):
-        shape = [1] * grid.n
-        shape[a] = grid.npts
-        keep &= np.abs(kidx).reshape(shape) <= kmax
-    out: List[Field] = []
-    for _ in range(count):
-        direction = rng.standard_normal(grid.n)
-        direction /= np.linalg.norm(direction)
-        carrier = carrier_radius * direction
-        d2 = sum((freqs[a] - carrier[a]) ** 2 for a in range(grid.n))
-        amp = np.exp(-d2 / (2.0 * spectral_width ** 2)).astype(np.complex128)
-        amp *= keep
-        fld = field_from_spectrum(grid, amp)
-        out.append(Field(grid, fld.values / fld.norm2()))
     return out
 
 
@@ -477,7 +419,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
     if rng is None:
         rng = np.random.default_rng(0)
 
-    p, q = pair.p_float, pair.q_float
+    p, q = float(pair.p), float(pair.q)
     gain_order = 2.0 * (m - 1) / p if mode == "gain" else 0.0
     gsym = abs_derivative_symbol(grid, gain_order) if gain_order else None
 
@@ -635,11 +577,11 @@ def _shell_localized_samples(grid: GridSpec, rho: float, count: int,
     return out
 
 
-def _pq_norm_refine(start: Field, sym: np.ndarray, p: float, q: float,
-                    max_iter: int = 40, rtol: float = 2e-4) -> float:
+def _pq_norm_refine(start: Field, sym: np.ndarray, p: float, q: float) -> float:
     """Nonlinear power iteration for ||A||_{L^p -> L^q} of the multiplier A
     (Boyd's fixed point: v <- J_{p'}(A* J_q(A v)), with J_s the pointwise
-    duality map w -> |w|^{s-2} w).  Converges to a critical ratio, reliably
+    duality map w -> |w|^{s-2} w), at most 40 steps, stopping once the ratio
+    changes by at most 2e-4 relative.  Converges to a critical ratio, reliably
     near-extremal in the hypercontractive range p <= 2 <= q used here."""
     grid = start.grid
     pp = p / (p - 1.0)  # conjugate exponent of p
@@ -647,7 +589,7 @@ def _pq_norm_refine(start: Field, sym: np.ndarray, p: float, q: float,
     v = start.values.copy()
     best = 0.0
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(40):
         fld = Field(grid, v)
         den = norm_lp(fld, p)
         if den == 0.0:
@@ -655,7 +597,7 @@ def _pq_norm_refine(start: Field, sym: np.ndarray, p: float, q: float,
         u = apply_symbol(fld.values, sym)
         ratio = norm_lp(Field(grid, u), q) / den
         best = max(best, ratio)
-        if prev > 0 and abs(ratio - prev) <= rtol * prev:
+        if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
             break
         prev = ratio
         g = np.abs(u) ** (q - 2.0) * u

@@ -22,7 +22,7 @@ from polyharmlab.birman_schwinger import (
     supersmooth_sweep,
 )
 from polyharmlab.grid import Field, GridSpec, apply_multiplier, weight_bracket_power
-from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum
+from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
 from polyharmlab.kernels import ResolventQuery
 from polyharmlab.operators import operator_norm
 from polyharmlab.potentials import gaussian_well, potential_from_callable
@@ -193,7 +193,7 @@ class TestBirmanSchwingerCount:
     def test_count_matches_eigensolver(self, npts, half_width, depth, count):
         g = GridSpec(3, npts, half_width)
         pot = gaussian_well(g, depth)
-        tau = 1e-6 * max(1.0, pot.max_abs)  # negative_spectrum's default cut
+        tau = 1e-6 * max(1.0, pot.max_abs)  # negative_spectrum's cut
         mat = _block(pot, -tau)
         bs_count = int(np.sum(scipy.linalg.eigvalsh(0.5 * (mat + mat.conj().T)) < 0))
         es = negative_spectrum(Hamiltonian(g, 1, pot))
@@ -334,11 +334,31 @@ class TestSweeps:
         with pytest.raises(ValueError):
             supersmooth_sweep(pot, 1, -0.5, 0.1, [1.0], [0.1])  # gamma <= m - n/2
 
-    def test_supersmooth_projected_needs_projector(self):
+    def test_supersmooth_identity_projector(self):
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 1.0, rcut=1.5)
-        with pytest.raises(ValueError):
-            supersmooth_sweep(pot, 1, 0.5, 0.1, [1.0], [0.1], projected=True)
+        plain = supersmooth_sweep(pot, 1, 0.5, 0.1, [1.0], [0.1])
+        seen = []
+        proj = supersmooth_sweep(pot, 1, 0.5, 0.1, [1.0], [0.1],
+                                 projector=lambda v: seen.append(v.shape) or v)
+        assert proj.rows == plain.rows
+        assert (proj.params["projected"], plain.params["projected"]) == (True, False)
+        assert seen and set(seen) == {(g.size,)}
+
+    def test_supersmooth_projector_ac_on_bound_state(self):
+        g = GridSpec(3, 8, 3.0)
+        pot = truncated_well(g, 8.0, rcut=1.5)
+        h = Hamiltonian(g, 1, pot)
+        assert h.eigenset().count_negative >= 1
+
+        def p_ac(vec):
+            return projector_ac(h, Field(g, vec.reshape(g.shape))).flat
+
+        rep = supersmooth_sweep(pot, 1, 0.5, 0.1, [-0.5, 1.0], [0.1],
+                                projector=p_ac)
+        assert rep.params["projected"] and len(rep.rows) == 4
+        assert all(np.isfinite(row["norm"]) and row["norm"] > 0 for row in rep.rows)
+        assert rep.passes["finite"]
 
     def test_supersmooth_finite(self):
         g = GridSpec(3, 12, 5.0)

@@ -123,6 +123,8 @@ class TestValidation:
         ("stein-weiss", {"npts_ladder": [8.5, 16]},
          "stein-weiss.npts_ladder must be a list of integers"),
         ("smoothing", {"samples": 0}, "smoothing.samples must be >= 1"),
+        ("strichartz", {"p": 4, "q": 4, "alpha": float("nan")},
+         "not an admissible pair"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):
@@ -296,8 +298,8 @@ class TestAllSubcommand:
 
 
 class TestSeedProvenance:
-    @pytest.mark.parametrize("probe", ["smoothing", "strichartz", "sobolev",
-                                       "stein-weiss"])
+    @pytest.mark.parametrize("probe", ["kernels", "smoothing", "strichartz",
+                                       "sobolev", "stein-weiss"])
     def test_report_records_seed_and_stream(self, tmp_path, probe):
         path = write_config(tmp_path, small_lab_config())
         run(path, probe, out_dir=str(tmp_path))

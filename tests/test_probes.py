@@ -17,7 +17,6 @@ from polyharmlab.potentials import bracket_decay, gaussian_well, zero_potential
 from polyharmlab.probes import (
     AdmissiblePair,
     _refine_quadratic_smoothing,
-    bandlimited_samples,
     frequency_localized_samples,
     inhomogeneous_smoothing_probe,
     kato_smoothing_probe,
@@ -53,6 +52,12 @@ class TestAdmissiblePairs:
     def test_float_inputs(self):
         assert validate_admissible(2.0, 10.0, 1.25)
         assert validate_admissible(np.inf, 2.0, 0.5)
+        # no exact rational value: not admissible
+        assert not validate_admissible(4, 4, np.nan)
+        assert not validate_admissible(4, 2, np.inf)
+        assert not validate_admissible(np.nan, 4, 1)
+        with pytest.raises(ValueError):
+            AdmissiblePair(3, 3, np.nan)
 
 
 class TestPlateauIncrements:
@@ -81,27 +86,6 @@ class TestSampleFamilies:
         b = frequency_localized_samples(g, 3, np.random.default_rng(5))
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa.values, fb.values)
-
-    def test_bandlimited_grid_transferable(self):
-        # same seed, same box: the coarse-grid samples are exact restrictions
-        # of the fine-grid samples to the shared lattice points
-        coarse = GridSpec(3, 8, 6.0)
-        fine = GridSpec(3, 16, 6.0)
-        a = bandlimited_samples(coarse, 2, np.random.default_rng(11), 3, 1.0, 0.3)
-        b = bandlimited_samples(fine, 2, np.random.default_rng(11), 3, 1.0, 0.3)
-        for fa, fb in zip(a, b):
-            np.testing.assert_allclose(fa.values, fb.values[::2, ::2, ::2],
-                                       atol=1e-12)
-
-    def test_bandlimited_validation(self):
-        g = GridSpec(3, 8, 6.0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bandlimited_samples(g, 1, rng, 0, 1.0, 0.3)
-        with pytest.raises(ValueError):
-            bandlimited_samples(g, 1, rng, 4, 1.0, 0.3)  # needs npts >= 10
-        with pytest.raises(ValueError):
-            bandlimited_samples(g, 1, rng, 3, -1.0, 0.3)
 
 
 class TestKatoSmoothingProbe:
