@@ -5,24 +5,30 @@
 
 Layers (ROADMAP "layer by layer"):
 
-  L0  H matvec at 32^3 (Hamiltonian.apply_flat, m = 1, Gaussian well);
+  L0  H matvec of a complex vector at 32^3 (m = 1, Gaussian well);
       multiplier round trip at 160^3 (apply_multiplier with the complex
       resolvent symbol 1 / (|xi|^2 - z), z = 0.3 e^{0.5i}, as in the sobolev
       probe at alpha = 0).
-  L1  H matvec at 16^3; one assemble_M on the 1419-point support of the
-      depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the benchmark's
-      spectral workload), z = 0.5 + 0.03i.
+  L1  H matvec of a complex vector at 16^3, and of a real one as the
+      eigensolver applies it; one assemble_M on the 1419-point support of
+      the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
+      benchmark's spectral workload), z = 0.5 + 0.03i.
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
-      time grid of the smoothing and Strichartz probes.
+      time grid of the smoothing and Strichartz probes; one
+      negative_spectrum of the spectral workload's Hamiltonian (16^3, L = 6,
+      depth 20, m = 1).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
 With --baseline, passes alternate between the baseline tree and this one,
 with the order flipped every round.  The output JSON (--out) holds, per tree
 and layer, the median and quartiles of the per-call time over all batches of
-all rounds, the sample count, the current/baseline ratio of the medians, and
-the machine: cores, CPU, numpy/scipy versions and thread settings.
+all rounds and the sample count; with --baseline, per layer, the median and
+quartiles over rounds of the paired ratio current/baseline, each the ratio
+of the two trees' median batch times in that round (the pairing cancels
+drift of the host between rounds); and the machine: cores, CPU,
+numpy/scipy versions and thread settings.
 """
 
 from __future__ import annotations
@@ -43,8 +49,10 @@ BATCHES = {
     "L0.h_matvec_32": (20, 10),
     "L0.multiplier_160": (1, 4),
     "L1.h_matvec_16": (100, 10),
+    "L1.h_matvec_16_real": (100, 10),
     "L1.assemble_M_1419": (1, 6),
     "L2.propagate_16_T8": (1, 6),
+    "L2.negative_spectrum_spectral": (1, 3),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -57,17 +65,23 @@ def _layers():
     import numpy as np
     from polyharmlab.birman_schwinger import assemble_M
     from polyharmlab.grid import Field, GridSpec, apply_multiplier
-    from polyharmlab.hamiltonian import Hamiltonian, propagate
+    from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
     from polyharmlab.kernels import ResolventQuery
     from polyharmlab.potentials import gaussian_well
 
     rng = np.random.default_rng(0)
 
-    def matvec(npts, half_width):
+    def matvec(npts, half_width, real=False):
         g = GridSpec(3, npts, half_width)
         h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
-        vec = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        return lambda: h.apply_flat(vec)
+        vec = rng.standard_normal(g.size)
+        if not real:
+            vec = vec + 1j * rng.standard_normal(g.size)
+        if hasattr(h, "apply_flat"):
+            # trees whose Hamiltonian.apply takes a Field; their eigensolver
+            # applied H to a real vector as apply_flat(x).real
+            return (lambda: h.apply_flat(vec).real) if real else (lambda: h.apply_flat(vec))
+        return lambda: h.apply(vec)
 
     lab = GridSpec(3, 16, 8.0)
     lab_h = Hamiltonian(lab, 1, gaussian_well(lab, 5.0))
@@ -84,13 +98,16 @@ def _layers():
     query = ResolventQuery(z=0.5 + 0.03j, m=1, n=3)
     if well.support_indices().size != 1419:
         raise RuntimeError("the spectral well no longer has a 1419-point support")
+    spectral_h = Hamiltonian(spectral, 1, well)
 
     return {
         "L0.h_matvec_32": matvec(32, 12.0),
         "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
         "L1.h_matvec_16": matvec(16, 8.0),
+        "L1.h_matvec_16_real": matvec(16, 8.0, real=True),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
+        "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
     }
 
 
@@ -176,12 +193,13 @@ def main(argv=None) -> int:
     trees = {"current": ROOT / "src"}
     if args.baseline is not None:
         trees = {"baseline": args.baseline.resolve(), **trees}
-    samples = {label: {name: [] for name in BATCHES} for label in trees}
+    # label -> layer -> one list of batch times per round
+    passes = {label: {name: [] for name in BATCHES} for label in trees}
     order = list(trees)
     for rnd in range(args.rounds):
         for label in (order if rnd % 2 == 0 else order[::-1]):
             for name, times in _run_pass(trees[label]).items():
-                samples[label][name].extend(times)
+                passes[label][name].append(times)
             print(f"round {rnd + 1}/{args.rounds}: {label} done", file=sys.stderr)
 
     report = {
@@ -191,17 +209,24 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "targets_s": TARGETS_S,
         "trees": {label: {"commit": _commit(src.parent),
-                          "layers": {name: _quartiles(vals)
-                                     for name, vals in samples[label].items()}}
+                          "layers": {name: _quartiles(sum(rounds, []))
+                                     for name, rounds in passes[label].items()}}
                   for label, src in trees.items()},
     }
     if "baseline" in trees:
-        report["ratio_current_over_baseline"] = {
-            name: report["trees"]["current"]["layers"][name]["median_s"]
-            / report["trees"]["baseline"]["layers"][name]["median_s"]
-            for name in BATCHES}
+        import numpy as np
+
+        report["paired_ratio_current_over_baseline"] = {}
+        for name in BATCHES:
+            ratios = [np.median(cur) / np.median(base) for cur, base in
+                      zip(passes["current"][name], passes["baseline"][name])]
+            q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+            report["paired_ratio_current_over_baseline"][name] = {
+                "median": float(med), "q1": float(q1), "q3": float(q3),
+                "rounds": len(ratios)}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(report["trees"], indent=2))
+    print(json.dumps(report.get("paired_ratio_current_over_baseline",
+                                report["trees"]), indent=2))
     return 0
 
 

@@ -139,19 +139,18 @@ def sigma_min(lu: tuple) -> Tuple[float, int]:
 
 
 def _gather_block(grid: GridSpec, base_column: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """G[i, j] = base_column[(idx_i - idx_j) mod N per axis]."""
-    multis = np.unravel_index(support, grid.shape)
+    """G[i, j] = base_column[(idx_i - idx_j) mod N per axis].
+
+    The base column tiled twice along every axis holds base_column[d mod N] at
+    every d in [0, 2N)^n, so with F_i the flat index of support point i in that
+    tile and C the flat index of (N, ..., N), entry (i, j) sits at flat index
+    F_i - F_j + C: one subtraction and one gather."""
     npts = grid.npts
-    flat = base_column.reshape(-1)
-    offsets = np.zeros((support.size, support.size), dtype=np.int64)
-    stride = 1
-    # build flat index of the componentwise difference, last axis fastest
-    for axis in range(grid.n - 1, -1, -1):
-        ki = multis[axis][:, None]
-        kj = multis[axis][None, :]
-        offsets += ((ki - kj) % npts) * stride
-        stride *= npts
-    return flat[offsets]
+    tile = np.tile(base_column.reshape(grid.shape), (2,) * grid.n).reshape(-1)
+    multis = np.unravel_index(support, grid.shape)
+    flat = np.ravel_multi_index(multis, (2 * npts,) * grid.n)
+    shift = int(np.ravel_multi_index((npts,) * grid.n, (2 * npts,) * grid.n))
+    return tile[(flat + shift)[:, None] - flat[None, :]]
 
 
 def assemble_M(pot: Potential, q: ResolventQuery,
@@ -173,9 +172,10 @@ def assemble_M(pot: Potential, q: ResolventQuery,
     g_block = _gather_block(grid, base, support)
     v = pot.v().reshape(-1)[support]
     w = pot.w().reshape(-1)[support]
-    mat = w[:, None] * g_block * v[None, :]
-    mat[np.diag_indices(support.size)] += 1.0
-    return BSMatrix(q, mat, support, grid, pot.name)
+    g_block *= w[:, None]
+    g_block *= v[None, :]
+    g_block[np.diag_indices(support.size)] += 1.0
+    return BSMatrix(q, g_block, support, grid, pot.name)
 
 
 def neumann_threshold(pot: Potential, m: int,

@@ -154,8 +154,7 @@ def _eigen_residual(pair: EmbeddedPair) -> float:
     from .hamiltonian import Hamiltonian
 
     h = Hamiltonian(pair.grid, pair.m, pair.potential)
-    hphi = h.apply(pair.phi)
-    diff = hphi.values - pair.phi.values
+    diff = h.apply(pair.phi.values) - pair.phi.values
     return float(np.linalg.norm(diff) / np.linalg.norm(pair.phi.values))
 
 

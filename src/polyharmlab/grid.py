@@ -230,7 +230,16 @@ def field_from_spectrum(grid: GridSpec, hat: np.ndarray) -> Field:
 def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """ifftn(sym * fftn(values)) over every axis: the Fourier multiplier sym
     (lattice array in FFT ordering) on physical samples.  Only the kernel's
-    own temporary is overwritten, never values."""
+    own temporary is overwritten, never values.
+
+    Real values with a real sym stay real: irfftn(sym_half * rfftn(values))
+    with sym_half the last-axis half of sym.  That requires sym to be even,
+    sym(-xi) = sym(xi), as every radial symbol is; the complex result would
+    then be real up to rounding.  Every other input takes the complex path."""
+    if np.isrealobj(values) and np.isrealobj(sym):
+        out = scipy.fft.rfftn(values)
+        out *= sym[..., :out.shape[-1]]
+        return scipy.fft.irfftn(out, s=values.shape, overwrite_x=True)
     out = scipy.fft.fftn(values)
     out *= sym
     return scipy.fft.ifftn(out, overwrite_x=True)

@@ -2,7 +2,8 @@
 counting, the absolutely-continuous projector, and time propagation.
 
 Eigenpairs come from ARPACK's implicitly restarted Lanczos
-(scipy.sparse.linalg.eigsh) on H as a real symmetric operator.  The negative
+(scipy.sparse.linalg.eigsh) on H as a real symmetric operator, applied in
+real arithmetic.  The negative
 spectrum is the lowest k pairs, with k doubled until at most half of them lie
 below the cut, so multiplicities are captured without deflation; an
 unconverged solve raises instead of truncating the count.
@@ -50,13 +51,14 @@ class Hamiltonian:
         sym_max = float(np.max(self._symbol))
         return (min(0.0, vmin), sym_max + max(0.0, vmax))
 
-    def apply(self, f: Field) -> Field:
-        out = apply_symbol(f.values, self._symbol)
-        out += self.potential.values * f.values
-        return Field(self.grid, out)
-
-    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
-        return self.apply(Field(self.grid, vec.reshape(self.grid.shape))).values.reshape(-1)
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """H on samples, flat or grid-shaped, as an array of the same shape:
+        real for real input (the symbol is real and even), complex for
+        complex input.  values is left unchanged."""
+        vals = np.asarray(values).reshape(self.grid.shape)
+        out = apply_symbol(vals, self._symbol)
+        out += self.potential.values * vals
+        return out.reshape(np.shape(values))
 
     def eigenset(self) -> "EigenSet":
         if self._eigenset is None:
@@ -99,8 +101,7 @@ def lanczos_extreme(h: Hamiltonian, k: int,
     size = h.grid.size
     if rng is None:
         rng = np.random.default_rng(0)
-    op = LinearOperator((size, size), dtype=np.float64,
-                        matvec=lambda x: h.apply_flat(x).real)
+    op = LinearOperator((size, size), dtype=np.float64, matvec=h.apply)
     try:
         vals, vecs = eigsh(op, k=k, which="SA", tol=0.0,
                            v0=rng.standard_normal(size))
@@ -112,7 +113,7 @@ def lanczos_extreme(h: Hamiltonian, k: int,
         vec = vecs[:, idx]
         out_vals.append(float(vals[idx]))
         out_vecs.append(Field(h.grid, vec.reshape(h.grid.shape)))
-        out_res.append(float(np.linalg.norm(h.apply_flat(vec) - vals[idx] * vec)))
+        out_res.append(float(np.linalg.norm(h.apply(vec) - vals[idx] * vec)))
     return EigenSet(out_vals, out_vecs, out_res)
 
 
@@ -232,9 +233,9 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field
         stop = min(start + _BLOCK, coeffs.shape[1])
         for k in range(start, stop):
             if k == 1:
-                prev, cur = v0, (h.apply_flat(v0) - mid * v0) / half
+                prev, cur = v0, (h.apply(v0) - mid * v0) / half
             elif k > 1:
-                prev, cur = cur, 2.0 * (h.apply_flat(cur) - mid * cur) / half - prev
+                prev, cur = cur, 2.0 * (h.apply(cur) - mid * cur) / half - prev
             block[k - start] = cur
         out += coeffs[:, start:stop] @ block[:stop - start]
     return [Field(grid, row.reshape(grid.shape)) for row in out]

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from polyharmlab.grid import (
     Field,
@@ -216,6 +217,37 @@ class TestSpectralKernel:
         out = apply_symbol(vals, 1j * g.freqs()[0])  # d/dx
         assert out.dtype == np.complex128
         np.testing.assert_allclose(out.real, -2.0 * x * vals, atol=1e-10)
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    def test_odd_symbol_on_real_input_takes_complex_path(self, n, npts):
+        # i xi_a, as repulsive_check differentiates the real potential: a
+        # complex symbol keeps the complex path, bit for bit
+        g = GridSpec(n, npts, 2.5)
+        vals = RNG.standard_normal(g.shape)
+        sym = 1j * g.freqs()[n - 1]
+        want = scipy.fft.ifftn(sym * scipy.fft.fftn(vals))
+        np.testing.assert_array_equal(apply_symbol(vals, sym), want)
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    @pytest.mark.parametrize("kind", ["xi^2", "xi^4", "xi^0.7", "xi^-1.5",
+                                      "resolvent z<0", "resolvent m=2 z<0"])
+    def test_real_path_matches_complex_path(self, n, npts, kind):
+        g = GridSpec(n, npts, 2.5)
+        xi = g.xi_radii()
+        sym = {"xi^2": xi ** 2, "xi^4": xi ** 4,
+               "xi^0.7": abs_derivative_symbol(g, 0.7),
+               "xi^-1.5": abs_derivative_symbol(g, -1.5),
+               "resolvent z<0": 1.0 / (xi ** 2 + 0.7),
+               "resolvent m=2 z<0": 1.0 / (xi ** 4 + 0.7)}[kind]
+        vals = RNG.standard_normal(g.shape)
+        before = vals.copy()
+        got = apply_symbol(vals, sym)
+        assert got.dtype == np.float64 and got.shape == g.shape
+        np.testing.assert_array_equal(vals, before)
+        assert vals.flags.writeable
+        want = apply_symbol(vals.astype(np.complex128), sym)
+        assert want.dtype == np.complex128
+        assert max_rel(got, want) <= 1e-12
 
 
 class TestNormsAndWeights:

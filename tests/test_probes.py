@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyharmlab import probes
 from polyharmlab.grid import (
     Field,
     GridSpec,
@@ -273,6 +274,26 @@ class TestInhomogeneousSmoothing:
 
 
 class TestSobolevScalingProbe:
+    @pytest.mark.parametrize("slope,width,matches", [
+        (0.04, 0.2, True), (0.06, 0.2, False), (-0.127, 0.12, False)])
+    def test_slope_gate_uses_the_stated_tolerance(self, monkeypatch, slope,
+                                                  width, matches):
+        # the fit's confidence width is recorded, never added to slope_tol
+        monkeypatch.setattr(probes, "fit_loglog", lambda x, y: (slope, 0.0, width))
+        g = GridSpec(3, 16, 8.0)
+        rep = sobolev_scaling_probe(g, 1, 0.5, 4.0 / 3.0, 4.0,
+                                    np.logspace(-0.5, 1.0, 3), samples=1,
+                                    rng=np.random.default_rng(8), slope_tol=0.05)
+        assert rep.metrics["expected_slope"] == pytest.approx(0.0, abs=1e-12)
+        assert rep.metrics["slope_confidence"] == width
+        assert rep.passes["slope_matches"] is matches
+
+    def test_flush_subnormal(self):
+        tiny = np.finfo(np.float64).tiny
+        a = np.array([1e-310 + 1e-300j, -1e-320j, 3.0 - 1e-309j, tiny])
+        assert probes._flush_subnormal(a) is a
+        np.testing.assert_array_equal(a, [1e-300j, 0.0, 3.0, tiny])
+
     def test_validations(self):
         g = GridSpec(3, 16, 6.0)
         with pytest.raises(ValueError):
