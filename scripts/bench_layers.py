@@ -12,7 +12,9 @@ Layers (ROADMAP "layer by layer"):
   L1  H matvec of a complex vector at 16^3, and of a real one as the
       eigensolver applies it; one assemble_M on the 1419-point support of
       the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
-      benchmark's spectral workload), z = 0.5 + 0.03i.
+      benchmark's spectral workload), z = 0.5 + 0.03i; one
+      birman_schwinger_count on the same support at negative_spectrum's
+      cut (tau = 2e-5), measured only in trees that have it.
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
       time grid of the smoothing and Strichartz probes; one
@@ -51,6 +53,7 @@ BATCHES = {
     "L1.h_matvec_16": (100, 10),
     "L1.h_matvec_16_real": (100, 10),
     "L1.assemble_M_1419": (1, 6),
+    "L1.bs_count_1419": (2, 6),
     "L2.propagate_16_T8": (1, 6),
     "L2.negative_spectrum_spectral": (1, 3),
 }
@@ -61,8 +64,10 @@ TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
 
 
 def _layers():
-    """name -> zero-argument callable doing one call of the layer."""
+    """name -> zero-argument callable doing one call of the layer, or None
+    where the tree lacks the layer."""
     import numpy as np
+    from polyharmlab import birman_schwinger
     from polyharmlab.birman_schwinger import assemble_M
     from polyharmlab.grid import Field, GridSpec, apply_multiplier
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
@@ -99,6 +104,7 @@ def _layers():
     if well.support_indices().size != 1419:
         raise RuntimeError("the spectral well no longer has a 1419-point support")
     spectral_h = Hamiltonian(spectral, 1, well)
+    count = getattr(birman_schwinger, "birman_schwinger_count", None)
 
     return {
         "L0.h_matvec_32": matvec(32, 12.0),
@@ -106,6 +112,8 @@ def _layers():
         "L1.h_matvec_16": matvec(16, 8.0),
         "L1.h_matvec_16_real": matvec(16, 8.0, real=True),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
+        "L1.bs_count_1419": (lambda: count(well, spectral_h._symbol, 2e-5))
+                            if count else None,
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
     }
@@ -116,6 +124,8 @@ def _worker() -> None:
     layers = _layers()
     out = {}
     for name, fn in layers.items():
+        if fn is None:
+            continue
         calls, batches = BATCHES[name]
         fn()  # warm caches, plans and lazy set-up
         times = []
@@ -210,7 +220,8 @@ def main(argv=None) -> int:
         "targets_s": TARGETS_S,
         "trees": {label: {"commit": _commit(src.parent),
                           "layers": {name: _quartiles(sum(rounds, []))
-                                     for name, rounds in passes[label].items()}}
+                                     for name, rounds in passes[label].items()
+                                     if rounds}}
                   for label, src in trees.items()},
     }
     if "baseline" in trees:
@@ -218,6 +229,8 @@ def main(argv=None) -> int:
 
         report["paired_ratio_current_over_baseline"] = {}
         for name in BATCHES:
+            if not passes["baseline"][name]:
+                continue
             ratios = [np.median(cur) / np.median(base) for cur, base in
                       zip(passes["current"][name], passes["baseline"][name])]
             q1, med, q3 = np.percentile(ratios, [25, 50, 75])

@@ -11,6 +11,9 @@ sigma_min(M) = lambda_max(M^{-H} M^{-1})^{-1/2}, from ARPACK on the LU factors
 of M, which also serve solve().  Since V is real, w = U v with U = sgn V and
 M(z-bar) = U M(z)^H U: sigma_min(M(z-bar)) = sigma_min(M(z)) and
 v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweeps factor one M per pair z, z-bar.
+
+The bound-state count reads the inertia of the real block U + v (H0 + tau)^{-1} v
+from one LDL^T (Sylvester's law of inertia).
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ from .reporting import ProbeReport
 from .resolvent import resolvent_symbol_array
 
 DEFAULT_SUPPORT_CAP = 6000
+
+#: Largest support on which birman_schwinger_count factors its block: one
+#: O(n^3) LDL^T, measured at 8 ms for 619 points, 57 ms for 1419 and 0.13 s
+#: for 1863 (2-core Xeon), against about 0.5 s for one eigensolve at 16^3.
+COUNT_SUPPORT_CAP = 2048
 
 
 def apply_resolvent(grid: GridSpec, q: ResolventQuery, values: np.ndarray) -> np.ndarray:
@@ -151,6 +159,44 @@ def _gather_block(grid: GridSpec, base_column: np.ndarray, support: np.ndarray) 
     flat = np.ravel_multi_index(multis, (2 * npts,) * grid.n)
     shift = int(np.ravel_multi_index((npts,) * grid.n, (2 * npts,) * grid.n))
     return tile[(flat + shift)[:, None] - flat[None, :]]
+
+
+def birman_schwinger_count(pot: Potential, symbol: np.ndarray,
+                           tau: float) -> Optional[int]:
+    """Number of eigenvalues below -tau of the grid operator H0 + V, H0 the
+    multiplier with the nonnegative lattice symbol `symbol`, or None when the
+    support exceeds COUNT_SUPPORT_CAP.
+
+    With U = sgn V, v = |V|^{1/2} and G = (H0 + tau)^{-1} on the support,
+    Sylvester's law of inertia gives n_-(H + tau) = n_+(U + v G v) - n_+(U)
+    (Birman 1961; Schwinger 1961).  n_+ of the real symmetric block is read
+    from one Bunch-Kaufman LDL^T: its positive 1x1 pivots plus one per 2x2
+    pivot block, which has one eigenvalue of each sign.  V is taken on
+    pot.support_indices(), so points with |V| <= tau_supp are left out."""
+    support = pot.support_indices()
+    if support.size > COUNT_SUPPORT_CAP:
+        return None
+    if support.size == 0:
+        return 0
+    grid = pot.grid
+    delta = np.zeros(grid.shape)
+    delta[(0,) * grid.n] = 1.0
+    block = _gather_block(grid, apply_symbol(delta, 1.0 / (symbol + tau)), support)
+    values = pot.values.reshape(-1)[support]
+    v = np.sqrt(np.abs(values))
+    block *= v[:, None]
+    block *= v[None, :]
+    block[np.diag_indices(support.size)] += np.sign(values)
+    sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"),
+                                                       (block,))
+    lwork = int(sytrf_lwork(support.size, lower=1)[0])
+    ldu, ipiv, info = sytrf(block, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"sytrf: illegal argument {-info}")
+    # info > 0 is an exactly zero 1x1 pivot, which counts as not positive
+    pivots = np.diagonal(ldu)[ipiv > 0]
+    positive = np.count_nonzero(pivots > 0) + np.count_nonzero(ipiv < 0) // 2
+    return int(positive - np.count_nonzero(values > 0))
 
 
 def assemble_M(pot: Potential, q: ResolventQuery,

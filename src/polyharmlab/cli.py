@@ -430,8 +430,11 @@ def _run_spectrum(cfg: RunConfig) -> ProbeReport:
     )
     for ev, res in zip(es.eigenvalues, es.residuals):
         report.add_row(eigenvalue=ev, residual=res)
-    report.metrics.update(count_negative=n0, clr_bound=bound)
+    report.metrics.update(count_negative=n0, clr_bound=bound,
+                          count_birman_schwinger=es.count_birman_schwinger)
     report.passes["clr_bound_holds"] = bool(ok)
+    if es.count_birman_schwinger is not None:
+        report.passes["counts_agree"] = es.count_birman_schwinger == n0
     report.passes["eigenpairs_converged"] = bool(
         all(r < block["residual_tol"] * max(1.0, abs(e))
             for e, r in zip(es.eigenvalues, es.residuals)))

@@ -3,10 +3,11 @@ counting, the absolutely-continuous projector, and time propagation.
 
 Eigenpairs come from ARPACK's implicitly restarted Lanczos
 (scipy.sparse.linalg.eigsh) on H as a real symmetric operator, applied in
-real arithmetic.  The negative
-spectrum is the lowest k pairs, with k doubled until at most half of them lie
-below the cut, so multiplicities are captured without deflation; an
-unconverged solve raises instead of truncating the count.
+real arithmetic.  The negative spectrum is the lowest k pairs, with k sized by
+the exact Birman-Schwinger count and doubled until at most half of them lie
+below the cut and none of the counted ones is missing, so multiplicities are
+captured without deflation; an unconverged solve raises instead of
+truncating the count.
 
 Propagation expands e^{itH} in Chebyshev polynomials of H scaled to the
 estimated spectral interval.  One recurrence from the initial state, one
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import jv
 
+from .birman_schwinger import birman_schwinger_count
 from .grid import Field, GridSpec, apply_symbol
 from .potentials import Potential
 
@@ -68,11 +70,14 @@ class Hamiltonian:
 
 @dataclass
 class EigenSet:
-    """Ritz pairs with residuals; count_negative tracks N0."""
+    """Ritz pairs with residuals; count_negative tracks N0.
+    count_birman_schwinger is the independent count of eigenvalues below the
+    cut (None when not computed)."""
 
     eigenvalues: List[float]
     vectors: List[Field]
     residuals: List[float]
+    count_birman_schwinger: Optional[int] = None
 
     @property
     def count_negative(self) -> int:
@@ -119,30 +124,37 @@ def lanczos_extreme(h: Hamiltonian, k: int,
 
 def negative_spectrum(h: Hamiltonian) -> EigenSet:
     """All eigenvalues below -tau_neg, tau_neg = 1e-6 max(1, max|V|), with
-    eigenvectors.
+    eigenvectors and the Birman-Schwinger count of them.
 
-    The lowest k pairs are computed for k = 4, 8, 16, ... (capped at 50 and
-    at size - 1, from one seed-0 stream) until at most half of them lie below
-    -tau_neg.  Lanczos sees a second copy of a degenerate level only once
-    rounding has grown it from the start vector; the pairs above the cut and
-    the convergence to machine precision give it the iterations to do so
-    (with only one pair above the cut, or at tol 1e-10, copies were missed on
-    12^3 test wells).
+    The lowest k pairs are computed from one seed-0 stream, k capped at 50 and
+    at size - 1.  k starts at the smallest 4 * 2^j holding twice the count
+    (at 4 when the support is too large to count) and doubles while more than
+    half of the pairs lie below -tau_neg or fewer than the count do.
+    Lanczos sees a second copy of a degenerate level only once rounding has
+    grown it from the start vector; the pairs above the cut and the
+    convergence to machine precision give it the iterations to do so (with
+    only one pair above the cut, or at tol 1e-10, copies were missed on 12^3
+    test wells).
     """
     tau_neg = 1e-6 * max(1.0, h.potential.max_abs)
+    count = birman_schwinger_count(h.potential, h._symbol, tau_neg)
     rng = np.random.default_rng(0)
     k_max = min(50, h.grid.size - 1)
-    k = min(4, k_max)
+    k = 4
+    while count is not None and 2 * count > k:
+        k *= 2
+    k = min(k, k_max)
     while True:
         es = lanczos_extreme(h, k, rng=rng)
         below = sum(1 for e in es.eigenvalues if e < -tau_neg)
-        if 2 * below <= k or (k == k_max and below < k):
+        missing = count is not None and below < count
+        if (2 * below <= k and not missing) or (k == k_max and below < k):
             break
         if k == k_max:
             raise RuntimeError(f"more than {k} eigenvalues below -{tau_neg:g}")
         k = min(2 * k, k_max)
     return EigenSet(es.eigenvalues[:below], es.vectors[:below],
-                    es.residuals[:below])
+                    es.residuals[:below], count)
 
 
 def clr_check(h: Hamiltonian, c: float) -> Tuple[int, float, bool]:

@@ -14,6 +14,7 @@ from polyharmlab.birman_schwinger import (
     SigmaMinError,
     apply_resolvent,
     assemble_M,
+    birman_schwinger_count,
     detect_point_spectrum,
     detect_zero_resonance,
     inv_norm_sweep,
@@ -27,7 +28,7 @@ from polyharmlab.grid import Field, GridSpec, apply_multiplier, weight_bracket_p
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
 from polyharmlab.kernels import ResolventQuery
 from polyharmlab.operators import operator_norm
-from polyharmlab.potentials import gaussian_well, potential_from_callable
+from polyharmlab.potentials import bracket_decay, gaussian_well, potential_from_callable
 
 RNG = np.random.default_rng(9)
 
@@ -246,7 +247,35 @@ class TestBirmanSchwingerCount:
         mat = _block(pot, -tau)
         bs_count = int(np.sum(scipy.linalg.eigvalsh(0.5 * (mat + mat.conj().T)) < 0))
         es = negative_spectrum(Hamiltonian(g, 1, pot))
-        assert bs_count == es.count_negative == count
+        assert bs_count == es.count_negative == es.count_birman_schwinger == count
+
+    @pytest.mark.parametrize("m, npts, half_width, make, count", [
+        (1, 8, 3.0, lambda g: gaussian_well(g, 20.0), 5),
+        (1, 10, 4.0, lambda g: gaussian_well(g, 30.0), 7),
+        (2, 8, 3.0, lambda g: gaussian_well(g, 20.0), 1),
+        (2, 10, 5.0, lambda g: gaussian_well(g, 50.0), 5),
+        (1, 10, 5.0, lambda g: dipole(g).scaled(30.0), 5),
+        (1, 8, 4.0, lambda g: bracket_decay(g, 2.0, 3.0), 0),
+        (1, 10, 5.0, lambda g: bracket_decay(g, -10.0, 2.5), 5),
+        (2, 10, 5.0, lambda g: bracket_decay(g, -40.0, 3.0), 14),
+    ], ids=["well", "well-10", "well-m2", "well-10-m2", "mixed-sign",
+            "repulsive", "polynomial-decay", "polynomial-decay-m2"])
+    def test_count_matches_dense_spectrum(self, m, npts, half_width, make, count):
+        # Sylvester's law on U + v (H0 + tau)^{-1} v, for any sign of V and m
+        g = GridSpec(3, npts, half_width)
+        h = Hamiltonian(g, m, make(g))
+        tau = 1e-6 * max(1.0, h.potential.max_abs)
+        dense = np.column_stack([h.apply(e) for e in np.eye(g.size)])
+        want = int(np.sum(scipy.linalg.eigvalsh(dense) < -tau))
+        assert birman_schwinger_count(h.potential, h._symbol, tau) == want == count
+
+    def test_support_above_cap_is_not_counted(self, monkeypatch):
+        g = GridSpec(3, 8, 3.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 20.0))
+        monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 511)
+        assert birman_schwinger_count(h.potential, h._symbol, 1e-5) is None
+        monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 512)
+        assert birman_schwinger_count(h.potential, h._symbol, 1e-5) == 5
 
 
 class TestBoundStates:

@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from polyharmlab import cli
+from polyharmlab import cli, hamiltonian
 from polyharmlab.cli import (
     ConfigError,
     default_config,
@@ -239,6 +239,22 @@ class TestSpectrumSubcommand:
         assert run(path, "spectrum", out_dir=str(out)) == 0
         data = json.loads((out / "spectrum.json").read_text())
         assert data["metrics"]["count_negative"] >= 1
+        assert (data["metrics"]["count_birman_schwinger"]
+                == data["metrics"]["count_negative"])
+        assert data["passes"]["counts_agree"] is True
+
+    def test_differing_counts_fail_the_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "birman_schwinger_count",
+                            lambda pot, symbol, tau: 0)
+        cfg = base_config()
+        cfg["probes"] = {"spectrum": {}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run(path, "spectrum", out_dir=str(out)) == 1
+        data = json.loads((out / "spectrum.json").read_text())
+        assert data["metrics"]["count_negative"] >= 1
+        assert data["metrics"]["count_birman_schwinger"] == 0
+        assert data["passes"]["counts_agree"] is False
 
 
 class TestCounterexampleSubcommand:

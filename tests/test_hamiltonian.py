@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import jv
 
-from polyharmlab import hamiltonian
+from polyharmlab import birman_schwinger, hamiltonian
 from polyharmlab.grid import Field, GridSpec, field_from_spectrum, forward_transform
 from polyharmlab.hamiltonian import (
     Hamiltonian,
@@ -272,6 +272,42 @@ class TestEigensolvers:
             np.testing.assert_allclose(es.eigenvalues, want, rtol=0, atol=1e-9)
             assert max(es.residuals) < 1e-10 * max(1.0, abs(want[0]))
         assert len(want) > 0 and misses == []
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The k of every lanczos_extreme call, in order."""
+        ks = []
+        inner = hamiltonian.lanczos_extreme
+
+        def counted(h, k, rng=None):
+            ks.append(k)
+            return inner(h, k, rng=rng)
+
+        monkeypatch.setattr(hamiltonian, "lanczos_extreme", counted)
+        return ks
+
+    def five_states(self):
+        # ground state, a 3-fold level and one more below the cut
+        g = GridSpec(3, 8, 3.0)
+        return Hamiltonian(g, 1, gaussian_well(g, 20.0))
+
+    def test_count_sizes_a_single_solve(self, solves):
+        es = negative_spectrum(self.five_states())
+        assert solves == [16]
+        assert len(es) == es.count_birman_schwinger == 5
+
+    def test_solve_short_of_the_count_doubles_k(self, monkeypatch, solves):
+        monkeypatch.setattr(hamiltonian, "birman_schwinger_count",
+                            lambda pot, symbol, tau: 6)
+        es = negative_spectrum(self.five_states())
+        assert solves == [16, 32, 50]
+        assert len(es) == 5 and es.count_birman_schwinger == 6
+
+    def test_uncounted_support_starts_at_four(self, monkeypatch, solves):
+        monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 100)
+        es = negative_spectrum(self.five_states())
+        assert solves == [4, 8, 16]
+        assert len(es) == 5 and es.count_birman_schwinger is None
 
     def test_unconverged_solve_raises(self, monkeypatch):
         def unconverged(*args, **kwargs):

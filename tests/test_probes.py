@@ -316,6 +316,10 @@ class TestSobolevScalingProbe:
         assert rep.metrics["expected_slope"] == pytest.approx(0.0, abs=1e-12)
         assert all(row["norm"] > 0 for row in rep.rows)
         assert rep.metrics["decades"] >= 1.5
+        stops = [row["refine_stop"] for row in rep.rows]
+        assert set(stops) <= {"converged", "underflow", "cap"}
+        assert all(0 <= row["refine_steps"] <= 40 for row in rep.rows)
+        assert rep.metrics["refine_underflow_stops"] == stops.count("underflow")
 
 
 class TestSteinWeiss:
