@@ -1,7 +1,8 @@
 """Per-call wall time of the spectral kernel and the operators built on it.
 
-    python3 scripts/bench_layers.py                           # this checkout
-    python3 scripts/bench_layers.py --baseline OTHER/src      # interleaved with another tree
+    python3 scripts/bench_layers.py                      # this checkout, JSON on stdout
+    python3 scripts/bench_layers.py --baseline OTHER/src --out OUT.json
+                                                         # interleaved with another tree
 
 Layers (ROADMAP "layer by layer"):
 
@@ -19,18 +20,20 @@ Layers (ROADMAP "layer by layer"):
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
       time grid of the smoothing and Strichartz probes; one
       negative_spectrum of the spectral workload's Hamiltonian (16^3, L = 6,
-      depth 20, m = 1).
+      depth 20, m = 1) and one of the lab Hamiltonian (16^3, L = 8, depth 5,
+      m = 1), the eigenset of the lab workload's smoothing, Strichartz and
+      spectrum probes.
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
 With --baseline, passes alternate between the baseline tree and this one,
-with the order flipped every round.  The output JSON (--out) holds, per tree
-and layer, the median and quartiles of the per-call time over all batches of
-all rounds and the sample count; with --baseline, per layer, the median and
-quartiles over rounds of the paired ratio current/baseline, each the ratio
-of the two trees' median batch times in that round (the pairing cancels
-drift of the host between rounds); and the machine: cores, CPU,
-numpy/scipy versions and thread settings.
+with the order flipped every round.  The output JSON (written to --out, or
+to stdout without it) holds, per tree and layer, the median and quartiles of
+the per-call time over all batches of all rounds and the sample count; with
+--baseline, per layer, the median and quartiles over rounds of the paired
+ratio current/baseline, each the ratio of the two trees' median batch times
+in that round (the pairing cancels drift of the host between rounds); and
+the machine: cores, CPU, numpy/scipy versions and thread settings.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ BATCHES = {
     "L1.bs_count_1419": (2, 6),
     "L2.propagate_16_T8": (1, 6),
     "L2.negative_spectrum_spectral": (1, 3),
+    "L2.negative_spectrum_lab": (1, 5),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -116,6 +120,7 @@ def _layers():
                             if count else None,
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
+        "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
     }
 
 
@@ -193,7 +198,8 @@ def main(argv=None) -> int:
     ap.add_argument("--baseline", type=Path, default=None,
                     help="src directory of another tree, measured interleaved")
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_5.json")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="JSON file to write (overwritten); stdout when absent")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -237,6 +243,9 @@ def main(argv=None) -> int:
             report["paired_ratio_current_over_baseline"][name] = {
                 "median": float(med), "q1": float(q1), "q3": float(q3),
                 "rounds": len(ratios)}
+    if args.out is None:
+        print(json.dumps(report, indent=2))
+        return 0
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report.get("paired_ratio_current_over_baseline",
                                 report["trees"]), indent=2))

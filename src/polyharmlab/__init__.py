@@ -40,7 +40,6 @@ from .birman_schwinger import (
     BSMatrix,
     assemble_M,
     birman_schwinger_count,
-    detect_point_spectrum,
     detect_zero_resonance,
     inv_norm_sweep,
     neumann_threshold,

@@ -1,6 +1,6 @@
 """Dense Birman-Schwinger operator M(z) = I + w R0(z) v on the potential's
-support set, bound-state and zero-resonance detection, the perturbed resolvent,
-and supersmoothing sweeps.
+support set, the bound-state count, zero-resonance detection, the perturbed
+resolvent, and supersmoothing sweeps.
 
 The sandwiched resolvent w R0(z) v is translation-invariant between grid
 points, so the dense block is gathered from a single resolvent column (the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -308,36 +308,6 @@ def detect_zero_resonance(pot: Potential, m: int) -> Tuple[float, bool]:
 def _sigma_at(pot: Potential, m: int, e: float) -> float:
     q = ResolventQuery(z=complex(e), m=m, n=pot.grid.n)
     return assemble_M(pot, q).sigma_min()
-
-
-def detect_point_spectrum(pot: Potential, m: int,
-                          interval: Tuple[float, float],
-                          scan_points: int = 200) -> List[float]:
-    """Negative eigenvalues of H located as the E < 0 where M(E) turns
-    singular: coarse scan of sigma_min then derivative-sign bisection on each
-    dip, refined to 1e-6 in E; a dip counts when sigma_min < 1e-2 there."""
-    a, b = float(interval[0]), float(interval[1])
-    if not (a < b < 0.0):
-        raise ValueError(f"interval must lie in (-inf, 0), got {interval}")
-    tol = 1e-6
-    es = np.linspace(a, b, scan_points)
-    sig = np.array([_sigma_at(pot, m, e) for e in es])
-    roots: List[float] = []
-    for i in range(1, scan_points - 1):
-        if sig[i] <= sig[i - 1] and sig[i] < sig[i + 1]:
-            lo, hi = es[i - 1], es[i + 1]
-            # bisect on the sign of the sigma_min slope
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                step = max((hi - lo) * 0.05, tol * 0.1)
-                if _sigma_at(pot, m, mid + step) < _sigma_at(pot, m, mid - step):
-                    lo = mid
-                else:
-                    hi = mid
-            e_root = 0.5 * (lo + hi)
-            if _sigma_at(pot, m, e_root) < 1e-2:
-                roots.append(float(e_root))
-    return roots
 
 
 def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,

@@ -7,7 +7,9 @@ real arithmetic.  The negative spectrum is the lowest k pairs, with k sized by
 the exact Birman-Schwinger count and doubled until at most half of them lie
 below the cut and none of the counted ones is missing, so multiplicities are
 captured without deflation; an unconverged solve raises instead of
-truncating the count.
+truncating the count.  The count checks every solve, so a counted eigenset is
+converged to ARPACK's tol 1e-10 rather than to machine precision; only an
+uncounted one (support too large to count) keeps the tighter solve.
 
 Propagation expands e^{itH} in Chebyshev polynomials of H scaled to the
 estimated spectral interval.  One recurrence from the initial state, one
@@ -92,14 +94,18 @@ class LanczosError(RuntimeError):
 
 
 def lanczos_extreme(h: Hamiltonian, k: int,
-                    rng: Optional[np.random.Generator] = None) -> EigenSet:
+                    rng: Optional[np.random.Generator] = None,
+                    tol: float = 0.0) -> EigenSet:
     """The k lowest eigenpairs in ascending order, from one ARPACK run on H
-    restricted to real vectors, converged to machine precision.
+    restricted to real vectors.
 
-    H maps real vectors to real vectors (V is real and the symbol is real and
-    even), and the real symmetric solver returns orthonormal vectors inside a
-    degenerate level.  The start vector is drawn from rng, so results are
-    deterministic.  Raises LanczosError when ARPACK does not converge.
+    ARPACK stops when every Ritz pair (theta, x) has ||H x - theta x|| <=
+    tol |theta| (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998); tol 0
+    means machine precision.  H maps real vectors to real vectors (V is real
+    and the symbol is real and even), and the real symmetric solver returns
+    orthonormal vectors inside a degenerate level.  The start vector is drawn
+    from rng, so results are deterministic.  Raises LanczosError when ARPACK
+    does not converge.
     """
     if k > 50:
         raise ValueError(f"k capped at 50, got {k}")
@@ -108,7 +114,7 @@ def lanczos_extreme(h: Hamiltonian, k: int,
         rng = np.random.default_rng(0)
     op = LinearOperator((size, size), dtype=np.float64, matvec=h.apply)
     try:
-        vals, vecs = eigsh(op, k=k, which="SA", tol=0.0,
+        vals, vecs = eigsh(op, k=k, which="SA", tol=tol,
                            v0=rng.standard_normal(size))
     except ArpackNoConvergence as exc:
         raise LanczosError(
@@ -131,13 +137,16 @@ def negative_spectrum(h: Hamiltonian) -> EigenSet:
     (at 4 when the support is too large to count) and doubles while more than
     half of the pairs lie below -tau_neg or fewer than the count do.
     Lanczos sees a second copy of a degenerate level only once rounding has
-    grown it from the start vector; the pairs above the cut and the
-    convergence to machine precision give it the iterations to do so (with
-    only one pair above the cut, or at tol 1e-10, copies were missed on 12^3
-    test wells).
+    grown it from the start vector, and the pairs above the cut give it the
+    iterations to do so (with only one pair above the cut, copies were missed
+    on 12^3 test wells).  A missed copy leaves fewer pairs below the cut than
+    the count, so with a count the solve stops at ARPACK's tol 1e-10 (relative
+    residual) and the count catches a miss; without one it converges to
+    machine precision, as nothing else would.
     """
     tau_neg = 1e-6 * max(1.0, h.potential.max_abs)
     count = birman_schwinger_count(h.potential, h._symbol, tau_neg)
+    tol = 0.0 if count is None else 1e-10
     rng = np.random.default_rng(0)
     k_max = min(50, h.grid.size - 1)
     k = 4
@@ -145,7 +154,7 @@ def negative_spectrum(h: Hamiltonian) -> EigenSet:
         k *= 2
     k = min(k, k_max)
     while True:
-        es = lanczos_extreme(h, k, rng=rng)
+        es = lanczos_extreme(h, k, rng=rng, tol=tol)
         below = sum(1 for e in es.eigenvalues if e < -tau_neg)
         missing = count is not None and below < count
         if (2 * below <= k and not missing) or (k == k_max and below < k):

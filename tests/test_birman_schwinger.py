@@ -15,7 +15,6 @@ from polyharmlab.birman_schwinger import (
     apply_resolvent,
     assemble_M,
     birman_schwinger_count,
-    detect_point_spectrum,
     detect_zero_resonance,
     inv_norm_sweep,
     neumann_threshold,
@@ -279,25 +278,6 @@ class TestBirmanSchwingerCount:
 
 
 class TestBoundStates:
-    def test_bs_roots_match_lanczos(self):
-        g = GridSpec(3, 12, 5.0)
-        pot = truncated_well(g, 8.0, rcut=2.5)
-        h = Hamiltonian(g, 1, pot)
-        es = negative_spectrum(h)
-        assert len(es) >= 1
-        roots = detect_point_spectrum(pot, 1, (min(es.eigenvalues) * 1.4, -1e-3),
-                                      scan_points=80)
-        assert len(roots) >= 1
-        uniq = sorted(set(np.round(es.eigenvalues, 6)))
-        for e in uniq:
-            assert min(abs(r - e) / abs(e) for r in roots) < 1e-3
-
-    def test_interval_validation(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 2.0, rcut=1.5)
-        with pytest.raises(ValueError):
-            detect_point_spectrum(pot, 1, (-1.0, 1.0))
-
     def test_no_zero_resonance_generic(self):
         g = GridSpec(3, 12, 5.0)
         pot = truncated_well(g, 2.0, rcut=2.5)

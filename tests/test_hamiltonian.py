@@ -279,12 +279,25 @@ class TestEigensolvers:
         ks = []
         inner = hamiltonian.lanczos_extreme
 
-        def counted(h, k, rng=None):
+        def counted(h, k, rng=None, tol=0.0):
             ks.append(k)
-            return inner(h, k, rng=rng)
+            return inner(h, k, rng=rng, tol=tol)
 
         monkeypatch.setattr(hamiltonian, "lanczos_extreme", counted)
         return ks
+
+    @pytest.fixture
+    def tols(self, monkeypatch):
+        """The tol that eigsh receives in every solve, in order."""
+        seen = []
+        inner = hamiltonian.eigsh
+
+        def recorded(*args, tol, **kwargs):
+            seen.append(tol)
+            return inner(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "eigsh", recorded)
+        return seen
 
     def five_states(self):
         # ground state, a 3-fold level and one more below the cut
@@ -296,11 +309,15 @@ class TestEigensolvers:
         assert solves == [16]
         assert len(es) == es.count_birman_schwinger == 5
 
-    def test_solve_short_of_the_count_doubles_k(self, monkeypatch, solves):
+    def test_solve_short_of_the_count_doubles_k(self, monkeypatch, solves,
+                                                tols):
+        # a missed copy shows as fewer pairs below the cut than the count: the
+        # loose solve still doubles k, and the report keeps the disagreement
         monkeypatch.setattr(hamiltonian, "birman_schwinger_count",
                             lambda pot, symbol, tau: 6)
         es = negative_spectrum(self.five_states())
         assert solves == [16, 32, 50]
+        assert tols == [1e-10] * 3
         assert len(es) == 5 and es.count_birman_schwinger == 6
 
     def test_uncounted_support_starts_at_four(self, monkeypatch, solves):
@@ -308,6 +325,21 @@ class TestEigensolvers:
         es = negative_spectrum(self.five_states())
         assert solves == [4, 8, 16]
         assert len(es) == 5 and es.count_birman_schwinger is None
+
+    def test_counted_solve_stops_at_1e_10(self, tols):
+        # the count checks the solve, so the continuum pairs above the cut
+        # need not converge to machine precision
+        es = negative_spectrum(self.five_states())
+        assert tols == [1e-10]
+        assert len(es) == es.count_birman_schwinger == 5
+        assert max(es.residuals) < 1e-10 * abs(es.eigenvalues[0])
+
+    def test_uncounted_solve_converges_to_machine_precision(self, monkeypatch,
+                                                            tols):
+        monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 100)
+        es = negative_spectrum(self.five_states())
+        assert tols == [0.0, 0.0, 0.0]
+        assert es.count_birman_schwinger is None
 
     def test_unconverged_solve_raises(self, monkeypatch):
         def unconverged(*args, **kwargs):
