@@ -15,14 +15,18 @@ Layers (ROADMAP "layer by layer"):
       the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
       benchmark's spectral workload), z = 0.5 + 0.03i; one
       birman_schwinger_count on the same support at negative_spectrum's
-      cut (tau = 2e-5), measured only in trees that have it.
+      cut (tau = 2e-5).
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
       time grid of the smoothing and Strichartz probes; one
       negative_spectrum of the spectral workload's Hamiltonian (16^3, L = 6,
       depth 20, m = 1) and one of the lab Hamiltonian (16^3, L = 8, depth 5,
       m = 1), the eigenset of the lab workload's smoothing, Strichartz and
-      spectrum probes.
+      spectrum probes; one iteration of the smoothing refinement
+      (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
+      adjoint) on the lab Hamiltonian over the same 65 times; one
+      inhomogeneous_smoothing_probe on the lab Hamiltonian at gamma = 0.25,
+      T = 8, one sample.
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
@@ -60,6 +64,8 @@ BATCHES = {
     "L2.propagate_16_T8": (1, 6),
     "L2.negative_spectrum_spectral": (1, 3),
     "L2.negative_spectrum_lab": (1, 5),
+    "L2.refine_iter_16_T8": (1, 5),
+    "L2.inhomogeneous_16_T8": (1, 5),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -68,15 +74,17 @@ TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
 
 
 def _layers():
-    """name -> zero-argument callable doing one call of the layer, or None
-    where the tree lacks the layer."""
+    """name -> zero-argument callable doing one call of the layer."""
     import numpy as np
-    from polyharmlab import birman_schwinger
-    from polyharmlab.birman_schwinger import assemble_M
-    from polyharmlab.grid import Field, GridSpec, apply_multiplier
+    from polyharmlab.birman_schwinger import assemble_M, birman_schwinger_count
+    from polyharmlab.grid import (Field, GridSpec, abs_derivative_symbol,
+                                  apply_multiplier, smoothing_weight)
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
     from polyharmlab.kernels import ResolventQuery
     from polyharmlab.potentials import gaussian_well
+    from polyharmlab.probes import (_refine_quadratic_smoothing,
+                                    frequency_localized_samples,
+                                    inhomogeneous_smoothing_probe)
 
     rng = np.random.default_rng(0)
 
@@ -86,10 +94,6 @@ def _layers():
         vec = rng.standard_normal(g.size)
         if not real:
             vec = vec + 1j * rng.standard_normal(g.size)
-        if hasattr(h, "apply_flat"):
-            # trees whose Hamiltonian.apply takes a Field; their eigensolver
-            # applied H to a real vector as apply_flat(x).real
-            return (lambda: h.apply_flat(vec).real) if real else (lambda: h.apply_flat(vec))
         return lambda: h.apply(vec)
 
     lab = GridSpec(3, 16, 8.0)
@@ -97,6 +101,9 @@ def _layers():
     psi = rng.standard_normal(lab.shape) + 1j * rng.standard_normal(lab.shape)
     psi = Field(lab, psi / np.linalg.norm(psi))
     times = np.linspace(-8.0, 8.0, 65)
+    weight = smoothing_weight(lab, 1, 0.0, 0.1)
+    dsym = abs_derivative_symbol(lab, 0.0)
+    start = frequency_localized_samples(lab, 1, np.random.default_rng(2))[0]
 
     big = GridSpec(3, 160, 10.0)
     fld = Field(big, rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape))
@@ -108,7 +115,6 @@ def _layers():
     if well.support_indices().size != 1419:
         raise RuntimeError("the spectral well no longer has a 1419-point support")
     spectral_h = Hamiltonian(spectral, 1, well)
-    count = getattr(birman_schwinger, "birman_schwinger_count", None)
 
     return {
         "L0.h_matvec_32": matvec(32, 12.0),
@@ -116,11 +122,15 @@ def _layers():
         "L1.h_matvec_16": matvec(16, 8.0),
         "L1.h_matvec_16_real": matvec(16, 8.0, real=True),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
-        "L1.bs_count_1419": (lambda: count(well, spectral_h._symbol, 2e-5))
-                            if count else None,
+        "L1.bs_count_1419": lambda: birman_schwinger_count(
+            well, spectral_h._symbol, 2e-5),
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
+        "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
+            lab_h, weight, dsym, times, start, 1),
+        "L2.inhomogeneous_16_T8": lambda: inhomogeneous_smoothing_probe(
+            lab_h, 0.25, t_final=8.0, samples=1),
     }
 
 
@@ -129,8 +139,6 @@ def _worker() -> None:
     layers = _layers()
     out = {}
     for name, fn in layers.items():
-        if fn is None:
-            continue
         calls, batches = BATCHES[name]
         fn()  # warm caches, plans and lazy set-up
         times = []
@@ -226,8 +234,7 @@ def main(argv=None) -> int:
         "targets_s": TARGETS_S,
         "trees": {label: {"commit": _commit(src.parent),
                           "layers": {name: _quartiles(sum(rounds, []))
-                                     for name, rounds in passes[label].items()
-                                     if rounds}}
+                                     for name, rounds in passes[label].items()}}
                   for label, src in trees.items()},
     }
     if "baseline" in trees:
@@ -235,8 +242,6 @@ def main(argv=None) -> int:
 
         report["paired_ratio_current_over_baseline"] = {}
         for name in BATCHES:
-            if not passes["baseline"][name]:
-                continue
             ratios = [np.median(cur) / np.median(base) for cur, base in
                       zip(passes["current"][name], passes["baseline"][name])]
             q1, med, q3 = np.percentile(ratios, [25, 50, 75])

@@ -55,6 +55,7 @@ from .hamiltonian import (
     negative_spectrum,
     projector_ac,
     propagate,
+    propagate_adjoint,
     repulsive_check,
 )
 from .counterexample import (

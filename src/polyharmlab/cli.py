@@ -26,7 +26,7 @@ import yaml
 
 from .birman_schwinger import inv_norm_sweep
 from .counterexample import build_embedded_pair, save_embedded_pair, verify_embedded
-from .grid import GridSpec, read_field
+from .grid import DEFAULT_MAX_POINTS, GridSpec, read_field
 from .hamiltonian import Hamiltonian, clr_check
 from .kernels import ResolventQuery
 from .potentials import Potential, bracket_decay, gaussian_well
@@ -205,7 +205,7 @@ def _is_integral(value: Any) -> bool:
 
 
 def _coerce(where: str, kind: str, value: Any) -> Any:
-    """A probe parameter typed by its schema kind; None passes through.
+    """A config value typed by its schema kind; None passes through.
 
     int must be integral, number goes through float() (so a YAML string such
     as 1e-12 is accepted), list must be a sequence of numbers and int_list one
@@ -238,23 +238,22 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                  threads: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _require("seed" in raw and isinstance(raw["seed"], int),
-             "seed present: an integer seed field is mandatory")
+    seed = _coerce("seed", "int", raw.get("seed"))
+    _require(seed is not None, "seed present: an integer seed field is mandatory")
     gblock = raw.get("grid") or {}
     _require(isinstance(gblock, dict) and {"n", "npts", "half_width"} <= set(gblock),
              "grid block with n, npts, half_width is mandatory")
     oblock = raw.get("operator") or {}
     _require(isinstance(oblock, dict) and "m" in oblock,
              "operator block with m is mandatory")
-    m = int(oblock["m"])
-    n = int(gblock["n"])
+    m = _coerce("operator.m", "int", oblock["m"])
+    n, npts, max_points = (_coerce(f"grid.{key}", "int", gblock.get(key))
+                           for key in ("n", "npts", "max_points"))
+    half_width = _coerce("grid.half_width", "number", gblock["half_width"])
+    _require(None not in (m, n, npts, half_width), "grid and operator fields must be set")
     _require(n > 2 * m, f"n > 2m: got n={n}, m={m}")
     try:
-        kwargs = {}
-        if gblock.get("max_points"):
-            kwargs["max_points"] = int(gblock["max_points"])
-        grid = GridSpec(n, int(gblock["npts"]), float(gblock["half_width"]),
-                        **kwargs)
+        grid = GridSpec(n, npts, half_width, max_points or DEFAULT_MAX_POINTS)
     except ValueError as exc:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
@@ -303,14 +302,14 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
 
     outp = Path(out_dir if out_dir is not None
                 else raw.get("output_dir", "reports"))
-    nthreads = threads if threads is not None else raw.get("threads")
+    nthreads = _coerce("threads", "int", raw.get("threads") if threads is None else threads)
     if nthreads is None:
         nthreads = os.cpu_count() or 1
-    _require(int(nthreads) >= 1, "threads must be >= 1")
+    _require(nthreads >= 1, "threads must be >= 1")
 
-    return RunConfig(grid=grid, m=m, potential_spec=dict(pot_spec),
-                     seed=int(raw["seed"]), output_dir=outp,
-                     threads=int(nthreads), probes=probes, warnings=warnings)
+    return RunConfig(grid=grid, m=m, potential_spec=dict(pot_spec), seed=seed,
+                     output_dir=outp, threads=nthreads, probes=probes,
+                     warnings=warnings)
 
 
 def load_config(path, out_dir: Optional[str] = None,

@@ -11,15 +11,16 @@ truncating the count.  The count checks every solve, so a counted eigenset is
 converged to ARPACK's tol 1e-10 rather than to machine precision; only an
 uncounted one (support too large to count) keeps the tighter solve.
 
-Propagation expands e^{itH} in Chebyshev polynomials of H scaled to the
-estimated spectral interval.  One recurrence from the initial state, one
-matvec per term, serves every output time of a call.
+Every time sum is one Chebyshev series in H scaled to the spectral interval,
+summed by one recurrence with one matvec per term: propagate's states
+e^{itH} psi0, propagate_adjoint's sum_k e^{-i t_k H} g_k (Clenshaw), and
+duhamel's integral of a separable forcing a(s) g at every sample time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -223,74 +224,97 @@ def _chebyshev_coeffs(args: np.ndarray, tol: float) -> np.ndarray:
 
 
 #: Chebyshev vectors held at once; each block is folded into the output
-#: with one (times x block) @ (block x points) product.
+#: with one (rows x block) @ (block x points) product.
 _BLOCK = 32
 
 
-def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field]:
-    """e^{itH} psi0 at each requested time via the Chebyshev expansion of the
-    exponential scaled to the spectral interval.
-
-    One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
-    1984): the vectors do not depend on t, so each state is sum_k c_k(t)
-    T_k(H~) psi0, truncated once the coefficients fall below 1e-12 at the
-    largest |t|.  H~ is H scaled to spectral_bounds padded by 1 %; those
-    bounds contain the spectrum, so |H~| < 1 and the recurrence stays bounded.
-    """
-    times = np.asarray(list(times), dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted ascending")
-    grid = h.grid
+def _expansion(h: Hamiltonian, times: np.ndarray) -> Tuple[np.ndarray, Callable]:
+    """Coefficients c_k(t) of e^{itH} = sum_k c_k(t) T_k(H~) for each time
+    (rows) and order (columns), and H~ = (H - mid) / half: H scaled to
+    spectral_bounds padded by 1 %.  Those bounds contain the spectrum, so
+    |H~| < 1 and every recurrence in H~ stays bounded."""
     e_min, e_max = h.spectral_bounds
     half = 0.5 * (e_max - e_min) * 1.01 + 1e-12
     mid = 0.5 * (e_max + e_min)
     coeffs = _chebyshev_coeffs(half * times, 1e-12)
     coeffs *= np.exp(1j * mid * times)[:, None]
+    return coeffs, lambda vec: (h.apply(vec) - mid * vec) / half
+
+
+def _chebyshev_sum(scaled: Callable, psi0: Field, coeffs: np.ndarray) -> List[Field]:
+    """Rows sum_k coeffs[r, k] T_k(H~) psi0 from one recurrence, one matvec
+    per order past the first."""
     v0 = psi0.values.reshape(-1).astype(np.complex128)
-    out = np.zeros((times.size, v0.size), dtype=np.complex128)
+    out = np.zeros((coeffs.shape[0], v0.size), dtype=np.complex128)
     block = np.empty((min(_BLOCK, coeffs.shape[1]), v0.size), dtype=np.complex128)
     prev = cur = v0
     for start in range(0, coeffs.shape[1], _BLOCK):
         stop = min(start + _BLOCK, coeffs.shape[1])
         for k in range(start, stop):
             if k == 1:
-                prev, cur = v0, (h.apply(v0) - mid * v0) / half
+                prev, cur = v0, scaled(v0)
             elif k > 1:
-                prev, cur = cur, 2.0 * (h.apply(cur) - mid * cur) / half - prev
+                prev, cur = cur, 2.0 * scaled(cur) - prev
             block[k - start] = cur
         out += coeffs[:, start:stop] @ block[:stop - start]
-    return [Field(grid, row.reshape(grid.shape)) for row in out]
+    return [Field(psi0.grid, row.reshape(psi0.grid.shape)) for row in out]
 
 
-def duhamel(h: Hamiltonian, forcing: Sequence[Field], f_times: Sequence[float],
+def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field]:
+    """e^{itH} psi0 at each requested time, in any order.
+
+    One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
+    1984): the vectors do not depend on t, so each state is sum_k c_k(t)
+    T_k(H~) psi0, truncated once the coefficients fall below 1e-12 at the
+    largest |t|.
+    """
+    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
+    return _chebyshev_sum(scaled, psi0, coeffs)
+
+
+def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
+                      times: Sequence[float]) -> Field:
+    """sum_k e^{-i t_k H} states[k], the adjoint of psi -> (e^{i t_k H} psi)_k.
+
+    With propagate's coefficients c_j(t), the sum is sum_j T_j(H~) b_j with
+    b_j = sum_k conj(c_j(t_k)) states[k].  Clenshaw's recurrence (Clenshaw
+    1955) y_j = b_j + 2 H~ y_{j+1} - y_{j+2} sums it from the highest order
+    down, one matvec per order; each block of b_j is built with one
+    (block x times) @ (times x points) product as the recurrence reaches it.
+    """
+    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
+    snaps = np.stack([s.values.reshape(-1) for s in states]).astype(np.complex128)
+    conj_t = coeffs.conj().T
+    nxt = cur = np.zeros(snaps.shape[1], dtype=np.complex128)
+    for stop in range(coeffs.shape[1], 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        block = conj_t[start:stop] @ snaps
+        for j in range(stop - 1, max(start, 1) - 1, -1):
+            nxt, cur = cur, block[j - start] + 2.0 * scaled(cur) - nxt
+    # order 0: b_0 + H~ y_1 - y_2, with y_1 in cur and y_2 in nxt
+    return Field(h.grid, (block[0] + scaled(cur) - nxt).reshape(h.grid.shape))
+
+
+def duhamel(h: Hamiltonian, g: Field, amplitudes: Sequence[float],
             times: Sequence[float]) -> List[Field]:
-    """i * integral_0^t e^{i(t-s)H} F(s) ds by composite trapezoid over the
-    forcing sample times, stepping the accumulated integral forward with the
-    propagator between samples."""
-    f_times = np.asarray(list(f_times), dtype=float)
-    if len(forcing) != f_times.size:
-        raise ValueError("forcing and f_times length mismatch")
-    if np.any(np.diff(f_times) <= 0):
-        raise ValueError("f_times must be strictly increasing")
-    times = list(times)
-    for t in times:
-        if not np.any(np.isclose(f_times, t, rtol=0, atol=1e-12)):
-            raise ValueError(f"output time {t} is not a forcing sample time")
+    """i * integral_{t_0}^t e^{i(t-s)H} a(s) g ds at every sample time t of the
+    strictly increasing times (t_0 = times[0]), for the separable forcing
+    a(s) g with a given at the samples, by composite trapezoid on [t_0, t].
 
-    grid = h.grid
-    acc = np.zeros(grid.size, dtype=np.complex128)
-    out: List[Field] = []
-    ti = 0
-    fvals = [f.values.reshape(-1).astype(np.complex128) for f in forcing]
-    for j in range(f_times.size):
-        if j > 0:
-            # trapezoid step by linearity: one propagation per interval
-            dt = f_times[j] - f_times[j - 1]
-            acc = acc + 0.5j * dt * fvals[j - 1]
-            acc = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                            [dt])[0].values.reshape(-1)
-            acc = acc + 0.5j * dt * fvals[j]
-        while ti < len(times) and np.isclose(times[ti], f_times[j], rtol=0, atol=1e-12):
-            out.append(Field(grid, acc.reshape(grid.shape)))
-            ti += 1
-    return out
+    The trapezoid sum is sum_s w_{t,s} a(s) e^{i(t-s)H} g, so its Chebyshev
+    coefficients are d_k(t) = i sum_s w_{t,s} a(s) c_k(t - s) and one
+    recurrence on g serves every t.  The c_k are evaluated once per distinct
+    lag t - s."""
+    times, amps = np.asarray(times, dtype=float), np.asarray(amplitudes)
+    if amps.shape != times.shape:
+        raise ValueError("amplitudes and times length mismatch")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    # sample s <= t weighs half the steps on either side of it inside [t_0, t]
+    rows, cols = np.tril_indices(times.size)
+    weights = 0.5 * (times[np.minimum(cols + 1, rows)] - times[np.maximum(cols - 1, 0)])
+    lags, lag_of = np.unique(times[rows] - times[cols], return_inverse=True)
+    coeffs, scaled = _expansion(h, lags)
+    mix = np.zeros((times.size, lags.size), dtype=np.complex128)
+    np.add.at(mix, (rows, lag_of), weights * amps[cols])
+    return _chebyshev_sum(scaled, g, 1j * (mix @ coeffs))

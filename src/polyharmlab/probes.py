@@ -33,7 +33,8 @@ from .grid import (
     weight_abs_power,
     weighted_l2_norm,
 )
-from .hamiltonian import Hamiltonian, projector_ac, propagate, duhamel
+from .hamiltonian import (Hamiltonian, duhamel, projector_ac, propagate,
+                          propagate_adjoint)
 from .operators import NormEstimate, operator_norm
 from .reporting import ProbeReport, fit_loglog
 
@@ -198,6 +199,17 @@ def _sup_over_samples(report: ProbeReport, packs: Sequence[Field],
     return best_ratios[-1], best_state
 
 
+def _time_integral_report(name: str, h: Hamiltonian, plateau_tol: float,
+                          **params) -> ProbeReport:
+    """The report of a time-integral probe of h with the given parameters."""
+    grid = h.grid
+    return ProbeReport(
+        name=name,
+        params={"m": h.m, "n": grid.n, **params, "potential": h.potential.name},
+        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width},
+                    "seed": "caller rng", "plateau_tol": plateau_tol})
+
+
 # ---------------------------------------------------------------------------
 # Kato smoothing (homogeneous)
 # ---------------------------------------------------------------------------
@@ -220,22 +232,15 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
     check_smoothing_gamma(h.m, grid.n, gamma)
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma)
     times = _symmetric_times(t_final, time_step)
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
-    report = ProbeReport(
-        name="kato_smoothing",
-        params={"m": h.m, "n": grid.n, "gamma": gamma, "eps": eps,
-                "t_final": t_final, "samples": samples,
-                "time_step": time_step, "potential": h.potential.name},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width},
-                    "seed": "caller rng", "plateau_tol": plateau_tol},
-    )
+    report = _time_integral_report(
+        "kato_smoothing", h, plateau_tol, gamma=gamma, eps=eps, t_final=t_final,
+        samples=samples, time_step=time_step)
 
     def ratios_of(psi0: Field) -> List[float]:
         states = propagate(h, projector_ac(h, psi0), list(times))
@@ -246,7 +251,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         denom = psi0.norm2() ** 2
         return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
 
-    packs = frequency_localized_samples(grid, samples, rng)
+    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     best_ratio, best_state = _sup_over_samples(
         report, packs, ratios_of, t_checks, plateau_tol, power=1)
 
@@ -270,16 +275,14 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
     steps from start; the form's value is the estimate's norm squared.
 
     B maps psi to the snapshots (sqrt(w_k) W |D|^gamma e^{i t_k H} P_ac psi)_k
-    with trapezoid weights w_k: a forward propagation sweep.  B* weights every
-    snapshot back and accumulates sum_k e^{-i t_k H} (...) in one backward
-    sweep of short steps.  The flat l2 form is scale-invariant, so the
+    with trapezoid weights w_k: one forward propagation.  B* weights every
+    snapshot back and sums sum_k e^{-i t_k H} (...) with propagate_adjoint,
+    one Clenshaw recurrence.  The flat l2 form is scale-invariant, so the
     cell-volume factors cancel in the ratio.
     """
     grid = h.grid
-    tw = np.zeros(times.size)
-    tw[:-1] += 0.5 * np.diff(times)
-    tw[1:] += 0.5 * np.diff(times)
-    sw = np.sqrt(tw)
+    ends = np.concatenate([times[:1], times, times[-1:]])
+    sw = np.sqrt(0.5 * (ends[2:] - ends[:-2]))
 
     def apply_b(vec: np.ndarray) -> np.ndarray:
         phi = projector_ac(h, Field(grid, vec.reshape(grid.shape)))
@@ -290,20 +293,9 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
         ])
 
     def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
-        weighted = [
-            sk * apply_symbol(weight * g.reshape(grid.shape), dsym).reshape(-1)
-            for sk, g in zip(sw, snaps.reshape(times.size, -1))
-        ]
-        acc = weighted[-1]
-        for k in range(len(times) - 2, -1, -1):
-            dt = times[k + 1] - times[k]
-            stepped = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                                [-dt])[0].flat
-            acc = weighted[k] + stepped
-        if times[0] != 0.0:
-            acc = propagate(h, Field(grid, acc.reshape(grid.shape)),
-                            [-times[0]])[0].flat
-        return projector_ac(h, Field(grid, acc.reshape(grid.shape))).flat
+        weighted = [Field(grid, sk * apply_symbol(weight * g.reshape(grid.shape), dsym))
+                    for sk, g in zip(sw, snaps.reshape(times.size, -1))]
+        return projector_ac(h, propagate_adjoint(h, weighted, times)).flat
 
     return operator_norm(apply_b, apply_b_adjoint, grid.size,
                          max_iter=iters, start=start.values)
@@ -337,15 +329,14 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
 
     with W from grid.smoothing_weight and the dual weight its pointwise inverse
     (bracket weight <x>^{1/2+eps} with |D|^{-m+1/2} at the endpoint gamma).
+    u comes from duhamel, one Chebyshev recurrence per sample g, and the
+    denominator separates into ||W^{-1} |D|^{-gamma} g|| (integral a^2)^{1/2}.
     The plateau is judged on ratio ** 2, the time integral of the numerator.
     """
     grid = h.grid
     check_smoothing_gamma(h.m, grid.n, gamma)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
-    dual_weight = 1.0 / weight
     dsym = abs_derivative_symbol(grid, gamma)
     dsym_inv = abs_derivative_symbol(grid, -gamma)
 
@@ -353,33 +344,25 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
     times = np.linspace(0.0, t_final, nt + 1)
     bump = _time_bump(times, 0.1 * t_final, 0.6 * t_final)
 
-    report = ProbeReport(
-        name="inhomogeneous_smoothing",
-        params={"m": h.m, "n": grid.n, "gamma": gamma, "eps": eps,
-                "t_final": t_final, "samples": samples,
-                "time_step": time_step, "potential": h.potential.name},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width},
-                    "seed": "caller rng", "plateau_tol": plateau_tol},
-    )
+    report = _time_integral_report(
+        "inhomogeneous_smoothing", h, plateau_tol, gamma=gamma, eps=eps,
+        t_final=t_final, samples=samples, time_step=time_step)
 
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
+    bump_norm = math.sqrt(float(np.trapezoid(bump ** 2, times)))
+
     def ratios_of(g: Field) -> List[float]:
-        forcing = [Field(grid, a * g.values) for a in bump]
-        outs = duhamel(h, forcing, times, list(times))
+        outs = duhamel(h, g, bump, times)
         num_sq = np.array([
             weighted_l2_norm(apply_multiplier(u, dsym), weight) ** 2
             for u in outs
         ])
-        den_sq = np.array([
-            weighted_l2_norm(apply_multiplier(f, dsym_inv), dual_weight) ** 2
-            for f in forcing
-        ])
-        den = math.sqrt(float(np.trapezoid(den_sq, times)))
+        den = weighted_l2_norm(apply_multiplier(g, dsym_inv), 1.0 / weight) * bump_norm
         return [math.sqrt(c) / den
                 for c in _partial_trapezoids(times, num_sq, t_checks)]
 
-    packs = frequency_localized_samples(grid, samples, rng)
+    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     report.metrics["sup_ratio"], _ = _sup_over_samples(
         report, packs, ratios_of, t_checks, plateau_tol, power=2)
     return report
@@ -416,8 +399,6 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
             f"{mode} mode needs alpha = {want} (got {pair.alpha}); the "
             "exponent relation of the pair does not match the scaling"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     p, q = float(pair.p), float(pair.q)
     gain_order = 2.0 * (m - 1) / p if mode == "gain" else 0.0
@@ -426,14 +407,9 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
     times = _symmetric_times(t_final, time_step)
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
-    report = ProbeReport(
-        name="strichartz",
-        params={"m": m, "n": n, "p": p, "q": q, "alpha": float(pair.alpha),
-                "mode": mode, "t_final": t_final, "samples": samples,
-                "time_step": time_step, "potential": h.potential.name},
-        provenance={"grid": {"n": n, "N": grid.npts, "L": grid.half_width},
-                    "seed": "caller rng", "plateau_tol": plateau_tol},
-    )
+    report = _time_integral_report(
+        "strichartz", h, plateau_tol, p=p, q=q, alpha=float(pair.alpha), mode=mode,
+        t_final=t_final, samples=samples, time_step=time_step)
 
     if mode == "gain":
         # embedding partner exponent: 1/q1 = 1/q - 2(m-1)/(p n)
@@ -458,7 +434,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
                      _partial_trapezoids(times, snap_q ** p, t_checks)]
         return [c / psi0.norm2() for c in mixed]
 
-    packs = frequency_localized_samples(grid, samples, rng)
+    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     report.metrics["sup_ratio"], _ = _sup_over_samples(
         report, packs, ratios_of, t_checks, plateau_tol,
         power=1 if math.isinf(p) else p)

@@ -132,6 +132,39 @@ class TestValidation:
         assert run(path, probe, out_dir=str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), True, "seed must be an integer"),
+        (("threads",), 1.5, "threads must be an integer"),
+        (("threads",), "abc", "threads must be an integer"),
+        (("grid", "npts"), 16.7, "grid.npts must be an integer"),
+        (("grid", "n"), "three", "grid.n must be an integer"),
+        (("grid", "max_points"), 1e6 + 0.5, "grid.max_points must be an integer"),
+        (("grid", "half_width"), "wide", "grid.half_width must be a number"),
+        (("operator", "m"), "one", "operator.m must be an integer"),
+        (("operator", "m"), None, "must be set"),
+    ])
+    def test_mistyped_top_level_exit_two(self, tmp_path, capsys, path, value,
+                                         message):
+        cfg = base_config()
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert run(path, "kernels", out_dir=str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_top_level_fields_typed(self, monkeypatch):
+        cfg = parse_config(base_config(
+            seed=4.0, threads=2.0, grid={"n": 3.0, "npts": 8.0, "half_width": 3}))
+        assert (cfg.seed, cfg.threads, cfg.grid.n, cfg.grid.npts) == (4, 2, 3, 8)
+        assert all(isinstance(v, int) for v in
+                   (cfg.seed, cfg.threads, cfg.grid.n, cfg.grid.npts, cfg.m))
+        assert isinstance(cfg.grid.half_width, float)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+        assert parse_config(base_config(threads=None)).threads == 5
+        assert parse_config(base_config(threads=None), threads=1).threads == 1
+
     def test_parameters_typed_by_schema(self):
         cfg = parse_config(base_config(probes={
             "kernels": {"trials": 50.0, "tol": "1e-9"},

@@ -18,8 +18,10 @@ from polyharmlab.hamiltonian import (
     negative_spectrum,
     projector_ac,
     propagate,
+    propagate_adjoint,
     repulsive_check,
 )
+from polyharmlab.probes import _time_bump
 from polyharmlab.potentials import (
     bracket_decay,
     gaussian_well,
@@ -96,6 +98,41 @@ def _stepped_run(h, psi0, times, half, mid, tol):
             t_prev = t
         out.append(Field(grid, cur.reshape(grid.shape)))
     return out
+
+
+def _stepped_adjoint(h, states, times):
+    """sum_k e^{-i t_k H} states[k] by a backward sweep of short steps: one
+    propagate per time step.  The independent oracle of propagate_adjoint."""
+    grid = h.grid
+    acc = states[-1].values
+    for k in range(len(times) - 2, -1, -1):
+        step = propagate(h, Field(grid, acc), [times[k] - times[k + 1]])[0]
+        acc = states[k].values + step.values
+    return propagate(h, Field(grid, acc), [-times[0]])[0]
+
+
+def _stepped_duhamel(h, g, amplitudes, times):
+    """i * int_{t_0}^t e^{i(t-s)H} a(s) g ds by composite trapezoid, stepping
+    the accumulated integral forward with one propagate per interval.  The
+    independent oracle of the single-recurrence duhamel."""
+    grid = h.grid
+    forcing = [a * g.values.reshape(-1).astype(np.complex128) for a in amplitudes]
+    acc = np.zeros(grid.size, dtype=np.complex128)
+    out = [Field(grid, acc.reshape(grid.shape))]
+    for j in range(1, len(times)):
+        dt = times[j] - times[j - 1]
+        acc = acc + 0.5j * dt * forcing[j - 1]
+        acc = propagate(h, Field(grid, acc.reshape(grid.shape)), [dt])[0].flat
+        acc = acc + 0.5j * dt * forcing[j]
+        out.append(Field(grid, acc.reshape(grid.shape)))
+    return out
+
+
+def _count_matvecs(monkeypatch, h):
+    calls = []
+    apply = h.apply
+    monkeypatch.setattr(h, "apply", lambda vec: calls.append(1) or apply(vec))
+    return calls
 
 
 def _scaling(h):
@@ -444,12 +481,17 @@ class TestPropagation:
         back = propagate(h, propagate(h, psi, [2.0])[0], [-2.0])[0]
         np.testing.assert_allclose(back.values, psi.values, atol=1e-9)
 
-    def test_unsorted_times_rejected(self):
-        g = GridSpec(3, 8, 3.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
-        psi = Field(g, RNG.standard_normal(g.shape) + 0j)
-        with pytest.raises(ValueError):
-            propagate(h, psi, [2.0, 1.0])
+    def test_shuffled_times_permute_states(self):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
+        psi = _unit_random(g)
+        times = np.linspace(-3.0, 3.0, 13)
+        order = np.random.default_rng(4).permutation(times.size)
+        ordered = propagate(h, psi, times)
+        shuffled = propagate(h, psi, times[order])
+        for k, st in zip(order, shuffled):
+            np.testing.assert_allclose(st.values, ordered[k].values,
+                                       rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("m,t_final", [(1, 4.0), (2, 0.25)])
     def test_matches_stepped_oracle(self, m, t_final):
@@ -471,12 +513,47 @@ class TestPropagation:
         times = np.linspace(-3.0, 3.0, 33)
         half, _ = _scaling(h)
         terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
-        calls = []
-        apply = h.apply
-        monkeypatch.setattr(h, "apply", lambda vec: calls.append(1) or apply(vec))
+        calls = _count_matvecs(monkeypatch, h)
         propagate(h, _unit_random(g), times)
         assert terms > 2 * hamiltonian._BLOCK
         assert len(calls) == terms - 1
+
+
+class TestPropagateAdjoint:
+    @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
+    def test_matches_stepped_sum(self, n, npts, m, t_final):
+        g = GridSpec(n, npts, 5.0)
+        h = Hamiltonian(g, m, gaussian_well(g, 5.0))
+        times = np.linspace(-t_final, t_final, 17)
+        states = [_unit_random(g) for _ in times]
+        want = _stepped_adjoint(h, states, times).values
+        got = propagate_adjoint(h, states, times).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
+    def test_adjoint_identity(self, n, npts, m, t_final):
+        # <(e^{i t_k H} x)_k, (y_k)_k> = <x, sum_k e^{-i t_k H} y_k>
+        g = GridSpec(n, npts, 5.0)
+        h = Hamiltonian(g, m, gaussian_well(g, 5.0))
+        times = np.linspace(-t_final, t_final, 17)
+        x = _unit_random(g)
+        ys = [_unit_random(g) for _ in times]
+        lhs = sum(np.vdot(st.values, y.values)
+                  for st, y in zip(propagate(h, x, times), ys))
+        rhs = np.vdot(x.values, propagate_adjoint(h, ys, times).values)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_one_recurrence(self, monkeypatch):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
+        times = np.linspace(-3.0, 3.0, 33)
+        half, _ = _scaling(h)
+        terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
+        states = [_unit_random(g) for _ in times]
+        calls = _count_matvecs(monkeypatch, h)
+        propagate_adjoint(h, states, times)
+        assert terms > 2 * hamiltonian._BLOCK
+        assert len(calls) <= terms
 
 
 class TestDuhamel:
@@ -489,11 +566,10 @@ class TestDuhamel:
         psi_e, e = es.vectors[0], es.eigenvalues[0]
         times = np.linspace(0.0, 2.0, 9)
         dt = times[1] - times[0]
-        forcing = [psi_e] * times.size
-        out = duhamel(h, forcing, times, [2.0])[0]
-        # the stepped accumulation is exactly composite trapezoid, and
-        # propagation of an eigenvector is exact, so the discrete sum is a
-        # machine-precision oracle
+        out = duhamel(h, psi_e, np.ones(times.size), times)[-1]
+        # the trapezoid sum is exact in the series, and propagation of an
+        # eigenvector is exact, so the discrete sum is a machine-precision
+        # oracle
         weights = np.full(times.size, dt)
         weights[0] *= 0.5
         weights[-1] *= 0.5
@@ -504,9 +580,41 @@ class TestDuhamel:
         expect = (np.exp(1j * 2.0 * e) - 1.0) / e
         assert abs(discrete - expect) < 0.25 * abs(expect)
 
-    def test_output_times_must_be_samples(self):
+    def test_matches_stepped_oracle(self):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 15.0))
+        psi = _unit_random(g)  # not an eigenvector
+        times = np.linspace(0.0, 4.0, 17)
+        bump = _time_bump(times, 0.4, 2.4)
+        want = _stepped_duhamel(h, psi, bump, times)
+        got = duhamel(h, psi, bump, times)
+        assert len(got) == times.size
+        scale = max(np.max(np.abs(w.values)) for w in want)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-10 * scale
+
+    def test_one_recurrence(self, monkeypatch):
+        g = GridSpec(3, 12, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
+        times = np.linspace(0.0, 6.0, 25)
+        half, _ = _scaling(h)
+        terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
+        calls = _count_matvecs(monkeypatch, h)
+        duhamel(h, _unit_random(g), _time_bump(times, 0.6, 3.6), times)
+        assert terms > 2 * hamiltonian._BLOCK
+        assert len(calls) <= terms
+
+    def test_mismatched_lengths_rejected(self):
         g = GridSpec(3, 8, 3.0)
         h = Hamiltonian(g, 1, zero_potential(g))
         f = Field(g, np.ones(g.shape, dtype=complex))
         with pytest.raises(ValueError):
-            duhamel(h, [f, f], [0.0, 1.0], [0.5])
+            duhamel(h, f, [1.0, 1.0], [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 1.0, 0.5]])
+    def test_nonincreasing_times_rejected(self, times):
+        g = GridSpec(3, 8, 3.0)
+        h = Hamiltonian(g, 1, zero_potential(g))
+        f = Field(g, np.ones(g.shape, dtype=complex))
+        with pytest.raises(ValueError):
+            duhamel(h, f, [1.0, 1.0, 1.0], times)
