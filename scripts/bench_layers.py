@@ -15,7 +15,9 @@ Layers (ROADMAP "layer by layer"):
       the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
       benchmark's spectral workload), z = 0.5 + 0.03i; one
       birman_schwinger_count on the same support at negative_spectrum's
-      cut (tau = 2e-5).
+      cut (tau = 2e-5); the counterexample's alias-summed profile
+      (counterexample._mollified_phi, m = 2, sigma = 0.135) at 96^3, L = 1.1,
+      the benchmark's scaling counterexample grid.
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
       time grid of the smoothing and Strichartz probes; one
@@ -26,7 +28,9 @@ Layers (ROADMAP "layer by layer"):
       (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
       adjoint) on the lab Hamiltonian over the same 65 times; one
       inhomogeneous_smoothing_probe on the lab Hamiltonian at gamma = 0.25,
-      T = 8, one sample.
+      T = 8, one sample; the benchmark's scaling sobolev probe (80^3,
+      L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from 0.3 to 10 on
+      the imaginary axis, three packs, the seed-0 stream of the CLI).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
@@ -61,11 +65,13 @@ BATCHES = {
     "L1.h_matvec_16_real": (100, 10),
     "L1.assemble_M_1419": (1, 6),
     "L1.bs_count_1419": (2, 6),
+    "L1.mollified_phi_96": (1, 4),
     "L2.propagate_16_T8": (1, 6),
     "L2.negative_spectrum_spectral": (1, 3),
     "L2.negative_spectrum_lab": (1, 5),
     "L2.refine_iter_16_T8": (1, 5),
     "L2.inhomogeneous_16_T8": (1, 5),
+    "L2.sobolev_80": (1, 2),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -77,6 +83,8 @@ def _layers():
     """name -> zero-argument callable doing one call of the layer."""
     import numpy as np
     from polyharmlab.birman_schwinger import assemble_M, birman_schwinger_count
+    from polyharmlab.cli import _stream_tag
+    from polyharmlab.counterexample import _mollified_phi
     from polyharmlab.grid import (Field, GridSpec, abs_derivative_symbol,
                                   apply_multiplier, smoothing_weight)
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
@@ -84,7 +92,8 @@ def _layers():
     from polyharmlab.potentials import gaussian_well
     from polyharmlab.probes import (_refine_quadratic_smoothing,
                                     frequency_localized_samples,
-                                    inhomogeneous_smoothing_probe)
+                                    inhomogeneous_smoothing_probe,
+                                    sobolev_scaling_probe)
 
     rng = np.random.default_rng(0)
 
@@ -116,6 +125,10 @@ def _layers():
         raise RuntimeError("the spectral well no longer has a 1419-point support")
     spectral_h = Hamiltonian(spectral, 1, well)
 
+    counter = GridSpec(3, 96, 1.1)
+    sobolev = GridSpec(3, 80, 10.0)
+    mags = np.geomspace(0.3, 10.0, 4)
+
     return {
         "L0.h_matvec_32": matvec(32, 12.0),
         "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
@@ -124,6 +137,7 @@ def _layers():
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
         "L1.bs_count_1419": lambda: birman_schwinger_count(
             well, spectral_h._symbol, 2e-5),
+        "L1.mollified_phi_96": lambda: _mollified_phi(counter, 2, 0.135),
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
@@ -131,6 +145,9 @@ def _layers():
             lab_h, weight, dsym, times, start, 1),
         "L2.inhomogeneous_16_T8": lambda: inhomogeneous_smoothing_probe(
             lab_h, 0.25, t_final=8.0, samples=1),
+        "L2.sobolev_80": lambda: sobolev_scaling_probe(
+            sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
+            rng=np.random.default_rng([0, _stream_tag("sobolev")])),
     }
 
 

@@ -33,6 +33,7 @@ from .grid import (
     Field,
     GridSpec,
     field_from_spectrum,
+    outer_product,
     read_field,
     write_field,
 )
@@ -72,18 +73,19 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
 
     The symbol is alias-summed over the neighbouring Nyquist period on each
     side, so the synthesized values are exact samples of the periodized
-    (strictly positive) function rather than its band-limited interpolant."""
+    (strictly positive) function rather than its band-limited interpolant.
+    Each of the 3^n alias terms has a separable Gaussian factor, built as the
+    outer product of its 1-D factors."""
     axis = grid.axis_freqs()
     width = 2.0 * grid.nyquist_radius
-    shifts = np.arange(-1, 2) * width
+    # per shift and axis: the shifted frequencies squared and their Gaussian
+    shifted2 = (axis[None, :] + width * np.arange(-1, 2)[:, None]) ** 2
+    gauss = np.exp(-sigma * sigma * shifted2 / 4.0)
     phi_hat = np.zeros(grid.shape)
     for kv in np.ndindex(*([3] * grid.n)):
-        xi2 = np.zeros(grid.shape)
-        for a in range(grid.n):
-            shape = [1] * grid.n
-            shape[a] = grid.npts
-            xi2 = xi2 + ((axis + shifts[kv[a]]).reshape(shape)) ** 2
-        phi_hat += np.exp(-sigma * sigma * xi2 / 4.0) / (1.0 + xi2)
+        term = 1.0 + outer_product([shifted2[k] for k in kv], np.add)  # 1 + |xi|^2
+        np.divide(outer_product([gauss[k] for k in kv]), term, out=term)
+        phi_hat += term
     phi_hat *= (2.0 * np.pi) ** (-grid.n / 2.0)
     xi2 = grid.xi_radii() ** 2
     numer_hat = (1.0 - xi2 ** m) * phi_hat

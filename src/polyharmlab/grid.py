@@ -21,7 +21,10 @@ consumes (field_from_spectrum); it serves the quantities that live there
 
 A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
 the centring phase and the scale factors of the unitary transforms cancel
-between the forward and the inverse, so a multiplier applies neither.
+between the forward and the inverse, so a multiplier applies neither.  Its
+second half, apply_symbol_spectrum, takes fftn(f) from a caller that already
+holds it, for instance as the outer product of 1-D transforms of a separable
+f (separable_spectrum).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -240,9 +243,41 @@ def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
         out = scipy.fft.rfftn(values)
         out *= sym[..., :out.shape[-1]]
         return scipy.fft.irfftn(out, s=values.shape, overwrite_x=True)
-    out = scipy.fft.fftn(values)
-    out *= sym
-    return scipy.fft.ifftn(out, overwrite_x=True)
+    return apply_symbol_spectrum(scipy.fft.fftn(values), sym)
+
+
+def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """ifftn(sym * spec): apply_symbol's complex path from the unnormalized
+    DFT spec = scipy.fft.fftn(values) of its input, left unchanged.  A
+    caller that holds spec (a spectrum taken once, or one built by
+    separable_spectrum) applies a symbol to it at one inverse transform."""
+    return scipy.fft.ifftn(spec * sym, overwrite_x=True)
+
+
+def outer_product(vectors: Sequence[np.ndarray],
+                  op: np.ufunc = np.multiply) -> np.ndarray:
+    """The grid array whose entry (j_1, ..., j_n) is vectors[0][j_1] op ...
+    op vectors[n-1][j_n]: op.outer folded over one 1-D vector per axis."""
+    out = vectors[0]
+    for vec in vectors[1:]:
+        out = op.outer(out, vec)
+    return out
+
+
+def separable_spectrum(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """scipy.fft.fftn of the outer product of the 1-D samples factors[0],
+    ..., factors[n-1] (one per axis), as the outer product of their 1-D
+    DFTs: equal up to rounding, at the cost of n short transforms and one
+    pass over the grid."""
+    return outer_product([scipy.fft.fft(fac) for fac in factors])
+
+
+def separable_norm_lp(grid: GridSpec, factors: Sequence[np.ndarray],
+                      p: float) -> float:
+    """norm_lp of the outer product of the 1-D samples factors (one per
+    axis) at a finite p, as the product of their 1-D norms with spacing h."""
+    return float(np.prod([(np.sum(np.abs(fac) ** p) * grid.h) ** (1.0 / p)
+                          for fac in factors]))
 
 
 def apply_multiplier(f: Field, sym: np.ndarray) -> Field:

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-from scipy.special import jv
 
 from .birman_schwinger import birman_schwinger_count
 from .grid import Field, GridSpec, apply_symbol
@@ -203,24 +202,45 @@ def projector_ac(h: Hamiltonian, f: Field) -> Field:
     return Field(h.grid, out)
 
 
+def _bessel_orders(mags: np.ndarray, kmax: int) -> np.ndarray:
+    """J_k(a) for every a >= 0 in mags (rows) and order k = 0..kmax
+    (columns), from one backward recurrence J_{k-1} = (2k/a) J_k - J_{k+1}
+    (Miller's algorithm), started 30 orders above kmax and normalized by
+    J_0 + 2 sum_k J_2k = 1.  A row is scaled down whenever it nears
+    overflow; the orders above it then underflow harmlessly."""
+    start = kmax + 30
+    a = np.where(mags > 0, mags, 1.0)
+    out = np.zeros((mags.size, start + 2))
+    out[:, start] = 1e-300
+    for k in range(start, 0, -1):
+        out[:, k - 1] = (2.0 * k / a) * out[:, k] - out[:, k + 1]
+        big = np.abs(out[:, k - 1]) > 1e250
+        if big.any():
+            out[big, k - 1:] *= 1e-250
+    out /= (out[:, 0] + 2.0 * out[:, 2::2].sum(axis=1))[:, None]
+    out[mags == 0] = 0.0
+    out[mags == 0, 0] = 1.0
+    return out[:, :kmax + 1]
+
+
 def _chebyshev_coeffs(args: np.ndarray, tol: float) -> np.ndarray:
     """Coefficients (2 - delta_k0) i^k J_k(a) for every argument a (rows)
     and order k (columns), truncated once eight consecutive orders fall below
-    tol at every argument."""
-    a_max = float(np.max(np.abs(args), initial=0.0))
+    tol at every argument.  All orders come at once per distinct |a|
+    (_bessel_orders), with J_k(-a) = (-1)^k J_k(a)."""
+    mags, row = np.unique(np.abs(args), return_inverse=True)
+    a_max = float(mags[-1]) if mags.size else 0.0
     kmax = int(a_max) + 200 + int(40 * max(1.0, a_max) ** (1.0 / 3.0))
-    cols = []
-    small = 0
-    for k in range(kmax + 1):
-        c = (2.0 if k else 1.0) * (1j ** k) * jv(k, args)
-        cols.append(c)
-        if np.max(np.abs(c), initial=0.0) < tol:
-            small += 1
-            if small >= 8:
-                break
-        else:
-            small = 0
-    return np.stack(cols, axis=-1)
+    order = np.arange(kmax + 1)
+    weight = np.where(order > 0, 2.0, 1.0)
+    bessel = _bessel_orders(mags, kmax)
+    small = weight * np.max(np.abs(bessel), axis=0, initial=0.0) < tol
+    runs = np.flatnonzero(np.convolve(small, np.ones(8), "valid") == 8)
+    stop = runs[0] + 8 if runs.size else kmax + 1
+    order = order[:stop]
+    sign = np.where((args.reshape(-1, 1) < 0) & (order % 2 == 1), -1.0, 1.0)
+    i_pow = np.array([1.0, 1j, -1.0, -1j])[order % 4]
+    return (weight[:stop] * i_pow) * sign * bessel[row, :stop]
 
 
 #: Chebyshev vectors held at once; each block is folded into the output

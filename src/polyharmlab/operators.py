@@ -2,7 +2,7 @@
 
 Operator norms on weighted spaces are never assembled: the factors (pointwise
 weights, Fourier multipliers, dense Birman-Schwinger solves) are applied as
-callables on flat complex vectors.
+callables on flat vectors, complex or, for a real operator, real.
 """
 
 from __future__ import annotations
@@ -34,12 +34,16 @@ def operator_norm(
     """Largest singular value of A via power iteration on A* A.
 
     Stops after max_iter iterations or when the Rayleigh quotient stagnates to
-    relative tolerance rtol, whichever comes first.
+    relative tolerance rtol, whichever comes first.  The iterates keep the
+    start's arithmetic: a real start stays real as long as A and A* map real
+    vectors to real ones, so a real operator runs real transforms.  Without
+    a start the iteration starts from a complex Gaussian draw from rng.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if start is not None:
-        v = np.asarray(start, dtype=np.complex128).reshape(-1).copy()
+        start = np.asarray(start)
+        v = start.astype(np.result_type(start, np.float64)).reshape(-1)
     else:
         v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     nv = np.linalg.norm(v)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.fft
 
 from .grid import (
     Field,
@@ -25,10 +26,13 @@ from .grid import (
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol,
+    apply_symbol_spectrum,
     boundary_decay,
     check_smoothing_gamma,
     field_from_spectrum,
     norm_lp,
+    separable_norm_lp,
+    separable_spectrum,
     smoothing_weight,
     weight_abs_power,
     weighted_l2_norm,
@@ -261,7 +265,8 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
             h, weight, dsym, times, best_state, refine_iters)
         refined = max(est.norm ** 2, best_ratio)
         report.metrics.update(refine_iterations=est.iterations,
-                              refine_converged=est.converged)
+                              refine_converged=est.converged,
+                              refine_residual=est.residual)
         report.passes["finite"] = bool(np.isfinite(refined))
     report.metrics.update(sup_ratio_samples=best_ratio,
                           sup_ratio_refined=refined)
@@ -504,33 +509,29 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                     "seed": "caller rng", "slope_tol": slope_tol},
     )
 
-    # everything that does not depend on |z|, built once
+    # everything that does not depend on |z|, built once; the packs are held
+    # as their spectra, which every |z| reuses
     xi_abs = grid.xi_radii()
     dsym = abs_derivative_symbol(grid, alpha)
     xi_2m = xi_abs ** (2 * m)
-    r2 = grid.radii() ** 2
-    envelope = np.exp(-r2 / (2.0 * (grid.half_width / 8.0) ** 2))
-    packs = frequency_localized_samples(grid, samples, rng)
-    pack_dens = [norm_lp(f, p) for f in packs]
+    envelope = np.exp(-grid.radii() ** 2 / (2.0 * (grid.half_width / 8.0) ** 2))
+    pack_cands = [(scipy.fft.fftn(f.values), norm_lp(f, p))
+                  for f in frequency_localized_samples(grid, samples, rng)]
     norms = []
     for mag in mags:
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
         sym = dsym / (xi_2m - z)
         rho = mag ** (1.0 / (2 * m))
-        extra = _shell_localized_samples(grid, xi_abs, envelope, rho, 2, rng)
-        extra.extend(_scaled_bumps(grid, r2, rho))
-        cands = list(zip(packs, pack_dens))
-        cands.extend((f, norm_lp(f, p)) for f in extra)
         best = 0.0
         best_out = best_den = None
-        for f, den in cands:
+        for spec, den in _sobolev_candidates(grid, pack_cands, xi_abs,
+                                             envelope, rho, p, rng):
             if den == 0.0:
                 continue
-            out = apply_multiplier(f, sym)
+            out = Field(grid, apply_symbol_spectrum(spec, sym))
             ratio = norm_lp(out, q) / den
             if ratio > best:
                 best, best_out, best_den = ratio, out, den
-        del cands, extra  # the refinement needs only the best image: free the rest
         steps, stop = 0, None
         if best_out is not None:
             refined, steps, stop = _pq_norm_refine(best_out, best_den, sym, p, q)
@@ -547,14 +548,31 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     return report
 
 
+def _sobolev_candidates(grid: GridSpec,
+                        pack_cands: Sequence[Tuple[np.ndarray, float]],
+                        xi_abs: np.ndarray, envelope: np.ndarray, rho: float,
+                        p: float, rng: np.random.Generator
+                        ) -> Iterator[Tuple[np.ndarray, float]]:
+    """The screening candidates at resonant radius rho as (spectrum, L^p
+    norm) pairs, spectrum = scipy.fft.fftn of the samples: the packs'
+    precomputed pairs, then two shell-localized samples, then the scaled
+    bumps, whose pairs come from their 1-D axis factors.  Built one at a
+    time, so only the candidate being screened is held."""
+    yield from pack_cands
+    for fld in _shell_localized_samples(grid, xi_abs, envelope, rho, 2, rng):
+        yield scipy.fft.fftn(fld.values), norm_lp(fld, p)
+    for factors in _scaled_bumps(grid, rho):
+        yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
+
+
 def _shell_localized_samples(grid: GridSpec, xi_abs: np.ndarray,
                              envelope: np.ndarray, rho: float, count: int,
-                             rng: np.random.Generator) -> List[Field]:
+                             rng: np.random.Generator) -> Iterator[Field]:
     """Adversarial inputs: frequency content concentrated in a Gaussian
     annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), times
-    the fixed physical envelope for edge decay; xi_abs is grid.xi_radii()."""
+    the fixed physical envelope for edge decay; xi_abs is grid.xi_radii().
+    Drawn one at a time from rng."""
     rho = min(rho, 0.8 * grid.nyquist_radius)
-    out = []
     for _ in range(count):
         width = grid.h_xi * rng.uniform(1.0, 3.0)
         prof = np.exp(-((xi_abs - rho) / width) ** 2)
@@ -564,8 +582,7 @@ def _shell_localized_samples(grid: GridSpec, xi_abs: np.ndarray,
         nrm = np.linalg.norm(vals)
         if nrm == 0:
             continue
-        out.append(Field(grid, vals / nrm))
-    return out
+        yield Field(grid, vals / nrm)
 
 
 def _pq_norm_refine(image: Field, den: float, sym: np.ndarray,
@@ -621,23 +638,26 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _scaled_bumps(grid: GridSpec, r2: np.ndarray, rho: float) -> List[Field]:
+def _scaled_bumps(grid: GridSpec, rho: float) -> List[List[np.ndarray]]:
     """Self-similar near-extremizers: Gaussian bumps at scales around 1/rho
     (the resonant length), plain and carrier-modulated at |xi| = rho along
-    the first axis; r2 is grid.radii() ** 2.  The p -> q ratio of this family
-    is |z|-independent on the continuum, so it pins the scaling exponent
-    wherever the grid resolves the scale."""
-    out: List[Field] = []
-    carrier = np.exp(1j * rho * grid.axis_coords()).reshape((-1,) + (1,) * (grid.n - 1))
+    the first axis, each given by its n axis factors, every factor of unit
+    l2 norm (so the bump has unit flat l2 norm).  The p -> q ratio of this
+    family is |z|-independent on the continuum, so it pins the scaling
+    exponent wherever the grid resolves the scale."""
+    out: List[List[np.ndarray]] = []
+    x = grid.axis_coords()
+    carrier = np.exp(1j * rho * x)
     for c in (0.5, 1.0, 2.0, 4.0):
         scale = c / max(rho, 1e-6)
         if scale < 2.0 * grid.h or scale > grid.half_width / 6.0:
             continue
-        vals = np.exp(-r2 / (2.0 * scale ** 2))
-        out.append(Field(grid, vals / np.linalg.norm(vals)))
+        gauss = np.exp(-x ** 2 / (2.0 * scale ** 2))
+        gauss /= np.linalg.norm(gauss)
+        out.append([gauss] * grid.n)
         if rho < 0.8 * grid.nyquist_radius:
-            mod = vals * carrier
-            out.append(Field(grid, mod / np.linalg.norm(mod)))
+            mod = gauss * carrier
+            out.append([mod / np.linalg.norm(mod)] + [gauss] * (grid.n - 1))
     return out
 
 
@@ -694,8 +714,9 @@ def stein_weiss_probe(lam: float, alpha: float, beta: float, n: int,
             out = apply_symbol(w_out * vec.reshape(grid.shape), mult)
             return (w_in * out).reshape(-1)
 
-        est = operator_norm(apply_a, apply_at, grid.size, rng=rng,
-                            max_iter=120, rtol=1e-8)
+        # the operator is real: a real start keeps every transform real
+        est = operator_norm(apply_a, apply_at, grid.size, max_iter=120,
+                            rtol=1e-8, start=rng.standard_normal(grid.size))
         norms.append(est.norm)
         report.add_row(npts=npts, norm=est.norm, iterations=est.iterations,
                        residual=est.residual)

@@ -4,17 +4,44 @@ import numpy as np
 import pytest
 
 from polyharmlab.counterexample import (
+    _mollified_phi,
     build_embedded_pair,
     load_embedded_pair,
     save_embedded_pair,
     verify_embedded,
 )
-from polyharmlab.grid import GridSpec
+from polyharmlab.grid import GridSpec, field_from_spectrum
 
 
 @pytest.fixture(scope="module")
 def quick_pair():
     return build_embedded_pair(GridSpec(3, 24, 1.1), 2, delta=1.0)
+
+
+def _full_grid_alias_sum(grid, m, sigma):
+    """_mollified_phi with every alias term a full-grid exp: the sum it
+    replaced, kept as its oracle."""
+    axis = grid.axis_freqs()
+    shifts = np.arange(-1, 2) * 2.0 * grid.nyquist_radius
+    phi_hat = np.zeros(grid.shape)
+    for kv in np.ndindex(*([3] * grid.n)):
+        xi2 = np.zeros(grid.shape)
+        for a in range(grid.n):
+            shape = [1] * grid.n
+            shape[a] = grid.npts
+            xi2 = xi2 + ((axis + shifts[kv[a]]).reshape(shape)) ** 2
+        phi_hat += np.exp(-sigma * sigma * xi2 / 4.0) / (1.0 + xi2)
+    phi_hat *= (2.0 * np.pi) ** (-grid.n / 2.0)
+    numer_hat = (1.0 - (grid.xi_radii() ** 2) ** m) * phi_hat
+    return (field_from_spectrum(grid, phi_hat).values.real,
+            field_from_spectrum(grid, numer_hat).values.real)
+
+
+@pytest.mark.parametrize("n,npts,sigma", [(3, 24, 0.135), (3, 16, 0.4), (1, 32, 0.2)])
+def test_alias_sum_matches_full_grid_oracle(n, npts, sigma):
+    g = GridSpec(n, npts, 1.1)
+    for got, want in zip(_mollified_phi(g, 2, sigma), _full_grid_alias_sum(g, 2, sigma)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestBuildMollified:

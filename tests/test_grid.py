@@ -13,6 +13,7 @@ from polyharmlab.grid import (
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol,
+    apply_symbol_spectrum,
     boundary_decay,
     check_smoothing_gamma,
     field_from_function,
@@ -20,6 +21,8 @@ from polyharmlab.grid import (
     forward_transform,
     norm_lp,
     read_field,
+    separable_norm_lp,
+    separable_spectrum,
     smoothing_weight,
     sphere_area,
     unit_ball_volume,
@@ -248,6 +251,50 @@ class TestSpectralKernel:
         want = apply_symbol(vals.astype(np.complex128), sym)
         assert want.dtype == np.complex128
         assert max_rel(got, want) <= 1e-12
+
+
+class TestSeparableInputs:
+    @staticmethod
+    def bump_factors(g, modulated):
+        x = g.axis_coords()
+        gauss = np.exp(-x ** 2 / (2.0 * 0.7 ** 2))
+        first = gauss * np.exp(1.3j * x) if modulated else gauss
+        return [first] + [gauss] * (g.n - 1)
+
+    @staticmethod
+    def assemble(factors):
+        out = factors[0]
+        for fac in factors[1:]:
+            out = np.multiply.outer(out, fac)
+        return out
+
+    @pytest.mark.parametrize("n,npts", [(1, 32), (3, 16)])
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_spectrum_equals_fftn_of_sample(self, n, npts, modulated):
+        g = GridSpec(n, npts, 4.0)
+        factors = self.bump_factors(g, modulated)
+        want = scipy.fft.fftn(self.assemble(factors))
+        got = separable_spectrum(factors)
+        assert got.shape == g.shape
+        assert max_rel(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("n,npts", [(1, 32), (3, 16)])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+    def test_norm_equals_full_grid_norm(self, n, npts, p):
+        g = GridSpec(n, npts, 4.0)
+        factors = self.bump_factors(g, True)
+        want = norm_lp(Field(g, self.assemble(factors)), p)
+        assert separable_norm_lp(g, factors, p) == pytest.approx(want, rel=1e-13)
+
+    def test_spectrum_kernel_is_apply_symbols_complex_path(self):
+        g = GridSpec(3, 8, 2.5)
+        vals = random_field(g).values
+        sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
+        spec = scipy.fft.fftn(vals)
+        before = spec.copy()
+        np.testing.assert_array_equal(apply_symbol_spectrum(spec, sym),
+                                      apply_symbol(vals, sym))
+        np.testing.assert_array_equal(spec, before)
 
 
 class TestNormsAndWeights:

@@ -519,6 +519,42 @@ class TestPropagation:
         assert len(calls) == terms - 1
 
 
+def _per_order_coeffs(args, tol):
+    """_chebyshev_coeffs one order at a time from jv: the rule it replaced,
+    kept as its oracle."""
+    a_max = float(np.max(np.abs(args), initial=0.0))
+    kmax = int(a_max) + 200 + int(40 * max(1.0, a_max) ** (1.0 / 3.0))
+    cols, small = [], 0
+    for k in range(kmax + 1):
+        cols.append((2.0 if k else 1.0) * (1j ** k) * jv(k, args))
+        small = small + 1 if np.max(np.abs(cols[-1]), initial=0.0) < tol else 0
+        if small >= 8:
+            break
+    return np.stack(cols, axis=-1)
+
+
+class TestChebyshevCoeffs:
+    @pytest.mark.parametrize("times", [
+        np.linspace(-8.0, 8.0, 65),            # the lab grid's smoothing times
+        np.array([-3.0, 0.0, 1e-3, 0.4, 3.0]),
+        np.array([]),
+    ])
+    def test_matches_per_order_bessel(self, times):
+        g = GridSpec(3, 16, 8.0)
+        half, _ = _scaling(Hamiltonian(g, 1, gaussian_well(g, 5.0)))
+        want = _per_order_coeffs(half * times, 1e-12)
+        got = hamiltonian._chebyshev_coeffs(half * times, 1e-12)
+        assert got.shape == want.shape  # same truncation order
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(want), initial=1.0))
+
+    def test_lab_grid_truncation(self):
+        g = GridSpec(3, 16, 8.0)
+        half, _ = _scaling(Hamiltonian(g, 1, gaussian_well(g, 5.0)))
+        times = np.linspace(-8.0, 8.0, 65)
+        assert hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape == (65, 195)
+
+
 class TestPropagateAdjoint:
     @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
     def test_matches_stepped_sum(self, n, npts, m, t_final):

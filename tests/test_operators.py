@@ -52,6 +52,22 @@ class TestOperatorNorm:
         assert est.vector is not None and est.vector.shape == (3,)
         assert est.iterations >= 1
 
+    def test_real_start_keeps_real_iterates(self):
+        mat = RNG.standard_normal((20, 20))
+        seen = []
+
+        def a(v):
+            seen.append(v.dtype)
+            return mat @ v
+
+        real = operator_norm(a, lambda v: mat.T @ v, 20, max_iter=500,
+                             rtol=1e-12, start=RNG.standard_normal(20))
+        assert real.vector.dtype == np.float64
+        assert set(seen) == {np.dtype(np.float64)}
+        cplx = operator_norm(*dense_pair(mat), 20, max_iter=500, rtol=1e-12)
+        assert real.norm == pytest.approx(cplx.norm, rel=1e-9)
+        assert real.norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-9)
+
     def test_zero_start_rejected(self):
         mat = np.eye(3, dtype=complex)
         a, at = dense_pair(mat)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from polyharmlab import probes
 from polyharmlab.grid import (
@@ -11,6 +12,8 @@ from polyharmlab.grid import (
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
+    apply_symbol_spectrum,
+    norm_lp,
     smoothing_weight,
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
@@ -173,6 +176,7 @@ class TestRefinement:
         rep = kato_smoothing_probe(h, 0.25, refine_iters=2, **kw)
         assert 1 <= rep.metrics["refine_iterations"] <= 2
         assert isinstance(rep.metrics["refine_converged"], bool)
+        assert 0.0 <= rep.metrics["refine_residual"] < np.inf
         bare = kato_smoothing_probe(h, 0.25, refine_iters=0, **kw)
         assert "refine_iterations" not in bare.metrics
 
@@ -287,6 +291,35 @@ class TestSobolevScalingProbe:
         assert rep.metrics["expected_slope"] == pytest.approx(0.0, abs=1e-12)
         assert rep.metrics["slope_confidence"] == width
         assert rep.passes["slope_matches"] is matches
+
+    @pytest.mark.parametrize("rho", [1.5, 3.0])
+    def test_screened_ratios_match_full_grid_candidates(self, rho):
+        # the candidates as sample fields, bumps from full-grid exponentials,
+        # each ratio through apply_multiplier: the screening it replaced
+        g = GridSpec(3, 48, 8.0)
+        p, q = 4.0 / 3.0, 4.0
+        sym = abs_derivative_symbol(g, 0.5) / (g.xi_radii() ** 2 - rho ** 2 * 1j)
+        xi_abs, r2 = g.xi_radii(), g.radii() ** 2
+        envelope = np.exp(-r2 / (2.0 * (g.half_width / 8.0) ** 2))
+        rng = np.random.default_rng(5)
+        fields = frequency_localized_samples(g, 2, rng)
+        fields += probes._shell_localized_samples(g, xi_abs, envelope, rho, 2, rng)
+        carrier = np.exp(1j * rho * g.coords()[0])
+        for c in (0.5, 1.0, 2.0, 4.0):
+            scale = c / rho
+            if 2.0 * g.h <= scale <= g.half_width / 6.0:
+                vals = np.exp(-r2 / (2.0 * scale ** 2))
+                fields += [Field(g, vals), Field(g, vals * carrier)]
+        want = [norm_lp(apply_multiplier(f, sym), q) / norm_lp(f, p) for f in fields]
+
+        rng = np.random.default_rng(5)
+        packs = [(scipy.fft.fftn(f.values), norm_lp(f, p))
+                 for f in frequency_localized_samples(g, 2, rng)]
+        got = [norm_lp(Field(g, apply_symbol_spectrum(spec, sym)), q) / den
+               for spec, den in probes._sobolev_candidates(
+                   g, packs, xi_abs, envelope, rho, p, rng)]
+        assert len(fields) > 4 + 2  # some bumps are screened
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_flush_subnormal(self):
         tiny = np.finfo(np.float64).tiny
