@@ -42,18 +42,12 @@ DEFAULT_SUPPORT_CAP = 6000
 COUNT_SUPPORT_CAP = 2048
 
 
-def apply_resolvent(grid: GridSpec, q: ResolventQuery, values: np.ndarray) -> np.ndarray:
-    """R0(z) applied to a physical-space array (returns physical array)."""
-    vals = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
-    return apply_symbol(vals, resolvent_symbol_array(grid, q))
-
-
-def resolvent_base_column(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
-    """R0(z) applied to the delta at flat index 0; every other column of the
-    grid resolvent is a periodic shift of this one."""
-    delta = np.zeros(grid.shape, dtype=np.complex128)
+def _base_column(grid: GridSpec, sym: np.ndarray) -> np.ndarray:
+    """The multiplier sym applied to the delta at flat index 0; every other
+    column of the grid operator is a periodic shift of this one."""
+    delta = np.zeros(grid.shape)
     delta[(0,) * grid.n] = 1.0
-    return apply_resolvent(grid, q, delta)
+    return apply_symbol(delta, sym)
 
 
 def riesz_base_column(grid: GridSpec, m: int) -> np.ndarray:
@@ -179,9 +173,7 @@ def birman_schwinger_count(pot: Potential, symbol: np.ndarray,
     if support.size == 0:
         return 0
     grid = pot.grid
-    delta = np.zeros(grid.shape)
-    delta[(0,) * grid.n] = 1.0
-    block = _gather_block(grid, apply_symbol(delta, 1.0 / (symbol + tau)), support)
+    block = _gather_block(grid, _base_column(grid, 1.0 / (symbol + tau)), support)
     values = pot.values.reshape(-1)[support]
     v = np.sqrt(np.abs(values))
     block *= v[:, None]
@@ -214,7 +206,7 @@ def assemble_M(pot: Potential, q: ResolventQuery,
     if complex(q.z) == 0:
         base = riesz_base_column(grid, q.m)
     else:
-        base = resolvent_base_column(grid, q)
+        base = _base_column(grid, resolvent_symbol_array(grid, q))
     g_block = _gather_block(grid, base, support)
     v = pot.v().reshape(-1)[support]
     w = pot.w().reshape(-1)[support]
@@ -258,56 +250,67 @@ def neumann_threshold(pot: Potential, m: int,
     return threshold, report
 
 
-def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
-                   thetas: Sequence[float], nu: float,
-                   point_spectrum: Sequence[float] = ()) -> ProbeReport:
-    """Table of ||M^{-1}(lambda +/- i theta)|| over the sweep, with the
-    nu-neighborhoods of known point spectrum excluded from the lambda grid."""
-    lambdas = np.asarray(sorted(lambdas), dtype=float)
+def _theta_sweep(report: ProbeReport, pot: Potential, m: int,
+                 lambdas: Sequence[float], thetas: Sequence[float],
+                 measure: Callable[[BSMatrix], Tuple[float, float, int]]
+                 ) -> ProbeReport:
+    """Fill report with a sweep over z = lambda +/- i theta, theta > 0.
+
+    Per lambda (in the given order) and theta (descending), the block of
+    lambda + i theta serves the conjugate pair (module docstring):
+    measure(block) gives (norm, sigma_min, iterations), recorded on a '+'
+    and a '-' row.  Sets the sup of the norms, plateau_ratio (the sup at
+    the smallest theta over the sup at the next one) and the flag finite."""
     thetas = np.sort(np.asarray(list(thetas), dtype=float))[::-1]
     if np.any(thetas <= 0):
         raise ValueError("theta ladder must be positive")
-    keep = np.ones(lambdas.size, dtype=bool)
-    for ev in point_spectrum:
-        keep &= np.abs(lambdas - ev) >= nu
-    excluded = lambdas[~keep]
-    lambdas = lambdas[keep]
-    n = pot.grid.n
-    report = ProbeReport(
-        name="inv_norm_sweep",
-        params={"m": m, "n": n, "nu": nu, "potential": pot.name,
-                "excluded_lambdas": list(map(float, excluded))},
-    )
     sup_by_theta = {}
     for lam in lambdas:
         for th in thetas:
-            # sigma_min(M(z-bar)) = sigma_min(M(z)): one solve serves both rows.
-            # Neither M nor its factors are kept past the solve (peak memory).
-            q = ResolventQuery(z=complex(lam, th), m=m, n=n)
-            smin, applications = sigma_min(assemble_M(pot, q).factors)
-            norm = 1.0 / smin if smin > 0 else np.inf
+            # the block dies with measure's return (peak memory)
+            q = ResolventQuery(z=complex(lam, th), m=m, n=pot.grid.n)
+            norm, smin, iterations = measure(assemble_M(pot, q))
             for side in ("+", "-"):
                 report.add_row(lam=lam, theta=th, side=side, norm=norm,
-                               sigma_min=smin, iterations=applications)
+                               sigma_min=smin, iterations=iterations)
             sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), norm)
     sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
-    if thetas.size >= 2:
-        a, b = sup_by_theta[float(thetas[-1])], sup_by_theta[float(thetas[-2])]
+    ths = sorted(sup_by_theta)
+    if len(ths) >= 2:
+        a, b = sup_by_theta[ths[0]], sup_by_theta[ths[1]]
         report.metrics["plateau_ratio"] = a / b if b else np.inf
     report.passes["finite"] = bool(np.isfinite(sup))
     return report
 
 
+def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
+                   thetas: Sequence[float], nu: float,
+                   point_spectrum: Sequence[float] = ()) -> ProbeReport:
+    """Table of ||M^{-1}(lambda +/- i theta)|| = 1 / sigma_min over the
+    sweep, with the nu-neighborhoods of known point spectrum excluded from
+    the lambda grid."""
+    lambdas = np.asarray(sorted(lambdas), dtype=float)
+    keep = np.ones(lambdas.size, dtype=bool)
+    for ev in point_spectrum:
+        keep &= np.abs(lambdas - ev) >= nu
+    report = ProbeReport(
+        name="inv_norm_sweep",
+        params={"m": m, "n": pot.grid.n, "nu": nu, "potential": pot.name,
+                "excluded_lambdas": list(map(float, lambdas[~keep]))},
+    )
+
+    def measure(bs: BSMatrix) -> Tuple[float, float, int]:
+        smin, applications = sigma_min(bs.factors)
+        return (1.0 / smin if smin > 0 else np.inf), smin, applications
+
+    return _theta_sweep(report, pot, m, lambdas[keep], thetas, measure)
+
+
 def detect_zero_resonance(pot: Potential, m: int) -> Tuple[float, bool]:
     """Smallest singular value of M(0) plus a resonance-suspect flag, raised
     when sigma_min < 1e-3."""
-    smin = _sigma_at(pot, m, 0.0)
+    smin = assemble_M(pot, ResolventQuery(z=0j, m=m, n=pot.grid.n)).sigma_min()
     return float(smin), bool(smin < 1e-3)
-
-
-def _sigma_at(pot: Potential, m: int, e: float) -> float:
-    q = ResolventQuery(z=complex(e), m=m, n=pot.grid.n)
-    return assemble_M(pot, q).sigma_min()
 
 
 def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
@@ -325,7 +328,8 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     conjugate = complex(bs.query.z) != complex(q.z)
     if conjugate and complex(bs.query.z) != complex(q.z).conjugate():
         raise ValueError(f"block of z = {bs.query.z} given for z = {q.z}")
-    g0 = apply_resolvent(grid, q, f.values)
+    sym = resolvent_symbol_array(grid, q)
+    g0 = apply_symbol(f.values, sym)
     if bs.size == 0:
         return Field(grid, g0)
     support = bs.support
@@ -335,7 +339,7 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     coeffs = bs.solve(left * g0.reshape(-1)[support], adjoint=conjugate)
     spread = np.zeros(grid.size, dtype=np.complex128)
     spread[support] = right * coeffs
-    correction = apply_resolvent(grid, q, spread.reshape(grid.shape))
+    correction = apply_symbol(spread.reshape(grid.shape), sym)
     return Field(grid, g0 - correction)
 
 
@@ -360,57 +364,32 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
     wgt = smoothing_weight(grid, m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma)
 
-    def half_sandwich(vec: np.ndarray) -> np.ndarray:
-        """|D|^gamma (W vec) as a physical array."""
-        return apply_symbol(wgt * vec.reshape(grid.shape), dsym)
-
-    def half_sandwich_out(vec: np.ndarray) -> np.ndarray:
-        """W (|D|^gamma vec): adjoint order of half_sandwich (both factors are
-        self-adjoint, so this is the conjugate-transpose composition)."""
-        return wgt * apply_symbol(vec, dsym)
-
     def sandwich(q: ResolventQuery, bs: BSMatrix) -> Callable[[np.ndarray], np.ndarray]:
         """W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W for the block bs of q."""
         def apply(vec: np.ndarray) -> np.ndarray:
-            u = half_sandwich(vec)
+            u = apply_symbol(wgt * vec.reshape(grid.shape), dsym).reshape(-1)
             if projected:
-                u = projector(u.reshape(-1))
-            r = perturbed_resolvent_apply(
-                pot, q, Field(grid, u.reshape(grid.shape)), bs=bs
-            ).values.reshape(-1)
+                u = projector(u)
+            r = perturbed_resolvent_apply(pot, q, Field(grid, u), bs=bs).values
             if projected:
-                r = projector(r)
-            return half_sandwich_out(r.reshape(grid.shape)).reshape(-1)
+                r = projector(r.reshape(-1))
+            return (wgt * apply_symbol(r.reshape(grid.shape), dsym)).reshape(-1)
         return apply
+
+    def measure(bs: BSMatrix) -> Tuple[float, float, int]:
+        # W, |D|^gamma and P_ac are self-adjoint and R(z-bar) = R(z)*, so
+        # the operator at z-bar is the adjoint of the one at z: one norm
+        # estimate serves both rows
+        smin = bs.sigma_min()
+        qc = ResolventQuery(z=complex(bs.query.z).conjugate(), m=m, n=n)
+        est = operator_norm(sandwich(bs.query, bs), sandwich(qc, bs),
+                            grid.size, rng=rng)
+        return est.norm, smin, est.iterations
 
     report = ProbeReport(
         name="supersmooth_sweep",
         params={"m": m, "n": n, "gamma": gamma, "eps": eps,
                 "projected": projected, "potential": pot.name},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width}},
+        provenance={"grid": grid.provenance()},
     )
-    sup_by_theta = {}
-    for lam in lambdas:
-        for th in np.sort(np.asarray(list(thetas)))[::-1]:
-            qp = ResolventQuery(z=complex(lam, th), m=m, n=n)
-            qm = ResolventQuery(z=complex(lam, -th), m=m, n=n)
-            bs = assemble_M(pot, qp)  # serves z and z-bar (module docstring)
-            smin = bs.sigma_min()
-            # W, |D|^gamma and P_ac are self-adjoint and R(z-bar) = R(z)*, so
-            # the operator at z-bar is the adjoint of the one at z: one norm
-            # estimate serves both rows
-            est = operator_norm(sandwich(qp, bs), sandwich(qm, bs),
-                                grid.size, rng=rng)
-            for side in ("+", "-"):
-                report.add_row(lam=lam, theta=th, side=side, norm=est.norm,
-                               sigma_min=smin, iterations=est.iterations)
-            sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), est.norm)
-    sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
-    ths = sorted(sup_by_theta)
-    if len(ths) >= 2:
-        report.metrics["plateau_ratio"] = (
-            sup_by_theta[ths[0]] / sup_by_theta[ths[1]]
-            if sup_by_theta[ths[1]] else np.inf
-        )
-    report.passes["finite"] = bool(np.isfinite(sup))
-    return report
+    return _theta_sweep(report, pot, m, lambdas, thetas, measure)

@@ -49,8 +49,15 @@ PROBE_SUBCOMMANDS = (
 )
 SUBCOMMANDS = PROBE_SUBCOMMANDS + ("all",)
 
-POTENTIAL_FAMILIES = ("gaussian-well", "polynomial-decay",
-                      "embedded-counterexample", "file")
+#: The keys each potential family reads, with their schema kinds; every
+#: family also reads coupling.
+POTENTIAL_KEYS = {
+    "gaussian-well": {"depth": "number", "width": "number"},
+    "polynomial-decay": {"g": "number", "amplitude": "number", "s": "number"},
+    "embedded-counterexample": {"delta": "number"},
+    "file": {"path": "str", "s": "number"},
+}
+POTENTIAL_FAMILIES = tuple(POTENTIAL_KEYS)
 
 
 class ConfigError(ValueError):
@@ -259,13 +266,21 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
 
     pot_spec = oblock.get("potential") or {"family": "gaussian-well",
                                            "depth": 1.0, "width": 1.0}
-    _require(pot_spec.get("family") in POTENTIAL_FAMILIES,
-             f"potential family must be one of {POTENTIAL_FAMILIES}, "
-             f"got {pot_spec.get('family')!r}")
+    _require(isinstance(pot_spec, dict), "operator.potential must be a mapping")
+    family = pot_spec.get("family")
+    _require(family in POTENTIAL_FAMILIES,
+             f"potential family must be one of {POTENTIAL_FAMILIES}, got {family!r}")
+    kinds = dict(POTENTIAL_KEYS[family], coupling="number")
+    spec = {"family": family}
+    for key, value in pot_spec.items():
+        if key != "family":
+            _require(key in kinds, f"unknown parameter {key!r} in the {family} potential")
+            _require(value is not None, f"operator.potential.{key} must be set")
+            spec[key] = _coerce(f"operator.potential.{key}", kinds[key], value)
 
     warnings: List[str] = []
-    if pot_spec["family"] == "polynomial-decay":
-        s = float(pot_spec.get("s", 0.0))
+    if family == "polynomial-decay":
+        s = spec.get("s", 0.0)
         _require(s > 0, "polynomial-decay potential needs s > 0")
         if s <= 2 * m:
             warnings.append(
@@ -307,7 +322,7 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
         nthreads = os.cpu_count() or 1
     _require(nthreads >= 1, "threads must be >= 1")
 
-    return RunConfig(grid=grid, m=m, potential_spec=dict(pot_spec), seed=seed,
+    return RunConfig(grid=grid, m=m, potential_spec=spec, seed=seed,
                      output_dir=outp, threads=nthreads, probes=probes,
                      warnings=warnings)
 
@@ -406,9 +421,7 @@ def _run_bs_sweep(cfg: RunConfig) -> ProbeReport:
                           block["lambda_count"])
     report = inv_norm_sweep(pot, cfg.m, list(lambdas), block["thetas"],
                             block["nu"])
-    report.provenance.update(seed=cfg.seed,
-                             grid={"n": cfg.grid.n, "N": cfg.grid.npts,
-                                   "L": cfg.grid.half_width})
+    report.provenance.update(seed=cfg.seed, grid=cfg.grid.provenance())
     return report
 
 
@@ -422,9 +435,7 @@ def _run_spectrum(cfg: RunConfig) -> ProbeReport:
         name="spectrum",
         params={"m": cfg.m, "n": cfg.grid.n, "potential": pot.name,
                 "clr_constant": block["clr_constant"]},
-        provenance={"seed": cfg.seed,
-                    "grid": {"n": cfg.grid.n, "N": cfg.grid.npts,
-                             "L": cfg.grid.half_width},
+        provenance={"seed": cfg.seed, "grid": cfg.grid.provenance(),
                     "residual_tol": block["residual_tol"]},
     )
     for ev, res in zip(es.eigenvalues, es.residuals):

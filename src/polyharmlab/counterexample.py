@@ -171,7 +171,7 @@ def verify_embedded(pair: EmbeddedPair) -> ProbeReport:
     report = ProbeReport(
         name="embedded_pair",
         params={"m": pair.m, "n": pair.n, "delta": pair.delta},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width}},
+        provenance={"grid": grid.provenance()},
     )
     report.add_row(m=pair.m, n=pair.n, delta=pair.delta,
                    eigen_residual=residual,
@@ -202,7 +202,7 @@ def save_embedded_pair(pair: EmbeddedPair, directory) -> Path:
         "n": pair.n,
         "delta": pair.delta,
         "residuals": pair.residuals,
-        "grid": {"n": pair.grid.n, "N": pair.grid.npts, "L": pair.grid.half_width},
+        "grid": pair.grid.provenance(),
     }
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

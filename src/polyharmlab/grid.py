@@ -98,6 +98,10 @@ class GridSpec:
         """Largest per-axis |xi| on the lattice, (pi/L)*(N/2)."""
         return self.h_xi * self.npts / 2
 
+    def provenance(self) -> dict:
+        """The grid as probe reports record it."""
+        return {"n": self.n, "N": self.npts, "L": self.half_width}
+
     def axis_coords(self) -> np.ndarray:
         """1D physical coordinates -L + j*h, j = 0..N-1."""
         return -self.half_width + self.h * np.arange(self.npts)

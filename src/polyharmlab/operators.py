@@ -8,9 +8,11 @@ callables on flat vectors, complex or, for a real operator, real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from .grid import apply_symbol
 
 
 @dataclass
@@ -71,3 +73,20 @@ def operator_norm(
         rho_prev is not None and it < max_iter
     )
     return NormEstimate(float(np.sqrt(max(rho, 0.0))), it, residual, converged, v)
+
+
+def weighted_multiplier(w_out: np.ndarray, sym: np.ndarray, w_in: np.ndarray
+                        ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+                                   Callable[[np.ndarray], np.ndarray]]:
+    """(A, A*) on flat vectors for A = W_out m(D) W_in, with pointwise real
+    weights and the lattice symbol sym of m(D) (grid-shaped arrays), and
+    A* = W_in conj(m)(D) W_out.  Real weights and a real symbol keep a real
+    vector real: apply_symbol's real transforms."""
+    def sandwich(left, symbol, right):
+        def apply(vec: np.ndarray) -> np.ndarray:
+            out = apply_symbol(right * vec.reshape(symbol.shape), symbol)
+            out *= left
+            return out.reshape(-1)
+        return apply
+
+    return sandwich(w_out, sym, w_in), sandwich(w_in, np.conj(sym), w_out)

@@ -39,8 +39,9 @@ from .grid import (
 )
 from .hamiltonian import (Hamiltonian, duhamel, projector_ac, propagate,
                           propagate_adjoint)
-from .operators import NormEstimate, operator_norm
+from .operators import NormEstimate, operator_norm, weighted_multiplier
 from .reporting import ProbeReport, fit_loglog
+from .resolvent import z_ray
 
 #: Relative increment on the last T-doubling below which a time integral is
 #: declared plateaued.
@@ -175,22 +176,26 @@ def plateau_increments(values: Sequence[float]) -> List[float]:
     return out
 
 
-def _sup_over_samples(report: ProbeReport, packs: Sequence[Field],
-                      ratios_of: Callable[[Field], List[float]],
-                      t_checks: Sequence[float], plateau_tol: float,
-                      power: float) -> Tuple[float, Field]:
+def _sup_over_samples(report: ProbeReport, grid: GridSpec, samples: int,
+                      rng: Optional[np.random.Generator], t_final: float,
+                      ratios_of: Callable[[Field, List[float]], List[float]],
+                      plateau_tol: float, power: float) -> Tuple[float, Field]:
     """Sup over sample states of a functional truncated to [-T, T].
 
-    ratios_of(psi0) gives the functional's ratio at each T-checkpoint; each
-    becomes a row.  The sample with the largest final ratio is the sup, and
-    its plateau increments are taken on ratio ** power, the time integral
+    The states are `samples` frequency_localized_samples drawn from rng
+    (seed 0 without one).  ratios_of(psi0, t_checks) gives the functional's
+    ratio at each T-checkpoint of t_checks = [T/4, T/2, T]; each becomes a
+    row.  The sample with the largest final ratio is the sup, and its
+    plateau increments are taken on ratio ** power, the time integral
     itself.  Sets the plateau metrics and the finite / plateau flags, and
     returns (sup ratio, sup sample)."""
+    t_checks = [t_final / 4.0, t_final / 2.0, t_final]
+    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     if not packs:
         raise ValueError("need at least one sample")
     best_ratios, best_state = None, None
     for idx, psi0 in enumerate(packs):
-        ratios = ratios_of(psi0)
+        ratios = ratios_of(psi0, t_checks)
         for tc, ratio in zip(t_checks, ratios):
             report.add_row(sample=idx, t_check=tc, ratio=ratio)
         if best_ratios is None or ratios[-1] > best_ratios[-1]:
@@ -210,8 +215,8 @@ def _time_integral_report(name: str, h: Hamiltonian, plateau_tol: float,
     return ProbeReport(
         name=name,
         params={"m": h.m, "n": grid.n, **params, "potential": h.potential.name},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width},
-                    "seed": "caller rng", "plateau_tol": plateau_tol})
+        provenance={"grid": grid.provenance(), "seed": "caller rng",
+                    "plateau_tol": plateau_tol})
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +245,12 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
     weight = smoothing_weight(grid, h.m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma)
     times = _symmetric_times(t_final, time_step)
-    t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
     report = _time_integral_report(
         "kato_smoothing", h, plateau_tol, gamma=gamma, eps=eps, t_final=t_final,
         samples=samples, time_step=time_step)
 
-    def ratios_of(psi0: Field) -> List[float]:
+    def ratios_of(psi0: Field, t_checks: List[float]) -> List[float]:
         states = propagate(h, projector_ac(h, psi0), list(times))
         sq = np.array([
             weighted_l2_norm(apply_multiplier(st, dsym), weight) ** 2
@@ -255,9 +259,8 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         denom = psi0.norm2() ** 2
         return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
 
-    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     best_ratio, best_state = _sup_over_samples(
-        report, packs, ratios_of, t_checks, plateau_tol, power=1)
+        report, grid, samples, rng, t_final, ratios_of, plateau_tol, power=1)
 
     refined = best_ratio
     if refine_iters > 0:
@@ -353,11 +356,9 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
         "inhomogeneous_smoothing", h, plateau_tol, gamma=gamma, eps=eps,
         t_final=t_final, samples=samples, time_step=time_step)
 
-    t_checks = [t_final / 4.0, t_final / 2.0, t_final]
-
     bump_norm = math.sqrt(float(np.trapezoid(bump ** 2, times)))
 
-    def ratios_of(g: Field) -> List[float]:
+    def ratios_of(g: Field, t_checks: List[float]) -> List[float]:
         outs = duhamel(h, g, bump, times)
         num_sq = np.array([
             weighted_l2_norm(apply_multiplier(u, dsym), weight) ** 2
@@ -367,9 +368,8 @@ def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
         return [math.sqrt(c) / den
                 for c in _partial_trapezoids(times, num_sq, t_checks)]
 
-    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     report.metrics["sup_ratio"], _ = _sup_over_samples(
-        report, packs, ratios_of, t_checks, plateau_tol, power=2)
+        report, grid, samples, rng, t_final, ratios_of, plateau_tol, power=2)
     return report
 
 
@@ -410,7 +410,6 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
     gsym = abs_derivative_symbol(grid, gain_order) if gain_order else None
 
     times = _symmetric_times(t_final, time_step)
-    t_checks = [t_final / 4.0, t_final / 2.0, t_final]
 
     report = _time_integral_report(
         "strichartz", h, plateau_tol, p=p, q=q, alpha=float(pair.alpha), mode=mode,
@@ -422,7 +421,7 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
         q1 = 1.0 / inv_q1 if inv_q1 > 0 else math.inf
     sobolev_const = 0.0
 
-    def ratios_of(psi0: Field) -> List[float]:
+    def ratios_of(psi0: Field, t_checks: List[float]) -> List[float]:
         nonlocal sobolev_const
         states = propagate(h, projector_ac(h, psi0), list(times))
         snap_q = np.empty(times.size)
@@ -439,9 +438,8 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
                      _partial_trapezoids(times, snap_q ** p, t_checks)]
         return [c / psi0.norm2() for c in mixed]
 
-    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
     report.metrics["sup_ratio"], _ = _sup_over_samples(
-        report, packs, ratios_of, t_checks, plateau_tol,
+        report, grid, samples, rng, t_final, ratios_of, plateau_tol,
         power=1 if math.isinf(p) else p)
     if mode == "gain":
         report.metrics.update(sobolev_partner_q1=q1,
@@ -489,12 +487,7 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     """
     n = grid.n
     _check_sobolev_window(m, n, alpha, p, q)
-    mags = np.sort(np.asarray(list(z_magnitudes), dtype=float))
-    if mags.size < 3 or mags[0] <= 0:
-        raise ValueError("need >= 3 positive |z| samples")
-    decades = math.log10(mags[-1] / mags[0])
-    if decades < 1.5:
-        raise ValueError(f"|z| samples span {decades:.2f} decades; need >= 1.5")
+    mags, decades = z_ray(z_magnitudes)
     if not (0 < z_arg < 2 * np.pi) or abs(z_arg) < 1e-9:
         raise ValueError("ray must avoid the positive real axis (z_arg != 0)")
     if rng is None:
@@ -505,8 +498,8 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
         name="sobolev_scaling",
         params={"m": m, "n": n, "alpha": alpha, "p": p, "q": q,
                 "z_arg": z_arg, "samples": samples},
-        provenance={"grid": {"n": n, "N": grid.npts, "L": grid.half_width},
-                    "seed": "caller rng", "slope_tol": slope_tol},
+        provenance={"grid": grid.provenance(), "seed": "caller rng",
+                    "slope_tol": slope_tol},
     )
 
     # everything that does not depend on |z|, built once; the packs are held
@@ -702,18 +695,9 @@ def stein_weiss_probe(lam: float, alpha: float, beta: float, n: int,
     norms = []
     for npts in npts_ladder:
         grid = GridSpec(n, int(npts), half_width)
-        w_in = weight_abs_power(grid, -alpha)
-        w_out = weight_abs_power(grid, -beta)
-        mult = abs_derivative_symbol(grid, lam - n)
-
-        def apply_a(vec, grid=grid, w_in=w_in, w_out=w_out, mult=mult):
-            out = apply_symbol(w_in * vec.reshape(grid.shape), mult)
-            return (w_out * out).reshape(-1)
-
-        def apply_at(vec, grid=grid, w_in=w_in, w_out=w_out, mult=mult):
-            out = apply_symbol(w_out * vec.reshape(grid.shape), mult)
-            return (w_in * out).reshape(-1)
-
+        apply_a, apply_at = weighted_multiplier(
+            weight_abs_power(grid, -beta), abs_derivative_symbol(grid, lam - n),
+            weight_abs_power(grid, -alpha))
         # the operator is real: a real start keeps every transform real
         est = operator_norm(apply_a, apply_at, grid.size, max_iter=120,
                             rtol=1e-8, start=rng.standard_normal(grid.size))

@@ -13,20 +13,20 @@ shell-binned surface integral weighted by exact shell area over bin volume.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import math
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .grid import (
     Field,
     GridSpec,
-    apply_symbol,
     forward_transform,
     sphere_area,
     weight_bracket_power,
 )
 from .kernels import ResolventQuery
-from .operators import NormEstimate, operator_norm
+from .operators import NormEstimate, operator_norm, weighted_multiplier
 from .reporting import ProbeReport, fit_loglog
 
 
@@ -36,6 +36,15 @@ def _check_shell(grid: GridSpec, rho: float) -> None:
             f"resonant shell radius {rho:.4g} exceeds the lattice Nyquist "
             f"radius {grid.nyquist_radius:.4g}"
         )
+
+
+def _shell_bin(grid: GridSpec, xi_abs: np.ndarray,
+               rho: float) -> Tuple[np.ndarray, float, float]:
+    """The bin of the sphere |xi| = rho on the frequency lattice, xi_abs =
+    grid.xi_radii(): (mask of the annulus [rho - h/2, rho + h/2], exact shell
+    area, lattice measure of the binned cells)."""
+    mask = np.abs(xi_abs - rho) <= grid.h_xi / 2
+    return mask, sphere_area(grid.n, rho), np.count_nonzero(mask) * grid.cell_volume_xi
 
 
 def shell_integral(grid: GridSpec, values_hat: np.ndarray, rho: float) -> complex:
@@ -48,47 +57,51 @@ def shell_integral(grid: GridSpec, values_hat: np.ndarray, rho: float) -> comple
     cancel between numerator and denominator; the estimator reduces to
     (mean binned density) x (exact shell area)."""
     _check_shell(grid, rho)
-    h = grid.h_xi
-    xi_abs = grid.xi_radii()
-    mask = np.abs(xi_abs - rho) <= h / 2
-    count = int(np.count_nonzero(mask))
-    if count == 0:
+    mask, area, bin_volume = _shell_bin(grid, grid.xi_radii(), rho)
+    if not bin_volume:
         return 0.0 + 0.0j
-    bin_volume = count * grid.cell_volume_xi
     bin_sum = complex(np.sum(values_hat[mask])) * grid.cell_volume_xi
-    return bin_sum * sphere_area(grid.n, rho) / bin_volume
+    return bin_sum * area / bin_volume
 
 
-def _pv_window(grid: GridSpec, m: int, lam: float) -> float:
-    """Exclusion half-width in the symbol variable s = |xi|^{2m} - lam:
-    three local symbol gradients times the lattice spacing."""
+def _resonant_shell(grid: GridSpec, lam: float, m: int) -> Tuple[float, float]:
+    """(rho, c) for lam > 0: the resonant radius rho = lam^{1/(2m)}, checked
+    against the lattice, and the spectral-measure factor
+    c = (1/2m) lam^{(1-2m)/(2m)}."""
+    if lam <= 0:
+        raise ValueError(f"boundary values need lambda > 0, got {lam}")
     rho = lam ** (1.0 / (2 * m))
-    return 3.0 * (2 * m * rho ** (2 * m - 1)) * grid.h_xi
+    _check_shell(grid, rho)
+    return rho, lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
+
+
+def _boundary_setup(grid: GridSpec, lam: float, m: int, side: str):
+    """(rho, |xi|, s, w, surface coefficient) of R0_pm(lam): the lattice
+    |xi|, s = |xi|^{2m} - lam, the principal-value exclusion half-width w in
+    s (three local symbol gradients times the lattice spacing), and
+    +/- pi i c on side '+' / '-'."""
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    rho, c = _resonant_shell(grid, lam, m)
+    xi_abs = grid.xi_radii()
+    w = 3.0 * (2 * m * rho ** (2 * m - 1)) * grid.h_xi
+    return rho, xi_abs, xi_abs ** (2 * m) - lam, w, (np.pi * 1j if side == "+" else -np.pi * 1j) * c
 
 
 def boundary_value_pairing(f: Field, g: Field, lam: float, side: str, m: int) -> complex:
     """<R0_pm(lam) f, g> for lam > 0: principal-value lattice sum plus the
     signed surface term of the limiting absorption boundary value."""
-    if lam <= 0:
-        raise ValueError(f"boundary pairing needs lambda > 0, got {lam}")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
     grid = f.grid
-    rho = lam ** (1.0 / (2 * m))
-    _check_shell(grid, rho)
-
+    rho, _, s, w, coef = _boundary_setup(grid, lam, m, side)
     density = forward_transform(f) * np.conj(forward_transform(g))
-
-    xi_abs = grid.xi_radii()
-    s = xi_abs ** (2 * m) - lam
-    w = _pv_window(grid, m, lam)
 
     outside = np.abs(s) >= w
     pv = complex(np.sum(density[outside] / s[outside])) * grid.cell_volume_xi
 
     # Window correction: the principal value of A(s)/s over |s| < w is
-    # integrated analytically for a cubic fit of the binned spectral density
-    # A(s), giving 2 a1 w + (2/3) a3 w^3 (even terms cancel by symmetry).
+    # integrated analytically for a cubic fit (a line below 4 bins) of the
+    # binned spectral density A(s), giving 2 a1 w + (2/3) a3 w^3 (even terms
+    # cancel by symmetry).
     band = np.abs(s) < 3 * w
     if np.any(band):
         sb = s[band]
@@ -101,70 +114,46 @@ def boundary_value_pairing(f: Field, g: Field, lam: float, side: str, m: int) ->
             if np.any(sel):
                 centers.append(0.5 * (edges[i] + edges[i + 1]))
                 dens.append(np.sum(ab[sel]) / (edges[i + 1] - edges[i]))
-        if len(centers) >= 4:
-            centers = np.asarray(centers)
+        if len(centers) >= 2:
+            deg = 3 if len(centers) >= 4 else 1
             dens = np.asarray(dens, dtype=np.complex128)
-            cre = np.polynomial.polynomial.polyfit(centers, dens.real, 3)
-            cim = np.polynomial.polynomial.polyfit(centers, dens.imag, 3)
-            a1 = complex(cre[1], cim[1])
-            a3 = complex(cre[3], cim[3])
-            pv += 2.0 * a1 * w + (2.0 / 3.0) * a3 * w ** 3
-        elif len(centers) >= 2:
-            centers = np.asarray(centers)
-            dens = np.asarray(dens, dtype=np.complex128)
-            cre = np.polynomial.polynomial.polyfit(centers, dens.real, 1)
-            cim = np.polynomial.polynomial.polyfit(centers, dens.imag, 1)
-            pv += 2.0 * complex(cre[1], cim[1]) * w
+            fit = [np.polynomial.polynomial.polyfit(centers, part, deg)
+                   for part in (dens.real, dens.imag)]
+            a = [complex(re, im) for re, im in zip(*fit)]
+            correction = 2.0 * a[1] * w
+            if deg == 3:
+                correction += (2.0 / 3.0) * a[3] * w ** 3
+            pv += correction
 
-    sign = 1.0 if side == "+" else -1.0
-    surface = shell_integral(grid, density, rho)
-    prefac = (np.pi * 1j / (2 * m)) * lam ** ((1.0 - 2 * m) / (2.0 * m))
-    return pv + sign * prefac * surface
+    return pv + coef * shell_integral(grid, density, rho)
 
 
 def boundary_symbol(grid: GridSpec, lam: float, m: int, side: str) -> np.ndarray:
     """Effective lattice symbol of R0_pm(lam): 1/(|xi|^{2m} - lam) outside the
     principal-value window, zero inside it, and the signed surface term
-    distributed over the resonant-shell bin (shell area over bin volume).
+    distributed over shell_integral's resonant-shell bin (shell area over
+    bin volume).
 
     Pairing a field against this diagonal symbol reproduces
     boundary_value_pairing up to the density-dependent window correction, and
     it realizes R0_pm(lam) as an operator on the grid.
     """
-    if lam <= 0:
-        raise ValueError(f"boundary symbol needs lambda > 0, got {lam}")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-    rho = lam ** (1.0 / (2 * m))
-    _check_shell(grid, rho)
-    xi_abs = grid.xi_radii()
-    s = xi_abs ** (2 * m) - lam
-    w = _pv_window(grid, m, lam)
-
+    rho, xi_abs, s, w, coef = _boundary_setup(grid, lam, m, side)
     sym = np.zeros(grid.shape, dtype=np.complex128)
     outside = np.abs(s) >= w
     sym[outside] = 1.0 / s[outside]
-
-    h = grid.h_xi
-    bin_mask = np.abs(xi_abs - rho) <= h / 2
-    count = int(np.count_nonzero(bin_mask))
-    if count:
-        bin_volume = count * grid.cell_volume_xi
-        sign = 1.0 if side == "+" else -1.0
-        prefac = sign * (np.pi * 1j / (2 * m)) * lam ** ((1.0 - 2 * m) / (2.0 * m))
-        sym[bin_mask] += prefac * sphere_area(grid.n, rho) / bin_volume
+    mask, area, bin_volume = _shell_bin(grid, xi_abs, rho)
+    if bin_volume:
+        sym[mask] += coef * area / bin_volume
     return sym
 
 
 def spectral_density(f: Field, lam: float, m: int) -> float:
     """Spectral measure density <E'(lam) f, f> of (-Delta)^m: shell-binned
     (1/2m) lam^{(1-2m)/(2m)} * integral of |fhat|^2 over |xi| = lam^{1/(2m)}."""
-    if lam <= 0:
-        raise ValueError(f"spectral density needs lambda > 0, got {lam}")
-    grid = f.grid
-    rho = lam ** (1.0 / (2 * m))
-    surf = shell_integral(grid, np.abs(forward_transform(f)) ** 2, rho)
-    return float(np.real(surf)) * lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
+    rho, c = _resonant_shell(f.grid, lam, m)
+    surf = shell_integral(f.grid, np.abs(forward_transform(f)) ** 2, rho)
+    return float(np.real(surf)) * c
 
 
 def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
@@ -192,19 +181,24 @@ def weighted_resolvent_norm(
     The resolvent symbol is resolvent_symbol_array's, so z = 0 is rejected.
     """
     w = weight_bracket_power(grid, -s)
-    sym = resolvent_symbol_array(grid, q)
-    sym_c = np.conj(sym)
-
-    def mk_apply(symbol):
-        def apply(vflat: np.ndarray) -> np.ndarray:
-            out = apply_symbol(w * vflat.reshape(grid.shape), symbol)
-            out *= w
-            return out.reshape(-1)
-
-        return apply
-
-    return operator_norm(mk_apply(sym), mk_apply(sym_c), grid.size,
+    apply, adjoint = weighted_multiplier(w, resolvent_symbol_array(grid, q), w)
+    return operator_norm(apply, adjoint, grid.size,
                          rng=rng, max_iter=max_iter, rtol=rtol, start=start)
+
+
+def z_ray(z_magnitudes: Iterable[float]) -> Tuple[np.ndarray, float]:
+    """(sorted |z| samples, decades they span) of a log-log slope fit along a
+    ray of z: at least 3 positive samples (|z| >= delta > 0) spanning at
+    least 1.5 decades, else ValueError."""
+    mags = np.sort(np.asarray(list(z_magnitudes), dtype=float))
+    if mags.size < 3:
+        raise ValueError("need at least 3 |z| samples")
+    if mags[0] <= 0:
+        raise ValueError("|z| samples must be positive (|z| >= delta > 0)")
+    decades = math.log10(mags[-1] / mags[0])
+    if decades < 1.5:
+        raise ValueError(f"|z| samples span {decades:.2f} decades; need >= 1.5")
+    return mags, decades
 
 
 def high_energy_decay_probe(
@@ -227,21 +221,14 @@ def high_energy_decay_probe(
     """
     if side is None and z_arg <= 0:
         raise ValueError("interior ray needs z_arg > 0")
-    mags = np.sort(np.asarray(list(z_magnitudes), dtype=float))
-    if mags.size < 3:
-        raise ValueError("need at least 3 |z| samples")
-    if mags[0] <= 0:
-        raise ValueError("|z| samples must be positive (|z| >= delta > 0)")
-    decades = np.log10(mags[-1] / mags[0])
-    if decades < 1.5:
-        raise ValueError(f"|z| samples span {decades:.2f} decades; need >= 1.5")
+    mags, decades = z_ray(z_magnitudes)
     if rng is None:
         rng = np.random.default_rng(0)
 
     report = ProbeReport(
         name="high_energy_decay",
         params={"m": m, "n": n, "s": s, "z_arg": z_arg, "side": side},
-        provenance={"grid": {"n": grid.n, "N": grid.npts, "L": grid.half_width}},
+        provenance={"grid": grid.provenance()},
     )
     norms = []
     warm = None
@@ -267,7 +254,7 @@ def high_energy_decay_probe(
     report.metrics.update(
         slope=slope, slope_confidence=width,
         expected_slope=(1.0 - 2 * m) / (2.0 * m),
-        decades=float(decades),
+        decades=decades,
     )
     report.passes["norms_finite_positive"] = bool(np.all(np.isfinite(norms)) and min(norms) > 0)
     return report

@@ -12,7 +12,6 @@ from polyharmlab import birman_schwinger
 from polyharmlab.birman_schwinger import (
     BSMatrix,
     SigmaMinError,
-    apply_resolvent,
     assemble_M,
     birman_schwinger_count,
     detect_zero_resonance,
@@ -23,11 +22,13 @@ from polyharmlab.birman_schwinger import (
     sigma_min,
     supersmooth_sweep,
 )
-from polyharmlab.grid import Field, GridSpec, apply_multiplier, weight_bracket_power
+from polyharmlab.grid import (Field, GridSpec, apply_multiplier, apply_symbol,
+                              weight_bracket_power)
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
 from polyharmlab.kernels import ResolventQuery
 from polyharmlab.operators import operator_norm
 from polyharmlab.potentials import bracket_decay, gaussian_well, potential_from_callable
+from polyharmlab.resolvent import resolvent_symbol_array
 
 RNG = np.random.default_rng(9)
 
@@ -88,8 +89,10 @@ class TestAssembly:
         side = "+" if complex(z).imag == 0 and complex(z) != 0 else None
         q = ResolventQuery(z=z, m=1, n=3, side=side)
         bs = assemble_M(pot, q)
+        delta = np.zeros(g.shape, dtype=np.complex128)
+        delta[0, 0, 0] = 1.0
         base = (riesz_base_column(g, 1) if complex(z) == 0
-                else birman_schwinger.resolvent_base_column(g, q))
+                else apply_symbol(delta, resolvent_symbol_array(g, q)))
         support = pot.support_indices()
         w = pot.w().reshape(-1)[support]
         v = pot.v().reshape(-1)[support]
@@ -110,7 +113,8 @@ class TestAssembly:
         for col, j in enumerate(support):
             delta = np.zeros(g.size, dtype=np.complex128)
             delta[j] = v[j]
-            r0 = apply_resolvent(g, q, delta.reshape(g.shape)).reshape(-1)
+            r0 = apply_symbol(delta.reshape(g.shape),
+                              resolvent_symbol_array(g, q)).reshape(-1)
             direct[:, col] = w[support] * r0[support]
         direct[np.diag_indices(support.size)] += 1.0
         np.testing.assert_allclose(bs.matrix, direct, atol=1e-12)
@@ -379,10 +383,14 @@ class TestSweeps:
         assert rep.passes["finite"]
 
     def test_theta_validation(self):
+        # a negative theta and theta = 0 at lambda > 0, in both sweeps
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 1.0, rcut=1.5)
-        with pytest.raises(ValueError):
-            inv_norm_sweep(pot, 1, [1.0], [0.1, -0.1], nu=0.1)
+        for thetas in ([0.1, -0.1], [0.1, 0.0]):
+            with pytest.raises(ValueError, match="theta ladder must be positive"):
+                inv_norm_sweep(pot, 1, [1.0], thetas, nu=0.1)
+            with pytest.raises(ValueError, match="theta ladder must be positive"):
+                supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], thetas)
 
     def test_supersmooth_gamma_window(self):
         g = GridSpec(3, 8, 3.0)

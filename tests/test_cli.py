@@ -109,6 +109,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match="potential family"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("potential, message", [
+        ("gaussian", "operator.potential must be a mapping"),
+        ({"family": "polynomial-decay", "s": "abc"},
+         "operator.potential.s must be a number"),
+        ({"family": "gaussian-well", "depth": "deep"},
+         "operator.potential.depth must be a number"),
+        ({"family": "gaussian-well", "depth": 1.0, "s": 4.0},
+         "unknown parameter 's' in the gaussian-well potential"),
+    ])
+    def test_malformed_potential_exit_two(self, tmp_path, capsys, potential,
+                                          message):
+        cfg = base_config(probes={"spectrum": {}})
+        cfg["operator"]["potential"] = potential
+        path = write_config(tmp_path, cfg)
+        assert run(path, "spectrum", out_dir=str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_potential_fields_typed(self):
+        raw = base_config()
+        raw["operator"]["potential"] = {"family": "polynomial-decay", "s": "5",
+                                        "g": 2}
+        spec = parse_config(raw).potential_spec
+        assert spec == {"family": "polynomial-decay", "s": 5.0, "g": 2.0}
+        assert raw["operator"]["potential"]["s"] == "5"
+        raw["operator"]["potential"] = {"family": "polynomial-decay", "s": 5,
+                                        "amplitude": 0.5, "coupling": 2}
+        assert parse_config(raw).potential_spec["amplitude"] == 0.5
+        raw["operator"]["potential"] = {"family": "gaussian-well", "depth": 5,
+                                        "width": 1.0, "coupling": 1.0}
+        assert parse_config(raw).potential_spec["depth"] == 5.0
+
     def test_strichartz_requires_pair(self):
         cfg = base_config(probes={"strichartz": {"t_final": 1.0}})
         with pytest.raises(ConfigError, match="requires parameter"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from polyharmlab.operators import NormEstimate, operator_norm
+from polyharmlab.grid import GridSpec, apply_symbol
+from polyharmlab.operators import NormEstimate, operator_norm, weighted_multiplier
 
 RNG = np.random.default_rng(3)
 
@@ -73,3 +74,31 @@ class TestOperatorNorm:
         a, at = dense_pair(mat)
         with pytest.raises(ValueError):
             operator_norm(a, at, 3, start=np.zeros(3))
+
+
+class TestWeightedMultiplier:
+    GRID = GridSpec(3, 6, 2.0)
+
+    def dense(self, w_out, sym, w_in):
+        """W_out m(D) W_in column by column."""
+        cols = [w_out * apply_symbol(w_in * e.reshape(self.GRID.shape), sym)
+                for e in np.eye(self.GRID.size)]
+        return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+    def test_apply_and_adjoint_match_dense(self):
+        g = self.GRID
+        w_out, w_in = 1.0 + RNG.random(g.shape), 1.0 + RNG.random(g.shape)
+        sym = 1.0 / (g.xi_radii() ** 2 - (0.7 + 0.3j))
+        apply, adjoint = weighted_multiplier(w_out, sym, w_in)
+        mat = self.dense(w_out, sym, w_in)
+        v = RNG.standard_normal(g.size) + 1j * RNG.standard_normal(g.size)
+        np.testing.assert_allclose(apply(v), mat @ v, atol=1e-12)
+        np.testing.assert_allclose(adjoint(v), mat.conj().T @ v, atol=1e-12)
+
+    def test_real_symbol_stays_real(self):
+        g = self.GRID
+        w = 1.0 / (1.0 + g.radii())
+        apply, adjoint = weighted_multiplier(w, g.xi_radii(), w)
+        v = RNG.standard_normal(g.size)
+        assert apply(v).dtype == adjoint(v).dtype == np.float64
+        np.testing.assert_allclose(apply(v), adjoint(v), atol=1e-12)
