@@ -26,11 +26,16 @@ Layers (ROADMAP "layer by layer"):
       m = 1), the eigenset of the lab workload's smoothing, Strichartz and
       spectrum probes; one iteration of the smoothing refinement
       (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
-      adjoint) on the lab Hamiltonian over the same 65 times; one
-      inhomogeneous_smoothing_probe on the lab Hamiltonian at gamma = 0.25,
-      T = 8, one sample; the benchmark's scaling sobolev probe (80^3,
+      adjoint) on the lab Hamiltonian over the same 65 times, from the
+      same random unit state; one inhomogeneous_smoothing_probe on the lab
+      Hamiltonian at gamma = 0.25, T = 8, one sample; the benchmark's scaling sobolev probe (80^3,
       L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from 0.3 to 10 on
-      the imaginary axis, three packs, the seed-0 stream of the CLI).
+      the imaginary axis, three packs, the seed-0 stream of the CLI); one
+      p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
+      from the best screened candidate, which a set-up run of the probe
+      captures; one operator_norm rung of the benchmark's scaling
+      Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
+      the rung draws from the seed-0 stream of the CLI).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
@@ -72,6 +77,8 @@ BATCHES = {
     "L2.refine_iter_16_T8": (1, 5),
     "L2.inhomogeneous_16_T8": (1, 5),
     "L2.sobolev_80": (1, 2),
+    "L2.pq_refine_80": (1, 4),
+    "L2.stein_weiss_64": (1, 3),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -82,16 +89,18 @@ TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
 def _layers():
     """name -> zero-argument callable doing one call of the layer."""
     import numpy as np
+    from polyharmlab import probes
     from polyharmlab.birman_schwinger import assemble_M, birman_schwinger_count
     from polyharmlab.cli import _stream_tag
     from polyharmlab.counterexample import _mollified_phi
     from polyharmlab.grid import (Field, GridSpec, abs_derivative_symbol,
-                                  apply_multiplier, smoothing_weight)
+                                  apply_multiplier, smoothing_weight,
+                                  weight_abs_power)
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
     from polyharmlab.kernels import ResolventQuery
+    from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
     from polyharmlab.probes import (_refine_quadratic_smoothing,
-                                    frequency_localized_samples,
                                     inhomogeneous_smoothing_probe,
                                     sobolev_scaling_probe)
 
@@ -112,7 +121,6 @@ def _layers():
     times = np.linspace(-8.0, 8.0, 65)
     weight = smoothing_weight(lab, 1, 0.0, 0.1)
     dsym = abs_derivative_symbol(lab, 0.0)
-    start = frequency_localized_samples(lab, 1, np.random.default_rng(2))[0]
 
     big = GridSpec(3, 160, 10.0)
     fld = Field(big, rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape))
@@ -129,6 +137,29 @@ def _layers():
     sobolev = GridSpec(3, 80, 10.0)
     mags = np.geomspace(0.3, 10.0, 4)
 
+    def run_sobolev():
+        return sobolev_scaling_probe(
+            sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
+            rng=np.random.default_rng([0, _stream_tag("sobolev")]))
+
+    # the refinement's arguments at the first |z|, taken from one probe run
+    refine_args = []
+    refine = probes._pq_norm_refine
+    probes._pq_norm_refine = lambda *a: refine_args.append(a) or refine(*a)
+    try:
+        run_sobolev()
+    finally:
+        probes._pq_norm_refine = refine
+
+    ladder = np.random.default_rng([0, _stream_tag("stein-weiss")])
+    for npts in (16, 32):  # the rungs before 64^3 draw their starts first
+        ladder.standard_normal(npts ** 3)
+    sw = GridSpec(3, 64, 6.0)
+    sw_apply = weighted_multiplier(weight_abs_power(sw, -1.0),
+                                   abs_derivative_symbol(sw, -1.0),
+                                   weight_abs_power(sw, 0.0))
+    sw_start = ladder.standard_normal(sw.size)
+
     return {
         "L0.h_matvec_32": matvec(32, 12.0),
         "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
@@ -142,12 +173,13 @@ def _layers():
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
         "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
-            lab_h, weight, dsym, times, start, 1),
+            lab_h, weight, dsym, times, psi, 1),
         "L2.inhomogeneous_16_T8": lambda: inhomogeneous_smoothing_probe(
             lab_h, 0.25, t_final=8.0, samples=1),
-        "L2.sobolev_80": lambda: sobolev_scaling_probe(
-            sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
-            rng=np.random.default_rng([0, _stream_tag("sobolev")])),
+        "L2.sobolev_80": run_sobolev,
+        "L2.pq_refine_80": lambda: refine(*refine_args[0]),
+        "L2.stein_weiss_64": lambda: operator_norm(
+            *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
     }
 
 

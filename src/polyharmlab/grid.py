@@ -30,8 +30,7 @@ f (separable_spectrum).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ class GridSpec:
     n: int
     npts: int
     half_width: float
-    max_points: int = DEFAULT_MAX_POINTS
+    max_points: int = field(default=DEFAULT_MAX_POINTS, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
@@ -112,24 +111,24 @@ class GridSpec:
 
     def coords(self) -> np.ndarray:
         """Physical coordinates, shape (n,) + grid shape."""
-        return _coords(self)
+        return np.stack(np.meshgrid(*[self.axis_coords()] * self.n, indexing="ij"))
 
     def freqs(self) -> np.ndarray:
         """Frequency coordinates in FFT ordering, shape (n,) + grid shape."""
-        return _freqs(self)
+        return np.stack(np.meshgrid(*[self.axis_freqs()] * self.n, indexing="ij"))
 
     def radii(self, regularize_origin: bool = False) -> np.ndarray:
         """|x| on the grid.  With regularize_origin, the origin cell is set to
         the radius of the ball with the same volume as one cell (keeps singular
         radial weights finite and refinement-stable)."""
-        r = np.sqrt(np.sum(self.coords() ** 2, axis=0))
+        r = np.sqrt(outer_product([self.axis_coords() ** 2] * self.n, np.add))
         if regularize_origin:
             r = np.where(r == 0.0, self.origin_cell_radius(), r)
         return r
 
     def xi_radii(self) -> np.ndarray:
         """|xi| on the frequency lattice (FFT ordering)."""
-        return np.sqrt(np.sum(self.freqs() ** 2, axis=0))
+        return np.sqrt(outer_product([self.axis_freqs() ** 2] * self.n, np.add))
 
     def origin_cell_radius(self) -> float:
         """Radius of the n-ball whose volume equals one grid cell."""
@@ -147,33 +146,11 @@ def sphere_area(n: int, radius: float) -> float:
     return n * unit_ball_volume(n) * radius ** (n - 1)
 
 
-@lru_cache(maxsize=32)
-def _coords(grid: GridSpec) -> np.ndarray:
-    axes = [grid.axis_coords()] * grid.n
-    out = np.stack(np.meshgrid(*axes, indexing="ij"))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _freqs(grid: GridSpec) -> np.ndarray:
-    axes = [grid.axis_freqs()] * grid.n
-    out = np.stack(np.meshgrid(*axes, indexing="ij"))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
 def _center_phase(grid: GridSpec) -> np.ndarray:
     """(-1)^(k_1+...+k_n) on the lattice: accounts for the physical origin
     sitting at index N/2 rather than 0."""
     k = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts).astype(np.int64)
-    sign1d = np.where(k % 2 == 0, 1.0, -1.0)
-    out = sign1d
-    for _ in range(grid.n - 1):
-        out = np.multiply.outer(out, sign1d)
-    out.flags.writeable = False
-    return out
+    return outer_product([np.where(k % 2 == 0, 1.0, -1.0)] * grid.n)
 
 
 @dataclass(frozen=True)
@@ -350,20 +327,6 @@ def weighted_l2_norm(f: Field, weight: np.ndarray) -> float:
     if np.any(w < 0):
         raise ValueError("weight must be nonnegative")
     return float(np.sqrt(np.sum(w ** 2 * np.abs(f.values) ** 2) * f.grid.cell_volume))
-
-
-def boundary_decay(f: Field) -> float:
-    """Largest |f| on the faces of the box, relative to max |f|; probe runners
-    reject inputs whose boundary decay exceeds their periodization budget."""
-    a = np.abs(f.values)
-    peak = a.max()
-    if peak == 0:
-        return 0.0
-    worst = 0.0
-    for ax in range(f.grid.n):
-        face = np.take(a, 0, axis=ax)
-        worst = max(worst, float(face.max()))
-    return worst / peak
 
 
 # Flat binary serialization: magic, n, N, L, tag byte, then interleaved

@@ -27,10 +27,10 @@ from .grid import (
     apply_multiplier,
     apply_symbol,
     apply_symbol_spectrum,
-    boundary_decay,
     check_smoothing_gamma,
     field_from_spectrum,
     norm_lp,
+    outer_product,
     separable_norm_lp,
     separable_spectrum,
     smoothing_weight,
@@ -121,14 +121,32 @@ class AdmissiblePair:
 # sample states
 # ---------------------------------------------------------------------------
 
+def _gaussian_factors(grid: GridSpec, width: float, center: Sequence[float],
+                      carrier: Sequence[float]) -> List[np.ndarray]:
+    """The n axis factors of the Gaussian exp(-|x - center|^2 / (2 width^2))
+    e^{i carrier . x}, each of unit flat l2 norm (so their outer product has
+    unit flat l2 norm).  An axis without a carrier keeps a real factor."""
+    x = grid.axis_coords()
+    out = []
+    for c, k in zip(center, carrier):
+        fac = np.exp(-(x - c) ** 2 / (2.0 * width ** 2))
+        fac /= np.linalg.norm(fac)
+        if k:
+            fac = fac * np.exp(1j * k * x)
+            fac /= np.linalg.norm(fac)
+        out.append(fac)
+    return out
+
+
 def frequency_localized_samples(grid: GridSpec, count: int,
-                                rng: np.random.Generator) -> List[Field]:
+                                rng: np.random.Generator) -> List[List[np.ndarray]]:
     """Seeded family of normalized wave packets: Gaussian envelopes (edge
     decay below EDGE_DECAY_TOL) modulated at random carrier frequencies up to
     0.4 of the Nyquist radius.  The first sample is unmodulated (the
-    low-frequency representative)."""
-    out: List[Field] = []
-    coords = grid.coords()
+    low-frequency representative).  Each packet is given by its n axis
+    factors, scaled so that the packet (their outer product) has unit
+    norm2."""
+    out: List[List[np.ndarray]] = []
     big_l = grid.half_width
     for j in range(count):
         width = big_l * rng.uniform(1.0 / 12.0, 1.0 / 8.0)
@@ -138,17 +156,14 @@ def frequency_localized_samples(grid: GridSpec, count: int,
         else:
             carrier = rng.uniform(-1.0, 1.0, size=grid.n)
             carrier *= 0.4 * grid.nyquist_radius / max(1.0, np.linalg.norm(carrier)) * rng.uniform(0.2, 1.0)
-        r2 = sum((coords[a] - center[a]) ** 2 for a in range(grid.n))
-        phase = sum(carrier[a] * coords[a] for a in range(grid.n))
-        vals = np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase)
-        fld = Field(grid, vals)
-        if boundary_decay(fld) > EDGE_DECAY_TOL:
+        factors = _gaussian_factors(grid, width, center, carrier)
+        edge = max(abs(fac[0]) / np.abs(fac).max() for fac in factors)
+        if edge > EDGE_DECAY_TOL:
             raise ValueError(
-                f"sample {j} decays to {boundary_decay(fld):.2e} at the box "
-                f"edge, above the periodization budget {EDGE_DECAY_TOL:g}"
+                f"sample {j} decays to {edge:.2e} at the box edge, above the "
+                f"periodization budget {EDGE_DECAY_TOL:g}"
             )
-        nrm = fld.norm2()
-        out.append(Field(grid, vals / nrm))
+        out.append([fac / math.sqrt(grid.h) for fac in factors])
     return out
 
 
@@ -190,7 +205,8 @@ def _sup_over_samples(report: ProbeReport, grid: GridSpec, samples: int,
     itself.  Sets the plateau metrics and the finite / plateau flags, and
     returns (sup ratio, sup sample)."""
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
-    packs = frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))
+    packs = [Field(grid, outer_product(factors)) for factors in
+             frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))]
     if not packs:
         raise ValueError("need at least one sample")
     best_ratios, best_state = None, None
@@ -502,14 +518,13 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                     "slope_tol": slope_tol},
     )
 
-    # everything that does not depend on |z|, built once; the packs are held
-    # as their spectra, which every |z| reuses
+    # everything that does not depend on |z|, built once
     xi_abs = grid.xi_radii()
     dsym = abs_derivative_symbol(grid, alpha)
     xi_2m = xi_abs ** (2 * m)
-    envelope = np.exp(-grid.radii() ** 2 / (2.0 * (grid.half_width / 8.0) ** 2))
-    pack_cands = [(scipy.fft.fftn(f.values), norm_lp(f, p))
-                  for f in frequency_localized_samples(grid, samples, rng)]
+    envelope = outer_product(_gaussian_factors(
+        grid, grid.half_width / 8.0, np.zeros(n), np.zeros(n)))
+    packs = frequency_localized_samples(grid, samples, rng)
     norms = []
     for mag in mags:
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
@@ -517,8 +532,8 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
         rho = mag ** (1.0 / (2 * m))
         best = 0.0
         best_out = best_den = None
-        for spec, den in _sobolev_candidates(grid, pack_cands, xi_abs,
-                                             envelope, rho, p, rng):
+        for spec, den in _sobolev_candidates(grid, packs, xi_abs, envelope,
+                                             rho, p, rng):
             if den == 0.0:
                 continue
             out = Field(grid, apply_symbol_spectrum(spec, sym))
@@ -541,17 +556,18 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     return report
 
 
-def _sobolev_candidates(grid: GridSpec,
-                        pack_cands: Sequence[Tuple[np.ndarray, float]],
+def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
                         xi_abs: np.ndarray, envelope: np.ndarray, rho: float,
                         p: float, rng: np.random.Generator
                         ) -> Iterator[Tuple[np.ndarray, float]]:
     """The screening candidates at resonant radius rho as (spectrum, L^p
-    norm) pairs, spectrum = scipy.fft.fftn of the samples: the packs'
-    precomputed pairs, then two shell-localized samples, then the scaled
-    bumps, whose pairs come from their 1-D axis factors.  Built one at a
-    time, so only the candidate being screened is held."""
-    yield from pack_cands
+    norm) pairs, spectrum = scipy.fft.fftn of the samples: the packs (given
+    by their axis factors), then two shell-localized samples, then the
+    scaled bumps.  A separable candidate's pair comes from its 1-D axis
+    factors.  Built one at a time, so only the candidate being screened is
+    held."""
+    for factors in packs:
+        yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
     for fld in _shell_localized_samples(grid, xi_abs, envelope, rho, 2, rng):
         yield scipy.fft.fftn(fld.values), norm_lp(fld, p)
     for factors in _scaled_bumps(grid, rho):
@@ -634,23 +650,19 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
 def _scaled_bumps(grid: GridSpec, rho: float) -> List[List[np.ndarray]]:
     """Self-similar near-extremizers: Gaussian bumps at scales around 1/rho
     (the resonant length), plain and carrier-modulated at |xi| = rho along
-    the first axis, each given by its n axis factors, every factor of unit
-    l2 norm (so the bump has unit flat l2 norm).  The p -> q ratio of this
-    family is |z|-independent on the continuum, so it pins the scaling
-    exponent wherever the grid resolves the scale."""
+    the first axis, each given by its n unit axis factors (so the bump has
+    unit flat l2 norm).  The p -> q ratio of this family is |z|-independent
+    on the continuum, so it pins the scaling exponent wherever the grid
+    resolves the scale."""
     out: List[List[np.ndarray]] = []
-    x = grid.axis_coords()
-    carrier = np.exp(1j * rho * x)
+    zero, carrier = np.zeros(grid.n), rho * np.eye(grid.n)[0]
     for c in (0.5, 1.0, 2.0, 4.0):
         scale = c / max(rho, 1e-6)
         if scale < 2.0 * grid.h or scale > grid.half_width / 6.0:
             continue
-        gauss = np.exp(-x ** 2 / (2.0 * scale ** 2))
-        gauss /= np.linalg.norm(gauss)
-        out.append([gauss] * grid.n)
+        out.append(_gaussian_factors(grid, scale, zero, zero))
         if rho < 0.8 * grid.nyquist_radius:
-            mod = gauss * carrier
-            out.append([mod / np.linalg.norm(mod)] + [gauss] * (grid.n - 1))
+            out.append(_gaussian_factors(grid, scale, zero, carrier))
     return out
 
 

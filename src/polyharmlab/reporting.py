@@ -92,16 +92,12 @@ class ProbeReport:
 
 
 def fit_loglog(x, y):
-    """Least-squares slope of log y vs log x; returns (slope, intercept,
-    confidence width) with the width taken as twice the standard error of the
-    slope from the regression residual."""
+    """Least-squares slope of log y vs log x (numpy.polyfit of degree 1);
+    returns (slope, intercept, confidence width) with the width taken as
+    twice the standard error of the slope from the fit's covariance."""
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
     if lx.size < 3:
         raise ValueError("slope fit needs at least 3 samples")
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    dof = lx.size - 2
-    ss = float(res[0]) if res.size else float(np.sum((ly - A @ [slope, intercept]) ** 2))
-    se = np.sqrt(ss / dof / np.sum((lx - lx.mean()) ** 2)) if dof > 0 else 0.0
-    return float(slope), float(intercept), float(2.0 * se)
+    (slope, intercept), cov = np.polyfit(lx, ly, 1, cov=True)
+    return float(slope), float(intercept), float(2.0 * np.sqrt(cov[0, 0]))

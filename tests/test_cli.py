@@ -13,6 +13,8 @@ from polyharmlab.cli import (
     parse_config,
     run,
 )
+from polyharmlab.grid import GridSpec, write_field
+from polyharmlab.potentials import gaussian_well
 from polyharmlab.reporting import ProbeReport
 
 
@@ -306,6 +308,20 @@ class TestSpectrumSubcommand:
         assert (data["metrics"]["count_birman_schwinger"]
                 == data["metrics"]["count_negative"])
         assert data["passes"]["counts_agree"] is True
+
+    def test_file_potential_with_a_raised_budget(self, tmp_path):
+        # grid.max_points is a budget, not part of the grid the file must match
+        grid = GridSpec(3, 8, 4.0)
+        with open(tmp_path / "v.bin", "wb") as fh:
+            write_field(gaussian_well(grid, 5.0).as_field(), fh)
+        cfg = base_config()
+        cfg["grid"] = {"n": 3, "npts": 8, "half_width": 4.0,
+                       "max_points": 2 ** 20}
+        cfg["operator"]["potential"] = {"family": "file",
+                                        "path": str(tmp_path / "v.bin")}
+        cfg["probes"] = {"spectrum": {}}
+        path = write_config(tmp_path, cfg)
+        assert run(path, "spectrum", out_dir=str(tmp_path / "out")) == 0
 
     def test_differing_counts_fail_the_flag(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hamiltonian, "birman_schwinger_count",

@@ -14,7 +14,6 @@ from polyharmlab.grid import (
     apply_multiplier,
     apply_symbol,
     apply_symbol_spectrum,
-    boundary_decay,
     check_smoothing_gamma,
     field_from_function,
     field_from_spectrum,
@@ -67,6 +66,20 @@ class TestGridSpec:
         g = GridSpec(1, 8, 2.0)
         assert g.axis_coords()[0] == pytest.approx(-2.0)
         assert g.axis_coords()[-1] == pytest.approx(2.0 - g.h)
+
+    def test_budget_is_not_part_of_the_grid(self):
+        assert GridSpec(3, 8, 2.0, max_points=2 ** 27) == GridSpec(3, 8, 2.0)
+        assert hash(GridSpec(3, 8, 2.0, max_points=2 ** 27)) == hash(GridSpec(3, 8, 2.0))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_radii_equal_the_meshgrid_formula(self, n):
+        g = GridSpec(n, 8, 2.0)
+        r = np.sqrt(np.sum(g.coords() ** 2, axis=0))
+        np.testing.assert_array_equal(g.radii(), r)
+        np.testing.assert_array_equal(g.radii(regularize_origin=True),
+                                      np.where(r == 0.0, g.origin_cell_radius(), r))
+        np.testing.assert_array_equal(g.xi_radii(),
+                                      np.sqrt(np.sum(g.freqs() ** 2, axis=0)))
 
     def test_origin_cell_radius_volume(self):
         g = GridSpec(3, 16, 4.0)
@@ -318,13 +331,6 @@ class TestNormsAndWeights:
         g = GridSpec(3, 8, 2.0)
         w = weight_abs_power(g, -2.0)
         assert np.all(np.isfinite(w))
-
-    def test_boundary_decay(self):
-        g = GridSpec(3, 16, 8.0)
-        tight = field_from_function(g, lambda x: np.exp(-np.sum(x ** 2, axis=0)))
-        wide = field_from_function(g, lambda x: np.exp(-np.sum(x ** 2, axis=0) / 64.0))
-        assert boundary_decay(tight) < 1e-12
-        assert boundary_decay(wide) > 0.1
 
 
 class TestSerialization:

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from polyharmlab import probes
 from polyharmlab.grid import (
@@ -14,6 +13,7 @@ from polyharmlab.grid import (
     apply_multiplier,
     apply_symbol_spectrum,
     norm_lp,
+    outer_product,
     smoothing_weight,
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
@@ -76,20 +76,65 @@ class TestPlateauIncrements:
         assert plateau_increments([0.0, 1.0]) == [np.inf]
 
 
+def full_grid_packs(g, count, rng):
+    """frequency_localized_samples as full-grid exponentials, normalized to
+    unit norm2: the construction the axis factors replaced."""
+    coords, big_l, out = g.coords(), g.half_width, []
+    for j in range(count):
+        width = big_l * rng.uniform(1.0 / 12.0, 1.0 / 8.0)
+        center = rng.uniform(-big_l / 8.0, big_l / 8.0, size=g.n)
+        if j == 0:
+            carrier = np.zeros(g.n)
+        else:
+            carrier = rng.uniform(-1.0, 1.0, size=g.n)
+            carrier *= 0.4 * g.nyquist_radius / max(1.0, np.linalg.norm(carrier)) * rng.uniform(0.2, 1.0)
+        r2 = sum((coords[a] - center[a]) ** 2 for a in range(g.n))
+        phase = sum(carrier[a] * coords[a] for a in range(g.n))
+        fld = Field(g, np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase))
+        out.append(Field(g, fld.values / fld.norm2()))
+    return out
+
+
 class TestSampleFamilies:
     def test_frequency_localized_normalized(self):
         g = GridSpec(3, 32, 6.0)
         packs = frequency_localized_samples(g, 4, np.random.default_rng(3))
         assert len(packs) == 4
-        for f in packs:
-            assert f.norm2() == pytest.approx(1.0, rel=1e-12)
+        for factors in packs:
+            assert len(factors) == 3
+            assert Field(g, outer_product(factors)).norm2() == pytest.approx(1.0, rel=1e-12)
 
     def test_frequency_localized_reproducible(self):
         g = GridSpec(3, 32, 6.0)
         a = frequency_localized_samples(g, 3, np.random.default_rng(5))
         b = frequency_localized_samples(g, 3, np.random.default_rng(5))
         for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.values, fb.values)
+            np.testing.assert_array_equal(outer_product(fa), outer_product(fb))
+
+    @pytest.mark.parametrize("n,npts", [(1, 64), (3, 32)])
+    def test_frequency_localized_match_full_grid_formula(self, n, npts):
+        g = GridSpec(n, npts, 6.0)
+        got = frequency_localized_samples(g, 4, np.random.default_rng(7))
+        want = full_grid_packs(g, 4, np.random.default_rng(7))
+        for factors, fld in zip(got, want):
+            np.testing.assert_allclose(outer_product(factors), fld.values,
+                                       rtol=1e-13, atol=1e-13 * np.abs(fld.values).max())
+
+    def test_edge_guard(self, monkeypatch):
+        monkeypatch.setattr(probes, "EDGE_DECAY_TOL", 0.0)
+        with pytest.raises(ValueError, match="decays to"):
+            frequency_localized_samples(GridSpec(3, 16, 6.0), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rho", [0.5, 1.5, 3.0])
+    def test_scaled_bumps_have_unit_factors(self, rho):
+        # the sobolev rows depend on the candidates' absolute scale
+        g = GridSpec(3, 48, 8.0)
+        bumps = probes._scaled_bumps(g, rho)
+        assert bumps
+        for factors in bumps:
+            assert len(factors) == 3
+            for fac in factors:
+                assert np.linalg.norm(fac) == pytest.approx(1.0, rel=1e-14)
 
 
 class TestKatoSmoothingProbe:
@@ -163,7 +208,8 @@ class TestRefinement:
         weight = smoothing_weight(g, 1, 0.25, 0.1)
         dsym = abs_derivative_symbol(g, 0.25)
         times = np.linspace(-1.0, 1.0, 9)
-        start = frequency_localized_samples(g, 1, np.random.default_rng(2))[0]
+        start = Field(g, outer_product(
+            frequency_localized_samples(g, 1, np.random.default_rng(2))[0]))
         est = _refine_quadratic_smoothing(h, weight, dsym, times, start, iters)
         assert 1 <= est.iterations <= iters
         ref = self.rayleigh_loop(h, weight, dsym, times, start, est.iterations)
@@ -294,15 +340,16 @@ class TestSobolevScalingProbe:
 
     @pytest.mark.parametrize("rho", [1.5, 3.0])
     def test_screened_ratios_match_full_grid_candidates(self, rho):
-        # the candidates as sample fields, bumps from full-grid exponentials,
-        # each ratio through apply_multiplier: the screening it replaced
+        # the candidates as sample fields, packs, envelope and bumps from
+        # full-grid exponentials, each ratio through apply_multiplier: the
+        # screening it replaced
         g = GridSpec(3, 48, 8.0)
         p, q = 4.0 / 3.0, 4.0
         sym = abs_derivative_symbol(g, 0.5) / (g.xi_radii() ** 2 - rho ** 2 * 1j)
         xi_abs, r2 = g.xi_radii(), g.radii() ** 2
         envelope = np.exp(-r2 / (2.0 * (g.half_width / 8.0) ** 2))
         rng = np.random.default_rng(5)
-        fields = frequency_localized_samples(g, 2, rng)
+        fields = full_grid_packs(g, 2, rng)
         fields += probes._shell_localized_samples(g, xi_abs, envelope, rho, 2, rng)
         carrier = np.exp(1j * rho * g.coords()[0])
         for c in (0.5, 1.0, 2.0, 4.0):
@@ -313,8 +360,9 @@ class TestSobolevScalingProbe:
         want = [norm_lp(apply_multiplier(f, sym), q) / norm_lp(f, p) for f in fields]
 
         rng = np.random.default_rng(5)
-        packs = [(scipy.fft.fftn(f.values), norm_lp(f, p))
-                 for f in frequency_localized_samples(g, 2, rng)]
+        packs = frequency_localized_samples(g, 2, rng)
+        envelope = outer_product(probes._gaussian_factors(
+            g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
         got = [norm_lp(Field(g, apply_symbol_spectrum(spec, sym)), q) / den
                for spec, den in probes._sobolev_candidates(
                    g, packs, xi_abs, envelope, rho, p, rng)]

@@ -76,6 +76,16 @@ class TestFitLoglog:
         assert abs(slope + 0.5) < 3 * width
         assert width > 0
 
+    def test_width_is_twice_the_textbook_standard_error(self):
+        rng = np.random.default_rng(7)
+        x = np.logspace(0, 1.5, 5)
+        y = x ** -0.3 * np.exp(rng.normal(0, 0.2, 5))
+        slope, intercept, width = fit_loglog(x, y)
+        lx, ly = np.log(x), np.log(y)
+        ss = np.sum((ly - slope * lx - intercept) ** 2)
+        se = np.sqrt(ss / (lx.size - 2) / np.sum((lx - lx.mean()) ** 2))
+        assert width == pytest.approx(2.0 * se, rel=1e-12)
+
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fit_loglog([1.0, 2.0], [1.0, 2.0])
