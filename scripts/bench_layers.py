@@ -32,8 +32,10 @@ Layers (ROADMAP "layer by layer"):
       L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from 0.3 to 10 on
       the imaginary axis, three packs, the seed-0 stream of the CLI); one
       p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
-      from the best screened candidate, which a set-up run of the probe
-      captures; one operator_norm rung of the benchmark's scaling
+      from (a copy of) the best screened candidate, which a set-up run of
+      the probe captures; the same sobolev probe with workers=2, its |z|
+      rows on two threads (measured only in trees whose probe takes
+      workers); one operator_norm rung of the benchmark's scaling
       Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
       the rung draws from the seed-0 stream of the CLI).
 
@@ -77,6 +79,7 @@ BATCHES = {
     "L2.refine_iter_16_T8": (1, 5),
     "L2.inhomogeneous_16_T8": (1, 5),
     "L2.sobolev_80": (1, 2),
+    "L2.sobolev_80_workers2": (1, 2),
     "L2.pq_refine_80": (1, 4),
     "L2.stein_weiss_64": (1, 3),
 }
@@ -88,6 +91,8 @@ TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
 
 def _layers():
     """name -> zero-argument callable doing one call of the layer."""
+    import inspect
+
     import numpy as np
     from polyharmlab import probes
     from polyharmlab.birman_schwinger import assemble_M, birman_schwinger_count
@@ -137,15 +142,19 @@ def _layers():
     sobolev = GridSpec(3, 80, 10.0)
     mags = np.geomspace(0.3, 10.0, 4)
 
-    def run_sobolev():
+    def run_sobolev(**workers):
         return sobolev_scaling_probe(
             sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
-            rng=np.random.default_rng([0, _stream_tag("sobolev")]))
+            rng=np.random.default_rng([0, _stream_tag("sobolev")]), **workers)
 
-    # the refinement's arguments at the first |z|, taken from one probe run
+    # the refinement's arguments at the first |z|, taken from one probe run;
+    # arrays are copied, since the refinement may overwrite its start
+    def copies(args):
+        return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+
     refine_args = []
     refine = probes._pq_norm_refine
-    probes._pq_norm_refine = lambda *a: refine_args.append(a) or refine(*a)
+    probes._pq_norm_refine = lambda *a: refine_args.append(copies(a)) or refine(*a)
     try:
         run_sobolev()
     finally:
@@ -160,7 +169,7 @@ def _layers():
                                    weight_abs_power(sw, 0.0))
     sw_start = ladder.standard_normal(sw.size)
 
-    return {
+    layers = {
         "L0.h_matvec_32": matvec(32, 12.0),
         "L0.multiplier_160": lambda: apply_multiplier(fld, sym),
         "L1.h_matvec_16": matvec(16, 8.0),
@@ -177,10 +186,13 @@ def _layers():
         "L2.inhomogeneous_16_T8": lambda: inhomogeneous_smoothing_probe(
             lab_h, 0.25, t_final=8.0, samples=1),
         "L2.sobolev_80": run_sobolev,
-        "L2.pq_refine_80": lambda: refine(*refine_args[0]),
+        "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
         "L2.stein_weiss_64": lambda: operator_norm(
             *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
     }
+    if "workers" in inspect.signature(sobolev_scaling_probe).parameters:
+        layers["L2.sobolev_80_workers2"] = lambda: run_sobolev(workers=2)
+    return layers
 
 
 def _worker() -> None:
@@ -275,6 +287,9 @@ def main(argv=None) -> int:
                 passes[label][name].append(times)
             print(f"round {rnd + 1}/{args.rounds}: {label} done", file=sys.stderr)
 
+    # a layer a tree does not have is left out of that tree's numbers
+    passes = {label: {name: rounds for name, rounds in layers.items() if rounds}
+              for label, layers in passes.items()}
     report = {
         "machine": _machine(),
         "batches": {name: {"calls": c, "batches_per_pass": b}
@@ -290,7 +305,8 @@ def main(argv=None) -> int:
         import numpy as np
 
         report["paired_ratio_current_over_baseline"] = {}
-        for name in BATCHES:
+        for name in (n for n in BATCHES
+                     if n in passes["current"] and n in passes["baseline"]):
             ratios = [np.median(cur) / np.median(base) for cur, base in
                       zip(passes["current"][name], passes["baseline"][name])]
             q1, med, q3 = np.percentile(ratios, [25, 50, 75])

@@ -17,7 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -192,7 +192,7 @@ class RunConfig:
     potential_spec: Dict[str, Any]
     seed: int
     output_dir: Path
-    threads: int
+    threads: int  # the core budget; a probe runner receives its share
     probes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
@@ -496,6 +496,12 @@ def _run_strichartz(cfg: RunConfig) -> ProbeReport:
     return _with_seed(report, cfg, "strichartz")
 
 
+# Each sobolev |z| row in flight adds 3-5 complex grid arrays to the probe's
+# working set (80^3: a traced peak of 57, 98 and 123 MB at 1, 2 and 3 rows),
+# so a lone sobolev on a many-core host holds at most two rows at once.
+SOBOLEV_MAX_ROWS = 2
+
+
 def _run_sobolev(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["sobolev"]
     npts = block["npts"] or cfg.grid.npts
@@ -505,7 +511,8 @@ def _run_sobolev(cfg: RunConfig) -> ProbeReport:
     report = sobolev_scaling_probe(
         grid, cfg.m, block["alpha"], block["p"], block["q"], mags,
         z_arg=block["z_arg"], samples=block["samples"],
-        rng=_probe_rng(cfg, "sobolev"), slope_tol=block["slope_tol"])
+        rng=_probe_rng(cfg, "sobolev"), slope_tol=block["slope_tol"],
+        workers=min(cfg.threads, SOBOLEV_MAX_ROWS))
     return _with_seed(report, cfg, "sobolev")
 
 
@@ -563,11 +570,14 @@ def run(config_path, subcommand: str, out_dir: Optional[str] = None,
         return EXIT_VALIDATION
 
     names = list(PROBE_SUBCOMMANDS) if subcommand == "all" else [subcommand]
+    # each runner gets its share of the thread budget: all of it for a lone
+    # probe, threads // (probes running at once) inside `all`
+    share = replace(cfg, threads=max(1, cfg.threads // min(cfg.threads, len(names))))
 
     def attempt(name: str):
         """The probe's report, or the numerical failure it raised."""
         try:
-            return PROBE_RUNNERS[name](cfg)
+            return PROBE_RUNNERS[name](share)
         except ConfigError:
             raise
         except Exception as exc:  # numerical failure: the other probes still run

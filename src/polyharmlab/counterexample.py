@@ -28,11 +28,11 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
+import scipy.fft
 
 from .grid import (
     Field,
     GridSpec,
-    field_from_spectrum,
     outer_product,
     read_field,
     write_field,
@@ -75,22 +75,33 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
     side, so the synthesized values are exact samples of the periodized
     (strictly positive) function rather than its band-limited interpolant.
     Each of the 3^n alias terms has a separable Gaussian factor, built as the
-    outer product of its 1-D factors."""
+    outer product of its 1-D factors.  Both symbols are real and even, so
+    only the half spectrum of the last axis is built (centre phase
+    included) and synthesized by one real inverse transform."""
     axis = grid.axis_freqs()
     width = 2.0 * grid.nyquist_radius
-    # per shift and axis: the shifted frequencies squared and their Gaussian
+    # per shift and axis: the shifted frequencies squared and their Gaussian,
+    # which carries the centre phase (-1)^k; the last axis keeps its half
     shifted2 = (axis[None, :] + width * np.arange(-1, 2)[:, None]) ** 2
-    gauss = np.exp(-sigma * sigma * shifted2 / 4.0)
-    phi_hat = np.zeros(grid.shape)
+    sign = np.where(np.arange(grid.npts) % 2 == 0, 1.0, -1.0)
+    gauss = sign * np.exp(-sigma * sigma * shifted2 / 4.0)
+    half = grid.npts // 2 + 1
+    sq_rows = [shifted2] * (grid.n - 1) + [shifted2[:, :half]]
+    gauss_rows = [gauss] * (grid.n - 1) + [gauss[:, :half]]
+    phi_hat = np.zeros(grid.shape[:-1] + (half,))
     for kv in np.ndindex(*([3] * grid.n)):
-        term = 1.0 + outer_product([shifted2[k] for k in kv], np.add)  # 1 + |xi|^2
-        np.divide(outer_product([gauss[k] for k in kv]), term, out=term)
+        term = 1.0 + outer_product([r[k] for r, k in zip(sq_rows, kv)],
+                                   np.add)  # 1 + |xi|^2
+        np.divide(outer_product([r[k] for r, k in zip(gauss_rows, kv)]), term,
+                  out=term)
         phi_hat += term
-    phi_hat *= (2.0 * np.pi) ** (-grid.n / 2.0)
-    xi2 = grid.xi_radii() ** 2
+    xi2 = outer_product([r[1] for r in sq_rows], np.add)  # the unshifted |xi|^2
     numer_hat = (1.0 - xi2 ** m) * phi_hat
-    phi = field_from_spectrum(grid, phi_hat).values.real
-    numer = field_from_spectrum(grid, numer_hat).values.real
+    scale = grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** grid.n
+    phi = scipy.fft.irfftn(phi_hat, s=grid.shape, overwrite_x=True)
+    phi *= scale
+    numer = scipy.fft.irfftn(numer_hat, s=grid.shape, overwrite_x=True)
+    numer *= scale
     return phi, numer
 
 

@@ -16,8 +16,9 @@ over axes, matching the physical layout.  Transforms run on scipy.fft.
 
 A Field holds physical samples only.  The frequency side is a plain array in
 FFT ordering that only the transform pair produces (forward_transform) and
-consumes (field_from_spectrum); it serves the quantities that live there
-(shell integrals, the boundary pairing, frequency-built samples).
+consumes (field_from_spectrum, or samples_from_spectrum in place); it serves
+the quantities that live there (shell integrals, the boundary pairing,
+frequency-built samples).
 
 A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
 the centring phase and the scale factors of the unitary transforms cancel
@@ -205,10 +206,17 @@ def field_from_spectrum(grid: GridSpec, hat: np.ndarray) -> Field:
     """The field whose forward_transform is hat: exact inverse of
     forward_transform.  hat is read as complex128 (a real array gives the
     field of its complex cast) and left unchanged."""
-    hat = np.asarray(hat, dtype=np.complex128)
-    vals = scipy.fft.ifftn(_center_phase(grid) * hat, overwrite_x=True)
+    return Field(grid, samples_from_spectrum(
+        grid, np.array(hat, dtype=np.complex128)))
+
+
+def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
+    """field_from_spectrum's samples computed in the buffer of hat (complex128,
+    grid shape), which is overwritten: the returned array may share it."""
+    hat *= _center_phase(grid)
+    vals = scipy.fft.ifftn(hat, overwrite_x=True)
     vals *= grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** (grid.n / 2)
-    return Field(grid, vals)
+    return vals
 
 
 def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
@@ -227,12 +235,24 @@ def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return apply_symbol_spectrum(scipy.fft.fftn(values), sym)
 
 
-def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray) -> np.ndarray:
+def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
+                          adjoint: bool = False) -> np.ndarray:
     """ifftn(sym * spec): apply_symbol's complex path from the unnormalized
-    DFT spec = scipy.fft.fftn(values) of its input, left unchanged.  A
-    caller that holds spec (a spectrum taken once, or one built by
-    separable_spectrum) applies a symbol to it at one inverse transform."""
-    return scipy.fft.ifftn(spec * sym, overwrite_x=True)
+    complex128 DFT spec = scipy.fft.fftn(values) of its input.  A caller
+    that holds spec (a spectrum taken once, or one built by
+    separable_spectrum) applies a symbol to it at one inverse transform.
+
+    spec is consumed: it is multiplied in place and its buffer holds the
+    result, so the call needs no temporary the size of the grid; a caller
+    that still needs spec passes a copy.  adjoint applies conj(sym) without
+    a conjugated copy of sym: conj(conj(spec) * sym) equals spec * conj(sym)
+    bitwise."""
+    if adjoint:
+        np.conjugate(spec, out=spec)
+    spec *= sym
+    if adjoint:
+        np.conjugate(spec, out=spec)
+    return scipy.fft.ifftn(spec, overwrite_x=True)
 
 
 def outer_product(vectors: Sequence[np.ndarray],
@@ -268,13 +288,25 @@ def apply_multiplier(f: Field, sym: np.ndarray) -> Field:
 
 
 def norm_lp(f: Field, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^n)^(1/p); max norm for p = inf."""
+    """Discrete L^p norm (sum |f|^p h^n)^(1/p); max norm for p = inf.  An
+    even integer p raises |f|^2 = re^2 + im^2 to p/2 by products, several
+    times cheaper than the float power of |f|."""
     if p < 1:
         raise ValueError(f"L^p norm requires p >= 1, got p={p}")
-    a = np.abs(f.values)
     if np.isinf(p):
-        return float(a.max())
-    return float((np.sum(a ** p) * f.grid.cell_volume) ** (1.0 / p))
+        return float(np.abs(f.values).max())
+    if p % 2 == 0:
+        sq = np.square(f.values.real)
+        sq += np.square(f.values.imag)
+        powered = sq
+        if p > 2:
+            powered = sq * sq
+            for _ in range(int(p) // 2 - 2):
+                powered *= sq
+    else:
+        powered = np.abs(f.values)
+        powered **= p
+    return float((np.sum(powered) * f.grid.cell_volume) ** (1.0 / p))
 
 
 def weight_abs_power(grid: GridSpec, exponent: float) -> np.ndarray:

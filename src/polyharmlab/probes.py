@@ -13,6 +13,7 @@ the induced quadratic form where the functional is quadratic.
 from __future__ import annotations
 
 import math
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -28,9 +29,9 @@ from .grid import (
     apply_symbol,
     apply_symbol_spectrum,
     check_smoothing_gamma,
-    field_from_spectrum,
     norm_lp,
     outer_product,
+    samples_from_spectrum,
     separable_norm_lp,
     separable_spectrum,
     smoothing_weight,
@@ -487,7 +488,8 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                           q: float, z_magnitudes: Sequence[float],
                           z_arg: float = np.pi / 2, samples: int = 4,
                           rng: Optional[np.random.Generator] = None,
-                          slope_tol: float = 0.05) -> ProbeReport:
+                          slope_tol: float = 0.05,
+                          workers: int = 1) -> ProbeReport:
     """Scaling exponent of || |D|^alpha R0(z) ||_{L^p -> L^q} along the ray
     arg z = z_arg: per |z| the norm is lower-bounded by the max ratio over
     random wave packets plus adversarial samples localized at the resonant
@@ -500,12 +502,19 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     Each row records how the p -> q refinement of its best sample stopped
     (refine_steps, refine_stop), and refine_underflow_stops counts the rows
     whose refinement ended by underflow.
+
+    The |z| rows are independent and run on up to `workers` threads (NumPy
+    and the transforms release the interpreter lock).  The calling thread
+    draws each row's random numbers in row order when the row may start, so
+    the report and the state rng is left in do not depend on workers.
     """
     n = grid.n
     _check_sobolev_window(m, n, alpha, p, q)
     mags, decades = z_ray(z_magnitudes)
     if not (0 < z_arg < 2 * np.pi) or abs(z_arg) < 1e-9:
         raise ValueError("ray must avoid the positive real axis (z_arg != 0)")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -518,36 +527,40 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                     "slope_tol": slope_tol},
     )
 
-    # everything that does not depend on |z|, built once
+    # everything that does not depend on |z|, built once and only read
     xi_abs = grid.xi_radii()
     dsym = abs_derivative_symbol(grid, alpha)
     xi_2m = xi_abs ** (2 * m)
     envelope = outer_product(_gaussian_factors(
         grid, grid.half_width / 8.0, np.zeros(n), np.zeros(n)))
     packs = frequency_localized_samples(grid, samples, rng)
-    norms = []
-    for mag in mags:
+
+    def row(mag: float, draws: List[Tuple[float, np.ndarray]]):
+        """(norm, refine_steps, refine_stop) at |z| = mag."""
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
-        sym = dsym / (xi_2m - z)
+        sym = xi_2m - z
+        np.divide(dsym, sym, out=sym)
         rho = mag ** (1.0 / (2 * m))
         best = 0.0
         best_out = best_den = None
         for spec, den in _sobolev_candidates(grid, packs, xi_abs, envelope,
-                                             rho, p, rng):
+                                             rho, p, draws):
             if den == 0.0:
                 continue
-            out = Field(grid, apply_symbol_spectrum(spec, sym))
-            ratio = norm_lp(out, q) / den
+            out = apply_symbol_spectrum(spec, sym)
+            ratio = norm_lp(Field(grid, out), q) / den
             if ratio > best:
                 best, best_out, best_den = ratio, out, den
-        steps, stop = 0, None
-        if best_out is not None:
-            refined, steps, stop = _pq_norm_refine(best_out, best_den, sym, p, q)
-            best = max(best, refined)
-        norms.append(best)
-        report.add_row(abs_z=mag, norm=best, refine_steps=steps, refine_stop=stop)
+            del spec, out  # hold only the best image while the next is built
+        if best_out is None:
+            return best, 0, None
+        return _pq_norm_refine(grid, best_out, best_den, best, sym, p, q)
 
-    slope, _, width = fit_loglog(mags, norms)
+    results = _run_rows(row, mags, lambda: _shell_draws(grid, rng, 2), workers)
+    for mag, (norm, steps, stop) in zip(mags, results):
+        report.add_row(abs_z=mag, norm=norm, refine_steps=steps, refine_stop=stop)
+
+    slope, _, width = fit_loglog(mags, [r[0] for r in results])
     report.metrics.update(slope=slope, slope_confidence=width,
                           expected_slope=expected, decades=decades,
                           refine_underflow_stops=sum(
@@ -556,82 +569,136 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     return report
 
 
+def _run_rows(row: Callable, inputs: Sequence, draw: Callable,
+              workers: int) -> list:
+    """[row(x, draw()) for x in inputs] with up to `workers` rows running at
+    once on threads.  draw() is called in the calling thread, in input
+    order, only when its row may start, so at most `workers` rows' draws are
+    held.  A row's exception propagates once the running rows have ended."""
+    futures: list = []
+    running: set = set()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for x in inputs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    fut.result()  # a failed row stops the probe here
+            fut = pool.submit(row, x, draw())
+            futures.append(fut)
+            running.add(fut)
+        return [fut.result() for fut in futures]
+
+
+def _shell_draws(grid: GridSpec, rng: np.random.Generator,
+                 count: int) -> List[Tuple[float, np.ndarray]]:
+    """The random numbers of count shell-localized samples: per sample a
+    width factor in [1, 3) and one uniform phase fraction per lattice
+    point, drawn in that order."""
+    return [(rng.uniform(1.0, 3.0), rng.random(grid.shape)) for _ in range(count)]
+
+
 def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
                         xi_abs: np.ndarray, envelope: np.ndarray, rho: float,
-                        p: float, rng: np.random.Generator
+                        p: float, draws: List[Tuple[float, np.ndarray]]
                         ) -> Iterator[Tuple[np.ndarray, float]]:
     """The screening candidates at resonant radius rho as (spectrum, L^p
     norm) pairs, spectrum = scipy.fft.fftn of the samples: the packs (given
-    by their axis factors), then two shell-localized samples, then the
-    scaled bumps.  A separable candidate's pair comes from its 1-D axis
-    factors.  Built one at a time, so only the candidate being screened is
-    held."""
+    by their axis factors), then the shell-localized samples of draws, then
+    the scaled bumps.  A separable candidate's pair comes from its 1-D axis
+    factors.  Built one at a time, each spectrum a fresh array the caller
+    may overwrite, so only the candidate being screened is held."""
     for factors in packs:
         yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
-    for fld in _shell_localized_samples(grid, xi_abs, envelope, rho, 2, rng):
-        yield scipy.fft.fftn(fld.values), norm_lp(fld, p)
+    for vals in _shell_localized_samples(grid, xi_abs, envelope, rho, draws):
+        den = norm_lp(Field(grid, vals), p)
+        yield scipy.fft.fftn(vals, overwrite_x=True), den
+        del vals
     for factors in _scaled_bumps(grid, rho):
         yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
 
 
 def _shell_localized_samples(grid: GridSpec, xi_abs: np.ndarray,
-                             envelope: np.ndarray, rho: float, count: int,
-                             rng: np.random.Generator) -> Iterator[Field]:
+                             envelope: np.ndarray, rho: float,
+                             draws: List[Tuple[float, np.ndarray]]
+                             ) -> Iterator[np.ndarray]:
     """Adversarial inputs: frequency content concentrated in a Gaussian
     annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), times
     the fixed physical envelope for edge decay; xi_abs is grid.xi_radii().
-    Drawn one at a time from rng."""
+    One unit-l2 sample (fresh complex array) per (width factor, phase
+    fractions) pair of draws (_shell_draws), each built in one complex
+    buffer.  draws is emptied as the samples are built, so each pair is
+    released once used."""
     rho = min(rho, 0.8 * grid.nyquist_radius)
-    for _ in range(count):
-        width = grid.h_xi * rng.uniform(1.0, 3.0)
-        prof = np.exp(-((xi_abs - rho) / width) ** 2)
-        phases = np.exp(2j * np.pi * rng.random(grid.shape))
-        fld = field_from_spectrum(grid, prof * phases)
-        vals = fld.values * envelope
+    while draws:
+        factor, fractions = draws.pop(0)
+        buf = np.zeros(grid.shape, dtype=np.complex128)
+        np.multiply(fractions, 2.0 * np.pi, out=buf.imag)
+        del fractions
+        np.exp(buf, out=buf)  # the random phases e^{2 pi i u}
+        prof = xi_abs - rho
+        prof /= grid.h_xi * factor
+        np.square(prof, out=prof)
+        np.negative(prof, out=prof)
+        buf *= np.exp(prof, out=prof)  # the Gaussian annulus
+        del prof
+        vals = samples_from_spectrum(grid, buf)
+        vals *= envelope
         nrm = np.linalg.norm(vals)
         if nrm == 0:
             continue
-        yield Field(grid, vals / nrm)
+        vals /= nrm
+        yield vals
+        del buf, vals  # the consumer owns the sample
 
 
-def _pq_norm_refine(image: Field, den: float, sym: np.ndarray,
-                    p: float, q: float) -> Tuple[float, int, str]:
+def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
+                    ratio: float, sym: np.ndarray, p: float,
+                    q: float) -> Tuple[float, int, str]:
     """Nonlinear power iteration for ||A||_{L^p -> L^q} of the multiplier A
     (Boyd's fixed point: v <- J_{p'}(A* J_q(A v)), with J_s the pointwise
     duality map w -> |w|^{s-2} w), from a start v given as the screening
-    computed it: its image A v and its L^p norm den.  Converges to a critical
-    ratio, reliably near-extremal in the hypercontractive range p <= 2 <= q
-    used here.
+    computed it: its image A v (physical samples on grid, overwritten: every
+    iterate reuses its buffer), its L^p norm den and the ratio
+    ||A v||_q / den.  Converges to a critical ratio, reliably near-extremal
+    in the hypercontractive range p <= 2 <= q used here.
 
     Returns (best ratio, steps, stop): steps counts the iterates the map
     produced, and stop is "converged" when the ratio changed by at most 2e-4
     relative, "underflow" when an iterate or its adjoint image flushed to
     zero, and "cap" after 40 steps."""
-    grid = image.grid
     pp = p / (p - 1.0)  # conjugate exponent of p
-    sym_c = np.conj(sym)
-    u = image.values
+    u = image
     best = 0.0
     prev = 0.0
     for steps in range(40):
-        ratio = norm_lp(Field(grid, u), q) / den
+        if steps:
+            ratio = norm_lp(Field(grid, u), q) / den
         best = max(best, ratio)
         if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
             return best, steps, "converged"
         prev = ratio
-        g = _flush_subnormal(np.abs(u) ** (q - 2.0) * u)
-        w = apply_symbol(g, sym_c)
+        mag = np.abs(u)
+        mag **= q - 2.0
+        u *= mag  # J_q(u)
+        del mag
+        if not _flush_subnormal(u).any():
+            return best, steps, "underflow"  # A* 0 = 0
+        w = apply_symbol_spectrum(scipy.fft.fftn(u, overwrite_x=True), sym,
+                                  adjoint=True)
         aw = np.abs(w)
         peak = aw.max()
         if peak == 0.0:
             return best, steps, "underflow"
-        v = (aw / peak) ** (pp - 2.0) * w
-        v[~np.isfinite(v)] = 0.0
-        _flush_subnormal(v)
-        den = norm_lp(Field(grid, v), p)
+        aw /= peak
+        aw **= pp - 2.0
+        w *= aw  # J_p'(w), rescaled by peak^(2 - p')
+        del aw
+        w[~np.isfinite(w)] = 0.0
+        _flush_subnormal(w)
+        den = norm_lp(Field(grid, w), p)
         if den == 0.0:
             return best, steps, "underflow"
-        u = apply_symbol(v, sym)
+        u = apply_symbol_spectrum(scipy.fft.fftn(w, overwrite_x=True), sym)
     return best, 40, "cap"
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from polyharmlab import cli, hamiltonian
+from polyharmlab import cli, hamiltonian, probes
 from polyharmlab.cli import (
     ConfigError,
     default_config,
@@ -391,6 +391,63 @@ class TestAllSubcommand:
         path = write_config(tmp_path, base_config())
         assert run(path, "all", out_dir=str(tmp_path / "out"),
                    threads=threads) == 2
+
+
+class TestThreadBudget:
+    @staticmethod
+    def _record_workers(monkeypatch):
+        seen = []
+
+        def probe(*args, workers=1, **kwargs):
+            seen.append(workers)
+            rep = ProbeReport(name="sobolev_scaling")
+            rep.passes["slope_matches"] = True
+            return rep
+
+        monkeypatch.setattr(cli, "sobolev_scaling_probe", probe)
+        return seen
+
+    @pytest.mark.parametrize("threads,workers", [(1, 1), (2, 2), (3, 2),
+                                                 (64, 2)])
+    def test_lone_sobolev_gets_threads_up_to_the_row_cap(
+            self, tmp_path, monkeypatch, threads, workers):
+        # every row in flight adds to the memory peak: a many-core host
+        # still runs at most SOBOLEV_MAX_ROWS rows at once
+        assert cli.SOBOLEV_MAX_ROWS == 2
+        seen = self._record_workers(monkeypatch)
+        path = write_config(tmp_path, small_lab_config())
+        assert run(path, "sobolev", out_dir=str(tmp_path / "out"),
+                   threads=threads) == 0
+        assert seen == [workers]
+
+    @pytest.mark.parametrize("threads,workers", [(1, 1), (2, 1), (16, 2)])
+    def test_all_splits_threads_over_probes(self, tmp_path, monkeypatch,
+                                            threads, workers):
+        # inside `all` the probes already run on the pool: sobolev gets
+        # threads // (probes running at once), no nested oversubscription
+        seen = self._record_workers(monkeypatch)
+        for name in cli.PROBE_SUBCOMMANDS:
+            if name != "sobolev":
+                monkeypatch.setitem(cli.PROBE_RUNNERS, name,
+                                    lambda cfg: ProbeReport(name="stub"))
+        path = write_config(tmp_path, small_lab_config())
+        assert run(path, "all", out_dir=str(tmp_path / "out"),
+                   threads=threads) == 0
+        assert seen == [workers]
+
+    def test_failed_row_is_a_numerical_failure(self, tmp_path, monkeypatch,
+                                               capsys):
+        def failing(*args):
+            raise FloatingPointError("row diverged")
+
+        monkeypatch.setattr(probes, "_pq_norm_refine", failing)
+        path = write_config(tmp_path, small_lab_config())
+        out = tmp_path / "out"
+        assert run(path, "sobolev", out_dir=str(out), threads=2) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure in sobolev" in err
+        assert "row diverged" in err
+        assert not (out / "sobolev.json").exists()
 
 
 class TestSeedProvenance:

@@ -20,6 +20,7 @@ from polyharmlab.grid import (
     forward_transform,
     norm_lp,
     read_field,
+    samples_from_spectrum,
     separable_norm_lp,
     separable_spectrum,
     smoothing_weight,
@@ -115,6 +116,12 @@ class TestTransforms:
         np.testing.assert_array_equal(
             field_from_spectrum(g, hat.real).values,
             field_from_spectrum(g, hat.real.astype(np.complex128)).values)
+
+    def test_in_place_synthesis_is_field_from_spectrum(self):
+        g = GridSpec(3, 8, 3.0)
+        hat = forward_transform(random_field(g))
+        want = field_from_spectrum(g, hat).values
+        np.testing.assert_array_equal(samples_from_spectrum(g, hat), want)
 
     def test_parseval(self):
         g = GridSpec(3, 16, 3.0)
@@ -304,13 +311,29 @@ class TestSeparableInputs:
         vals = random_field(g).values
         sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
         spec = scipy.fft.fftn(vals)
-        before = spec.copy()
-        np.testing.assert_array_equal(apply_symbol_spectrum(spec, sym),
-                                      apply_symbol(vals, sym))
-        np.testing.assert_array_equal(spec, before)
+        got = apply_symbol_spectrum(spec, sym)
+        np.testing.assert_array_equal(got, apply_symbol(vals, sym))
+        # spec is consumed: the result lives in its buffer
+        assert np.shares_memory(got, spec)
+
+    def test_adjoint_spectrum_kernel_is_bitwise(self):
+        # adjoint applies conj(sym) without a conjugated copy of sym and
+        # gives the bits of the plain kernel with conj(sym)
+        g = GridSpec(3, 8, 2.5)
+        sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
+        spec = scipy.fft.fftn(random_field(g).values)
+        np.testing.assert_array_equal(
+            apply_symbol_spectrum(spec.copy(), sym, adjoint=True),
+            apply_symbol_spectrum(spec.copy(), np.conj(sym)))
 
 
 class TestNormsAndWeights:
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    def test_even_norm_by_products_matches_the_float_power(self, p):
+        f = random_field(GridSpec(3, 16, 3.0))
+        want = (np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
+        assert norm_lp(f, p) == pytest.approx(want, rel=1e-14)
+
     def test_norm_lp_constants(self):
         g = GridSpec(3, 8, 1.0)
         f = Field(g, np.full(g.shape, 2.0 + 0j))

@@ -1,5 +1,7 @@
 """Admissible pairs, sample families, and the space-time / scaling probes."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from polyharmlab.grid import (
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol_spectrum,
+    field_from_spectrum,
     norm_lp,
     outer_product,
     smoothing_weight,
@@ -92,6 +95,20 @@ def full_grid_packs(g, count, rng):
         phase = sum(carrier[a] * coords[a] for a in range(g.n))
         fld = Field(g, np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase))
         out.append(Field(g, fld.values / fld.norm2()))
+    return out
+
+
+def shell_samples_complex_path(g, xi_abs, envelope, rho, draws):
+    """_shell_localized_samples through full-grid temporaries and the complex
+    synthesis field_from_spectrum: the construction the in-place one
+    replaced, for the same draws."""
+    rho = min(rho, 0.8 * g.nyquist_radius)
+    out = []
+    for factor, fractions in draws:
+        prof = np.exp(-((xi_abs - rho) / (g.h_xi * factor)) ** 2)
+        phases = np.exp(2j * np.pi * fractions)
+        vals = field_from_spectrum(g, prof * phases).values * envelope
+        out.append(Field(g, vals / np.linalg.norm(vals)))
     return out
 
 
@@ -350,7 +367,8 @@ class TestSobolevScalingProbe:
         envelope = np.exp(-r2 / (2.0 * (g.half_width / 8.0) ** 2))
         rng = np.random.default_rng(5)
         fields = full_grid_packs(g, 2, rng)
-        fields += probes._shell_localized_samples(g, xi_abs, envelope, rho, 2, rng)
+        fields += shell_samples_complex_path(g, xi_abs, envelope, rho,
+                                             probes._shell_draws(g, rng, 2))
         carrier = np.exp(1j * rho * g.coords()[0])
         for c in (0.5, 1.0, 2.0, 4.0):
             scale = c / rho
@@ -363,11 +381,85 @@ class TestSobolevScalingProbe:
         packs = frequency_localized_samples(g, 2, rng)
         envelope = outer_product(probes._gaussian_factors(
             g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
+        draws = probes._shell_draws(g, rng, 2)
         got = [norm_lp(Field(g, apply_symbol_spectrum(spec, sym)), q) / den
                for spec, den in probes._sobolev_candidates(
-                   g, packs, xi_abs, envelope, rho, p, rng)]
+                   g, packs, xi_abs, envelope, rho, p, draws)]
         assert len(fields) > 4 + 2  # some bumps are screened
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.5, 40.0])
+    def test_lean_shell_samples_are_the_complex_path_bitwise(self, rho):
+        # one complex buffer per sample, built in place, gives the bits of
+        # the full-grid construction; rho = 40 is capped below Nyquist
+        g = GridSpec(3, 24, 6.0)
+        xi_abs = g.xi_radii()
+        envelope = outer_product(probes._gaussian_factors(
+            g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
+        draws = probes._shell_draws(g, np.random.default_rng(3), 2)
+        want = shell_samples_complex_path(g, xi_abs, envelope, rho, draws)
+        got = list(probes._shell_localized_samples(g, xi_abs, envelope, rho,
+                                                   list(draws)))
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b.values)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_do_not_depend_on_workers(self, seed):
+        # the rows run on threads, the draws stay in the calling thread: the
+        # report and the rng's state are the same for every worker count
+        g = GridSpec(3, (16, 20, 24)[seed % 3], 8.0)
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                rng = np.random.default_rng(seed)
+                rep = sobolev_scaling_probe(g, 1, 0.0, 1.2, 6.0,
+                                            np.geomspace(0.3, 10.0, 4),
+                                            samples=2, rng=rng, workers=workers)
+                outcomes.append((rep.rows, rep.metrics, rng.bit_generator.state))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_failure_surfaces_and_leaves_no_thread(self, monkeypatch,
+                                                       workers):
+        refine = probes._pq_norm_refine
+        started = []
+
+        def failing(grid, image, den, ratio, sym, p, q):
+            started.append(1)
+            if len(started) == 2:
+                raise FloatingPointError("row diverged")
+            return refine(grid, image, den, ratio, sym, p, q)
+
+        monkeypatch.setattr(probes, "_pq_norm_refine", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="row diverged"):
+            sobolev_scaling_probe(GridSpec(3, 16, 8.0), 1, 0.0, 1.2, 6.0,
+                                  np.geomspace(0.3, 10.0, 4), samples=1,
+                                  rng=np.random.default_rng(0), workers=workers)
+        assert set(threading.enumerate()) <= before
+        with pytest.raises(ValueError, match="workers"):
+            sobolev_scaling_probe(GridSpec(3, 16, 8.0), 1, 0.0, 1.2, 6.0,
+                                  [0.3, 1.0, 10.0], workers=0)
+
+    def test_refinement_reuses_the_screened_ratio_and_stops_on_zero(self,
+                                                                    monkeypatch):
+        # a start whose duality image J_q(u) flushes to zero stops at step
+        # 0 with the screening's ratio, before any transform
+        g = GridSpec(3, 8, 4.0)
+        calls = []
+        monkeypatch.setattr(probes.scipy.fft, "fftn",
+                            lambda *a, **k: calls.append(1))
+        image = np.full(g.shape, 1e-300 + 0j)
+        sym = np.ones(g.shape, dtype=complex)
+        assert probes._pq_norm_refine(g, image, 1.0, 0.125, sym, 1.2, 6.0) == \
+            (0.125, 0, "underflow")
+        assert calls == []
 
     def test_flush_subnormal(self):
         tiny = np.finfo(np.float64).tiny
