@@ -27,8 +27,7 @@ Layers (ROADMAP "layer by layer"):
       spectrum probes; one iteration of the smoothing refinement
       (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
       adjoint) on the lab Hamiltonian over the same 65 times, from the
-      same random unit state; one inhomogeneous_smoothing_probe on the lab
-      Hamiltonian at gamma = 0.25, T = 8, one sample; the benchmark's scaling sobolev probe (80^3,
+      same random unit state; the benchmark's scaling sobolev probe (80^3,
       L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from 0.3 to 10 on
       the imaginary axis, three packs, the seed-0 stream of the CLI); one
       p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
@@ -77,7 +76,6 @@ BATCHES = {
     "L2.negative_spectrum_spectral": (1, 3),
     "L2.negative_spectrum_lab": (1, 5),
     "L2.refine_iter_16_T8": (1, 5),
-    "L2.inhomogeneous_16_T8": (1, 5),
     "L2.sobolev_80": (1, 2),
     "L2.sobolev_80_workers2": (1, 2),
     "L2.pq_refine_80": (1, 4),
@@ -105,9 +103,7 @@ def _layers():
     from polyharmlab.kernels import ResolventQuery
     from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
-    from polyharmlab.probes import (_refine_quadratic_smoothing,
-                                    inhomogeneous_smoothing_probe,
-                                    sobolev_scaling_probe)
+    from polyharmlab.probes import _refine_quadratic_smoothing, sobolev_scaling_probe
 
     rng = np.random.default_rng(0)
 
@@ -183,8 +179,6 @@ def _layers():
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
         "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
             lab_h, weight, dsym, times, psi, 1),
-        "L2.inhomogeneous_16_T8": lambda: inhomogeneous_smoothing_probe(
-            lab_h, 0.25, t_final=8.0, samples=1),
         "L2.sobolev_80": run_sobolev,
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
         "L2.stein_weiss_64": lambda: operator_norm(

@@ -7,7 +7,6 @@ from .grid import (
     Field,
     GridSpec,
     apply_multiplier,
-    field_from_function,
     field_from_spectrum,
     forward_transform,
     norm_lp,
@@ -26,8 +25,6 @@ from .potentials import (
     Potential,
     bracket_decay,
     gaussian_well,
-    potential_from_callable,
-    zero_potential,
 )
 from .resolvent import (
     boundary_symbol,
@@ -40,9 +37,7 @@ from .birman_schwinger import (
     BSMatrix,
     assemble_M,
     birman_schwinger_count,
-    detect_zero_resonance,
     inv_norm_sweep,
-    neumann_threshold,
     perturbed_resolvent_apply,
     supersmooth_sweep,
 )
@@ -50,24 +45,20 @@ from .hamiltonian import (
     EigenSet,
     Hamiltonian,
     clr_check,
-    duhamel,
     lanczos_extreme,
     negative_spectrum,
     projector_ac,
     propagate,
     propagate_adjoint,
-    repulsive_check,
 )
 from .counterexample import (
     EmbeddedPair,
     build_embedded_pair,
-    load_embedded_pair,
     save_embedded_pair,
     verify_embedded,
 )
 from .probes import (
     AdmissiblePair,
-    inhomogeneous_smoothing_probe,
     kato_smoothing_probe,
     sobolev_scaling_probe,
     stein_weiss_probe,

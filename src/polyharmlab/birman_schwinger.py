@@ -1,6 +1,6 @@
 """Dense Birman-Schwinger operator M(z) = I + w R0(z) v on the potential's
-support set, the bound-state count, zero-resonance detection, the perturbed
-resolvent, and supersmoothing sweeps.
+support set, the bound-state count, the perturbed resolvent, and
+supersmoothing sweeps.
 
 The sandwiched resolvent w R0(z) v is translation-invariant between grid
 points, so the dense block is gathered from a single resolvent column (the
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -95,13 +95,6 @@ class BSMatrix:
         if not np.all(np.diagonal(self.factors[0])):
             raise scipy.linalg.LinAlgError(f"M({self.query.z}) is singular")
         return scipy.linalg.lu_solve(self.factors, rhs, trans=2 if adjoint else 0)
-
-    def inv_norm(self) -> float:
-        """||M^{-1}||_2 = 1 / sigma_min."""
-        s = self.sigma_min()
-        if s == 0.0:
-            return np.inf
-        return 1.0 / s
 
 
 class SigmaMinError(RuntimeError):
@@ -216,40 +209,6 @@ def assemble_M(pot: Potential, q: ResolventQuery,
     return BSMatrix(q, g_block, support, grid, pot.name)
 
 
-def neumann_threshold(pot: Potential, m: int,
-                      radii: Iterable[float]) -> Tuple[float, ProbeReport]:
-    """Smallest sampled radius r with ||w R0(z) v|| <= 1/2 on the circle
-    |z| = r (the arguments pi/2, pi and 3 pi/2 plus both boundary sides at
-    real z)."""
-    radii = np.sort(np.asarray(list(radii), dtype=float))
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("radii must be positive")
-    n = pot.grid.n
-    report = ProbeReport(
-        name="neumann_threshold",
-        params={"m": m, "n": n, "potential": pot.name},
-    )
-    threshold = np.inf
-    for r in radii:
-        worst = 0.0
-        queries = [ResolventQuery(z=complex(r), m=m, n=n, side="+"),
-                   ResolventQuery(z=complex(r), m=m, n=n, side="-")]
-        for k in range(1, 4):
-            ang = 2.0 * np.pi * k / 4
-            queries.append(ResolventQuery(z=r * np.exp(1j * ang), m=m, n=n))
-        for q in queries:
-            bs = assemble_M(pot, q)
-            kmat = bs.matrix - np.eye(bs.size)
-            norm = float(scipy.linalg.svdvals(kmat)[0]) if bs.size else 0.0
-            worst = max(worst, norm)
-        report.add_row(radius=r, max_norm=worst, passes=worst <= 0.5)
-        if worst <= 0.5 and not np.isfinite(threshold):
-            threshold = float(r)
-    report.metrics["threshold"] = threshold
-    report.passes["found"] = bool(np.isfinite(threshold))
-    return threshold, report
-
-
 def _theta_sweep(report: ProbeReport, pot: Potential, m: int,
                  lambdas: Sequence[float], thetas: Sequence[float],
                  measure: Callable[[BSMatrix], Tuple[float, float, int]]
@@ -304,13 +263,6 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
         return (1.0 / smin if smin > 0 else np.inf), smin, applications
 
     return _theta_sweep(report, pot, m, lambdas[keep], thetas, measure)
-
-
-def detect_zero_resonance(pot: Potential, m: int) -> Tuple[float, bool]:
-    """Smallest singular value of M(0) plus a resonance-suspect flag, raised
-    when sigma_min < 1e-3."""
-    smin = assemble_M(pot, ResolventQuery(z=0j, m=m, n=pot.grid.n)).sigma_min()
-    return float(smin), bool(smin < 1e-3)
 
 
 def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,

@@ -157,30 +157,6 @@ def list_probes() -> Dict[str, Any]:
     }
 
 
-def default_config() -> Dict[str, Any]:
-    """Full config dict built from schema defaults (round-trips through
-    validation)."""
-    probes = {}
-    for name, schema in PROBE_SCHEMAS.items():
-        block = {k: v["default"] for k, v in schema.items()
-                 if not v["required"]}
-        probes[name] = block
-    # strichartz requires an explicit pair; the default is the m=1, n=3
-    # standard pair (8/3, 4) at alpha = 3/2
-    probes["strichartz"].update(p=8.0 / 3.0, q=4.0, alpha=1.5)
-    return {
-        "seed": 0,
-        "threads": None,
-        "output_dir": "reports",
-        "grid": {"n": 3, "npts": 16, "half_width": 6.0},
-        "operator": {"m": 1,
-                     "potential": {"family": "gaussian-well",
-                                   "depth": 5.0, "width": 1.0,
-                                   "coupling": 1.0}},
-        "probes": probes,
-    }
-
-
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------

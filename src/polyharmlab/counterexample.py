@@ -34,9 +34,9 @@ from .grid import (
     Field,
     GridSpec,
     outer_product,
-    read_field,
     write_field,
 )
+from .hamiltonian import Hamiltonian
 from .potentials import Potential
 from .reporting import ProbeReport
 
@@ -150,31 +150,24 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     pot = Potential(grid, v_vals, decay_exponent=2.0 * grid.n,
                     name=f"embedded(m={m},n={grid.n},delta={delta:g},{method})")
     phi_field = Field(grid, phi.astype(np.complex128))
-    pair = EmbeddedPair(pot, phi_field, delta, m, grid.n, {})
+    diff = Hamiltonian(grid, m, pot).apply(phi_field.values) - phi_field.values
     residuals = {
-        "eigen_residual": _eigen_residual(pair),
+        "eigen_residual": float(np.linalg.norm(diff) / np.linalg.norm(phi_field.values)),
         "support_leak": leak,
         "positivity_margin": float(np.min(phi)),
         "max_abs_v": pot.max_abs,
         "method": method,
         "sigma": sigma,
     }
-    object.__setattr__(pair, "residuals", residuals)
-    return pair
-
-
-def _eigen_residual(pair: EmbeddedPair) -> float:
-    from .hamiltonian import Hamiltonian
-
-    h = Hamiltonian(pair.grid, pair.m, pair.potential)
-    diff = h.apply(pair.phi.values) - pair.phi.values
-    return float(np.linalg.norm(diff) / np.linalg.norm(pair.phi.values))
+    return EmbeddedPair(pot, phi_field, delta, m, grid.n, residuals)
 
 
 def verify_embedded(pair: EmbeddedPair) -> ProbeReport:
-    """Recompute the eigen-residual, support leak, and positivity margin."""
+    """Report the eigen-residual and support leak that the construction
+    measured, with the truncated exterior and the positivity margin."""
     grid = pair.grid
-    residual = _eigen_residual(pair)
+    residual = pair.residuals["eigen_residual"]
+    leak = pair.residuals["support_leak"]
     r = grid.radii()
     outside = r > pair.delta + 2.0 * grid.h
     post_leak = float(np.max(np.abs(pair.potential.values[outside]))) if np.any(outside) else 0.0
@@ -186,13 +179,13 @@ def verify_embedded(pair: EmbeddedPair) -> ProbeReport:
     )
     report.add_row(m=pair.m, n=pair.n, delta=pair.delta,
                    eigen_residual=residual,
-                   support_leak=pair.residuals.get("support_leak", post_leak),
+                   support_leak=leak,
                    truncated_exterior_max=post_leak,
                    positivity_margin=margin,
                    max_abs_v=pair.potential.max_abs)
     report.metrics.update(
         eigen_residual=residual,
-        support_leak=pair.residuals.get("support_leak", post_leak),
+        support_leak=leak,
         positivity_margin=margin,
     )
     report.passes["phi_strictly_positive"] = margin > 0.0
@@ -218,19 +211,3 @@ def save_embedded_pair(pair: EmbeddedPair, directory) -> Path:
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     return directory
-
-
-def load_embedded_pair(directory) -> EmbeddedPair:
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    with open(directory / "potential.field", "rb") as fh:
-        v_field = read_field(fh)
-    with open(directory / "phi.field", "rb") as fh:
-        phi = read_field(fh)
-    pot = Potential(v_field.grid, v_field.values.real,
-                    decay_exponent=2.0 * v_field.grid.n,
-                    name=f"embedded(m={manifest['m']},n={manifest['n']},"
-                         f"delta={manifest['delta']:g})")
-    return EmbeddedPair(pot, phi, manifest["delta"], manifest["m"],
-                        manifest["n"], manifest["residuals"])

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 import scipy.fft
@@ -185,11 +185,6 @@ class Field:
     def norm2(self) -> float:
         """Discrete L^2 norm (sum |f|^2 h^n)^(1/2)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
-
-def field_from_function(grid: GridSpec, fn: Callable) -> Field:
-    """Sample a callable fn(x) with x of shape (n,) + grid shape."""
-    return Field(grid, np.asarray(fn(grid.coords()), dtype=np.complex128))
 
 
 def forward_transform(f: Field) -> np.ndarray:

@@ -13,8 +13,7 @@ uncounted one (support too large to count) keeps the tighter solve.
 
 Every time sum is one Chebyshev series in H scaled to the spectral interval,
 summed by one recurrence with one matvec per term: propagate's states
-e^{itH} psi0, propagate_adjoint's sum_k e^{-i t_k H} g_k (Clenshaw), and
-duhamel's integral of a separable forcing a(s) g at every sample time.
+e^{itH} psi0 and propagate_adjoint's sum_k e^{-i t_k H} g_k (Clenshaw).
 """
 
 from __future__ import annotations
@@ -175,22 +174,6 @@ def clr_check(h: Hamiltonian, c: float) -> Tuple[int, float, bool]:
     return n0, bound, n0 <= bound
 
 
-def repulsive_check(pot: Potential) -> Tuple[bool, bool]:
-    """(repulsive, nonnegative) flags: repulsive means x . grad V <= tau_grad
-    everywhere (spectral gradient); nonneg means min V >= -tau_grad, with
-    tau_grad = 1e-6 max(1, max|V|)."""
-    grid = pot.grid
-    tau_grad = 1e-6 * max(1.0, pot.max_abs)
-    coords = grid.coords()
-    freqs = grid.freqs()
-    radial = np.zeros(grid.shape)
-    for a in range(grid.n):
-        radial += coords[a] * apply_symbol(pot.values, 1j * freqs[a]).real
-    repulsive = bool(np.max(radial) <= tau_grad)
-    nonneg = bool(np.min(pot.values) >= -tau_grad)
-    return repulsive, nonneg
-
-
 def projector_ac(h: Hamiltonian, f: Field) -> Field:
     """P_ac f = f minus projections onto all computed bound states."""
     es = h.eigenset()
@@ -261,9 +244,15 @@ def _expansion(h: Hamiltonian, times: np.ndarray) -> Tuple[np.ndarray, Callable]
     return coeffs, lambda vec: (h.apply(vec) - mid * vec) / half
 
 
-def _chebyshev_sum(scaled: Callable, psi0: Field, coeffs: np.ndarray) -> List[Field]:
-    """Rows sum_k coeffs[r, k] T_k(H~) psi0 from one recurrence, one matvec
-    per order past the first."""
+def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field]:
+    """e^{itH} psi0 at each requested time, in any order.
+
+    One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
+    1984): the vectors do not depend on t, so each state is sum_k c_k(t)
+    T_k(H~) psi0, truncated once the coefficients fall below 1e-12 at the
+    largest |t|.
+    """
+    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
     v0 = psi0.values.reshape(-1).astype(np.complex128)
     out = np.zeros((coeffs.shape[0], v0.size), dtype=np.complex128)
     block = np.empty((min(_BLOCK, coeffs.shape[1]), v0.size), dtype=np.complex128)
@@ -278,18 +267,6 @@ def _chebyshev_sum(scaled: Callable, psi0: Field, coeffs: np.ndarray) -> List[Fi
             block[k - start] = cur
         out += coeffs[:, start:stop] @ block[:stop - start]
     return [Field(psi0.grid, row.reshape(psi0.grid.shape)) for row in out]
-
-
-def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field]:
-    """e^{itH} psi0 at each requested time, in any order.
-
-    One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
-    1984): the vectors do not depend on t, so each state is sum_k c_k(t)
-    T_k(H~) psi0, truncated once the coefficients fall below 1e-12 at the
-    largest |t|.
-    """
-    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
-    return _chebyshev_sum(scaled, psi0, coeffs)
 
 
 def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
@@ -313,28 +290,3 @@ def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
             nxt, cur = cur, block[j - start] + 2.0 * scaled(cur) - nxt
     # order 0: b_0 + H~ y_1 - y_2, with y_1 in cur and y_2 in nxt
     return Field(h.grid, (block[0] + scaled(cur) - nxt).reshape(h.grid.shape))
-
-
-def duhamel(h: Hamiltonian, g: Field, amplitudes: Sequence[float],
-            times: Sequence[float]) -> List[Field]:
-    """i * integral_{t_0}^t e^{i(t-s)H} a(s) g ds at every sample time t of the
-    strictly increasing times (t_0 = times[0]), for the separable forcing
-    a(s) g with a given at the samples, by composite trapezoid on [t_0, t].
-
-    The trapezoid sum is sum_s w_{t,s} a(s) e^{i(t-s)H} g, so its Chebyshev
-    coefficients are d_k(t) = i sum_s w_{t,s} a(s) c_k(t - s) and one
-    recurrence on g serves every t.  The c_k are evaluated once per distinct
-    lag t - s."""
-    times, amps = np.asarray(times, dtype=float), np.asarray(amplitudes)
-    if amps.shape != times.shape:
-        raise ValueError("amplitudes and times length mismatch")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    # sample s <= t weighs half the steps on either side of it inside [t_0, t]
-    rows, cols = np.tril_indices(times.size)
-    weights = 0.5 * (times[np.minimum(cols + 1, rows)] - times[np.maximum(cols - 1, 0)])
-    lags, lag_of = np.unique(times[rows] - times[cols], return_inverse=True)
-    coeffs, scaled = _expansion(h, lags)
-    mix = np.zeros((times.size, lags.size), dtype=np.complex128)
-    np.add.at(mix, (rows, lag_of), weights * amps[cols])
-    return _chebyshev_sum(scaled, g, 1j * (mix @ coeffs))

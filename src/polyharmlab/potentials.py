@@ -2,13 +2,13 @@
 
 A Potential carries V together with v = sqrt|V| and w = sgn(V) v (so V = w v
 pointwise), the support set used for dense Birman-Schwinger assembly, and a
-declared polynomial decay exponent that can be verified against the samples.
+declared polynomial decay exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .grid import Field, GridSpec
 class Potential:
     """Real potential sampled on a grid.
 
-    decay_exponent is metadata: the claim |V(x)| <= C <x>^{-s}; the constant
-    C is fitted, not assumed (see fitted_decay_constant).
+    decay_exponent is metadata: the claim |V(x)| <= C <x>^{-s}.
     """
 
     grid: GridSpec
@@ -59,21 +58,6 @@ class Potential:
     def as_field(self) -> Field:
         return Field(self.grid, self.values.astype(np.complex128))
 
-    def fitted_decay_constant(self) -> float:
-        """Smallest C with |V(x)| <= C <x>^{-s} on the grid samples."""
-        r = self.grid.radii()
-        bracket = np.sqrt(1.0 + r ** 2)
-        return float(np.max(np.abs(self.values) * bracket ** self.decay_exponent))
-
-    def verify_decay(self, c: Optional[float] = None) -> bool:
-        """Check |V(x)| <= C <x>^{-s} on all samples (trivially true for the
-        fitted constant; useful with an externally supplied C)."""
-        if c is None:
-            c = self.fitted_decay_constant()
-        r = self.grid.radii()
-        bracket = np.sqrt(1.0 + r ** 2)
-        return bool(np.all(np.abs(self.values) <= c * bracket ** (-self.decay_exponent) + 1e-300))
-
     def scaled(self, coupling: float) -> "Potential":
         """coupling * V, named "<name>*<coupling>"."""
         return Potential(self.grid, coupling * self.values, self.decay_exponent,
@@ -105,15 +89,3 @@ def bracket_decay(grid: GridSpec, amplitude: float, s: float) -> Potential:
     vals = amplitude * (1.0 + r ** 2) ** (-s / 2.0)
     return Potential(grid, vals, decay_exponent=s,
                      name=f"bracket(a={amplitude:g},s={s:g})")
-
-
-def potential_from_callable(grid: GridSpec, fn: Callable, decay_exponent: float,
-                            name: str = "custom") -> Potential:
-    """Sample V(x1, ..., xn) = fn(*coords) on the grid."""
-    vals = np.asarray(fn(*grid.coords()), dtype=np.float64)
-    return Potential(grid, vals, decay_exponent, name)
-
-
-def zero_potential(grid: GridSpec) -> Potential:
-    return Potential(grid, np.zeros(grid.shape), decay_exponent=2.0 * grid.n,
-                     name="zero")

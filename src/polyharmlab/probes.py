@@ -1,7 +1,7 @@
 """Measurement suites for space-time functionals of H = (-Delta)^m + V:
-weighted smoothing integrals (homogeneous and forced), mixed-norm dispersive
-quadratures with and without a regularity gain, resolvent L^p -> L^q scaling
-exponents, and weighted-multiplier boundedness ladders.
+weighted smoothing integrals, mixed-norm dispersive quadratures with and
+without a regularity gain, resolvent L^p -> L^q scaling exponents, and
+weighted-multiplier boundedness ladders.
 
 All global-in-time estimates are truncated to [-T, T] and reported as plateau
 curves: a bounded functional shows a small relative increment on the last
@@ -38,8 +38,7 @@ from .grid import (
     weight_abs_power,
     weighted_l2_norm,
 )
-from .hamiltonian import (Hamiltonian, duhamel, projector_ac, propagate,
-                          propagate_adjoint)
+from .hamiltonian import Hamiltonian, projector_ac, propagate, propagate_adjoint
 from .operators import NormEstimate, operator_norm, weighted_multiplier
 from .reporting import ProbeReport, fit_loglog
 from .resolvent import z_ray
@@ -324,70 +323,6 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
 
     return operator_norm(apply_b, apply_b_adjoint, grid.size,
                          max_iter=iters, start=start.values)
-
-
-# ---------------------------------------------------------------------------
-# inhomogeneous smoothing (forced evolution)
-# ---------------------------------------------------------------------------
-
-def _time_bump(times: np.ndarray, t_on: float, t_off: float) -> np.ndarray:
-    """Smooth compactly supported bump in time, C^inf, supported on
-    (t_on, t_off)."""
-    t = (times - t_on) / (t_off - t_on)
-    out = np.zeros_like(t)
-    inside = (t > 0) & (t < 1)
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (ti * (1.0 - ti)) + 4.0)
-    return out
-
-
-def inhomogeneous_smoothing_probe(h: Hamiltonian, gamma: float,
-                                  eps: float = 0.1, t_final: float = 8.0,
-                                  samples: int = 4, time_step: float = 0.25,
-                                  rng: Optional[np.random.Generator] = None,
-                                  plateau_tol: float = PLATEAU_TOL) -> ProbeReport:
-    """Forced-evolution counterpart: the Duhamel term driven by smooth
-    compactly supported F(s, x) = a(s) g(x), measured in the smoothing norm
-    against the dual-weighted norm of F,
-
-        ratio = ||W |D|^gamma u||_{L2_{t,x}} / ||W^{-1} |D|^{-gamma} F||_{L2_{t,x}},
-
-    with W from grid.smoothing_weight and the dual weight its pointwise inverse
-    (bracket weight <x>^{1/2+eps} with |D|^{-m+1/2} at the endpoint gamma).
-    u comes from duhamel, one Chebyshev recurrence per sample g, and the
-    denominator separates into ||W^{-1} |D|^{-gamma} g|| (integral a^2)^{1/2}.
-    The plateau is judged on ratio ** 2, the time integral of the numerator.
-    """
-    grid = h.grid
-    check_smoothing_gamma(h.m, grid.n, gamma)
-
-    weight = smoothing_weight(grid, h.m, gamma, eps)
-    dsym = abs_derivative_symbol(grid, gamma)
-    dsym_inv = abs_derivative_symbol(grid, -gamma)
-
-    nt = max(4, int(round(t_final / time_step)))
-    times = np.linspace(0.0, t_final, nt + 1)
-    bump = _time_bump(times, 0.1 * t_final, 0.6 * t_final)
-
-    report = _time_integral_report(
-        "inhomogeneous_smoothing", h, plateau_tol, gamma=gamma, eps=eps,
-        t_final=t_final, samples=samples, time_step=time_step)
-
-    bump_norm = math.sqrt(float(np.trapezoid(bump ** 2, times)))
-
-    def ratios_of(g: Field, t_checks: List[float]) -> List[float]:
-        outs = duhamel(h, g, bump, times)
-        num_sq = np.array([
-            weighted_l2_norm(apply_multiplier(u, dsym), weight) ** 2
-            for u in outs
-        ])
-        den = weighted_l2_norm(apply_multiplier(g, dsym_inv), 1.0 / weight) * bump_norm
-        return [math.sqrt(c) / den
-                for c in _partial_trapezoids(times, num_sq, t_checks)]
-
-    report.metrics["sup_ratio"], _ = _sup_over_samples(
-        report, grid, samples, rng, t_final, ratios_of, plateau_tol, power=2)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from polyharmlab.birman_schwinger import (
     SigmaMinError,
     assemble_M,
     birman_schwinger_count,
-    detect_zero_resonance,
     inv_norm_sweep,
-    neumann_threshold,
     perturbed_resolvent_apply,
     riesz_base_column,
     sigma_min,
@@ -27,7 +25,7 @@ from polyharmlab.grid import (Field, GridSpec, apply_multiplier, apply_symbol,
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
 from polyharmlab.kernels import ResolventQuery
 from polyharmlab.operators import operator_norm
-from polyharmlab.potentials import bracket_decay, gaussian_well, potential_from_callable
+from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
 from polyharmlab.resolvent import resolvent_symbol_array
 
 RNG = np.random.default_rng(9)
@@ -38,8 +36,8 @@ def truncated_well(grid, depth, width=1.0, rcut=3.0, name=None):
     def fn(*coords):
         r2 = sum(c ** 2 for c in coords)
         return np.where(r2 <= rcut ** 2, -depth * np.exp(-r2 / width ** 2), 0.0)
-    return potential_from_callable(grid, fn, 2.0 * grid.n,
-                                   name=name or f"trunc_well({depth:g})")
+    return Potential(grid, fn(*grid.coords()), 2.0 * grid.n,
+                     name or f"trunc_well({depth:g})")
 
 
 def dipole(grid):
@@ -47,7 +45,7 @@ def dipole(grid):
     def fn(x, y, z):
         r2 = x ** 2 + y ** 2 + z ** 2
         return np.where(r2 <= 6.25, 3.0 * x * np.exp(-r2), 0.0)
-    return potential_from_callable(grid, fn, 6.0, name="dipole")
+    return Potential(grid, fn(*grid.coords()), 6.0, "dipole")
 
 
 def modular_gather(grid, base_column, support):
@@ -146,12 +144,6 @@ class TestAssembly:
         # minimal-image distance never exceeds sqrt(n) * L
         assert np.max(r) <= np.sqrt(3.0) * g.half_width + 1e-12
 
-    def test_inv_norm_reciprocal_sigma(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 2.0, rcut=1.5)
-        bs = assemble_M(pot, ResolventQuery(z=-1.0 + 0.5j, m=1, n=3))
-        assert bs.inv_norm() == pytest.approx(1.0 / bs.sigma_min(), rel=1e-12)
-
 
 def _block(pot, z):
     return assemble_M(pot, ResolventQuery(z=z, m=1, n=pot.grid.n)).matrix
@@ -199,7 +191,6 @@ class TestSigmaMin:
                       np.arange(5), g)
         with pytest.warns(scipy.linalg.LinAlgWarning):  # from lu_factor
             assert bs.sigma_min() == 0.0
-        assert bs.inv_norm() == np.inf
         with pytest.raises(scipy.linalg.LinAlgError):
             bs.solve(np.ones(5))
 
@@ -279,32 +270,6 @@ class TestBirmanSchwingerCount:
         assert birman_schwinger_count(h.potential, h._symbol, 1e-5) is None
         monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 512)
         assert birman_schwinger_count(h.potential, h._symbol, 1e-5) == 5
-
-
-class TestBoundStates:
-    def test_no_zero_resonance_generic(self):
-        g = GridSpec(3, 12, 5.0)
-        pot = truncated_well(g, 2.0, rcut=2.5)
-        smin, flag = detect_zero_resonance(pot, 1)
-        assert smin > 1e-3
-        assert not flag
-
-
-class TestNeumannThreshold:
-    def test_weak_coupling_threshold(self):
-        g = GridSpec(3, 12, 5.0)
-        pot = truncated_well(g, 0.05, rcut=2.5)
-        thr, rep = neumann_threshold(pot, 1, [0.25, 1.0, 4.0])
-        assert np.isfinite(thr)
-        assert rep.passes["found"]
-
-    def test_radii_validation(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 1.0, rcut=1.5)
-        with pytest.raises(ValueError):
-            neumann_threshold(pot, 1, [])
-        with pytest.raises(ValueError):
-            neumann_threshold(pot, 1, [-1.0, 1.0])
 
 
 class TestPerturbedResolvent:

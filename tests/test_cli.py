@@ -8,7 +8,6 @@ import yaml
 from polyharmlab import cli, hamiltonian, probes
 from polyharmlab.cli import (
     ConfigError,
-    default_config,
     list_probes,
     parse_config,
     run,
@@ -66,10 +65,22 @@ class TestListProbes:
                 assert meta["required"] or "default" in meta, (name, key)
 
     def test_defaults_round_trip(self):
-        cfg = parse_config(default_config())
+        # every schema default passes validation unchanged; strichartz
+        # requires its pair, here the m = 1, n = 3 standard pair (8/3, 4, 3/2)
+        defaults = {name: {key: meta["default"] for key, meta in schema.items()
+                           if not meta["required"]}
+                    for name, schema in list_probes()["subcommands"].items()
+                    if name != "all"}
+        pair = dict(p=8.0 / 3.0, q=4.0, alpha=1.5)
+        probes = {name: dict(block) for name, block in defaults.items()}
+        probes["strichartz"].update(pair)
+        cfg = parse_config(base_config(seed=0, probes=probes))
         assert cfg.seed == 0
-        assert cfg.grid.npts == 16
         assert set(cfg.probes) == set(cli.PROBE_SCHEMAS)
+        for name, block in defaults.items():
+            for key, value in block.items():
+                assert cfg.probes[name][key] == value, (name, key)
+        assert {k: cfg.probes["strichartz"][k] for k in pair} == pair
 
     def test_main_list_probes_exit_zero(self, capsys):
         assert cli.main(["list-probes"]) == 0

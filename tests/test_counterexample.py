@@ -1,16 +1,19 @@
 """Compactly supported potentials with an eigenvalue embedded at 1."""
 
+import json
+
 import numpy as np
 import pytest
 
+from polyharmlab.cli import build_potential, parse_config
 from polyharmlab.counterexample import (
     _mollified_phi,
     build_embedded_pair,
-    load_embedded_pair,
     save_embedded_pair,
     verify_embedded,
 )
-from polyharmlab.grid import GridSpec, field_from_spectrum
+from polyharmlab.grid import GridSpec, field_from_spectrum, read_field
+from polyharmlab.hamiltonian import Hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,12 @@ class TestBuildMollified:
     def test_eigen_identity(self, quick_pair):
         rep = verify_embedded(quick_pair)
         assert rep.metrics["eigen_residual"] < 1e-3
+        # the report reads what the build measured: ||H phi - phi|| / ||phi||
+        h = Hamiltonian(quick_pair.grid, quick_pair.m, quick_pair.potential)
+        phi = quick_pair.phi.values
+        fresh = np.linalg.norm(h.apply(phi) - phi) / np.linalg.norm(phi)
+        assert rep.metrics["eigen_residual"] == quick_pair.residuals["eigen_residual"] == fresh
+        assert rep.metrics["support_leak"] == quick_pair.residuals["support_leak"]
         assert rep.passes["phi_strictly_positive"]
         assert rep.passes["exterior_truncated"]
 
@@ -88,19 +97,29 @@ class TestBuildMollified:
 
 class TestSerialization:
     def test_round_trip(self, quick_pair, tmp_path):
-        save_embedded_pair(quick_pair, tmp_path / "pair")
-        loaded = load_embedded_pair(tmp_path / "pair")
-        np.testing.assert_allclose(loaded.potential.values,
-                                   quick_pair.potential.values, atol=0)
-        np.testing.assert_allclose(loaded.phi.values, quick_pair.phi.values,
-                                   atol=0)
-        assert loaded.m == quick_pair.m
-        assert loaded.delta == quick_pair.delta
-        assert loaded.residuals["eigen_residual"] == pytest.approx(
-            quick_pair.residuals["eigen_residual"])
+        # the saved fields and manifest read back exactly
+        directory = save_embedded_pair(quick_pair, tmp_path / "pair")
+        with open(directory / "potential.field", "rb") as fh:
+            v = read_field(fh)
+        with open(directory / "phi.field", "rb") as fh:
+            phi = read_field(fh)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert v.grid == phi.grid == quick_pair.grid
+        np.testing.assert_array_equal(v.values, quick_pair.potential.values)
+        np.testing.assert_array_equal(phi.values, quick_pair.phi.values)
+        assert (manifest["m"], manifest["n"], manifest["delta"]) == (
+            quick_pair.m, quick_pair.n, quick_pair.delta)
+        assert manifest["residuals"] == quick_pair.residuals
 
-    def test_loaded_pair_verifies(self, quick_pair, tmp_path):
-        save_embedded_pair(quick_pair, tmp_path / "pair")
-        rep = verify_embedded(load_embedded_pair(tmp_path / "pair"))
-        assert rep.metrics["eigen_residual"] == pytest.approx(
-            quick_pair.residuals["eigen_residual"], rel=1e-12)
+    def test_saved_potential_is_a_file_potential(self, quick_pair, tmp_path):
+        directory = save_embedded_pair(quick_pair, tmp_path / "pair")
+        g = quick_pair.grid
+        cfg = parse_config({
+            "seed": 0,
+            "grid": {"n": g.n, "npts": g.npts, "half_width": g.half_width},
+            "operator": {"m": 1, "potential": {
+                "family": "file", "path": str(directory / "potential.field"),
+                "s": 6.0}},
+        })
+        np.testing.assert_array_equal(build_potential(cfg).values,
+                                      quick_pair.potential.values)

@@ -15,7 +15,6 @@ from polyharmlab.grid import (
     apply_symbol,
     apply_symbol_spectrum,
     check_smoothing_gamma,
-    field_from_function,
     field_from_spectrum,
     forward_transform,
     norm_lp,
@@ -134,7 +133,7 @@ class TestTransforms:
     def test_gaussian_transform_matches_continuum(self):
         # e^{-x^2/2} is its own unitary Fourier transform
         g = GridSpec(1, 128, 12.0)
-        f = field_from_function(g, lambda x: np.exp(-x[0] ** 2 / 2.0))
+        f = Field(g, np.exp(-g.coords()[0] ** 2 / 2.0))
         fhat = forward_transform(f)
         xi = np.sort(g.axis_freqs())
         expect = np.exp(-xi ** 2 / 2.0)
@@ -144,7 +143,7 @@ class TestTransforms:
     def test_plane_wave_is_delta(self):
         g = GridSpec(1, 16, np.pi)
         k = 3
-        f = field_from_function(g, lambda x: np.exp(1j * k * x[0]))
+        f = Field(g, np.exp(1j * k * g.coords()[0]))
         fhat = forward_transform(f)
         mags = np.abs(fhat)
         peak = np.argmax(mags)
@@ -243,8 +242,8 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
     def test_odd_symbol_on_real_input_takes_complex_path(self, n, npts):
-        # i xi_a, as repulsive_check differentiates the real potential: a
-        # complex symbol keeps the complex path, bit for bit
+        # i xi_a, a derivative of real samples: a complex symbol keeps the
+        # complex path, bit for bit
         g = GridSpec(n, npts, 2.5)
         vals = RNG.standard_normal(g.shape)
         sym = 1j * g.freqs()[n - 1]

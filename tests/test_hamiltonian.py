@@ -13,21 +13,13 @@ from polyharmlab.hamiltonian import (
     Hamiltonian,
     LanczosError,
     clr_check,
-    duhamel,
     lanczos_extreme,
     negative_spectrum,
     projector_ac,
     propagate,
     propagate_adjoint,
-    repulsive_check,
 )
-from polyharmlab.probes import _time_bump
-from polyharmlab.potentials import (
-    bracket_decay,
-    gaussian_well,
-    potential_from_callable,
-    zero_potential,
-)
+from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
 
 RNG = np.random.default_rng(13)
 
@@ -109,23 +101,6 @@ def _stepped_adjoint(h, states, times):
         step = propagate(h, Field(grid, acc), [times[k] - times[k + 1]])[0]
         acc = states[k].values + step.values
     return propagate(h, Field(grid, acc), [-times[0]])[0]
-
-
-def _stepped_duhamel(h, g, amplitudes, times):
-    """i * int_{t_0}^t e^{i(t-s)H} a(s) g ds by composite trapezoid, stepping
-    the accumulated integral forward with one propagate per interval.  The
-    independent oracle of the single-recurrence duhamel."""
-    grid = h.grid
-    forcing = [a * g.values.reshape(-1).astype(np.complex128) for a in amplitudes]
-    acc = np.zeros(grid.size, dtype=np.complex128)
-    out = [Field(grid, acc.reshape(grid.shape))]
-    for j in range(1, len(times)):
-        dt = times[j] - times[j - 1]
-        acc = acc + 0.5j * dt * forcing[j - 1]
-        acc = propagate(h, Field(grid, acc.reshape(grid.shape)), [dt])[0].flat
-        acc = acc + 0.5j * dt * forcing[j]
-        out.append(Field(grid, acc.reshape(grid.shape)))
-    return out
 
 
 def _count_matvecs(monkeypatch, h):
@@ -409,18 +384,6 @@ class TestChecks:
         assert bound == pytest.approx(expect)
         assert ok == (n0 <= bound)
 
-    def test_repulsive_check(self):
-        # smooth, fast-decaying bump: x . grad V <= 0 everywhere and the
-        # periodic wrap is negligible, so the spectral gradient is clean
-        g = GridSpec(3, 32, 10.0)
-        bump = potential_from_callable(
-            g, lambda x, y, z: 2.0 * np.exp(-(x ** 2 + y ** 2 + z ** 2) / 4.0),
-            decay_exponent=6.0, name="bump")
-        rep, nonneg = repulsive_check(bump)
-        assert rep and nonneg
-        rep_w, nonneg_w = repulsive_check(gaussian_well(g, 2.0))
-        assert not rep_w and not nonneg_w
-
 
 class TestProjector:
     def test_removes_bound_states(self):
@@ -458,7 +421,7 @@ class TestPropagation:
 
     def test_free_propagation_multiplier(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, Potential(g, np.zeros(g.shape), 2.0 * g.n, "zero"))
         psi = Field(g, np.exp(-g.radii() ** 2).astype(complex))
         t = 2.5
         got = propagate(h, psi, [t])[0]
@@ -590,67 +553,3 @@ class TestPropagateAdjoint:
         propagate_adjoint(h, states, times)
         assert terms > 2 * hamiltonian._BLOCK
         assert len(calls) <= terms
-
-
-class TestDuhamel:
-    def test_eigenvector_forcing_closed_form(self):
-        # F(s) = psi_e constant in time: i int_0^t e^{i(t-s)H} psi_e ds
-        #      = psi_e (e^{i t e} - 1) / e
-        g = GridSpec(3, 12, 5.0)
-        h = Hamiltonian(g, 1, gaussian_well(g, 15.0))
-        es = h.eigenset()
-        psi_e, e = es.vectors[0], es.eigenvalues[0]
-        times = np.linspace(0.0, 2.0, 9)
-        dt = times[1] - times[0]
-        out = duhamel(h, psi_e, np.ones(times.size), times)[-1]
-        # the trapezoid sum is exact in the series, and propagation of an
-        # eigenvector is exact, so the discrete sum is a machine-precision
-        # oracle
-        weights = np.full(times.size, dt)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        discrete = 1j * np.sum(weights * np.exp(1j * (2.0 - times) * e))
-        assert np.max(np.abs(out.values - discrete * psi_e.values)) < 1e-8
-        # and the discrete sum is a second-order approximation to the
-        # continuum closed form
-        expect = (np.exp(1j * 2.0 * e) - 1.0) / e
-        assert abs(discrete - expect) < 0.25 * abs(expect)
-
-    def test_matches_stepped_oracle(self):
-        g = GridSpec(3, 12, 5.0)
-        h = Hamiltonian(g, 1, gaussian_well(g, 15.0))
-        psi = _unit_random(g)  # not an eigenvector
-        times = np.linspace(0.0, 4.0, 17)
-        bump = _time_bump(times, 0.4, 2.4)
-        want = _stepped_duhamel(h, psi, bump, times)
-        got = duhamel(h, psi, bump, times)
-        assert len(got) == times.size
-        scale = max(np.max(np.abs(w.values)) for w in want)
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a.values - b.values)) <= 1e-10 * scale
-
-    def test_one_recurrence(self, monkeypatch):
-        g = GridSpec(3, 12, 5.0)
-        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
-        times = np.linspace(0.0, 6.0, 25)
-        half, _ = _scaling(h)
-        terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
-        calls = _count_matvecs(monkeypatch, h)
-        duhamel(h, _unit_random(g), _time_bump(times, 0.6, 3.6), times)
-        assert terms > 2 * hamiltonian._BLOCK
-        assert len(calls) <= terms
-
-    def test_mismatched_lengths_rejected(self):
-        g = GridSpec(3, 8, 3.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
-        f = Field(g, np.ones(g.shape, dtype=complex))
-        with pytest.raises(ValueError):
-            duhamel(h, f, [1.0, 1.0], [0.0, 0.5, 1.0])
-
-    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 1.0, 0.5]])
-    def test_nonincreasing_times_rejected(self, times):
-        g = GridSpec(3, 8, 3.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
-        f = Field(g, np.ones(g.shape, dtype=complex))
-        with pytest.raises(ValueError):
-            duhamel(h, f, [1.0, 1.0, 1.0], times)

@@ -1,25 +1,18 @@
-"""Potential families, factorization V = w v, and decay metadata."""
+"""Potential families, factorization V = w v, and scaling."""
 
 import numpy as np
 import pytest
 
 from polyharmlab.grid import GridSpec
-from polyharmlab.potentials import (
-    Potential,
-    bracket_decay,
-    gaussian_well,
-    potential_from_callable,
-    zero_potential,
-)
+from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
 
 G = GridSpec(3, 16, 6.0)
 
 
 class TestFactorization:
     def test_v_w_recompose(self):
-        pot = potential_from_callable(
-            G, lambda x, y, z: np.sin(x) * np.exp(-(x ** 2 + y ** 2 + z ** 2)),
-            decay_exponent=6.0)
+        x, y, z = G.coords()
+        pot = Potential(G, np.sin(x) * np.exp(-(x ** 2 + y ** 2 + z ** 2)), 6.0)
         np.testing.assert_allclose(pot.w() * pot.v(), pot.values, atol=1e-14)
 
     def test_v_nonnegative(self):
@@ -54,7 +47,6 @@ class TestFamilies:
         r = G.radii()
         np.testing.assert_allclose(pot.values, 2.0 * (1 + r ** 2) ** -1.5,
                                    rtol=1e-12)
-        assert pot.verify_decay()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -65,21 +57,12 @@ class TestFamilies:
             Potential(G, np.full(G.shape, np.nan), 2.0)
 
     def test_zero_potential(self):
-        pot = zero_potential(G)
+        pot = Potential(G, np.zeros(G.shape), 2.0 * G.n, "zero")
         assert pot.max_abs == 0.0
         assert pot.support_indices().size == 0
 
 
 class TestDecayMetadata:
-    def test_fitted_constant_is_sharp(self):
-        pot = bracket_decay(G, amplitude=2.0, s=3.0)
-        assert pot.fitted_decay_constant() == pytest.approx(2.0)
-
-    def test_verify_decay_external_constant(self):
-        pot = bracket_decay(G, amplitude=2.0, s=3.0)
-        assert pot.verify_decay(2.0 + 1e-9)
-        assert not pot.verify_decay(1.0)
-
     def test_scaled(self):
         pot = gaussian_well(G, 2.0)
         double = pot.scaled(2.0)

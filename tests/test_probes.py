@@ -20,12 +20,11 @@ from polyharmlab.grid import (
     smoothing_weight,
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
-from polyharmlab.potentials import bracket_decay, gaussian_well, zero_potential
+from polyharmlab.potentials import Potential, gaussian_well
 from polyharmlab.probes import (
     AdmissiblePair,
     _refine_quadratic_smoothing,
     frequency_localized_samples,
-    inhomogeneous_smoothing_probe,
     kato_smoothing_probe,
     plateau_increments,
     sobolev_scaling_probe,
@@ -34,6 +33,11 @@ from polyharmlab.probes import (
     strichartz_probe,
     validate_admissible,
 )
+
+
+def _free(grid):
+    """V = 0 on grid."""
+    return Potential(grid, np.zeros(grid.shape), 2.0 * grid.n, "zero")
 
 
 class TestAdmissiblePairs:
@@ -157,7 +161,7 @@ class TestSampleFamilies:
 class TestKatoSmoothingProbe:
     def test_free_case_finite(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         rep = kato_smoothing_probe(h, 0.25, t_final=2.0, samples=2,
                                    refine_iters=0,
                                    rng=np.random.default_rng(2))
@@ -167,7 +171,7 @@ class TestKatoSmoothingProbe:
 
     def test_refinement_never_below_samples(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         base = kato_smoothing_probe(h, 0.25, t_final=1.0, samples=2,
                                     refine_iters=0,
                                     rng=np.random.default_rng(2))
@@ -178,7 +182,7 @@ class TestKatoSmoothingProbe:
 
     def test_gamma_window_enforced(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         with pytest.raises(ValueError):
             kato_smoothing_probe(h, 0.75)  # above m - 1/2
         with pytest.raises(ValueError):
@@ -234,7 +238,7 @@ class TestRefinement:
 
     def test_report_records_iterations(self):
         g = GridSpec(3, 10, 5.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         kw = dict(t_final=1.0, samples=1, rng=np.random.default_rng(2))
         rep = kato_smoothing_probe(h, 0.25, refine_iters=2, **kw)
         assert 1 <= rep.metrics["refine_iterations"] <= 2
@@ -248,25 +252,19 @@ def _smoothing(h, **kw):
     return kato_smoothing_probe(h, 0.25, refine_iters=0, **kw), 1
 
 
-def _inhomogeneous(h, **kw):
-    return inhomogeneous_smoothing_probe(h, 0.25, **kw), 2
-
-
 def _strichartz(h, **kw):
     pair = AdmissiblePair(Fraction(8, 3), 4, Fraction(3, 2))
     return strichartz_probe(h, pair, **kw), 8.0 / 3.0
 
 
-TIME_INTEGRAL_PROBES = {"smoothing": _smoothing,
-                        "inhomogeneous": _inhomogeneous,
-                        "strichartz": _strichartz}
+TIME_INTEGRAL_PROBES = {"smoothing": _smoothing, "strichartz": _strichartz}
 
 
 class TestTimeIntegralDriver:
     @pytest.mark.parametrize("name", TIME_INTEGRAL_PROBES)
     def test_plateau_flag_against_stated_tolerance(self, name):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
 
         def probe(tol):
             return TIME_INTEGRAL_PROBES[name](
@@ -295,7 +293,7 @@ class TestTimeIntegralDriver:
     @pytest.mark.parametrize("name", TIME_INTEGRAL_PROBES)
     def test_zero_samples_rejected(self, name):
         g = GridSpec(3, 8, 4.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         with pytest.raises(ValueError, match="need at least one sample"):
             TIME_INTEGRAL_PROBES[name](h, t_final=1.0, samples=0)
 
@@ -303,7 +301,7 @@ class TestTimeIntegralDriver:
 class TestStrichartzProbe:
     def test_free_standard_mode(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         pair = AdmissiblePair(Fraction(8, 3), 4, Fraction(3, 2))
         rep = strichartz_probe(h, pair, t_final=2.0, samples=2,
                                rng=np.random.default_rng(4))
@@ -312,7 +310,7 @@ class TestStrichartzProbe:
 
     def test_gain_mode_records_embedding(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 2, zero_potential(g))
+        h = Hamiltonian(g, 2, _free(g))
         pair = AdmissiblePair(4, 3, Fraction(3, 2))
         rep = strichartz_probe(h, pair, mode="gain", t_final=2.0, samples=2,
                                rng=np.random.default_rng(4))
@@ -321,23 +319,13 @@ class TestStrichartzProbe:
 
     def test_alpha_mismatch_rejected(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
+        h = Hamiltonian(g, 1, _free(g))
         pair = AdmissiblePair(2, 10, Fraction(5, 4))  # alpha for m=2, n=5
         with pytest.raises(ValueError):
             strichartz_probe(h, pair)
         with pytest.raises(ValueError):
             strichartz_probe(h, AdmissiblePair(Fraction(8, 3), 4, Fraction(3, 2)),
                              mode="nope")
-
-
-class TestInhomogeneousSmoothing:
-    def test_forced_free_case(self):
-        g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, zero_potential(g))
-        rep = inhomogeneous_smoothing_probe(h, 0.25, t_final=2.0, samples=2,
-                                            rng=np.random.default_rng(6))
-        assert rep.passes["finite"]
-        assert rep.metrics["sup_ratio"] > 0
 
 
 class TestSobolevScalingProbe:

@@ -8,7 +8,6 @@ import scipy.integrate as si
 from polyharmlab.grid import (
     Field,
     GridSpec,
-    field_from_function,
     field_from_spectrum,
     forward_transform,
     weight_bracket_power,
@@ -47,7 +46,7 @@ GRID = GridSpec(3, 160, 30.0)
 
 @pytest.fixture(scope="module")
 def gaussian_field():
-    return field_from_function(GRID, lambda x: np.exp(-np.sum(x ** 2, axis=0)))
+    return Field(GRID, np.exp(-np.sum(GRID.coords() ** 2, axis=0)))
 
 
 class TestBoundaryPairing:
