@@ -13,11 +13,14 @@ Layers (ROADMAP "layer by layer"):
   L1  H matvec of a complex vector at 16^3, and of a real one as the
       eigensolver applies it; one assemble_M on the 1419-point support of
       the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
-      benchmark's spectral workload), z = 0.5 + 0.03i; one
-      birman_schwinger_count on the same support at negative_spectrum's
-      cut (tau = 2e-5); the counterexample's alias-summed profile
-      (counterexample._mollified_phi, m = 2, sigma = 0.135) at 96^3, L = 1.1,
-      the benchmark's scaling counterexample grid.
+      benchmark's spectral workload), z = 0.5 + 0.03i; the factorization
+      of that block as BSMatrix.factors does it, on a fresh copy per call
+      (the copy is timed in both trees); one sigma_min from those factors,
+      with its ARPACK applications recorded; one birman_schwinger_count on
+      the same support at negative_spectrum's cut (tau = 2e-5); the
+      counterexample's alias-summed profile (counterexample._mollified_phi,
+      m = 2, sigma = 0.135) at 96^3, L = 1.1, the benchmark's scaling
+      counterexample grid.
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
       time grid of the smoothing and Strichartz probes; one
@@ -43,7 +46,8 @@ the given source tree, warms every layer once and then times fixed batches.
 With --baseline, passes alternate between the baseline tree and this one,
 with the order flipped every round.  The output JSON (written to --out, or
 to stdout without it) holds, per tree and layer, the median and quartiles of
-the per-call time over all batches of all rounds and the sample count; with
+the per-call time over all batches of all rounds and the sample count, and
+the counts a layer records (the same in every pass, else a list); with
 --baseline, per layer, the median and quartiles over rounds of the paired
 ratio current/baseline, each the ratio of the two trees' median batch times
 in that round (the pairing cancels drift of the host between rounds); and
@@ -70,6 +74,8 @@ BATCHES = {
     "L1.h_matvec_16": (100, 10),
     "L1.h_matvec_16_real": (100, 10),
     "L1.assemble_M_1419": (1, 6),
+    "L1.factor_1419": (1, 6),
+    "L1.sigma_min_1419": (2, 6),
     "L1.bs_count_1419": (2, 6),
     "L1.mollified_phi_96": (1, 4),
     "L2.propagate_16_T8": (1, 6),
@@ -86,14 +92,19 @@ BATCHES = {
 # workers, and the kernel runs at scipy.fft's default of one.
 TARGETS_S = {"L0.h_matvec_32": 1.8e-3, "L0.multiplier_160": 0.2}
 
+# layer -> counts read from the result of one call
+COUNTS = {"L1.sigma_min_1419": lambda result: {"applications": result[1]}}
+
 
 def _layers():
     """name -> zero-argument callable doing one call of the layer."""
+    import dataclasses
     import inspect
 
     import numpy as np
     from polyharmlab import probes
-    from polyharmlab.birman_schwinger import assemble_M, birman_schwinger_count
+    from polyharmlab.birman_schwinger import (assemble_M, birman_schwinger_count,
+                                              sigma_min)
     from polyharmlab.cli import _stream_tag
     from polyharmlab.counterexample import _mollified_phi
     from polyharmlab.grid import (Field, GridSpec, abs_derivative_symbol,
@@ -133,6 +144,8 @@ def _layers():
     if well.support_indices().size != 1419:
         raise RuntimeError("the spectral well no longer has a 1419-point support")
     spectral_h = Hamiltonian(spectral, 1, well)
+    block = assemble_M(well, query)
+    factors = assemble_M(well, query).factors
 
     counter = GridSpec(3, 96, 1.1)
     sobolev = GridSpec(3, 80, 10.0)
@@ -171,6 +184,9 @@ def _layers():
         "L1.h_matvec_16": matvec(16, 8.0),
         "L1.h_matvec_16_real": matvec(16, 8.0, real=True),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
+        "L1.factor_1419": lambda: dataclasses.replace(
+            block, matrix=block.matrix.copy()).factors,
+        "L1.sigma_min_1419": lambda: sigma_min(factors),
         "L1.bs_count_1419": lambda: birman_schwinger_count(
             well, spectral_h._symbol, 2e-5),
         "L1.mollified_phi_96": lambda: _mollified_phi(counter, 2, 0.135),
@@ -190,12 +206,15 @@ def _layers():
 
 
 def _worker() -> None:
-    """One measurement pass: per layer, the per-call time of every batch."""
+    """One measurement pass: per layer, the per-call time of every batch and
+    the counts the layer records."""
     layers = _layers()
-    out = {}
+    out, counts = {}, {}
     for name, fn in layers.items():
         calls, batches = BATCHES[name]
-        fn()  # warm caches, plans and lazy set-up
+        result = fn()  # warm caches, plans and lazy set-up
+        if name in COUNTS:
+            counts[name] = COUNTS[name](result)
         times = []
         for _ in range(batches):
             start = time.perf_counter()
@@ -203,7 +222,7 @@ def _worker() -> None:
                 fn()
             times.append((time.perf_counter() - start) / calls)
         out[name] = times
-    print(json.dumps(out))
+    print(json.dumps({"times": out, "counts": counts}))
 
 
 def _run_pass(src: Path) -> dict:
@@ -274,11 +293,19 @@ def main(argv=None) -> int:
         trees = {"baseline": args.baseline.resolve(), **trees}
     # label -> layer -> one list of batch times per round
     passes = {label: {name: [] for name in BATCHES} for label in trees}
+    # label -> layer -> count -> the distinct values seen over the rounds
+    counts = {label: {} for label in trees}
     order = list(trees)
     for rnd in range(args.rounds):
         for label in (order if rnd % 2 == 0 else order[::-1]):
-            for name, times in _run_pass(trees[label]).items():
+            result = _run_pass(trees[label])
+            for name, times in result["times"].items():
                 passes[label][name].append(times)
+            for name, values in result["counts"].items():
+                for key, value in values.items():
+                    seen = counts[label].setdefault(name, {}).setdefault(key, [])
+                    if value not in seen:
+                        seen.append(value)
             print(f"round {rnd + 1}/{args.rounds}: {label} done", file=sys.stderr)
 
     # a layer a tree does not have is left out of that tree's numbers
@@ -292,7 +319,10 @@ def main(argv=None) -> int:
         "targets_s": TARGETS_S,
         "trees": {label: {"commit": _commit(src.parent),
                           "layers": {name: _quartiles(sum(rounds, []))
-                                     for name, rounds in passes[label].items()}}
+                                     for name, rounds in passes[label].items()},
+                          "counts": {name: {key: seen[0] if len(seen) == 1 else seen
+                                            for key, seen in values.items()}
+                                     for name, values in counts[label].items()}}
                   for label, src in trees.items()},
     }
     if "baseline" in trees:

@@ -19,7 +19,6 @@ from .kernels import (
     bessel_kernel,
     laplace_kernel,
     polyharm_kernel,
-    riesz_kernel,
 )
 from .potentials import (
     Potential,

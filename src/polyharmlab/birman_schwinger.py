@@ -7,10 +7,14 @@ points, so the dense block is gathered from a single resolvent column (the
 multiplier applied to a delta at the origin index) instead of one transform
 per support point; the result is identical to the column-by-column definition.
 
-sigma_min(M) = lambda_max(M^{-H} M^{-1})^{-1/2}, from ARPACK on the LU factors
-of M, which also serve solve().  Since V is real, w = U v with U = sgn V and
-M(z-bar) = U M(z)^H U: sigma_min(M(z-bar)) = sigma_min(M(z)) and
-v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweeps factor one M per pair z, z-bar.
+Since V is real, w = U v with U = sgn V, a signature matrix on the support,
+and the block is held as the complex-symmetric S = U M = U + v R0(z) v
+(S^T = S, not Hermitian).  One Bunch-Kaufman LDL^T of S (LAPACK sytrf, in
+place) serves everything: M^{-1} b = S^{-1} U b, M^{-H} b = U conj(S^{-1}
+conj b), and sigma_min(M) = sigma_min(S) = lambda_max(S^{-H} S^{-1})^{-1/2}
+from ARPACK.  Also M(z-bar) = U M(z)^H U: sigma_min(M(z-bar)) =
+sigma_min(M(z)) and v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweeps factor
+one block per pair z, z-bar.
 
 The bound-state count reads the inertia of the real block U + v (H0 + tau)^{-1} v
 from one LDL^T (Sylvester's law of inertia).
@@ -28,7 +32,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import (Field, GridSpec, abs_derivative_symbol, apply_symbol,
                    check_smoothing_gamma, smoothing_weight)
-from .kernels import ResolventQuery, riesz_kernel
+from .kernels import ResolventQuery
 from .operators import operator_norm
 from .potentials import Potential
 from .reporting import ProbeReport
@@ -37,9 +41,17 @@ from .resolvent import resolvent_symbol_array
 DEFAULT_SUPPORT_CAP = 6000
 
 #: Largest support on which birman_schwinger_count factors its block: one
-#: O(n^3) LDL^T, measured at 8 ms for 619 points, 57 ms for 1419 and 0.13 s
-#: for 1863 (2-core Xeon), against about 0.5 s for one eigensolve at 16^3.
+#: O(n^3) LDL^T in place, measured at 5 ms for 619 points, 41 ms for 1419,
+#: 81 ms for 1863 and 0.10 s for 2048 (2-core Xeon), against about 0.5 s
+#: for one eigensolve at 16^3.
 COUNT_SUPPORT_CAP = 2048
+
+#: ARPACK's Lanczos basis size and relative tolerance for sigma_min.  Over
+#: the benchmark's spectral and lab blocks and the dipole test blocks,
+#: ncv = 8 took the fewest applications of the sizes 4-20 (9 per spectral
+#: block, 17 on average, at most 29).
+SIGMA_MIN_NCV = 8
+SIGMA_MIN_TOL = 1e-12
 
 
 def _base_column(grid: GridSpec, sym: np.ndarray) -> np.ndarray:
@@ -50,30 +62,34 @@ def _base_column(grid: GridSpec, sym: np.ndarray) -> np.ndarray:
     return apply_symbol(delta, sym)
 
 
-def riesz_base_column(grid: GridSpec, m: int) -> np.ndarray:
-    """Base column of R0(0) = (-Delta)^{-m} built from the closed-form Riesz
-    kernel c r^{2m-n} at minimal-image distances, with the origin cell using
-    the volume-equivalent cell-averaged radius."""
-    coords = grid.coords()
-    period = 2.0 * grid.half_width
-    # minimal-image displacement from the grid point at flat index 0
-    base_pt = [c.reshape(-1)[0] for c in coords]
-    r2 = np.zeros(grid.shape)
-    for c, b in zip(coords, base_pt):
-        d = c - b
-        d = d - period * np.round(d / period)
-        r2 = r2 + d ** 2
-    r = np.sqrt(r2)
-    r[(0,) * grid.n] = grid.origin_cell_radius()
-    return (riesz_kernel(m, grid.n, r) * grid.cell_volume).astype(np.complex128)
+def _symmetric_ldlt(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Bunch-Kaufman LDL^T of the symmetric (for complex: not Hermitian)
+    C-ordered square block, written over its memory.
+
+    LAPACK sytrf factors the F-ordered transpose view, which is the same
+    symmetric matrix read from the opposite triangle; f2py would copy the
+    C-ordered block itself.  Returns (ldu, ipiv, info) with ldu that view;
+    info > 0 marks an exactly zero pivot."""
+    view = block.T
+    sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"),
+                                                       (view,))
+    lwork = int(np.real(sytrf_lwork(view.shape[0], lower=1)[0]))
+    ldu, ipiv, info = sytrf(view, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"sytrf: illegal argument {-info}")
+    return ldu, ipiv, int(info)
 
 
 @dataclass
 class BSMatrix:
-    """M(z) = I + w R0(z) v restricted to the potential's support set."""
+    """M(z) = I + w R0(z) v restricted to the potential's support set, held
+    as S = U M = U + v R0(z) v with U = diag(signs) = sgn V (module
+    docstring).  The first use of `factors` overwrites `matrix` with the
+    LDL^T factors of S, so the block is never held twice."""
 
     query: ResolventQuery
-    matrix: np.ndarray
+    matrix: np.ndarray  # S, C-ordered; its LDL^T factors once factored
+    signs: np.ndarray  # the diagonal of U, +/-1 per support point
     support: np.ndarray  # flat grid indices, sorted
     grid: GridSpec
     potential_name: str = ""
@@ -84,48 +100,69 @@ class BSMatrix:
 
     @cached_property
     def factors(self) -> tuple:
-        """(lu, piv) of M; an exactly zero pivot marks M singular."""
-        return scipy.linalg.lu_factor(self.matrix)
+        """(ldu, ipiv, info) of S in place; info > 0 (an exactly zero
+        pivot) marks M singular."""
+        return _symmetric_ldlt(self.matrix)
 
     def sigma_min(self) -> float:
         return sigma_min(self.factors)[0]
 
     def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """M^{-1} rhs, or M^{-H} rhs with adjoint=True."""
-        if not np.all(np.diagonal(self.factors[0])):
+        """M^{-1} rhs = S^{-1} U rhs, or M^{-H} rhs = U conj(S^{-1} conj rhs)
+        with adjoint=True."""
+        if self.factors[2] > 0:
             raise scipy.linalg.LinAlgError(f"M({self.query.z}) is singular")
-        return scipy.linalg.lu_solve(self.factors, rhs, trans=2 if adjoint else 0)
+        signs = self.signs if np.ndim(rhs) == 1 else self.signs[:, None]
+        if adjoint:
+            return signs * _sym_solve(self.factors, np.conj(rhs)).conj()
+        return _sym_solve(self.factors, signs * rhs)
+
+
+def _sym_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """S^{-1} rhs from the LDL^T factors of S, overwriting rhs when LAPACK
+    can take it as is."""
+    ldu, ipiv, _ = factors
+    sytrs = scipy.linalg.get_lapack_funcs("sytrs", (ldu, rhs))
+    x, info = sytrs(ldu, ipiv, rhs, lower=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"sytrs: illegal argument {-info}")
+    return x
 
 
 class SigmaMinError(RuntimeError):
     """The smallest-singular-value solve did not converge."""
 
 
-def sigma_min(lu: tuple) -> Tuple[float, int]:
-    """(sigma_min(M), operator applications) from the LU factors lu of M
-    (scipy.linalg.lu_factor).
+def sigma_min(factors: tuple) -> Tuple[float, int]:
+    """(sigma_min(S), operator applications) from the LDL^T factors of a
+    complex-symmetric S (BSMatrix.factors); for a block, sigma_min(S) =
+    sigma_min(M), since U is unitary.
 
-    ARPACK (k = 1, tol = 0: machine precision, fixed-seed start) finds
-    lambda_max of x -> M^{-H} M^{-1} x in its real form on [Re x; Im x]; the
-    complex solver varied in the last digits between runs at two BLAS
-    threads.  An exactly zero pivot gives 0; no convergence raises."""
-    nn = lu[0].shape[0]
+    ARPACK (k = 1, ncv SIGMA_MIN_NCV, tol SIGMA_MIN_TOL, fixed-seed start)
+    finds lambda_max of x -> S^{-H} S^{-1} x in its real form on
+    [Re x; Im x], one application being y = S^{-1} x and then
+    S^{-H} y = conj(S^{-1} conj y); the complex solver varied in the last
+    digits between runs at two BLAS threads.  An exactly zero pivot gives
+    0; no convergence raises."""
+    ldu, _, info = factors
+    nn = ldu.shape[0]
     if nn == 0:
         return 1.0, 0
-    if not np.all(np.diagonal(lu[0])):
+    if info > 0:
         return 0.0, 0
     applications = 0
 
     def inverse_gram(x: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        y = scipy.linalg.lu_solve(lu, x[:nn] + 1j * x[nn:], check_finite=False)
-        y = scipy.linalg.lu_solve(lu, y, trans=2, check_finite=False)
-        return np.concatenate([y.real, y.imag])
+        y = _sym_solve(factors, x[:nn] + 1j * x[nn:])
+        y = _sym_solve(factors, np.conjugate(y, out=y))
+        return np.concatenate([y.real, -y.imag])
 
     op = LinearOperator((2 * nn, 2 * nn), matvec=inverse_gram, dtype=np.float64)
     try:
-        lam = eigsh(op, k=1, which="LA", tol=0,
+        lam = eigsh(op, k=1, which="LA", ncv=min(SIGMA_MIN_NCV, 2 * nn),
+                    tol=SIGMA_MIN_TOL,
                     v0=np.random.default_rng(7).standard_normal(2 * nn),
                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
@@ -148,6 +185,21 @@ def _gather_block(grid: GridSpec, base_column: np.ndarray, support: np.ndarray) 
     return tile[(flat + shift)[:, None] - flat[None, :]]
 
 
+def _signed_block(pot: Potential, sym: np.ndarray,
+                  support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(U + v G v, U) on the support, G the grid multiplier sym gathered
+    there, v = |V|^{1/2} and U = sgn V as a vector of +/-1."""
+    grid = pot.grid
+    block = _gather_block(grid, _base_column(grid, sym), support)
+    values = pot.values.reshape(-1)[support]
+    v = np.sqrt(np.abs(values))
+    signs = np.sign(values)
+    block *= v[:, None]
+    block *= v[None, :]
+    block[np.diag_indices(support.size)] += signs
+    return block, signs
+
+
 def birman_schwinger_count(pot: Potential, symbol: np.ndarray,
                            tau: float) -> Optional[int]:
     """Number of eigenvalues below -tau of the grid operator H0 + V, H0 the
@@ -165,28 +217,18 @@ def birman_schwinger_count(pot: Potential, symbol: np.ndarray,
         return None
     if support.size == 0:
         return 0
-    grid = pot.grid
-    block = _gather_block(grid, _base_column(grid, 1.0 / (symbol + tau)), support)
-    values = pot.values.reshape(-1)[support]
-    v = np.sqrt(np.abs(values))
-    block *= v[:, None]
-    block *= v[None, :]
-    block[np.diag_indices(support.size)] += np.sign(values)
-    sytrf, sytrf_lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"),
-                                                       (block,))
-    lwork = int(sytrf_lwork(support.size, lower=1)[0])
-    ldu, ipiv, info = sytrf(block, lower=1, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"sytrf: illegal argument {-info}")
-    # info > 0 is an exactly zero 1x1 pivot, which counts as not positive
+    block, signs = _signed_block(pot, 1.0 / (symbol + tau), support)
+    ldu, ipiv, _ = _symmetric_ldlt(block)
+    # an exactly zero 1x1 pivot (info > 0) counts as not positive
     pivots = np.diagonal(ldu)[ipiv > 0]
     positive = np.count_nonzero(pivots > 0) + np.count_nonzero(ipiv < 0) // 2
-    return int(positive - np.count_nonzero(values > 0))
+    return int(positive - np.count_nonzero(signs > 0))
 
 
 def assemble_M(pot: Potential, q: ResolventQuery,
                support_cap: int = DEFAULT_SUPPORT_CAP) -> BSMatrix:
-    """M(z) = I + w R0(z) v as a dense matrix on the support set."""
+    """M(z) = I + w R0(z) v on the support set, as the dense S = U M =
+    U + v R0(z) v (BSMatrix).  z = 0 has no resolvent symbol and raises."""
     grid = pot.grid
     support = pot.support_indices()
     if support.size > support_cap:
@@ -194,19 +236,10 @@ def assemble_M(pot: Potential, q: ResolventQuery,
             f"support set size {support.size} exceeds dense cap {support_cap}"
         )
     if support.size == 0:
-        return BSMatrix(q, np.zeros((0, 0), dtype=np.complex128), support, grid,
-                        pot.name)
-    if complex(q.z) == 0:
-        base = riesz_base_column(grid, q.m)
-    else:
-        base = _base_column(grid, resolvent_symbol_array(grid, q))
-    g_block = _gather_block(grid, base, support)
-    v = pot.v().reshape(-1)[support]
-    w = pot.w().reshape(-1)[support]
-    g_block *= w[:, None]
-    g_block *= v[None, :]
-    g_block[np.diag_indices(support.size)] += 1.0
-    return BSMatrix(q, g_block, support, grid, pot.name)
+        return BSMatrix(q, np.zeros((0, 0), dtype=np.complex128), np.zeros(0),
+                        support, grid, pot.name)
+    block, signs = _signed_block(pot, resolvent_symbol_array(grid, q), support)
+    return BSMatrix(q, block, signs, support, grid, pot.name)
 
 
 def _theta_sweep(report: ProbeReport, pot: Potential, m: int,

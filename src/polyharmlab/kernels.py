@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma
 
 BRANCH_TOL = 1e-12
 
@@ -136,7 +135,7 @@ def polyharm_kernel(q: ResolventQuery, r):
     partial-fraction decomposition over the m-th roots of z."""
     z = complex(q.z)
     if z == 0:
-        raise ValueError("z = 0 is the Riesz kernel; use riesz_kernel")
+        raise ValueError("z = 0 is the Riesz kernel, which the lab does not build")
     r = np.asarray(r, dtype=np.float64)
     roots = q.roots()
     sroots = q.sqrt_roots()
@@ -145,21 +144,6 @@ def polyharm_kernel(q: ResolventQuery, r):
         out += zl * laplace_kernel(q.n, zl, r, sqrt_zeta=kl)
     out = out / (q.m * z)
     return out if out.shape else complex(out)
-
-
-def riesz_kernel(m: int, n: int, r):
-    """Kernel c_{n,m} r^{2m-n} of (-Delta)^{-m}, n > 2m.
-
-    The constant Gamma(n/2 - m) / (4^m pi^{n/2} Gamma(m)) makes the kernel
-    invert the symbol |xi|^{2m} (Riesz potential of order 2m)."""
-    if n <= 2 * m:
-        raise ValueError(f"riesz kernel requires n > 2m, got n={n}, m={m}")
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    c = gamma(n / 2.0 - m) / (4.0 ** m * np.pi ** (n / 2.0) * gamma(m))
-    out = c * r ** (2.0 * m - n)
-    return out if out.shape else float(out)
 
 
 def bessel_kernel(n: int, r):

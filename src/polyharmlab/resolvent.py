@@ -158,10 +158,10 @@ def spectral_density(f: Field, lam: float, m: int) -> float:
 
 def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
     """Lattice symbol of R0(z): boundary-regularized on the positive half-line,
-    plain 1/(|xi|^{2m} - z) elsewhere.  z = 0 is handled by the Riesz kernel
-    path (birman_schwinger.riesz_base_column), not here."""
+    plain 1/(|xi|^{2m} - z) elsewhere.  z = 0 is rejected: R0(0) is the
+    Riesz kernel, singular at xi = 0, and no probe uses it."""
     if complex(q.z) == 0:
-        raise ValueError("z = 0 resolvent uses the Riesz kernel, not a symbol")
+        raise ValueError("z = 0 resolvent is the Riesz kernel, which has no grid symbol")
     if q.side is not None:
         return boundary_symbol(grid, float(np.real(q.z)), q.m, q.side)
     return q.symbol(grid.xi_radii())

@@ -2,6 +2,7 @@
 resolvent identity."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from polyharmlab.birman_schwinger import (
     birman_schwinger_count,
     inv_norm_sweep,
     perturbed_resolvent_apply,
-    riesz_base_column,
     sigma_min,
     supersmooth_sweep,
 )
@@ -79,24 +79,25 @@ class TestAssembly:
 
     @pytest.mark.parametrize("make", [lambda g: truncated_well(g, 4.0, rcut=2.5),
                                       dipole], ids=["well", "mixed-sign"])
-    @pytest.mark.parametrize("z", [-1.0 + 0.5j, 0.0, 0.7 + 0.0j])
+    @pytest.mark.parametrize("z", [-1.0 + 0.5j, 0.7 + 0.0j])
     def test_block_equals_scaled_oracle_bitwise(self, make, z):
-        # M = I + (w G) v with w scaling the rows first, as (w G v) evaluates
+        # M = I + (w G) v with w scaling the rows first, as (w G v) evaluates;
+        # the block holds S with U S = M exactly (U = sgn V flips signs only)
         g = GridSpec(3, 12, 5.0)
         pot = make(g)
-        side = "+" if complex(z).imag == 0 and complex(z) != 0 else None
+        side = "+" if complex(z).imag == 0 else None
         q = ResolventQuery(z=z, m=1, n=3, side=side)
         bs = assemble_M(pot, q)
         delta = np.zeros(g.shape, dtype=np.complex128)
         delta[0, 0, 0] = 1.0
-        base = (riesz_base_column(g, 1) if complex(z) == 0
-                else apply_symbol(delta, resolvent_symbol_array(g, q)))
+        base = apply_symbol(delta, resolvent_symbol_array(g, q))
         support = pot.support_indices()
         w = pot.w().reshape(-1)[support]
         v = pot.v().reshape(-1)[support]
         want = w[:, None] * modular_gather(g, base, support) * v[None, :]
         want[np.diag_indices(support.size)] += 1.0
-        np.testing.assert_array_equal(bs.matrix, want)
+        np.testing.assert_array_equal(bs.signs, np.sign(pot.values.reshape(-1)[support]))
+        np.testing.assert_array_equal(bs.signs[:, None] * bs.matrix, want)
 
     def test_gather_matches_columnwise(self):
         # the gathered block must equal literal column-by-column application
@@ -115,7 +116,7 @@ class TestAssembly:
                               resolvent_symbol_array(g, q)).reshape(-1)
             direct[:, col] = w[support] * r0[support]
         direct[np.diag_indices(support.size)] += 1.0
-        np.testing.assert_allclose(bs.matrix, direct, atol=1e-12)
+        np.testing.assert_allclose(dense_M(bs), direct, atol=1e-12)
 
     def test_support_cap(self):
         g = GridSpec(3, 16, 6.0)
@@ -124,49 +125,41 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_M(pot, q, support_cap=100)
 
-    def test_riesz_column_newton_kernel(self):
-        # the z = 0 base column is the free-space Newton kernel at
-        # minimal-image distances (no image sums), origin cell regularized
-        g = GridSpec(3, 32, 8.0)
-        col = riesz_base_column(g, 1).reshape(-1)
-        period = 2.0 * g.half_width
-        d = g.coords() - g.coords()[:, :1, :1, :1]
-        d = d - period * np.round(d / period)
-        r = np.sqrt(np.sum(d ** 2, axis=0)).reshape(-1)
-        for rv in (1.0, 2.0, 5.0):
-            pick = np.argmin(np.abs(r - rv))
-            expect = g.cell_volume / (4.0 * np.pi * r[pick])
-            assert col[pick].real == pytest.approx(expect, rel=1e-12)
-        # origin cell: volume-equivalent cell-averaged radius keeps it finite
-        origin = col[0].real
-        assert origin == pytest.approx(
-            g.cell_volume / (4.0 * np.pi * g.origin_cell_radius()), rel=1e-12)
-        # minimal-image distance never exceeds sqrt(n) * L
-        assert np.max(r) <= np.sqrt(3.0) * g.half_width + 1e-12
+
+def dense_M(bs):
+    """M = U S of an unfactored block."""
+    return bs.signs[:, None] * bs.matrix
+
+
+def _bs(pot, z):
+    return assemble_M(pot, ResolventQuery(z=z, m=1, n=pot.grid.n))
 
 
 def _block(pot, z):
-    return assemble_M(pot, ResolventQuery(z=z, m=1, n=pot.grid.n)).matrix
+    return dense_M(_bs(pot, z))
+
+
+def _factors(sym):
+    """LDL^T factors of a copy of the complex-symmetric sym."""
+    return birman_schwinger._symmetric_ldlt(sym.copy())
 
 
 def _sigma_case(name):
-    """(matrix given to sigma_min, matrix whose dense SVD it must match)."""
+    """(complex-symmetric S given to sigma_min, matrix whose dense SVD it
+    must match)."""
     g = GridSpec(3, 12, 5.0)
     z = 0.8 + 0.05j
-    if name == "well":
-        mat = _block(truncated_well(g, 5.0, rcut=2.5), z)
-        return mat, mat
-    if name == "mixed-sign":
-        mat = _block(dipole(g), z)
-        return mat, mat
+    if name in ("well", "mixed-sign"):
+        bs = _bs(truncated_well(g, 5.0, rcut=2.5) if name == "well" else dipole(g), z)
+        return bs.matrix, dense_M(bs)
     if name.startswith("conjugate-pair"):
-        # the sweeps take sigma_min(M(z-bar)) from M(z)
+        # the sweeps take sigma_min(M(z-bar)) from S(z)
         pot = dipole(g) if name.endswith("mixed-sign") else truncated_well(g, 5.0, rcut=2.5)
-        return _block(pot, z), _block(pot, np.conj(z))
+        return _bs(pot, z).matrix, _block(pot, np.conj(z))
     size = int(name.split("-")[1])
     rng = np.random.default_rng(size)
     mat = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return mat, mat
+    return mat + mat.T, mat + mat.T
 
 
 class TestSigmaMin:
@@ -174,25 +167,30 @@ class TestSigmaMin:
                                       "conjugate-pair-mixed-sign",
                                       "size-1", "size-2", "size-3"])
     def test_matches_dense_svd(self, case):
-        mat, dense = _sigma_case(case)
-        got, applications = sigma_min(scipy.linalg.lu_factor(mat))
+        sym, dense = _sigma_case(case)
+        got, applications = sigma_min(_factors(sym))
         want = scipy.linalg.svdvals(dense)[-1]
         assert got == pytest.approx(want, rel=1e-10)
         assert applications > 0
 
     def test_deterministic(self):
-        mat, _ = _sigma_case("mixed-sign")
-        assert sigma_min(scipy.linalg.lu_factor(mat)) == sigma_min(scipy.linalg.lu_factor(mat))
+        # value and application count repeat exactly from fresh factors
+        sym, _ = _sigma_case("mixed-sign")
+        assert sigma_min(_factors(sym)) == sigma_min(_factors(sym))
 
     def test_exact_zero_pivot_is_singular(self):
         g = GridSpec(3, 8, 3.0)
-        mat = np.diag([1.0, 2.0, 0.0, 3.0, 4.0]).astype(np.complex128)
-        bs = BSMatrix(ResolventQuery(z=1.0 + 0.1j, m=1, n=3), mat,
-                      np.arange(5), g)
-        with pytest.warns(scipy.linalg.LinAlgWarning):  # from lu_factor
-            assert bs.sigma_min() == 0.0
-        with pytest.raises(scipy.linalg.LinAlgError):
-            bs.solve(np.ones(5))
+        for signs in ([1.0] * 5, [1.0, -1.0, 1.0, -1.0, -1.0]):
+            mat = np.diag([1.0, 2.0, 0.0, 3.0, 4.0]).astype(np.complex128)
+            bs = BSMatrix(ResolventQuery(z=1.0 + 0.1j, m=1, n=3), mat,
+                          np.array(signs), np.arange(5), g)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # sytrf reports by info, not a warning
+                assert bs.sigma_min() == 0.0
+            assert bs.factors[2] == 3  # D[2, 2] = 0
+            for adjoint in (False, True):
+                with pytest.raises(scipy.linalg.LinAlgError):
+                    bs.solve(np.ones(5), adjoint=adjoint)
 
     def test_unconverged_solve_raises(self, monkeypatch):
         def unconverged(*args, **kwargs):
@@ -200,20 +198,20 @@ class TestSigmaMin:
                                       np.zeros((0, 0)))
 
         monkeypatch.setattr(birman_schwinger, "eigsh", unconverged)
-        mat, _ = _sigma_case("well")
+        sym, _ = _sigma_case("well")
         with pytest.raises(SigmaMinError):
-            sigma_min(scipy.linalg.lu_factor(mat))
+            sigma_min(_factors(sym))
 
     def test_sweep_records_applications(self, monkeypatch):
-        # one solve per conjugate pair; each application is two LU solves
+        # one solve per conjugate pair; each application is two sytrs solves
         solves = []
-        lu_solve = scipy.linalg.lu_solve
+        sym_solve = birman_schwinger._sym_solve
 
         def counting(*args, **kwargs):
             solves.append(1)
-            return lu_solve(*args, **kwargs)
+            return sym_solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_solve", counting)
+        monkeypatch.setattr(birman_schwinger, "_sym_solve", counting)
         g = GridSpec(3, 8, 3.0)
         pot = dipole(g)
         rep = inv_norm_sweep(pot, 1, [1.0], [0.1], nu=0.1)
@@ -225,6 +223,41 @@ class TestSigmaMin:
             z = complex(1.0, 0.1 if row["side"] == "+" else -0.1)
             want = scipy.linalg.svdvals(_block(pot, z))[-1]
             assert row["sigma_min"] == pytest.approx(want, rel=1e-10)
+
+    def test_sweep_repeats_exactly(self):
+        # sigma_min and the application counts of every row, run to run
+        pot = dipole(GridSpec(3, 12, 5.0))
+        runs = [inv_norm_sweep(pot, 1, [0.5, 1.5], [0.1, 0.01], nu=0.1).rows
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert all(row["iterations"] > 0 for row in runs[0])
+
+
+class TestSolve:
+    """M^{-1} and M^{-H} from the LDL^T of S = U M, against dense solves."""
+
+    @pytest.mark.parametrize("make", [lambda g: truncated_well(g, 5.0, rcut=2.5),
+                                      dipole], ids=["well", "mixed-sign"])
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["M", "M^H"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "columns"])
+    def test_matches_dense_solve(self, make, adjoint, shape):
+        bs = _bs(make(GridSpec(3, 12, 5.0)), 0.8 + 0.05j)
+        mat = dense_M(bs)
+        if adjoint:
+            mat = mat.conj().T
+        rng = np.random.default_rng(4)
+        rhs = (rng.standard_normal((bs.size,) + shape)
+               + 1j * rng.standard_normal((bs.size,) + shape))
+        kept = rhs.copy()
+        got = bs.solve(rhs, adjoint=adjoint)
+        want = scipy.linalg.solve(mat, rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_block_is_factored_in_place(self):
+        bs = _bs(dipole(GridSpec(3, 12, 5.0)), 0.8 + 0.05j)
+        assert bs.signs.min() == -1.0 and bs.signs.max() == 1.0
+        assert np.shares_memory(bs.factors[0], bs.matrix)
 
 
 class TestBirmanSchwingerCount:
@@ -262,6 +295,22 @@ class TestBirmanSchwingerCount:
         dense = np.column_stack([h.apply(e) for e in np.eye(g.size)])
         want = int(np.sum(scipy.linalg.eigvalsh(dense) < -tau))
         assert birman_schwinger_count(h.potential, h._symbol, tau) == want == count
+
+    def test_block_is_factored_in_place(self, monkeypatch):
+        # sytrf writes over the gathered block itself, not over a copy
+        seen = []
+        ldlt = birman_schwinger._symmetric_ldlt
+
+        def recording(block):
+            out = ldlt(block)
+            seen.append(np.shares_memory(out[0], block))
+            return out
+
+        monkeypatch.setattr(birman_schwinger, "_symmetric_ldlt", recording)
+        g = GridSpec(3, 8, 3.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 20.0))
+        assert birman_schwinger_count(h.potential, h._symbol, 1e-5) == 5
+        assert seen == [True]
 
     def test_support_above_cap_is_not_counted(self, monkeypatch):
         g = GridSpec(3, 8, 3.0)

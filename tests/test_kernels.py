@@ -11,7 +11,6 @@ from polyharmlab.kernels import (
     bessel_kernel,
     laplace_kernel,
     polyharm_kernel,
-    riesz_kernel,
 )
 
 RNG = np.random.default_rng(7)
@@ -149,21 +148,6 @@ class TestPolyharmKernel:
 
 
 class TestRieszAndBessel:
-    def test_riesz_n3_m1_newton(self):
-        # (-Delta)^{-1} in 3d is the Newton kernel 1/(4 pi r)
-        r = np.array([0.5, 1.0, 4.0])
-        np.testing.assert_allclose(riesz_kernel(1, 3, r), 1.0 / (4 * np.pi * r),
-                                   rtol=1e-12)
-
-    def test_riesz_scaling(self):
-        # homogeneity r^{2m-n}
-        assert riesz_kernel(2, 7, 2.0) / riesz_kernel(2, 7, 1.0) == pytest.approx(
-            2.0 ** (4 - 7))
-
-    def test_riesz_dimension_guard(self):
-        with pytest.raises(ValueError):
-            riesz_kernel(2, 3, 1.0)
-
     def test_bessel_positive_decreasing(self):
         r = np.logspace(-1, 1, 40)
         vals = bessel_kernel(3, r)
