@@ -111,10 +111,10 @@ def _layers():
                                   apply_multiplier, smoothing_weight,
                                   weight_abs_power)
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
-    from polyharmlab.kernels import ResolventQuery
     from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
     from polyharmlab.probes import _refine_quadratic_smoothing, sobolev_scaling_probe
+    from polyharmlab.resolvent import ResolventQuery
 
     rng = np.random.default_rng(0)
 

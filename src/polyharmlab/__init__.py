@@ -1,7 +1,7 @@
 """polyharmlab: desk-scale numerical laboratory for H = (-Delta)^m + V on
-periodic spectral grids -- free-resolvent kernels, Birman-Schwinger spectral
-diagnostics, embedded-eigenvalue constructions, and smoothing / dispersive /
-Sobolev-scaling probe suites."""
+periodic spectral grids -- the free resolvent's lattice symbol and boundary
+values, Birman-Schwinger spectral diagnostics, embedded-eigenvalue
+constructions, and smoothing / dispersive / Sobolev-scaling probe suites."""
 
 from .grid import (
     Field,
@@ -14,18 +14,13 @@ from .grid import (
     weighted_l2_norm,
     write_field,
 )
-from .kernels import (
-    ResolventQuery,
-    bessel_kernel,
-    laplace_kernel,
-    polyharm_kernel,
-)
 from .potentials import (
     Potential,
     bracket_decay,
     gaussian_well,
 )
 from .resolvent import (
+    ResolventQuery,
     boundary_symbol,
     boundary_value_pairing,
     high_energy_decay_probe,

@@ -32,11 +32,10 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import (Field, GridSpec, abs_derivative_symbol, apply_symbol,
                    check_smoothing_gamma, smoothing_weight)
-from .kernels import ResolventQuery
 from .operators import operator_norm
 from .potentials import Potential
 from .reporting import ProbeReport
-from .resolvent import resolvent_symbol_array
+from .resolvent import ResolventQuery, resolvent_symbol_array
 
 DEFAULT_SUPPORT_CAP = 6000
 
@@ -225,15 +224,14 @@ def birman_schwinger_count(pot: Potential, symbol: np.ndarray,
     return int(positive - np.count_nonzero(signs > 0))
 
 
-def assemble_M(pot: Potential, q: ResolventQuery,
-               support_cap: int = DEFAULT_SUPPORT_CAP) -> BSMatrix:
+def assemble_M(pot: Potential, q: ResolventQuery) -> BSMatrix:
     """M(z) = I + w R0(z) v on the support set, as the dense S = U M =
-    U + v R0(z) v (BSMatrix).  z = 0 has no resolvent symbol and raises."""
+    U + v R0(z) v (BSMatrix)."""
     grid = pot.grid
     support = pot.support_indices()
-    if support.size > support_cap:
+    if support.size > DEFAULT_SUPPORT_CAP:
         raise ValueError(
-            f"support set size {support.size} exceeds dense cap {support_cap}"
+            f"support set size {support.size} exceeds dense cap {DEFAULT_SUPPORT_CAP}"
         )
     if support.size == 0:
         return BSMatrix(q, np.zeros((0, 0), dtype=np.complex128), np.zeros(0),

@@ -28,7 +28,6 @@ from .birman_schwinger import inv_norm_sweep
 from .counterexample import build_embedded_pair, save_embedded_pair, verify_embedded
 from .grid import DEFAULT_MAX_POINTS, GridSpec, read_field
 from .hamiltonian import Hamiltonian, clr_check
-from .kernels import ResolventQuery
 from .potentials import Potential, bracket_decay, gaussian_well
 from .probes import (
     AdmissiblePair,
@@ -38,6 +37,7 @@ from .probes import (
     strichartz_probe,
 )
 from .reporting import SCHEMA_VERSION, ProbeReport
+from .resolvent import ResolventQuery
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -55,7 +55,7 @@ POTENTIAL_KEYS = {
     "gaussian-well": {"depth": "number", "width": "number"},
     "polynomial-decay": {"g": "number", "amplitude": "number", "s": "number"},
     "embedded-counterexample": {"delta": "number"},
-    "file": {"path": "str", "s": "number"},
+    "file": {"path": "str"},
 }
 POTENTIAL_FAMILIES = tuple(POTENTIAL_KEYS)
 
@@ -333,9 +333,7 @@ def build_potential(cfg: RunConfig) -> Potential:
             fld = read_field(fh)
         _require(fld.grid == cfg.grid,
                  "file potential grid does not match the config grid")
-        pot = Potential(cfg.grid, fld.values.real,
-                        decay_exponent=float(spec.get("s", 2.0 * cfg.grid.n)),
-                        name=f"file({Path(path).name})")
+        pot = Potential(cfg.grid, fld.values.real, name=f"file({Path(path).name})")
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError(f"unknown potential family {family!r}")
     if coupling != 1.0:

@@ -147,7 +147,7 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     v_vals = np.where(inside, v_raw, 0.0)
     leak = float(np.max(np.abs(v_raw[~inside]))) if np.any(~inside) else 0.0
 
-    pot = Potential(grid, v_vals, decay_exponent=2.0 * grid.n,
+    pot = Potential(grid, v_vals,
                     name=f"embedded(m={m},n={grid.n},delta={delta:g},{method})")
     phi_field = Field(grid, phi.astype(np.complex128))
     diff = Hamiltonian(grid, m, pot).apply(phi_field.values) - phi_field.values

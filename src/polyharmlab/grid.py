@@ -45,8 +45,9 @@ DEFAULT_MAX_POINTS = 2 ** 25
 class GridSpec:
     """Periodic discretization of [-L, L]^n.
 
-    n must be odd (closed-form kernels exist for odd dimensions only) and N
-    even so the frequency lattice is symmetric about zero.
+    n must be odd, the dimensions every oracle and reference value of the lab
+    is set in (in even n the free resolvent's expansion at z = 0 has log z
+    terms), and N even so the frequency lattice is symmetric about zero.
     """
 
     n: int

@@ -1,8 +1,7 @@
 """Sampled real potentials and their Birman-Schwinger factorization.
 
 A Potential carries V together with v = sqrt|V| and w = sgn(V) v (so V = w v
-pointwise), the support set used for dense Birman-Schwinger assembly, and a
-declared polynomial decay exponent.
+pointwise) and the support set used for dense Birman-Schwinger assembly.
 """
 
 from __future__ import annotations
@@ -17,14 +16,10 @@ from .grid import Field, GridSpec
 
 @dataclass(frozen=True)
 class Potential:
-    """Real potential sampled on a grid.
-
-    decay_exponent is metadata: the claim |V(x)| <= C <x>^{-s}.
-    """
+    """Real potential sampled on a grid."""
 
     grid: GridSpec
     values: np.ndarray
-    decay_exponent: float
     name: str = "potential"
 
     def __post_init__(self):
@@ -60,8 +55,7 @@ class Potential:
 
     def scaled(self, coupling: float) -> "Potential":
         """coupling * V, named "<name>*<coupling>"."""
-        return Potential(self.grid, coupling * self.values, self.decay_exponent,
-                         f"{self.name}*{coupling:g}")
+        return Potential(self.grid, coupling * self.values, f"{self.name}*{coupling:g}")
 
 
 def gaussian_well(grid: GridSpec, depth: float, width: float = 1.0,
@@ -75,9 +69,7 @@ def gaussian_well(grid: GridSpec, depth: float, width: float = 1.0,
         center = (0.0,) * grid.n
     r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
     vals = -depth * np.exp(-r2 / width ** 2)
-    # a Gaussian beats any polynomial decay rate; declare a generic fast one
-    return Potential(grid, vals, decay_exponent=2.0 * grid.n,
-                     name=f"gauss(depth={depth:g},width={width:g})")
+    return Potential(grid, vals, name=f"gauss(depth={depth:g},width={width:g})")
 
 
 def bracket_decay(grid: GridSpec, amplitude: float, s: float) -> Potential:
@@ -87,5 +79,4 @@ def bracket_decay(grid: GridSpec, amplitude: float, s: float) -> Potential:
         raise ValueError(f"decay exponent must be positive, got {s}")
     r = grid.radii()
     vals = amplitude * (1.0 + r ** 2) ** (-s / 2.0)
-    return Potential(grid, vals, decay_exponent=s,
-                     name=f"bracket(a={amplitude:g},s={s:g})")
+    return Potential(grid, vals, name=f"bracket(a={amplitude:g},s={s:g})")

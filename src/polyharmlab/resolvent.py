@@ -1,5 +1,5 @@
-"""Boundary values of the free resolvent on the grid and the high-energy
-decay probe.
+"""The free resolvent R0(z) = ((-Delta)^m - z)^{-1} on the grid: the query
+type, its lattice symbol, boundary values and the high-energy decay probe.
 
 The boundary pairing realizes
 
@@ -13,7 +13,9 @@ shell-binned surface integral weighted by exact shell area over bin volume.
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -25,9 +27,68 @@ from .grid import (
     sphere_area,
     weight_bracket_power,
 )
-from .kernels import ResolventQuery
 from .operators import NormEstimate, operator_norm, weighted_multiplier
 from .reporting import ProbeReport, fit_loglog
+
+BRANCH_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ResolventQuery:
+    """Spectral parameter z of R0(z) in dimension n, odd as on a GridSpec
+    and above 2m, where weighted R0(z) stays bounded as z -> 0.
+
+    On the positive half-line z = lambda > 0 the side '+' or '-' selects the
+    boundary value R0(lambda +/- i0); off it side is None.  roots() takes
+    arg z in (0, 2pi) off the half-line, 0 on side '+' and 2pi on side '-'.
+    z = 0 is rejected: R0(0) is the Riesz kernel, singular at xi = 0.
+    """
+
+    z: complex
+    m: int
+    n: int
+    side: Optional[str] = None  # '+' | '-' | None
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"order m must be >= 1, got {self.m}")
+        if self.n <= 2 * self.m or self.n % 2 == 0:
+            raise ValueError(f"need odd dimension n > 2m, got n={self.n}, m={self.m}")
+        if self.side not in (None, "+", "-"):
+            raise ValueError(f"boundary side must be '+', '-' or None, got {self.side!r}")
+        z = complex(self.z)
+        if z == 0:
+            raise ValueError("z = 0 resolvent is the Riesz kernel, which has no grid symbol")
+        on_axis = abs(z.imag) <= BRANCH_TOL * max(1.0, abs(z))
+        if self.side is not None:
+            if not on_axis or z.real < 0:
+                raise ValueError("boundary side set requires z = lambda real > 0")
+        elif on_axis and z.real >= 0:
+            raise ValueError("z on (0, inf) requires an explicit boundary side")
+
+    @property
+    def arg(self) -> float:
+        """Branch argument of z in [0, 2pi]."""
+        if self.side == "+":
+            return 0.0
+        if self.side == "-":
+            return 2.0 * np.pi
+        a = cmath.phase(complex(self.z))
+        if a <= 0:
+            a += 2.0 * np.pi
+        return a
+
+    def roots(self) -> np.ndarray:
+        """The m roots z_l = z^{1/m} e^{i 2 pi l / m} with z_l^m = z."""
+        z = complex(self.z)
+        rad = abs(z) ** (1.0 / self.m)
+        ls = np.arange(self.m)
+        return rad * np.exp(1j * (self.arg + 2.0 * np.pi * ls) / self.m)
+
+    def symbol(self, xi_abs: np.ndarray) -> np.ndarray:
+        """1/(|xi|^{2m} - z) evaluated at |xi|; the grid realization of the
+        free resolvent away from the resonant shell."""
+        return 1.0 / (xi_abs ** (2 * self.m) - complex(self.z))
 
 
 def _check_shell(grid: GridSpec, rho: float) -> None:
@@ -158,10 +219,7 @@ def spectral_density(f: Field, lam: float, m: int) -> float:
 
 def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
     """Lattice symbol of R0(z): boundary-regularized on the positive half-line,
-    plain 1/(|xi|^{2m} - z) elsewhere.  z = 0 is rejected: R0(0) is the
-    Riesz kernel, singular at xi = 0, and no probe uses it."""
-    if complex(q.z) == 0:
-        raise ValueError("z = 0 resolvent is the Riesz kernel, which has no grid symbol")
+    plain 1/(|xi|^{2m} - z) elsewhere."""
     if q.side is not None:
         return boundary_symbol(grid, float(np.real(q.z)), q.m, q.side)
     return q.symbol(grid.xi_radii())
@@ -176,10 +234,7 @@ def weighted_resolvent_norm(
     rtol: float = 1e-6,
     start: Optional[np.ndarray] = None,
 ) -> NormEstimate:
-    """Operator norm of <x>^{-s} R0(z) <x>^{-s} on the grid, matrix-free.
-
-    The resolvent symbol is resolvent_symbol_array's, so z = 0 is rejected.
-    """
+    """Operator norm of <x>^{-s} R0(z) <x>^{-s} on the grid, matrix-free."""
     w = weight_bracket_power(grid, -s)
     apply, adjoint = weighted_multiplier(w, resolvent_symbol_array(grid, q), w)
     return operator_norm(apply, adjoint, grid.size,
@@ -207,38 +262,29 @@ def high_energy_decay_probe(
     n: int,
     s: float,
     z_magnitudes: Iterable[float],
-    z_arg: float = 0.0,
-    side: Optional[str] = "+",
     rng: Optional[np.random.Generator] = None,
 ) -> ProbeReport:
     """Fit the decay exponent of ||<x>^{-s} R0(z) <x>^{-s}|| along a ray of
     |z| samples; the expected slope is (1 - 2m)/(2m).
 
-    The default ray is the positive half-line approached from the + side
+    The ray is the positive half-line approached from the + side
     (z = lambda + i0, the boundary-value operators), where the decay law is
-    sharp.  Pass side=None with z_arg > 0 for an interior ray arg z = z_arg,
-    where the norm decays at least as fast.
+    sharp.
     """
-    if side is None and z_arg <= 0:
-        raise ValueError("interior ray needs z_arg > 0")
     mags, decades = z_ray(z_magnitudes)
     if rng is None:
         rng = np.random.default_rng(0)
 
     report = ProbeReport(
         name="high_energy_decay",
-        params={"m": m, "n": n, "s": s, "z_arg": z_arg, "side": side},
+        params={"m": m, "n": n, "s": s, "z_arg": 0.0, "side": "+"},
         provenance={"grid": grid.provenance()},
     )
     norms = []
     warm = None
     for mag in mags:
-        if side is not None:
-            z = complex(mag)
-            q = ResolventQuery(z=z, m=m, n=n, side=side)
-        else:
-            z = mag * np.exp(1j * z_arg)
-            q = ResolventQuery(z=z, m=m, n=n)
+        z = complex(mag)
+        q = ResolventQuery(z=z, m=m, n=n, side="+")
         est = weighted_resolvent_norm(grid, q, s, rng=rng, start=warm)
         warm = est.vector
         if not est.converged and est.residual > 1e-2:

@@ -23,10 +23,9 @@ from polyharmlab.birman_schwinger import (
 from polyharmlab.grid import (Field, GridSpec, apply_multiplier, apply_symbol,
                               weight_bracket_power)
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
-from polyharmlab.kernels import ResolventQuery
 from polyharmlab.operators import operator_norm
 from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
-from polyharmlab.resolvent import resolvent_symbol_array
+from polyharmlab.resolvent import ResolventQuery, resolvent_symbol_array
 
 RNG = np.random.default_rng(9)
 
@@ -36,8 +35,7 @@ def truncated_well(grid, depth, width=1.0, rcut=3.0, name=None):
     def fn(*coords):
         r2 = sum(c ** 2 for c in coords)
         return np.where(r2 <= rcut ** 2, -depth * np.exp(-r2 / width ** 2), 0.0)
-    return Potential(grid, fn(*grid.coords()), 2.0 * grid.n,
-                     name or f"trunc_well({depth:g})")
+    return Potential(grid, fn(*grid.coords()), name or f"trunc_well({depth:g})")
 
 
 def dipole(grid):
@@ -45,7 +43,7 @@ def dipole(grid):
     def fn(x, y, z):
         r2 = x ** 2 + y ** 2 + z ** 2
         return np.where(r2 <= 6.25, 3.0 * x * np.exp(-r2), 0.0)
-    return Potential(grid, fn(*grid.coords()), 6.0, "dipole")
+    return Potential(grid, fn(*grid.coords()), "dipole")
 
 
 def modular_gather(grid, base_column, support):
@@ -118,12 +116,13 @@ class TestAssembly:
         direct[np.diag_indices(support.size)] += 1.0
         np.testing.assert_allclose(dense_M(bs), direct, atol=1e-12)
 
-    def test_support_cap(self):
+    def test_support_cap(self, monkeypatch):
         g = GridSpec(3, 16, 6.0)
         pot = gaussian_well(g, 3.0)  # support covers the whole box
         q = ResolventQuery(z=-1.0 + 0.5j, m=1, n=3)
-        with pytest.raises(ValueError):
-            assemble_M(pot, q, support_cap=100)
+        monkeypatch.setattr(birman_schwinger, "DEFAULT_SUPPORT_CAP", 100)
+        with pytest.raises(ValueError, match="exceeds dense cap 100"):
+            assemble_M(pot, q)
 
 
 def dense_M(bs):

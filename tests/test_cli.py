@@ -130,6 +130,8 @@ class TestValidation:
          "operator.potential.depth must be a number"),
         ({"family": "gaussian-well", "depth": 1.0, "s": 4.0},
          "unknown parameter 's' in the gaussian-well potential"),
+        ({"family": "file", "path": "v.field", "s": 6.0},
+         "unknown parameter 's' in the file potential"),
     ])
     def test_malformed_potential_exit_two(self, tmp_path, capsys, potential,
                                           message):

@@ -118,8 +118,7 @@ class TestSerialization:
             "seed": 0,
             "grid": {"n": g.n, "npts": g.npts, "half_width": g.half_width},
             "operator": {"m": 1, "potential": {
-                "family": "file", "path": str(directory / "potential.field"),
-                "s": 6.0}},
+                "family": "file", "path": str(directory / "potential.field")}},
         })
         np.testing.assert_array_equal(build_potential(cfg).values,
                                       quick_pair.potential.values)

@@ -421,7 +421,7 @@ class TestPropagation:
 
     def test_free_propagation_multiplier(self):
         g = GridSpec(3, 16, 6.0)
-        h = Hamiltonian(g, 1, Potential(g, np.zeros(g.shape), 2.0 * g.n, "zero"))
+        h = Hamiltonian(g, 1, Potential(g, np.zeros(g.shape), "zero"))
         psi = Field(g, np.exp(-g.radii() ** 2).astype(complex))
         t = 2.5
         got = propagate(h, psi, [t])[0]

@@ -12,7 +12,7 @@ G = GridSpec(3, 16, 6.0)
 class TestFactorization:
     def test_v_w_recompose(self):
         x, y, z = G.coords()
-        pot = Potential(G, np.sin(x) * np.exp(-(x ** 2 + y ** 2 + z ** 2)), 6.0)
+        pot = Potential(G, np.sin(x) * np.exp(-(x ** 2 + y ** 2 + z ** 2)))
         np.testing.assert_allclose(pot.w() * pot.v(), pot.values, atol=1e-14)
 
     def test_v_nonnegative(self):
@@ -54,10 +54,10 @@ class TestFamilies:
         with pytest.raises(ValueError):
             bracket_decay(G, 1.0, s=-2.0)
         with pytest.raises(ValueError):
-            Potential(G, np.full(G.shape, np.nan), 2.0)
+            Potential(G, np.full(G.shape, np.nan))
 
     def test_zero_potential(self):
-        pot = Potential(G, np.zeros(G.shape), 2.0 * G.n, "zero")
+        pot = Potential(G, np.zeros(G.shape), "zero")
         assert pot.max_abs == 0.0
         assert pot.support_indices().size == 0
 
@@ -67,7 +67,8 @@ class TestDecayMetadata:
         pot = gaussian_well(G, 2.0)
         double = pot.scaled(2.0)
         np.testing.assert_allclose(double.values, 2.0 * pot.values)
-        assert double.decay_exponent == pot.decay_exponent
+        assert double.grid == pot.grid
+        assert double.name == f"{pot.name}*2"
 
     def test_values_immutable(self):
         pot = gaussian_well(G, 2.0)

@@ -37,7 +37,7 @@ from polyharmlab.probes import (
 
 def _free(grid):
     """V = 0 on grid."""
-    return Potential(grid, np.zeros(grid.shape), 2.0 * grid.n, "zero")
+    return Potential(grid, np.zeros(grid.shape), "zero")
 
 
 class TestAdmissiblePairs:

@@ -25,12 +25,6 @@ PENDING = {
     "resolvent.shell_integral": "ROADMAP item 3",
     "resolvent.spectral_density": "ROADMAP item 3",
     "grid.forward_transform": "ROADMAP item 3",
-    # item 7: the closed-form kernels, a cross-check against quadrature
-    "kernels.laplace_kernel": "ROADMAP item 7 (closed-form kernels)",
-    "kernels._laplace_coeffs": "ROADMAP item 7 (closed-form kernels)",
-    "kernels.polyharm_kernel": "ROADMAP item 7 (closed-form kernels)",
-    "kernels.bessel_kernel": "ROADMAP item 7 (closed-form kernels)",
-    "kernels.ResolventQuery.sqrt_roots": "ROADMAP item 7 (closed-form kernels)",
     # oracles of the tests
     "grid.field_from_spectrum": "test oracle (inverse of forward_transform)",
     "grid.GridSpec.freqs": "test oracle (per-axis frequencies)",

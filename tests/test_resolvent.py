@@ -1,5 +1,6 @@
-"""Boundary values of the free resolvent: pairing oracle, Stone consistency,
-boundary symbol, and the weighted-norm machinery."""
+"""The free resolvent: the query and its partial-fraction roots, boundary
+values (pairing oracle, Stone consistency, boundary symbol), and the
+weighted-norm machinery."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from polyharmlab.grid import (
     weight_bracket_power,
 )
 from polyharmlab import resolvent
-from polyharmlab.kernels import ResolventQuery
 from polyharmlab.resolvent import (
+    ResolventQuery,
     boundary_symbol,
     boundary_value_pairing,
     high_energy_decay_probe,
@@ -24,6 +25,53 @@ from polyharmlab.resolvent import (
 )
 
 RNG = np.random.default_rng(21)
+
+
+class TestResolventQuery:
+    def test_dimension_constraint(self):
+        with pytest.raises(ValueError):
+            ResolventQuery(z=1j, m=2, n=3)  # n must exceed 2m
+        with pytest.raises(ValueError):
+            ResolventQuery(z=1j, m=1, n=4)  # odd dimension only
+
+    def test_positive_axis_needs_side(self):
+        with pytest.raises(ValueError):
+            ResolventQuery(z=2.0, m=1, n=3)
+        ResolventQuery(z=2.0, m=1, n=3, side="+")
+        ResolventQuery(z=complex(2.0, 0.1), m=1, n=3)  # off axis is fine
+
+    def test_zero_z_rejected_at_construction(self):
+        for side in (None, "+", "-"):
+            with pytest.raises(ValueError, match="Riesz kernel"):
+                ResolventQuery(z=0.0, m=1, n=3, side=side)
+
+    def test_roots_power_back(self):
+        q = ResolventQuery(z=3.0 + 2.0j, m=3, n=7)
+        for zl in q.roots():
+            assert zl ** 3 == pytest.approx(3.0 + 2.0j, rel=1e-12)
+        # both boundary sides: arg z = 0 and arg z = 2 pi
+        for side in ("+", "-"):
+            for zl in ResolventQuery(z=4.0, m=2, n=5, side=side).roots():
+                assert zl ** 2 == pytest.approx(4.0, rel=1e-12)
+
+
+class TestPartialFractions:
+    def test_identity_random_samples(self):
+        # 1/(xi^{2m} - z) == (1/(m z)) sum_l z_l/(xi^2 - z_l); the residual is
+        # normalized by the largest intermediate term so cancellation between
+        # the summands (huge xi^{2m}/|z| ratios) is not misread as error
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m = int(rng.integers(1, 5))
+            n = 2 * m + 1 + 2 * int(rng.integers(0, 2))
+            xi = 10.0 ** rng.uniform(-1, 1)
+            z = 10.0 ** rng.uniform(-1, 2) * np.exp(1j * rng.uniform(0.05, 2 * np.pi - 0.05))
+            q = ResolventQuery(z=z, m=m, n=n)
+            lhs = 1.0 / (xi ** (2 * m) - z)
+            terms = [zl / (xi ** 2 - zl) / (m * z) for zl in q.roots()]
+            rhs = sum(terms)
+            scale = max(abs(lhs), max(abs(t) for t in terms))
+            assert abs(lhs - rhs) < 1e-12 * scale
 
 
 def gaussian_pairing_oracle(lam=1.0):
@@ -202,9 +250,6 @@ class TestDecayProbe:
             high_energy_decay_probe(g, 1, 3, 1.0, [1.0, 2.0, 4.0])  # 0.6 decades
         with pytest.raises(ValueError):
             high_energy_decay_probe(g, 1, 3, 1.0, [1.0, 50.0])  # too few samples
-        with pytest.raises(ValueError):
-            high_energy_decay_probe(g, 1, 3, 1.0, [1.0, 5.0, 50.0],
-                                    z_arg=0.0, side=None)
 
     def test_report_shape(self):
         g = GridSpec(3, 32, 2 * np.pi)
