@@ -4,10 +4,8 @@ values, Birman-Schwinger spectral diagnostics, embedded-eigenvalue
 constructions, and smoothing / dispersive / Sobolev-scaling probe suites."""
 
 from .grid import (
-    Field,
     GridSpec,
     apply_multiplier,
-    field_from_spectrum,
     forward_transform,
     norm_lp,
     read_field,

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import (Field, GridSpec, abs_derivative_symbol, apply_symbol,
+from .grid import (GridSpec, abs_derivative_symbol, apply_symbol,
                    check_smoothing_gamma, smoothing_weight)
 from .operators import operator_norm
 from .potentials import Potential
@@ -296,9 +296,11 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
     return _theta_sweep(report, pot, m, lambdas[keep], thetas, measure)
 
 
-def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
-                              bs: Optional[BSMatrix] = None) -> Field:
-    """R(z) f for H = (-Delta)^m + V via the factorized second-resolvent
+def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery,
+                              values: np.ndarray,
+                              bs: Optional[BSMatrix] = None) -> np.ndarray:
+    """R(z) f for H = (-Delta)^m + V and the samples f = values (flat or
+    grid-shaped), with grid shape, via the factorized second-resolvent
     formula R = R0 - R0 v M^{-1} w R0 with M = I + w R0 v.
 
     (With M in this convention the inner factors must appear in the order
@@ -312,9 +314,9 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     if conjugate and complex(bs.query.z) != complex(q.z).conjugate():
         raise ValueError(f"block of z = {bs.query.z} given for z = {q.z}")
     sym = resolvent_symbol_array(grid, q)
-    g0 = apply_symbol(f.values, sym)
+    g0 = apply_symbol(np.reshape(values, grid.shape), sym)
     if bs.size == 0:
-        return Field(grid, g0)
+        return g0
     support = bs.support
     w = pot.w().reshape(-1)[support]
     v = pot.v().reshape(-1)[support]
@@ -323,7 +325,7 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery, f: Field,
     spread = np.zeros(grid.size, dtype=np.complex128)
     spread[support] = right * coeffs
     correction = apply_symbol(spread.reshape(grid.shape), sym)
-    return Field(grid, g0 - correction)
+    return g0 - correction
 
 
 def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
@@ -353,7 +355,7 @@ def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
             u = apply_symbol(wgt * vec.reshape(grid.shape), dsym).reshape(-1)
             if projected:
                 u = projector(u)
-            r = perturbed_resolvent_apply(pot, q, Field(grid, u), bs=bs).values
+            r = perturbed_resolvent_apply(pot, q, u, bs=bs)
             if projected:
                 r = projector(r.reshape(-1))
             return (wgt * apply_symbol(r.reshape(grid.shape), dsym)).reshape(-1)

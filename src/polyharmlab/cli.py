@@ -329,11 +329,17 @@ def build_potential(cfg: RunConfig) -> Potential:
     elif family == "file":
         path = spec.get("path")
         _require(path is not None, "file potential needs a path")
-        with open(path, "rb") as fh:
-            fld = read_field(fh)
-        _require(fld.grid == cfg.grid,
+        try:
+            with open(path, "rb") as fh:
+                grid, values = read_field(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read file potential {path}: {exc}") from exc
+        _require(grid == cfg.grid,
                  "file potential grid does not match the config grid")
-        pot = Potential(cfg.grid, fld.values.real, name=f"file({Path(path).name})")
+        _require(np.all(np.isfinite(values)) and not np.any(values.imag),
+                 f"file potential {path} holds complex or non-finite values; "
+                 "it must be real and finite")
+        pot = Potential(cfg.grid, values.real, name=f"file({Path(path).name})")
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError(f"unknown potential family {family!r}")
     if coupling != 1.0:

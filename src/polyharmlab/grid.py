@@ -14,11 +14,14 @@ transform.
 Frequency-side arrays are stored in FFT ordering (numpy.fft.fftfreq), row-major
 over axes, matching the physical layout.  Transforms run on scipy.fft.
 
-A Field holds physical samples only.  The frequency side is a plain array in
+Functions on the grid are plain arrays: physical samples with the grid's
+shape (or flat), a stack of states with a leading axis over the states, and
+the grid passed beside them wherever the cell volume or the lattice is
+needed.  No call writes to or freezes the caller's arrays, except where a
+docstring says that a buffer is consumed.  The frequency side is an array in
 FFT ordering that only the transform pair produces (forward_transform) and
-consumes (field_from_spectrum, or samples_from_spectrum in place); it serves
-the quantities that live there (shell integrals, the boundary pairing,
-frequency-built samples).
+consumes (samples_from_spectrum, in place); it serves the quantities that
+live there (shell integrals, the boundary pairing, frequency-built samples).
 
 A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
 the centring phase and the scale factors of the unitary transforms cancel
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Sequence, Tuple
 
 import numpy as np
 import scipy.fft
@@ -155,60 +158,19 @@ def _center_phase(grid: GridSpec) -> np.ndarray:
     return outer_product([np.where(k % 2 == 0, 1.0, -1.0)] * grid.n)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Physical samples f(x_j) of a complex-valued function on a GridSpec.
-
-    The values are handed over, not copied: a C-contiguous complex128 array
-    becomes a read-only view of the caller's array, so writing to that array
-    afterwards changes the field.  (A copy would cost every matvec.)"""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if vals.shape != self.grid.shape:
-            if vals.size != self.grid.size:
-                raise ValueError(
-                    f"values size {vals.size} does not match grid size {self.grid.size}"
-                )
-            vals = vals.reshape(self.grid.shape)
-        # freeze a view, so the caller's array stays writeable
-        vals = vals.view()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-    def norm2(self) -> float:
-        """Discrete L^2 norm (sum |f|^2 h^n)^(1/2)."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
-
-def forward_transform(f: Field) -> np.ndarray:
-    """Unitary DFT of the samples: the frequency-lattice array fhat (FFT
-    ordering, grid shape)."""
-    g = f.grid
-    vals = scipy.fft.fftn(f.values)
-    vals *= _center_phase(g)
-    vals *= g.cell_volume / (2.0 * np.pi) ** (g.n / 2)
+def forward_transform(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Unitary DFT of the samples values (flat or grid-shaped): the
+    frequency-lattice array fhat (FFT ordering, grid shape)."""
+    vals = scipy.fft.fftn(np.reshape(values, grid.shape))
+    vals *= _center_phase(grid)
+    vals *= grid.cell_volume / (2.0 * np.pi) ** (grid.n / 2)
     return vals
 
 
-def field_from_spectrum(grid: GridSpec, hat: np.ndarray) -> Field:
-    """The field whose forward_transform is hat: exact inverse of
-    forward_transform.  hat is read as complex128 (a real array gives the
-    field of its complex cast) and left unchanged."""
-    return Field(grid, samples_from_spectrum(
-        grid, np.array(hat, dtype=np.complex128)))
-
-
 def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
-    """field_from_spectrum's samples computed in the buffer of hat (complex128,
-    grid shape), which is overwritten: the returned array may share it."""
+    """The samples whose forward_transform is hat, computed in the buffer of
+    hat (complex128, grid shape), which is overwritten: the returned array
+    may share it.  A caller that keeps hat passes a copy."""
     hat *= _center_phase(grid)
     vals = scipy.fft.ifftn(hat, overwrite_x=True)
     vals *= grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** (grid.n / 2)
@@ -277,32 +239,32 @@ def separable_norm_lp(grid: GridSpec, factors: Sequence[np.ndarray],
                           for fac in factors]))
 
 
-def apply_multiplier(f: Field, sym: np.ndarray) -> Field:
-    """The Fourier multiplier sym (lattice array in FFT ordering) on a field,
-    computed by apply_symbol."""
-    return Field(f.grid, apply_symbol(f.values, sym))
+def apply_multiplier(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """apply_symbol under the name the probes' multipliers are traced by;
+    it goes when the tracer wraps apply_symbol itself (ROADMAP item 1)."""
+    return apply_symbol(values, sym)
 
 
-def norm_lp(f: Field, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^n)^(1/p); max norm for p = inf.  An
-    even integer p raises |f|^2 = re^2 + im^2 to p/2 by products, several
-    times cheaper than the float power of |f|."""
+def norm_lp(grid: GridSpec, values: np.ndarray, p: float) -> float:
+    """Discrete L^p norm (sum |f|^p h^n)^(1/p) of the samples values on
+    grid; max norm for p = inf.  An even integer p > 2 raises |f|^2 = re^2 +
+    im^2 to p/2 by products, several times cheaper than the float power of
+    |f|; p = 2 squares |f| and takes the correctly rounded square root."""
     if p < 1:
         raise ValueError(f"L^p norm requires p >= 1, got p={p}")
     if np.isinf(p):
-        return float(np.abs(f.values).max())
-    if p % 2 == 0:
-        sq = np.square(f.values.real)
-        sq += np.square(f.values.imag)
-        powered = sq
-        if p > 2:
-            powered = sq * sq
-            for _ in range(int(p) // 2 - 2):
-                powered *= sq
+        return float(np.abs(values).max())
+    if p % 2 == 0 and p > 2:
+        sq = np.square(values.real)
+        sq += np.square(values.imag)
+        powered = sq * sq
+        for _ in range(int(p) // 2 - 2):
+            powered *= sq
     else:
-        powered = np.abs(f.values)
+        powered = np.abs(values)
         powered **= p
-    return float((np.sum(powered) * f.grid.cell_volume) ** (1.0 / p))
+    total = np.sum(powered) * grid.cell_volume
+    return float(np.sqrt(total) if p == 2 else total ** (1.0 / p))
 
 
 def weight_abs_power(grid: GridSpec, exponent: float) -> np.ndarray:
@@ -346,42 +308,55 @@ def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
     return sym
 
 
-def weighted_l2_norm(f: Field, weight: np.ndarray) -> float:
-    """||weight * f||_2 with cell-volume weighting; weight is a nonnegative
-    array on the grid."""
-    w = np.asarray(weight, dtype=np.float64).reshape(f.grid.shape)
+def weighted_l2_norm(grid: GridSpec, values: np.ndarray,
+                     weight: np.ndarray) -> float:
+    """||weight * f||_2 with cell-volume weighting for the samples values
+    (grid shape); weight is a nonnegative array on the grid."""
+    w = np.asarray(weight, dtype=np.float64).reshape(grid.shape)
     if not np.all(np.isfinite(w)):
         raise ValueError("weight must be finite on the grid (regularize the origin cell)")
     if np.any(w < 0):
         raise ValueError("weight must be nonnegative")
-    return float(np.sqrt(np.sum(w ** 2 * np.abs(f.values) ** 2) * f.grid.cell_volume))
+    return float(np.sqrt(np.sum(w ** 2 * np.abs(values) ** 2) * grid.cell_volume))
 
 
 # Flat binary serialization: magic, n, N, L, tag byte, then interleaved
-# re/im float64 payload in row-major order.  The tag byte is 0 (physical
-# samples); tag 1 marked a frequency-side field, which a Field cannot hold.
+# re/im float64 payload in row-major order, exactly 16 bytes per grid point.
+# The tag byte is 0 (physical samples); tag 1 marked frequency-side values,
+# which are not read.
 
 _MAGIC = b"PHLF"
+_HEADER = "<iidB"
 
 
-def write_field(f: Field, fh: BinaryIO) -> None:
+def write_field(grid: GridSpec, values: np.ndarray, fh: BinaryIO) -> None:
+    """Write the samples values (grid size, real or complex) on grid."""
+    flat = np.asarray(values).reshape(grid.size)
     fh.write(_MAGIC)
-    fh.write(struct.pack("<iidB", f.grid.n, f.grid.npts, f.grid.half_width, 0))
-    inter = np.empty(f.grid.size * 2, dtype=np.float64)
-    flat = f.flat
+    fh.write(struct.pack(_HEADER, grid.n, grid.npts, grid.half_width, 0))
+    inter = np.empty(grid.size * 2, dtype=np.float64)
     inter[0::2] = flat.real
     inter[1::2] = flat.imag
     fh.write(inter.tobytes())
 
 
-def read_field(fh: BinaryIO) -> Field:
-    magic = fh.read(4)
-    if magic != _MAGIC:
+def read_field(fh: BinaryIO) -> Tuple[GridSpec, np.ndarray]:
+    """(grid, complex128 samples of grid shape) from a write_field binary;
+    raises ValueError for a bad header or a payload of the wrong length."""
+    if fh.read(4) != _MAGIC:
         raise ValueError("not a field binary (bad magic)")
-    n, npts, half_width, tag = struct.unpack("<iidB", fh.read(struct.calcsize("<iidB")))
+    head = fh.read(struct.calcsize(_HEADER))
+    if len(head) != struct.calcsize(_HEADER):
+        raise ValueError("field binary header is truncated")
+    n, npts, half_width, tag = struct.unpack(_HEADER, head)
     if tag != 0:
         raise ValueError(f"field binary has tag {tag}; only physical samples (tag 0) are read")
     grid = GridSpec(n=n, npts=npts, half_width=half_width)
-    inter = np.frombuffer(fh.read(grid.size * 16), dtype=np.float64)
-    vals = inter[0::2] + 1j * inter[1::2]
-    return Field(grid, vals)
+    nbytes = 16 * grid.size
+    payload = fh.read(nbytes + 1)  # one byte more shows trailing data
+    if len(payload) != nbytes:
+        raise ValueError(
+            f"field binary payload is {'longer' if len(payload) > nbytes else 'shorter'} "
+            f"than the {nbytes} bytes of its {npts}^{n} grid")
+    inter = np.frombuffer(payload, dtype=np.float64)
+    return grid, (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)

@@ -14,6 +14,9 @@ uncounted one (support too large to count) keeps the tighter solve.
 Every time sum is one Chebyshev series in H scaled to the spectral interval,
 summed by one recurrence with one matvec per term: propagate's states
 e^{itH} psi0 and propagate_adjoint's sum_k e^{-i t_k H} g_k (Clenshaw).
+
+A stack of states (eigenvectors, propagated states) is one array whose
+leading axis indexes the states and whose other axes are the grid's shape.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .birman_schwinger import birman_schwinger_count
-from .grid import Field, GridSpec, apply_symbol
+from .grid import GridSpec, apply_symbol
 from .potentials import Potential
 
 
@@ -71,12 +74,13 @@ class Hamiltonian:
 
 @dataclass
 class EigenSet:
-    """Ritz pairs with residuals; count_negative tracks N0.
+    """Ritz pairs with residuals; count_negative tracks N0.  vectors is the
+    complex128 stack of the eigenvectors, unit in the flat l2 sense.
     count_birman_schwinger is the independent count of eigenvalues below the
     cut (None when not computed)."""
 
     eigenvalues: List[float]
-    vectors: List[Field]
+    vectors: np.ndarray
     residuals: List[float]
     count_birman_schwinger: Optional[int] = None
 
@@ -118,13 +122,13 @@ def lanczos_extreme(h: Hamiltonian, k: int,
     except ArpackNoConvergence as exc:
         raise LanczosError(
             f"ARPACK unconverged for {k} eigenpairs: {exc}") from exc
-    out_vals, out_vecs, out_res = [], [], []
-    for idx in np.argsort(vals):
-        vec = vecs[:, idx]
-        out_vals.append(float(vals[idx]))
-        out_vecs.append(Field(h.grid, vec.reshape(h.grid.shape)))
-        out_res.append(float(np.linalg.norm(h.apply(vec) - vals[idx] * vec)))
-    return EigenSet(out_vals, out_vecs, out_res)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs.T[order]
+    residuals = [float(np.linalg.norm(h.apply(vec) - val * vec))
+                 for val, vec in zip(vals, vecs)]
+    return EigenSet([float(val) for val in vals],
+                    vecs.astype(np.complex128).reshape((k,) + h.grid.shape),
+                    residuals)
 
 
 def negative_spectrum(h: Hamiltonian) -> EigenSet:
@@ -161,7 +165,7 @@ def negative_spectrum(h: Hamiltonian) -> EigenSet:
         if k == k_max:
             raise RuntimeError(f"more than {k} eigenvalues below -{tau_neg:g}")
         k = min(2 * k, k_max)
-    return EigenSet(es.eigenvalues[:below], es.vectors[:below],
+    return EigenSet(es.eigenvalues[:below], es.vectors[:below].copy(),
                     es.residuals[:below], count)
 
 
@@ -174,15 +178,15 @@ def clr_check(h: Hamiltonian, c: float) -> Tuple[int, float, bool]:
     return n0, bound, n0 <= bound
 
 
-def projector_ac(h: Hamiltonian, f: Field) -> Field:
-    """P_ac f = f minus projections onto all computed bound states."""
-    es = h.eigenset()
-    out = f.values.copy()
-    for psi in es.vectors:
+def projector_ac(h: Hamiltonian, values: np.ndarray) -> np.ndarray:
+    """P_ac f = f minus projections onto all computed bound states, for the
+    samples values (flat or grid-shaped), as a complex128 array of their
+    shape."""
+    out = np.array(values, dtype=np.complex128)
+    for psi in h.eigenset().vectors:
         # eigenvectors are unit in the flat l2 sense; projection uses the same
-        coeff = np.vdot(psi.values.reshape(-1), out.reshape(-1))
-        out = out - coeff * psi.values
-    return Field(h.grid, out)
+        out = out - np.vdot(psi, out) * psi.reshape(out.shape)
+    return out
 
 
 def _bessel_orders(mags: np.ndarray, kmax: int) -> np.ndarray:
@@ -244,8 +248,10 @@ def _expansion(h: Hamiltonian, times: np.ndarray) -> Tuple[np.ndarray, Callable]
     return coeffs, lambda vec: (h.apply(vec) - mid * vec) / half
 
 
-def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field]:
-    """e^{itH} psi0 at each requested time, in any order.
+def propagate(h: Hamiltonian, psi0: np.ndarray,
+              times: Sequence[float]) -> np.ndarray:
+    """e^{itH} psi0 at each requested time, in any order, as the stack of
+    shape (len(times),) + grid shape; psi0 is flat or grid-shaped.
 
     One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
     1984): the vectors do not depend on t, so each state is sum_k c_k(t)
@@ -253,7 +259,7 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field
     largest |t|.
     """
     coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
-    v0 = psi0.values.reshape(-1).astype(np.complex128)
+    v0 = np.reshape(psi0, -1).astype(np.complex128)
     out = np.zeros((coeffs.shape[0], v0.size), dtype=np.complex128)
     block = np.empty((min(_BLOCK, coeffs.shape[1]), v0.size), dtype=np.complex128)
     prev = cur = v0
@@ -266,12 +272,13 @@ def propagate(h: Hamiltonian, psi0: Field, times: Sequence[float]) -> List[Field
                 prev, cur = cur, 2.0 * scaled(cur) - prev
             block[k - start] = cur
         out += coeffs[:, start:stop] @ block[:stop - start]
-    return [Field(psi0.grid, row.reshape(psi0.grid.shape)) for row in out]
+    return out.reshape((len(times),) + h.grid.shape)
 
 
-def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
-                      times: Sequence[float]) -> Field:
-    """sum_k e^{-i t_k H} states[k], the adjoint of psi -> (e^{i t_k H} psi)_k.
+def propagate_adjoint(h: Hamiltonian, states: np.ndarray,
+                      times: Sequence[float]) -> np.ndarray:
+    """sum_k e^{-i t_k H} states[k], the adjoint of psi -> (e^{i t_k H} psi)_k,
+    with grid shape.  states is a stack with one state per time.
 
     With propagate's coefficients c_j(t), the sum is sum_j T_j(H~) b_j with
     b_j = sum_k conj(c_j(t_k)) states[k].  Clenshaw's recurrence (Clenshaw
@@ -280,7 +287,7 @@ def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
     (block x times) @ (times x points) product as the recurrence reaches it.
     """
     coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
-    snaps = np.stack([s.values.reshape(-1) for s in states]).astype(np.complex128)
+    snaps = np.asarray(states, dtype=np.complex128).reshape(coeffs.shape[0], -1)
     conj_t = coeffs.conj().T
     nxt = cur = np.zeros(snaps.shape[1], dtype=np.complex128)
     for stop in range(coeffs.shape[1], 0, -_BLOCK):
@@ -289,4 +296,4 @@ def propagate_adjoint(h: Hamiltonian, states: Sequence[Field],
         for j in range(stop - 1, max(start, 1) - 1, -1):
             nxt, cur = cur, block[j - start] + 2.0 * scaled(cur) - nxt
     # order 0: b_0 + H~ y_1 - y_2, with y_1 in cur and y_2 in nxt
-    return Field(h.grid, (block[0] + scaled(cur) - nxt).reshape(h.grid.shape))
+    return (block[0] + scaled(cur) - nxt).reshape(h.grid.shape)

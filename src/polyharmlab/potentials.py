@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class Potential:
         """Flat indices of the support set {|V| > tau_supp}, sorted."""
         flat = np.abs(self.values).reshape(-1)
         return np.flatnonzero(flat > self.tau_supp)
-
-    def as_field(self) -> Field:
-        return Field(self.grid, self.values.astype(np.complex128))
 
     def scaled(self, coupling: float) -> "Potential":
         """coupling * V, named "<name>*<coupling>"."""

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.fft
 
 from .grid import (
-    Field,
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
@@ -144,8 +143,8 @@ def frequency_localized_samples(grid: GridSpec, count: int,
     decay below EDGE_DECAY_TOL) modulated at random carrier frequencies up to
     0.4 of the Nyquist radius.  The first sample is unmodulated (the
     low-frequency representative).  Each packet is given by its n axis
-    factors, scaled so that the packet (their outer product) has unit
-    norm2."""
+    factors, scaled so that the packet (their outer product) has unit L^2
+    norm."""
     out: List[List[np.ndarray]] = []
     big_l = grid.half_width
     for j in range(count):
@@ -193,8 +192,8 @@ def plateau_increments(values: Sequence[float]) -> List[float]:
 
 def _sup_over_samples(report: ProbeReport, grid: GridSpec, samples: int,
                       rng: Optional[np.random.Generator], t_final: float,
-                      ratios_of: Callable[[Field, List[float]], List[float]],
-                      plateau_tol: float, power: float) -> Tuple[float, Field]:
+                      ratios_of: Callable[[np.ndarray, List[float]], List[float]],
+                      plateau_tol: float, power: float) -> Tuple[float, np.ndarray]:
     """Sup over sample states of a functional truncated to [-T, T].
 
     The states are `samples` frequency_localized_samples drawn from rng
@@ -205,7 +204,7 @@ def _sup_over_samples(report: ProbeReport, grid: GridSpec, samples: int,
     itself.  Sets the plateau metrics and the finite / plateau flags, and
     returns (sup ratio, sup sample)."""
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
-    packs = [Field(grid, outer_product(factors)) for factors in
+    packs = [outer_product(factors) for factors in
              frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))]
     if not packs:
         raise ValueError("need at least one sample")
@@ -266,13 +265,13 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         "kato_smoothing", h, plateau_tol, gamma=gamma, eps=eps, t_final=t_final,
         samples=samples, time_step=time_step)
 
-    def ratios_of(psi0: Field, t_checks: List[float]) -> List[float]:
-        states = propagate(h, projector_ac(h, psi0), list(times))
+    def ratios_of(psi0: np.ndarray, t_checks: List[float]) -> List[float]:
+        states = propagate(h, projector_ac(h, psi0), times)
         sq = np.array([
-            weighted_l2_norm(apply_multiplier(st, dsym), weight) ** 2
+            weighted_l2_norm(grid, apply_multiplier(st, dsym), weight) ** 2
             for st in states
         ])
-        denom = psi0.norm2() ** 2
+        denom = norm_lp(grid, psi0, 2) ** 2
         return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
 
     best_ratio, best_state = _sup_over_samples(
@@ -294,7 +293,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
 
 def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
                                 dsym: np.ndarray, times: np.ndarray,
-                                start: Field, iters: int) -> NormEstimate:
+                                start: np.ndarray, iters: int) -> NormEstimate:
     """Power iteration on the quadratic smoothing form B*B, at most iters
     steps from start; the form's value is the estimate's norm squared.
 
@@ -309,20 +308,20 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
     sw = np.sqrt(0.5 * (ends[2:] - ends[:-2]))
 
     def apply_b(vec: np.ndarray) -> np.ndarray:
-        phi = projector_ac(h, Field(grid, vec.reshape(grid.shape)))
-        states = propagate(h, phi, list(times))
+        states = propagate(h, projector_ac(h, vec), times)
         return np.concatenate([
-            sk * weight.reshape(-1) * apply_multiplier(st, dsym).flat
+            sk * weight.reshape(-1) * apply_multiplier(st, dsym).reshape(-1)
             for sk, st in zip(sw, states)
         ])
 
     def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
-        weighted = [Field(grid, sk * apply_symbol(weight * g.reshape(grid.shape), dsym))
-                    for sk, g in zip(sw, snaps.reshape(times.size, -1))]
-        return projector_ac(h, propagate_adjoint(h, weighted, times)).flat
+        weighted = np.stack([sk * apply_symbol(weight * g.reshape(grid.shape), dsym)
+                             for sk, g in zip(sw, snaps.reshape(times.size, -1))])
+        return projector_ac(h, propagate_adjoint(h, weighted, times)).reshape(-1)
 
-    return operator_norm(apply_b, apply_b_adjoint, grid.size,
-                         max_iter=iters, start=start.values)
+    # B is complex even on real samples, so iterate in complex from the start
+    return operator_norm(apply_b, apply_b_adjoint, grid.size, max_iter=iters,
+                         start=start.astype(np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +372,23 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
         q1 = 1.0 / inv_q1 if inv_q1 > 0 else math.inf
     sobolev_const = 0.0
 
-    def ratios_of(psi0: Field, t_checks: List[float]) -> List[float]:
+    def ratios_of(psi0: np.ndarray, t_checks: List[float]) -> List[float]:
         nonlocal sobolev_const
-        states = propagate(h, projector_ac(h, psi0), list(times))
+        states = propagate(h, projector_ac(h, psi0), times)
         snap_q = np.empty(times.size)
         for k, st in enumerate(states):
             meas = apply_multiplier(st, gsym) if gsym is not None else st
-            snap_q[k] = norm_lp(meas, q)
+            snap_q[k] = norm_lp(grid, meas, q)
             if mode == "gain" and snap_q[k] > 0:
-                sobolev_const = max(sobolev_const, norm_lp(st, q1) / snap_q[k])
+                sobolev_const = max(sobolev_const, norm_lp(grid, st, q1) / snap_q[k])
         if math.isinf(p):
             mixed = [float(np.max(snap_q[np.abs(times) <= tc + 1e-12]))
                      for tc in t_checks]
         else:
             mixed = [c ** (1.0 / p) for c in
                      _partial_trapezoids(times, snap_q ** p, t_checks)]
-        return [c / psi0.norm2() for c in mixed]
+        denom = norm_lp(grid, psi0, 2)
+        return [c / denom for c in mixed]
 
     report.metrics["sup_ratio"], _ = _sup_over_samples(
         report, grid, samples, rng, t_final, ratios_of, plateau_tol,
@@ -483,7 +483,7 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
             if den == 0.0:
                 continue
             out = apply_symbol_spectrum(spec, sym)
-            ratio = norm_lp(Field(grid, out), q) / den
+            ratio = norm_lp(grid, out, q) / den
             if ratio > best:
                 best, best_out, best_den = ratio, out, den
             del spec, out  # hold only the best image while the next is built
@@ -545,7 +545,7 @@ def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
     for factors in packs:
         yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
     for vals in _shell_localized_samples(grid, xi_abs, envelope, rho, draws):
-        den = norm_lp(Field(grid, vals), p)
+        den = norm_lp(grid, vals, p)
         yield scipy.fft.fftn(vals, overwrite_x=True), den
         del vals
     for factors in _scaled_bumps(grid, rho):
@@ -607,7 +607,7 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
     prev = 0.0
     for steps in range(40):
         if steps:
-            ratio = norm_lp(Field(grid, u), q) / den
+            ratio = norm_lp(grid, u, q) / den
         best = max(best, ratio)
         if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
             return best, steps, "converged"
@@ -630,7 +630,7 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
         del aw
         w[~np.isfinite(w)] = 0.0
         _flush_subnormal(w)
-        den = norm_lp(Field(grid, w), p)
+        den = norm_lp(grid, w, p)
         if den == 0.0:
             return best, steps, "underflow"
         u = apply_symbol_spectrum(scipy.fft.fftn(w, overwrite_x=True), sym)

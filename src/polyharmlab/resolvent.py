@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .grid import (
-    Field,
     GridSpec,
     forward_transform,
     sphere_area,
@@ -149,12 +148,13 @@ def _boundary_setup(grid: GridSpec, lam: float, m: int, side: str):
     return rho, xi_abs, xi_abs ** (2 * m) - lam, w, (np.pi * 1j if side == "+" else -np.pi * 1j) * c
 
 
-def boundary_value_pairing(f: Field, g: Field, lam: float, side: str, m: int) -> complex:
-    """<R0_pm(lam) f, g> for lam > 0: principal-value lattice sum plus the
-    signed surface term of the limiting absorption boundary value."""
-    grid = f.grid
+def boundary_value_pairing(grid: GridSpec, f: np.ndarray, g: np.ndarray,
+                           lam: float, side: str, m: int) -> complex:
+    """<R0_pm(lam) f, g> for the samples f and g on grid and lam > 0:
+    principal-value lattice sum plus the signed surface term of the limiting
+    absorption boundary value."""
     rho, _, s, w, coef = _boundary_setup(grid, lam, m, side)
-    density = forward_transform(f) * np.conj(forward_transform(g))
+    density = forward_transform(grid, f) * np.conj(forward_transform(grid, g))
 
     outside = np.abs(s) >= w
     pv = complex(np.sum(density[outside] / s[outside])) * grid.cell_volume_xi
@@ -195,7 +195,7 @@ def boundary_symbol(grid: GridSpec, lam: float, m: int, side: str) -> np.ndarray
     distributed over shell_integral's resonant-shell bin (shell area over
     bin volume).
 
-    Pairing a field against this diagonal symbol reproduces
+    Pairing two functions against this diagonal symbol reproduces
     boundary_value_pairing up to the density-dependent window correction, and
     it realizes R0_pm(lam) as an operator on the grid.
     """
@@ -209,11 +209,12 @@ def boundary_symbol(grid: GridSpec, lam: float, m: int, side: str) -> np.ndarray
     return sym
 
 
-def spectral_density(f: Field, lam: float, m: int) -> float:
-    """Spectral measure density <E'(lam) f, f> of (-Delta)^m: shell-binned
-    (1/2m) lam^{(1-2m)/(2m)} * integral of |fhat|^2 over |xi| = lam^{1/(2m)}."""
-    rho, c = _resonant_shell(f.grid, lam, m)
-    surf = shell_integral(f.grid, np.abs(forward_transform(f)) ** 2, rho)
+def spectral_density(grid: GridSpec, f: np.ndarray, lam: float, m: int) -> float:
+    """Spectral measure density <E'(lam) f, f> of (-Delta)^m for the samples
+    f on grid: shell-binned (1/2m) lam^{(1-2m)/(2m)} * integral of |fhat|^2
+    over |xi| = lam^{1/(2m)}."""
+    rho, c = _resonant_shell(grid, lam, m)
+    surf = shell_integral(grid, np.abs(forward_transform(grid, f)) ** 2, rho)
     return float(np.real(surf)) * c
 
 

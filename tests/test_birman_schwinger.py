@@ -20,7 +20,7 @@ from polyharmlab.birman_schwinger import (
     sigma_min,
     supersmooth_sweep,
 )
-from polyharmlab.grid import (Field, GridSpec, apply_multiplier, apply_symbol,
+from polyharmlab.grid import (GridSpec, apply_multiplier, apply_symbol,
                               weight_bracket_power)
 from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
 from polyharmlab.operators import operator_norm
@@ -327,20 +327,21 @@ class TestPerturbedResolvent:
         pot = truncated_well(g, 4.0, rcut=2.5)
         h = Hamiltonian(g, 1, pot)
         q = ResolventQuery(z=-2.0 + 1.0j, m=1, n=3)
-        f = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
+        f = RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape)
         rf = perturbed_resolvent_apply(pot, q, f)
-        back = h.apply(rf.values) - complex(q.z) * rf.values
-        np.testing.assert_allclose(back, f.values, atol=1e-9 * np.max(np.abs(f.values)))
+        back = h.apply(rf) - complex(q.z) * rf
+        np.testing.assert_allclose(back, f, atol=1e-9 * np.max(np.abs(f)))
 
     def test_mixed_sign_potential(self):
         g = GridSpec(3, 12, 5.0)
         pot = dipole(g)
         h = Hamiltonian(g, 1, pot)
         q = ResolventQuery(z=-1.5 + 0.7j, m=1, n=3)
-        f = Field(g, RNG.standard_normal(g.shape).astype(complex))
-        rf = perturbed_resolvent_apply(pot, q, f)
-        back = h.apply(rf.values) - complex(q.z) * rf.values
-        np.testing.assert_allclose(back, f.values, atol=1e-9 * np.max(np.abs(f.values)))
+        f = RNG.standard_normal(g.shape)
+        rf = perturbed_resolvent_apply(pot, q, f.reshape(-1))  # flat samples
+        assert rf.shape == g.shape
+        back = h.apply(rf) - complex(q.z) * rf
+        np.testing.assert_allclose(back, f, atol=1e-9 * np.max(np.abs(f)))
 
 
 class TestConjugateBlock:
@@ -352,9 +353,9 @@ class TestConjugateBlock:
         pot = make(g)
         z = 0.7 + 0.2j
         q, qc = (ResolventQuery(z=zz, m=1, n=3) for zz in (z, np.conj(z)))
-        f = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
-        got = perturbed_resolvent_apply(pot, qc, f, bs=assemble_M(pot, q)).values
-        want = perturbed_resolvent_apply(pot, qc, f).values
+        f = RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape)
+        got = perturbed_resolvent_apply(pot, qc, f, bs=assemble_M(pot, q))
+        want = perturbed_resolvent_apply(pot, qc, f)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_sweeps_assemble_one_block_per_pair(self, monkeypatch):
@@ -378,7 +379,7 @@ class TestConjugateBlock:
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 2.0, rcut=1.5)
         bs = assemble_M(pot, ResolventQuery(z=1.0 + 0.1j, m=1, n=3))
-        f = Field(g, np.ones(g.shape, dtype=complex))
+        f = np.ones(g.shape, dtype=complex)
         with pytest.raises(ValueError):
             perturbed_resolvent_apply(pot, ResolventQuery(z=1.0 + 0.2j, m=1, n=3),
                                       f, bs=bs)
@@ -431,7 +432,7 @@ class TestSweeps:
         assert h.eigenset().count_negative >= 1
 
         def p_ac(vec):
-            return projector_ac(h, Field(g, vec.reshape(g.shape))).flat
+            return projector_ac(h, vec)
 
         rep = supersmooth_sweep(pot, 1, 0.5, 0.1, [-0.5, 1.0], [0.1],
                                 projector=p_ac)
@@ -480,9 +481,9 @@ class TestSupersmoothPair:
             bs = assemble_M(pot, q)
 
             def apply(vec):
-                u = apply_multiplier(Field(g, wgt * vec.reshape(g.shape)), dsym)
+                u = apply_multiplier(wgt * vec.reshape(g.shape), dsym)
                 r = perturbed_resolvent_apply(pot, q, u, bs=bs)
-                return (wgt * apply_multiplier(r, dsym).values).reshape(-1)
+                return (wgt * apply_multiplier(r, dsym)).reshape(-1)
             return apply
 
         for row in rep.rows[1::2]:

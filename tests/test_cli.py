@@ -1,7 +1,9 @@
 """Config validation, subcommand dispatch, exit codes, and report artifacts."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -43,6 +45,13 @@ def small_lab_config():
         "stein-weiss": {"npts_ladder": [8, 16]},
     }
     return cfg
+
+
+def field_bytes(values):
+    """values written as a field binary on the 8^3 grid of base_config."""
+    buf = io.BytesIO()
+    write_field(GridSpec(3, 8, 3.0), values, buf)
+    return buf.getvalue()
 
 
 def write_config(tmp_path, cfg, name="cfg.yaml"):
@@ -326,7 +335,7 @@ class TestSpectrumSubcommand:
         # grid.max_points is a budget, not part of the grid the file must match
         grid = GridSpec(3, 8, 4.0)
         with open(tmp_path / "v.bin", "wb") as fh:
-            write_field(gaussian_well(grid, 5.0).as_field(), fh)
+            write_field(grid, gaussian_well(grid, 5.0).values, fh)
         cfg = base_config()
         cfg["grid"] = {"n": 3, "npts": 8, "half_width": 4.0,
                        "max_points": 2 ** 20}
@@ -335,6 +344,29 @@ class TestSpectrumSubcommand:
         cfg["probes"] = {"spectrum": {}}
         path = write_config(tmp_path, cfg)
         assert run(path, "spectrum", out_dir=str(tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda v: None, "No such file"),
+        (lambda v: b"NOPE" + field_bytes(v)[4:], "bad magic"),
+        (lambda v: field_bytes(v)[:-1], "shorter than the 8192 bytes"),
+        (lambda v: field_bytes(v) + b"\x00", "longer than the 8192 bytes"),
+        (lambda v: field_bytes(v * (1.0 + 1e-3j)), "must be real and finite"),
+        (lambda v: field_bytes(np.where(v == v.min(), np.inf, v)),
+         "must be real and finite"),
+    ], ids=["missing", "bad magic", "truncated", "trailing bytes", "complex",
+            "non-finite"])
+    def test_unreadable_file_potential_exit_two(self, tmp_path, capsys, damage,
+                                                message):
+        raw = damage(gaussian_well(GridSpec(3, 8, 3.0), 5.0).values)
+        if raw is not None:
+            (tmp_path / "v.field").write_bytes(raw)
+        cfg = base_config(probes={"spectrum": {}})
+        cfg["operator"]["potential"] = {"family": "file",
+                                        "path": str(tmp_path / "v.field")}
+        path = write_config(tmp_path, cfg)
+        assert run(path, "spectrum", out_dir=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert message in err and "v.field" in err
 
     def test_differing_counts_fail_the_flag(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hamiltonian, "birman_schwinger_count",

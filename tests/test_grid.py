@@ -8,14 +8,12 @@ import pytest
 import scipy.fft
 
 from polyharmlab.grid import (
-    Field,
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol,
     apply_symbol_spectrum,
     check_smoothing_gamma,
-    field_from_spectrum,
     forward_transform,
     norm_lp,
     read_field,
@@ -30,13 +28,15 @@ from polyharmlab.grid import (
     weighted_l2_norm,
     write_field,
 )
+from polyharmlab.hamiltonian import (Hamiltonian, projector_ac, propagate,
+                                     propagate_adjoint)
+from polyharmlab.potentials import gaussian_well
 
 RNG = np.random.default_rng(42)
 
 
-def random_field(grid):
-    vals = RNG.standard_normal(grid.shape) + 1j * RNG.standard_normal(grid.shape)
-    return Field(grid, vals)
+def random_samples(grid):
+    return RNG.standard_normal(grid.shape) + 1j * RNG.standard_normal(grid.shape)
 
 
 class TestGridSpec:
@@ -90,51 +90,57 @@ class TestGridSpec:
         assert sphere_area(3, 2.0) == pytest.approx(4 * np.pi * 4.0)
 
 
-class TestField:
-    def test_caller_array_stays_writeable(self):
+class TestCallerArrays:
+    def test_calls_leave_caller_arrays_unchanged_and_writeable(self):
+        # ROADMAP: library calls do not mutate or freeze the caller's arrays
         g = GridSpec(3, 8, 3.0)
-        a = np.zeros(g.shape, complex)
-        f = Field(g, a)
-        assert a.flags.writeable
-        a[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            f.values[0, 0, 0] = 2.0
+        h = Hamiltonian(g, 1, gaussian_well(g, 8.0))
+        assert h.eigenset().count_negative >= 1  # projector_ac has work to do
+        times = [-1.0, 0.5, 2.0]
+        psi = random_samples(g)
+        stack = np.stack([random_samples(g) for _ in times])
+        calls = [
+            (psi, lambda: propagate(h, psi, times)),
+            (psi, lambda: projector_ac(h, psi)),
+            (psi, lambda: norm_lp(g, psi, 3.0)),
+            (psi, lambda: write_field(g, psi, io.BytesIO())),
+            (stack, lambda: propagate_adjoint(h, stack, times)),
+        ]
+        for arr, call in calls:
+            before = arr.copy()
+            out = call()
+            np.testing.assert_array_equal(arr, before)
+            assert arr.flags.writeable
+            if isinstance(out, np.ndarray):
+                assert out.flags.writeable and not np.shares_memory(out, arr)
 
 
 class TestTransforms:
     @pytest.mark.parametrize("n,npts", [(1, 32), (3, 16)])
     def test_round_trip(self, n, npts):
         g = GridSpec(n, npts, 3.0)
-        f = random_field(g)
-        hat = forward_transform(f)
-        before = hat.copy()
-        back = field_from_spectrum(g, hat)
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12)
-        np.testing.assert_array_equal(hat, before)  # the caller's hat is left alone
-        # a real hat reaches the inverse FFT as its complex128 cast, bit for bit
-        np.testing.assert_array_equal(
-            field_from_spectrum(g, hat.real).values,
-            field_from_spectrum(g, hat.real.astype(np.complex128)).values)
-
-    def test_in_place_synthesis_is_field_from_spectrum(self):
-        g = GridSpec(3, 8, 3.0)
-        hat = forward_transform(random_field(g))
-        want = field_from_spectrum(g, hat).values
-        np.testing.assert_array_equal(samples_from_spectrum(g, hat), want)
+        f = random_samples(g)
+        hat = forward_transform(g, f)
+        back = samples_from_spectrum(g, hat)
+        np.testing.assert_allclose(back, f, atol=1e-12)
+        # the synthesis runs in the buffer of hat
+        assert np.shares_memory(back, hat)
+        # flat samples transform as their grid-shaped view
+        np.testing.assert_array_equal(forward_transform(g, f.reshape(-1)),
+                                      forward_transform(g, f))
 
     def test_parseval(self):
         g = GridSpec(3, 16, 3.0)
-        f = random_field(g)
-        fhat = forward_transform(f)
+        f = random_samples(g)
+        fhat = forward_transform(g, f)
         assert isinstance(fhat, np.ndarray) and fhat.shape == g.shape
         hat_norm = np.sqrt(np.sum(np.abs(fhat) ** 2) * g.cell_volume_xi)
-        assert hat_norm == pytest.approx(f.norm2(), rel=1e-12)
+        assert hat_norm == pytest.approx(norm_lp(g, f, 2), rel=1e-12)
 
     def test_gaussian_transform_matches_continuum(self):
         # e^{-x^2/2} is its own unitary Fourier transform
         g = GridSpec(1, 128, 12.0)
-        f = Field(g, np.exp(-g.coords()[0] ** 2 / 2.0))
-        fhat = forward_transform(f)
+        fhat = forward_transform(g, np.exp(-g.coords()[0] ** 2 / 2.0))
         xi = np.sort(g.axis_freqs())
         expect = np.exp(-xi ** 2 / 2.0)
         got = np.real(fhat[np.argsort(g.axis_freqs())])
@@ -143,8 +149,7 @@ class TestTransforms:
     def test_plane_wave_is_delta(self):
         g = GridSpec(1, 16, np.pi)
         k = 3
-        f = Field(g, np.exp(1j * k * g.coords()[0]))
-        fhat = forward_transform(f)
+        fhat = forward_transform(g, np.exp(1j * k * g.coords()[0]))
         mags = np.abs(fhat)
         peak = np.argmax(mags)
         assert g.axis_freqs()[peak] == pytest.approx(float(k))
@@ -176,22 +181,22 @@ class TestSymbols:
 
     def test_multiplier_identity(self):
         g = GridSpec(3, 8, 2.0)
-        f = random_field(g)
+        f = random_samples(g)
         out = apply_multiplier(f, np.ones(g.shape))
-        np.testing.assert_allclose(out.values, f.values, atol=1e-12)
+        np.testing.assert_allclose(out, f, atol=1e-12)
 
     def test_multiplier_composition(self):
         g = GridSpec(3, 8, 2.0)
-        f = random_field(g)
+        f = random_samples(g)
         lap = g.xi_radii() ** 2
         twice = apply_multiplier(apply_multiplier(f, lap), lap)
         once = apply_multiplier(f, lap ** 2)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
 
-def centred_composition(f, sym):
+def centred_composition(g, f, sym):
     """The multiplier through the unitary transforms: forward, sigma, inverse."""
-    return field_from_spectrum(f.grid, sym * forward_transform(f)).values
+    return samples_from_spectrum(g, sym * forward_transform(g, f))
 
 
 def max_rel(got, want):
@@ -203,30 +208,29 @@ class TestSpectralKernel:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_multiplier_matches_centred_composition(self, n, npts, kind):
         g = GridSpec(n, npts, 2.5)
-        f = random_field(g)
+        f = random_samples(g)
         xi2 = g.xi_radii() ** 2
         sym = xi2 ** 2 if kind == "real" else 1.0 / (xi2 - (1.0 + 0.3j))
-        assert max_rel(apply_multiplier(f, sym).values,
-                       centred_composition(f, sym)) <= 1e-12
+        assert max_rel(apply_multiplier(f, sym),
+                       centred_composition(g, f, sym)) <= 1e-12
 
     @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
     def test_zero_mode_override_matches_centred_composition(self, n, npts):
         # |D|^{-3/2}: abs_derivative_symbol overrides the infinite zero mode by 0
         g = GridSpec(n, npts, 2.5)
-        f = random_field(g)
+        f = random_samples(g)
         sym = abs_derivative_symbol(g, -1.5)
-        got = apply_multiplier(f, sym).values
-        assert max_rel(got, centred_composition(f, sym)) <= 1e-12
+        got = apply_multiplier(f, sym)
+        assert max_rel(got, centred_composition(g, f, sym)) <= 1e-12
         # the override is what reaches the constant mode
-        ones = Field(g, np.ones(g.shape, dtype=complex))
-        np.testing.assert_allclose(apply_multiplier(ones, sym).values, 0.0,
-                                   atol=1e-12)
+        ones = np.ones(g.shape, dtype=complex)
+        np.testing.assert_allclose(apply_multiplier(ones, sym), 0.0, atol=1e-12)
 
     def test_kernel_leaves_caller_array_alone(self):
         g = GridSpec(3, 8, 2.0)
-        vals = random_field(g).values.copy()
+        vals = random_samples(g)
         before = vals.copy()
-        apply_multiplier(Field(g, vals), g.xi_radii() ** 2 + 0.5j)
+        apply_multiplier(vals, g.xi_radii() ** 2 + 0.5j)
         out = apply_symbol(vals, g.xi_radii() ** 2)
         np.testing.assert_array_equal(vals, before)
         assert vals.flags.writeable
@@ -302,12 +306,12 @@ class TestSeparableInputs:
     def test_norm_equals_full_grid_norm(self, n, npts, p):
         g = GridSpec(n, npts, 4.0)
         factors = self.bump_factors(g, True)
-        want = norm_lp(Field(g, self.assemble(factors)), p)
+        want = norm_lp(g, self.assemble(factors), p)
         assert separable_norm_lp(g, factors, p) == pytest.approx(want, rel=1e-13)
 
     def test_spectrum_kernel_is_apply_symbols_complex_path(self):
         g = GridSpec(3, 8, 2.5)
-        vals = random_field(g).values
+        vals = random_samples(g)
         sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
         spec = scipy.fft.fftn(vals)
         got = apply_symbol_spectrum(spec, sym)
@@ -320,7 +324,7 @@ class TestSeparableInputs:
         # gives the bits of the plain kernel with conj(sym)
         g = GridSpec(3, 8, 2.5)
         sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
-        spec = scipy.fft.fftn(random_field(g).values)
+        spec = scipy.fft.fftn(random_samples(g))
         np.testing.assert_array_equal(
             apply_symbol_spectrum(spec.copy(), sym, adjoint=True),
             apply_symbol_spectrum(spec.copy(), np.conj(sym)))
@@ -329,25 +333,36 @@ class TestSeparableInputs:
 class TestNormsAndWeights:
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
     def test_even_norm_by_products_matches_the_float_power(self, p):
-        f = random_field(GridSpec(3, 16, 3.0))
-        want = (np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
-        assert norm_lp(f, p) == pytest.approx(want, rel=1e-14)
+        g = GridSpec(3, 16, 3.0)
+        f = random_samples(g)
+        want = (np.sum(np.abs(f) ** p) * g.cell_volume) ** (1.0 / p)
+        assert norm_lp(g, f, p) == pytest.approx(want, rel=1e-14)
+
+    def test_l2_norm_is_the_rounded_root_of_the_squared_moduli(self):
+        # bit for bit the L^2 norm the probes' denominators have always used
+        g = GridSpec(3, 8, 1.5)
+        for f in (random_samples(g), RNG.standard_normal(g.shape)):
+            want = float(np.sqrt(np.sum(np.abs(f) ** 2) * g.cell_volume))
+            assert norm_lp(g, f, 2) == want
+            assert norm_lp(g, f.reshape(-1), 2) == want
 
     def test_norm_lp_constants(self):
         g = GridSpec(3, 8, 1.0)
-        f = Field(g, np.full(g.shape, 2.0 + 0j))
+        f = np.full(g.shape, 2.0 + 0j)
         vol = (2.0 * g.half_width) ** g.n
-        assert norm_lp(f, 2.0) == pytest.approx(2.0 * np.sqrt(vol))
-        assert norm_lp(f, np.inf) == pytest.approx(2.0)
+        assert norm_lp(g, f, 2.0) == pytest.approx(2.0 * np.sqrt(vol))
+        assert norm_lp(g, f, np.inf) == pytest.approx(2.0)
+        # real samples give the norm of their complex cast
+        assert norm_lp(g, f.real, 4.0) == norm_lp(g, f, 4.0)
         with pytest.raises(ValueError):
-            norm_lp(f, 0.5)
+            norm_lp(g, f, 0.5)
 
     def test_weighted_l2_matches_direct_sum(self):
         g = GridSpec(3, 8, 2.0)
-        f = random_field(g)
+        f = random_samples(g)
         w = weight_bracket_power(g, -1.0)
-        direct = np.sqrt(np.sum(w ** 2 * np.abs(f.values) ** 2) * g.cell_volume)
-        assert weighted_l2_norm(f, w) == pytest.approx(direct)
+        direct = np.sqrt(np.sum(w ** 2 * np.abs(f) ** 2) * g.cell_volume)
+        assert weighted_l2_norm(g, f, w) == pytest.approx(direct)
 
     def test_abs_weight_finite_at_origin(self):
         g = GridSpec(3, 8, 2.0)
@@ -355,34 +370,54 @@ class TestNormsAndWeights:
         assert np.all(np.isfinite(w))
 
 
+def write_bytes(grid, values):
+    buf = io.BytesIO()
+    write_field(grid, values, buf)
+    return buf.getvalue()
+
+
 class TestSerialization:
     def test_round_trip(self):
         g = GridSpec(3, 8, 2.5)
-        f = random_field(g)
-        buf = io.BytesIO()
-        write_field(f, buf)
-        buf.seek(0)
-        back = read_field(buf)
-        assert back.grid == GridSpec(3, 8, 2.5)
-        np.testing.assert_array_equal(back.values, f.values)
+        f = random_samples(g)
+        back_grid, back = read_field(io.BytesIO(write_bytes(g, f)))
+        assert back_grid == GridSpec(3, 8, 2.5)
+        assert back.dtype == np.complex128 and back.shape == g.shape
+        np.testing.assert_array_equal(back, f)
+        # real samples are written with zero imaginary parts, as their
+        # complex cast, and flat samples as their grid-shaped view
+        assert write_bytes(g, f.real) == write_bytes(g, f.real.astype(np.complex128))
+        assert write_bytes(g, f.reshape(-1)) == write_bytes(g, f)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             read_field(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
+    @pytest.mark.parametrize("size, message", [
+        (4 + 8, "header is truncated"),
+        (21 + 16 * 512 - 1, "shorter than the 8192 bytes"),
+        (21 + 8, "shorter than the 8192 bytes"),
+        (21 + 16 * 512 + 1, "longer than the 8192 bytes"),
+        (21 + 16 * 513, "longer than the 8192 bytes"),
+    ])
+    def test_payload_of_the_wrong_length_rejected(self, size, message):
+        # the 21-byte header of an 8^3 grid, then exactly 16 bytes per point
+        g = GridSpec(3, 8, 2.5)
+        raw = write_bytes(g, random_samples(g)) + b"\x00" * 32
+        with pytest.raises(ValueError, match=message):
+            read_field(io.BytesIO(raw[:size]))
+
     def test_frequency_tag_rejected(self):
         # the format is unchanged: tag byte 0 after the header, then the
-        # interleaved payload; tag 1 (a frequency-side field) is not read
+        # interleaved payload; tag 1 (frequency-side values) is not read
         g = GridSpec(1, 8, 1.0)
-        f = random_field(g)
-        buf = io.BytesIO()
-        write_field(f, buf)
-        raw = buf.getvalue()
+        f = random_samples(g)
+        raw = write_bytes(g, f)
         head = b"PHLF" + struct.pack("<iidB", 1, 8, 1.0, 0)
         assert raw[:len(head)] == head
         assert len(raw) == len(head) + 16 * g.size
         np.testing.assert_array_equal(
-            np.frombuffer(raw[len(head):], dtype=np.float64)[1::2], f.flat.imag)
+            np.frombuffer(raw[len(head):], dtype=np.float64)[1::2], f.imag)
         tagged = bytearray(raw)
         tagged[len(head) - 1] = 1
         with pytest.raises(ValueError, match="tag 1"):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import jv
 
 from polyharmlab import birman_schwinger, hamiltonian
-from polyharmlab.grid import Field, GridSpec, field_from_spectrum, forward_transform
+from polyharmlab.grid import GridSpec, forward_transform, norm_lp, samples_from_spectrum
 from polyharmlab.hamiltonian import (
     Hamiltonian,
     LanczosError,
@@ -61,9 +61,9 @@ def _stepped_coeffs(a, tol):
 
 def _stepped_run(h, psi0, times, half, mid, tol):
     grid = h.grid
-    norm0 = np.linalg.norm(psi0.values)
+    norm0 = np.linalg.norm(psi0)
     out = []
-    cur = psi0.values.reshape(-1).astype(np.complex128)
+    cur = psi0.reshape(-1).astype(np.complex128)
     t_prev = 0.0
 
     def apply_scaled(vec):
@@ -88,19 +88,17 @@ def _stepped_run(h, psi0, times, half, mid, tol):
                 t0, t1 = t1, t2
             cur = np.exp(1j * mid * dt) * acc
             t_prev = t
-        out.append(Field(grid, cur.reshape(grid.shape)))
-    return out
+        out.append(cur.reshape(grid.shape))
+    return np.stack(out)
 
 
 def _stepped_adjoint(h, states, times):
     """sum_k e^{-i t_k H} states[k] by a backward sweep of short steps: one
     propagate per time step.  The independent oracle of propagate_adjoint."""
-    grid = h.grid
-    acc = states[-1].values
+    acc = states[-1]
     for k in range(len(times) - 2, -1, -1):
-        step = propagate(h, Field(grid, acc), [times[k] - times[k + 1]])[0]
-        acc = states[k].values + step.values
-    return propagate(h, Field(grid, acc), [-times[0]])[0]
+        acc = states[k] + propagate(h, acc, [times[k] - times[k + 1]])[0]
+    return propagate(h, acc, [-times[0]])[0]
 
 
 def _count_matvecs(monkeypatch, h):
@@ -118,8 +116,13 @@ def _scaling(h):
 
 
 def _unit_random(g):
-    psi = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
-    return Field(g, psi.values / psi.norm2())
+    psi = RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape)
+    return psi / norm_lp(g, psi, 2)
+
+
+def _unit_real(g):
+    psi = RNG.standard_normal(g.shape) + 0j
+    return psi / norm_lp(g, psi, 2)
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +141,11 @@ class TestSpectralKernel:
     def test_apply_matches_centred_composition(self, n, npts, m):
         g = GridSpec(n, npts, 3.0)
         h = Hamiltonian(g, m, gaussian_well(g, 5.0))
-        psi = Field(g, RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape))
-        kin = field_from_spectrum(
-            g, g.xi_radii() ** (2 * m) * forward_transform(psi)).values
-        want = kin + h.potential.values * psi.values
-        got = h.apply(psi.values)
+        psi = RNG.standard_normal(g.shape) + 1j * RNG.standard_normal(g.shape)
+        kin = samples_from_spectrum(
+            g, g.xi_radii() ** (2 * m) * forward_transform(g, psi))
+        want = kin + h.potential.values * psi
+        got = h.apply(psi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_apply_matches_explicit_dft_matrix(self):
@@ -202,11 +205,10 @@ class TestDenseEquivalence:
 
     def test_propagate_matches_expm(self, small_h, small_dense):
         g = small_h.grid
-        psi = Field(g, RNG.standard_normal(g.shape) + 0j)
-        psi = Field(g, psi.values / psi.norm2())
+        psi = _unit_real(g)
         for t in (0.5, 2.0):
-            got = propagate(small_h, psi, [t])[0].values.reshape(-1)
-            want = scipy.linalg.expm(1j * t * small_dense) @ psi.values.reshape(-1)
+            got = propagate(small_h, psi, [t])[0].reshape(-1)
+            want = scipy.linalg.expm(1j * t * small_dense) @ psi.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
 
@@ -231,7 +233,10 @@ class TestEigensolvers:
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, gaussian_well(g, 15.0))
         es = negative_spectrum(h)
-        basis = np.array([v.values.reshape(-1) for v in es.vectors])
+        # one stack: a leading axis over the states, then the grid's axes
+        assert es.vectors.shape == (len(es),) + g.shape
+        assert es.vectors.dtype == np.complex128
+        basis = es.vectors.reshape(len(es), -1)
         gram = basis.conj() @ basis.T
         np.testing.assert_allclose(gram, np.eye(len(es)), atol=1e-8)
 
@@ -392,57 +397,59 @@ class TestProjector:
         es = h.eigenset()
         psi = es.vectors[0]
         out = projector_ac(h, psi)
-        assert np.max(np.abs(out.values)) < 1e-8
+        assert np.max(np.abs(out)) < 1e-8
 
     def test_idempotent(self):
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, gaussian_well(g, 15.0))
-        f = Field(g, RNG.standard_normal(g.shape) + 0j)
+        f = RNG.standard_normal(g.shape)
         once = projector_ac(h, f)
+        assert once.dtype == np.complex128 and once.shape == g.shape
         twice = projector_ac(h, once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
+        # flat samples are projected in their flat shape
+        np.testing.assert_array_equal(projector_ac(h, f.reshape(-1)),
+                                      once.reshape(-1))
 
     def test_identity_without_bound_states(self):
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, bracket_decay(g, 1.0, 3.0))
-        f = Field(g, RNG.standard_normal(g.shape) + 0j)
-        np.testing.assert_allclose(projector_ac(h, f).values, f.values,
-                                   atol=1e-12)
+        f = RNG.standard_normal(g.shape) + 0j
+        np.testing.assert_allclose(projector_ac(h, f), f, atol=1e-12)
 
 
 class TestPropagation:
     def test_unitarity(self):
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 2, gaussian_well(g, 3.0))
-        psi = Field(g, RNG.standard_normal(g.shape) + 0j)
-        psi = Field(g, psi.values / psi.norm2())
+        psi = _unit_real(g)
         for st in propagate(h, psi, [1.0, 3.0, 7.0]):
-            assert st.norm2() == pytest.approx(1.0, abs=1e-10)
+            assert norm_lp(g, st, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_free_propagation_multiplier(self):
         g = GridSpec(3, 16, 6.0)
         h = Hamiltonian(g, 1, Potential(g, np.zeros(g.shape), "zero"))
-        psi = Field(g, np.exp(-g.radii() ** 2).astype(complex))
+        psi = np.exp(-g.radii() ** 2)
         t = 2.5
         got = propagate(h, psi, [t])[0]
-        exact = field_from_spectrum(
-            g, np.exp(1j * t * g.xi_radii() ** 2) * forward_transform(psi))
-        np.testing.assert_allclose(got.values, exact.values, atol=1e-10)
+        exact = samples_from_spectrum(
+            g, np.exp(1j * t * g.xi_radii() ** 2) * forward_transform(g, psi))
+        np.testing.assert_allclose(got, exact, atol=1e-10)
 
     def test_group_property(self):
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
-        psi = Field(g, RNG.standard_normal(g.shape) + 0j)
+        psi = RNG.standard_normal(g.shape) + 0j
         direct = propagate(h, psi, [3.0])[0]
         stepped = propagate(h, propagate(h, psi, [1.0])[0], [2.0])[0]
-        np.testing.assert_allclose(stepped.values, direct.values, atol=1e-9)
+        np.testing.assert_allclose(stepped, direct, atol=1e-9)
 
     def test_negative_times(self):
         g = GridSpec(3, 12, 5.0)
         h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
-        psi = Field(g, RNG.standard_normal(g.shape) + 0j)
+        psi = RNG.standard_normal(g.shape) + 0j
         back = propagate(h, propagate(h, psi, [2.0])[0], [-2.0])[0]
-        np.testing.assert_allclose(back.values, psi.values, atol=1e-9)
+        np.testing.assert_allclose(back, psi, atol=1e-9)
 
     def test_shuffled_times_permute_states(self):
         g = GridSpec(3, 12, 5.0)
@@ -453,8 +460,7 @@ class TestPropagation:
         ordered = propagate(h, psi, times)
         shuffled = propagate(h, psi, times[order])
         for k, st in zip(order, shuffled):
-            np.testing.assert_allclose(st.values, ordered[k].values,
-                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(st, ordered[k], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("m,t_final", [(1, 4.0), (2, 0.25)])
     def test_matches_stepped_oracle(self, m, t_final):
@@ -466,9 +472,9 @@ class TestPropagation:
         half, mid = _scaling(h)
         want = _stepped_run(h, psi, times, half, mid, 1e-10)
         got = propagate(h, psi, times)
-        assert len(got) == times.size
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-10)
+        assert got.shape == (times.size,) + g.shape  # a view, no copy
+        assert got.base is not None and got.base.shape == (times.size, g.size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_one_matvec_per_term(self, monkeypatch):
         g = GridSpec(3, 12, 5.0)
@@ -524,9 +530,10 @@ class TestPropagateAdjoint:
         g = GridSpec(n, npts, 5.0)
         h = Hamiltonian(g, m, gaussian_well(g, 5.0))
         times = np.linspace(-t_final, t_final, 17)
-        states = [_unit_random(g) for _ in times]
-        want = _stepped_adjoint(h, states, times).values
-        got = propagate_adjoint(h, states, times).values
+        states = np.stack([_unit_random(g) for _ in times])
+        want = _stepped_adjoint(h, states, times)
+        got = propagate_adjoint(h, states, times)
+        assert got.shape == g.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
@@ -536,10 +543,9 @@ class TestPropagateAdjoint:
         h = Hamiltonian(g, m, gaussian_well(g, 5.0))
         times = np.linspace(-t_final, t_final, 17)
         x = _unit_random(g)
-        ys = [_unit_random(g) for _ in times]
-        lhs = sum(np.vdot(st.values, y.values)
-                  for st, y in zip(propagate(h, x, times), ys))
-        rhs = np.vdot(x.values, propagate_adjoint(h, ys, times).values)
+        ys = np.stack([_unit_random(g) for _ in times])
+        lhs = np.vdot(propagate(h, x, times), ys)
+        rhs = np.vdot(x, propagate_adjoint(h, ys, times))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_one_recurrence(self, monkeypatch):
@@ -548,7 +554,7 @@ class TestPropagateAdjoint:
         times = np.linspace(-3.0, 3.0, 33)
         half, _ = _scaling(h)
         terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
-        states = [_unit_random(g) for _ in times]
+        states = np.stack([_unit_random(g) for _ in times])
         calls = _count_matvecs(monkeypatch, h)
         propagate_adjoint(h, states, times)
         assert terms > 2 * hamiltonian._BLOCK

@@ -9,14 +9,13 @@ import pytest
 
 from polyharmlab import probes
 from polyharmlab.grid import (
-    Field,
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
     apply_symbol_spectrum,
-    field_from_spectrum,
     norm_lp,
     outer_product,
+    samples_from_spectrum,
     smoothing_weight,
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
@@ -85,7 +84,7 @@ class TestPlateauIncrements:
 
 def full_grid_packs(g, count, rng):
     """frequency_localized_samples as full-grid exponentials, normalized to
-    unit norm2: the construction the axis factors replaced."""
+    unit L^2 norm: the construction the axis factors replaced."""
     coords, big_l, out = g.coords(), g.half_width, []
     for j in range(count):
         width = big_l * rng.uniform(1.0 / 12.0, 1.0 / 8.0)
@@ -97,22 +96,22 @@ def full_grid_packs(g, count, rng):
             carrier *= 0.4 * g.nyquist_radius / max(1.0, np.linalg.norm(carrier)) * rng.uniform(0.2, 1.0)
         r2 = sum((coords[a] - center[a]) ** 2 for a in range(g.n))
         phase = sum(carrier[a] * coords[a] for a in range(g.n))
-        fld = Field(g, np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase))
-        out.append(Field(g, fld.values / fld.norm2()))
+        vals = np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase)
+        out.append(vals / norm_lp(g, vals, 2))
     return out
 
 
 def shell_samples_complex_path(g, xi_abs, envelope, rho, draws):
     """_shell_localized_samples through full-grid temporaries and the complex
-    synthesis field_from_spectrum: the construction the in-place one
+    synthesis of a fresh spectrum: the construction the in-place one
     replaced, for the same draws."""
     rho = min(rho, 0.8 * g.nyquist_radius)
     out = []
     for factor, fractions in draws:
         prof = np.exp(-((xi_abs - rho) / (g.h_xi * factor)) ** 2)
         phases = np.exp(2j * np.pi * fractions)
-        vals = field_from_spectrum(g, prof * phases).values * envelope
-        out.append(Field(g, vals / np.linalg.norm(vals)))
+        vals = samples_from_spectrum(g, prof * phases) * envelope
+        out.append(vals / np.linalg.norm(vals))
     return out
 
 
@@ -123,7 +122,7 @@ class TestSampleFamilies:
         assert len(packs) == 4
         for factors in packs:
             assert len(factors) == 3
-            assert Field(g, outer_product(factors)).norm2() == pytest.approx(1.0, rel=1e-12)
+            assert norm_lp(g, outer_product(factors), 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_frequency_localized_reproducible(self):
         g = GridSpec(3, 32, 6.0)
@@ -137,9 +136,9 @@ class TestSampleFamilies:
         g = GridSpec(n, npts, 6.0)
         got = frequency_localized_samples(g, 4, np.random.default_rng(7))
         want = full_grid_packs(g, 4, np.random.default_rng(7))
-        for factors, fld in zip(got, want):
-            np.testing.assert_allclose(outer_product(factors), fld.values,
-                                       rtol=1e-13, atol=1e-13 * np.abs(fld.values).max())
+        for factors, vals in zip(got, want):
+            np.testing.assert_allclose(outer_product(factors), vals,
+                                       rtol=1e-13, atol=1e-13 * np.abs(vals).max())
 
     def test_edge_guard(self, monkeypatch):
         monkeypatch.setattr(probes, "EDGE_DECAY_TOL", 0.0)
@@ -196,26 +195,24 @@ class TestRefinement:
     def rayleigh_loop(h, weight, dsym, times, start, iters):
         """The quadratic form's own power iteration: forward sweep, W^2
         weighting, backward sweep of short steps."""
-        grid = h.grid
         tw = np.zeros(times.size)
         tw[:-1] += 0.5 * np.diff(times)
         tw[1:] += 0.5 * np.diff(times)
 
         def apply_form(vec):
-            states = propagate(h, projector_ac(h, Field(grid, vec)), list(times))
+            states = propagate(h, projector_ac(h, vec), list(times))
             weighted = []
             for st, wk in zip(states, tw):
                 g = apply_multiplier(st, dsym)
-                g = apply_multiplier(Field(grid, weight ** 2 * g.values), dsym)
-                weighted.append(wk * g.flat)
+                g = apply_multiplier(weight ** 2 * g, dsym)
+                weighted.append(wk * g)
             acc = weighted[-1]
             for k in range(len(times) - 2, -1, -1):
-                step = propagate(h, Field(grid, acc), [times[k] - times[k + 1]])
-                acc = weighted[k] + step[0].flat
-            acc = propagate(h, Field(grid, acc), [-times[0]])[0].flat
-            return projector_ac(h, Field(grid, acc)).flat
+                acc = weighted[k] + propagate(h, acc, [times[k] - times[k + 1]])[0]
+            acc = propagate(h, acc, [-times[0]])[0]
+            return projector_ac(h, acc).reshape(-1)
 
-        v = start.flat / np.linalg.norm(start.flat)
+        v = start.reshape(-1) / np.linalg.norm(start)
         for _ in range(iters):
             w = apply_form(v)
             rho = float(np.real(np.vdot(v, w)))
@@ -229,8 +226,8 @@ class TestRefinement:
         weight = smoothing_weight(g, 1, 0.25, 0.1)
         dsym = abs_derivative_symbol(g, 0.25)
         times = np.linspace(-1.0, 1.0, 9)
-        start = Field(g, outer_product(
-            frequency_localized_samples(g, 1, np.random.default_rng(2))[0]))
+        start = outer_product(
+            frequency_localized_samples(g, 1, np.random.default_rng(2))[0])
         est = _refine_quadratic_smoothing(h, weight, dsym, times, start, iters)
         assert 1 <= est.iterations <= iters
         ref = self.rayleigh_loop(h, weight, dsym, times, start, est.iterations)
@@ -345,7 +342,7 @@ class TestSobolevScalingProbe:
 
     @pytest.mark.parametrize("rho", [1.5, 3.0])
     def test_screened_ratios_match_full_grid_candidates(self, rho):
-        # the candidates as sample fields, packs, envelope and bumps from
+        # the candidates as full-grid samples: packs, envelope and bumps from
         # full-grid exponentials, each ratio through apply_multiplier: the
         # screening it replaced
         g = GridSpec(3, 48, 8.0)
@@ -354,26 +351,27 @@ class TestSobolevScalingProbe:
         xi_abs, r2 = g.xi_radii(), g.radii() ** 2
         envelope = np.exp(-r2 / (2.0 * (g.half_width / 8.0) ** 2))
         rng = np.random.default_rng(5)
-        fields = full_grid_packs(g, 2, rng)
-        fields += shell_samples_complex_path(g, xi_abs, envelope, rho,
-                                             probes._shell_draws(g, rng, 2))
+        samples = full_grid_packs(g, 2, rng)
+        samples += shell_samples_complex_path(g, xi_abs, envelope, rho,
+                                              probes._shell_draws(g, rng, 2))
         carrier = np.exp(1j * rho * g.coords()[0])
         for c in (0.5, 1.0, 2.0, 4.0):
             scale = c / rho
             if 2.0 * g.h <= scale <= g.half_width / 6.0:
                 vals = np.exp(-r2 / (2.0 * scale ** 2))
-                fields += [Field(g, vals), Field(g, vals * carrier)]
-        want = [norm_lp(apply_multiplier(f, sym), q) / norm_lp(f, p) for f in fields]
+                samples += [vals, vals * carrier]
+        want = [norm_lp(g, apply_multiplier(f, sym), q) / norm_lp(g, f, p)
+                for f in samples]
 
         rng = np.random.default_rng(5)
         packs = frequency_localized_samples(g, 2, rng)
         envelope = outer_product(probes._gaussian_factors(
             g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
         draws = probes._shell_draws(g, rng, 2)
-        got = [norm_lp(Field(g, apply_symbol_spectrum(spec, sym)), q) / den
+        got = [norm_lp(g, apply_symbol_spectrum(spec, sym), q) / den
                for spec, den in probes._sobolev_candidates(
                    g, packs, xi_abs, envelope, rho, p, draws)]
-        assert len(fields) > 4 + 2  # some bumps are screened
+        assert len(samples) > 4 + 2  # some bumps are screened
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("rho", [1.5, 40.0])
@@ -390,7 +388,7 @@ class TestSobolevScalingProbe:
                                                    list(draws)))
         assert len(got) == 2
         for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b.values)
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_do_not_depend_on_workers(self, seed):

@@ -26,7 +26,6 @@ PENDING = {
     "resolvent.spectral_density": "ROADMAP item 3",
     "grid.forward_transform": "ROADMAP item 3",
     # oracles of the tests
-    "grid.field_from_spectrum": "test oracle (inverse of forward_transform)",
     "grid.GridSpec.freqs": "test oracle (per-axis frequencies)",
 }
 

@@ -7,10 +7,9 @@ import pytest
 import scipy.integrate as si
 
 from polyharmlab.grid import (
-    Field,
     GridSpec,
-    field_from_spectrum,
     forward_transform,
+    samples_from_spectrum,
     weight_bracket_power,
 )
 from polyharmlab import resolvent
@@ -93,59 +92,59 @@ GRID = GridSpec(3, 160, 30.0)
 
 
 @pytest.fixture(scope="module")
-def gaussian_field():
-    return Field(GRID, np.exp(-np.sum(GRID.coords() ** 2, axis=0)))
+def gaussian():
+    return np.exp(-np.sum(GRID.coords() ** 2, axis=0))
 
 
 class TestBoundaryPairing:
-    def test_matches_continuum_oracle(self, gaussian_field):
+    def test_matches_continuum_oracle(self, gaussian):
         truth = gaussian_pairing_oracle()
-        got = boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "+", 1)
+        got = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
         assert abs(got - truth) / abs(truth) < 0.05
         # surface term alone converges much faster than the principal value
         assert got.imag == pytest.approx(truth.imag, rel=0.02)
 
-    def test_sides_conjugate(self, gaussian_field):
-        plus = boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "+", 1)
-        minus = boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "-", 1)
+    def test_sides_conjugate(self, gaussian):
+        plus = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
+        minus = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "-", 1)
         assert plus.real == pytest.approx(minus.real, rel=1e-12)
         assert plus.imag == pytest.approx(-minus.imag, rel=1e-12)
 
-    def test_imaginary_part_sign(self, gaussian_field):
+    def test_imaginary_part_sign(self, gaussian):
         for lam in (0.5, 1.0, 2.0):
-            assert boundary_value_pairing(gaussian_field, gaussian_field,
+            assert boundary_value_pairing(GRID, gaussian, gaussian,
                                           lam, "+", 1).imag >= 0.0
 
-    def test_stone_formula_exact(self, gaussian_field):
+    def test_stone_formula_exact(self, gaussian):
         # density == (pairing+ - pairing-) / (2 pi i), by shared shell binning
         lam = 1.0
-        plus = boundary_value_pairing(gaussian_field, gaussian_field, lam, "+", 1)
-        minus = boundary_value_pairing(gaussian_field, gaussian_field, lam, "-", 1)
+        plus = boundary_value_pairing(GRID, gaussian, gaussian, lam, "+", 1)
+        minus = boundary_value_pairing(GRID, gaussian, gaussian, lam, "-", 1)
         stone = complex((plus - minus) / (2j * np.pi))
-        dens = spectral_density(gaussian_field, lam, 1)
+        dens = spectral_density(GRID, gaussian, lam, 1)
         assert stone.real == pytest.approx(dens, abs=1e-14)
         assert abs(stone.imag) < 1e-14
 
-    def test_theta_extrapolation_consistency(self, gaussian_field):
+    def test_theta_extrapolation_consistency(self, gaussian):
         # interior pairings at z = lam + i theta, quadratically extrapolated
         # to theta = 0, approach the boundary pairing
-        dens = np.abs(forward_transform(gaussian_field)) ** 2
+        dens = np.abs(forward_transform(GRID, gaussian)) ** 2
         xi2 = GRID.xi_radii() ** 2
         thetas = [0.4, 0.2, 0.1]
         vals = [complex(np.sum(dens / (xi2 - (1.0 + 1j * th))) * GRID.cell_volume_xi)
                 for th in thetas]
         coeff = np.polynomial.polynomial.polyfit(thetas, np.array(vals), 2)
-        boundary = boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "+", 1)
+        boundary = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
         assert abs(coeff[0] - boundary) / abs(boundary) < 0.08
 
-    def test_validation(self, gaussian_field):
+    def test_validation(self, gaussian):
         with pytest.raises(ValueError):
-            boundary_value_pairing(gaussian_field, gaussian_field, -1.0, "+", 1)
+            boundary_value_pairing(GRID, gaussian, gaussian, -1.0, "+", 1)
         with pytest.raises(ValueError):
-            boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "0", 1)
+            boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "0", 1)
         with pytest.raises(ValueError):
             # resonant shell beyond the Nyquist radius
-            boundary_value_pairing(gaussian_field, gaussian_field,
+            boundary_value_pairing(GRID, gaussian, gaussian,
                                    (2 * GRID.nyquist_radius) ** 2, "+", 1)
 
 
@@ -166,12 +165,12 @@ class TestShellIntegral:
 
 
 class TestBoundarySymbol:
-    def test_pairing_against_symbol(self, gaussian_field):
+    def test_pairing_against_symbol(self, gaussian):
         # the diagonal symbol reproduces the pairing up to the window correction
-        fhat = forward_transform(gaussian_field)
+        fhat = forward_transform(GRID, gaussian)
         sym = boundary_symbol(GRID, 1.0, 1, "+")
         via_symbol = complex(np.sum(sym * np.abs(fhat) ** 2) * GRID.cell_volume_xi)
-        direct = boundary_value_pairing(gaussian_field, gaussian_field, 1.0, "+", 1)
+        direct = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
         assert abs(via_symbol - direct) / abs(direct) < 0.05
 
     def test_sides_conjugate(self):
@@ -198,8 +197,8 @@ class TestWeightedResolventNorm:
         sym = q.symbol(g.xi_radii())
 
         def apply(vec):
-            fhat = forward_transform(Field(g, w * vec.reshape(g.shape)))
-            return (w * field_from_spectrum(g, sym * fhat).values).reshape(-1)
+            fhat = forward_transform(g, w * vec.reshape(g.shape))
+            return (w * samples_from_spectrum(g, sym * fhat)).reshape(-1)
 
         dense = np.zeros((g.size, g.size), dtype=np.complex128)
         eye = np.eye(g.size)
