@@ -36,15 +36,16 @@ Layers (ROADMAP "layer by layer"):
       p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
       from (a copy of) the best screened candidate, which a set-up run of
       the probe captures; the same sobolev probe with workers=2, its |z|
-      rows on two threads (measured only in trees whose probe takes
-      workers); one operator_norm rung of the benchmark's scaling
+      rows on two threads; one operator_norm rung of the benchmark's scaling
       Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
       the rung draws from the seed-0 stream of the CLI).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once and then times fixed batches.
-With --baseline, passes alternate between the baseline tree and this one,
-with the order flipped every round.  The output JSON (written to --out, or
+With --baseline (the src directory of another tree that has the same layer
+functions, with the array API and the sobolev probe's workers argument),
+passes alternate between the baseline tree and this one, with the order
+flipped every round.  The output JSON (written to --out, or
 to stdout without it) holds, per tree and layer, the median and quartiles of
 the per-call time over all batches of all rounds and the sample count, and
 the counts a layer records (the same in every pass, else a list); with
@@ -99,8 +100,6 @@ COUNTS = {"L1.sigma_min_1419": lambda result: {"applications": result[1]}}
 def _layers():
     """name -> zero-argument callable doing one call of the layer."""
     import dataclasses
-    import inspect
-    import types
 
     import numpy as np
     from polyharmlab import probes
@@ -138,10 +137,6 @@ def _layers():
     big = GridSpec(3, 160, 10.0)
     vals = rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape)
     sym = 1.0 / (big.xi_radii() ** 2 - 0.3 * np.exp(0.5j))
-    if "values" not in inspect.signature(apply_multiplier).parameters:
-        # a tree from before the array API takes samples with their grid
-        psi = types.SimpleNamespace(grid=lab, values=psi)
-        vals = types.SimpleNamespace(grid=big, values=vals)
 
     spectral = GridSpec(3, 16, 6.0)
     well = gaussian_well(spectral, 20.0)
@@ -156,10 +151,10 @@ def _layers():
     sobolev = GridSpec(3, 80, 10.0)
     mags = np.geomspace(0.3, 10.0, 4)
 
-    def run_sobolev(**workers):
+    def run_sobolev(workers=1):
         return sobolev_scaling_probe(
             sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
-            rng=np.random.default_rng([0, _stream_tag("sobolev")]), **workers)
+            rng=np.random.default_rng([0, _stream_tag("sobolev")]), workers=workers)
 
     # the refinement's arguments at the first |z|, taken from one probe run;
     # arrays are copied, since the refinement may overwrite its start
@@ -201,12 +196,11 @@ def _layers():
         "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
             lab_h, weight, dsym, times, psi, 1),
         "L2.sobolev_80": run_sobolev,
+        "L2.sobolev_80_workers2": lambda: run_sobolev(workers=2),
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
         "L2.stein_weiss_64": lambda: operator_norm(
             *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
     }
-    if "workers" in inspect.signature(sobolev_scaling_probe).parameters:
-        layers["L2.sobolev_80_workers2"] = lambda: run_sobolev(workers=2)
     return layers
 
 

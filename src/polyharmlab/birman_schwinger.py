@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import (GridSpec, abs_derivative_symbol, apply_symbol,
+from .grid import (ConfigError, GridSpec, abs_derivative_symbol, apply_symbol,
                    check_smoothing_gamma, smoothing_weight)
 from .operators import operator_norm
 from .potentials import Potential
@@ -230,7 +230,7 @@ def assemble_M(pot: Potential, q: ResolventQuery) -> BSMatrix:
     grid = pot.grid
     support = pot.support_indices()
     if support.size > DEFAULT_SUPPORT_CAP:
-        raise ValueError(
+        raise ConfigError(
             f"support set size {support.size} exceeds dense cap {DEFAULT_SUPPORT_CAP}"
         )
     if support.size == 0:
@@ -253,7 +253,7 @@ def _theta_sweep(report: ProbeReport, pot: Potential, m: int,
     the smallest theta over the sup at the next one) and the flag finite."""
     thetas = np.sort(np.asarray(list(thetas), dtype=float))[::-1]
     if np.any(thetas <= 0):
-        raise ValueError("theta ladder must be positive")
+        raise ConfigError("theta ladder must be positive")
     sup_by_theta = {}
     for lam in lambdas:
         for th in thetas:

@@ -1,9 +1,13 @@
 """Command-line orchestration: YAML config parsing and validation, probe
 dispatch, and CSV/JSON report emission.
 
+`all` runs the probes in PROBE_SUBCOMMANDS order on the calling thread, each
+with the whole config, and writes each probe's reports as soon as it returns.
+
 Exit codes: 0 when every pass flag of the executed probes is true, 1 on a
-numerical failure or failed pass flag (partial reports are preserved), 2 on a
-config validation error (the message names the violated invariant).
+numerical failure or failed pass flag (finished probes keep their reports),
+2 on a ConfigError from the parser or a library argument check (the message
+names the violated invariant).
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import numbers
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -26,7 +29,7 @@ import yaml
 
 from .birman_schwinger import inv_norm_sweep
 from .counterexample import build_embedded_pair, save_embedded_pair, verify_embedded
-from .grid import DEFAULT_MAX_POINTS, GridSpec, read_field
+from .grid import ConfigError, GridSpec, read_field
 from .hamiltonian import Hamiltonian, clr_check
 from .potentials import Potential, bracket_decay, gaussian_well
 from .probes import (
@@ -59,9 +62,10 @@ POTENTIAL_KEYS = {
 }
 POTENTIAL_FAMILIES = tuple(POTENTIAL_KEYS)
 
-
-class ConfigError(ValueError):
-    """A config invariant was violated; the message names it."""
+#: The keys of the config root and of its grid and operator blocks.
+TOP_LEVEL_KEYS = ("seed", "threads", "output_dir", "grid", "operator", "probes")
+GRID_KEYS = ("n", "npts", "half_width")
+OPERATOR_KEYS = ("m", "potential")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ class RunConfig:
     potential_spec: Dict[str, Any]
     seed: int
     output_dir: Path
-    threads: int  # the core budget; a probe runner receives its share
+    threads: int  # the core budget, spent by the sobolev |z| rows
     probes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
@@ -176,6 +180,12 @@ class RunConfig:
 def _require(cond: bool, invariant: str) -> None:
     if not cond:
         raise ConfigError(invariant)
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    for key in keys:
+        _require(key in known, f"unknown parameter {key!r} in {where}; "
+                 f"valid: {list(known)}")
 
 
 def _is_number(value: Any) -> bool:
@@ -221,23 +231,25 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                  threads: Optional[int] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    _reject_unknown(raw, TOP_LEVEL_KEYS, "the config root")
     seed = _coerce("seed", "int", raw.get("seed"))
     _require(seed is not None, "seed present: an integer seed field is mandatory")
     gblock = raw.get("grid") or {}
-    _require(isinstance(gblock, dict) and {"n", "npts", "half_width"} <= set(gblock),
+    _require(isinstance(gblock, dict) and set(GRID_KEYS) <= set(gblock),
              "grid block with n, npts, half_width is mandatory")
+    _reject_unknown(gblock, GRID_KEYS, "the grid block")
     oblock = raw.get("operator") or {}
     _require(isinstance(oblock, dict) and "m" in oblock,
              "operator block with m is mandatory")
+    _reject_unknown(oblock, OPERATOR_KEYS, "the operator block")
     m = _coerce("operator.m", "int", oblock["m"])
-    n, npts, max_points = (_coerce(f"grid.{key}", "int", gblock.get(key))
-                           for key in ("n", "npts", "max_points"))
+    n, npts = (_coerce(f"grid.{key}", "int", gblock[key]) for key in ("n", "npts"))
     half_width = _coerce("grid.half_width", "number", gblock["half_width"])
     _require(None not in (m, n, npts, half_width), "grid and operator fields must be set")
     _require(n > 2 * m, f"n > 2m: got n={n}, m={m}")
     try:
-        grid = GridSpec(n, npts, half_width, max_points or DEFAULT_MAX_POINTS)
-    except ValueError as exc:
+        grid = GridSpec(n, npts, half_width)
+    except ConfigError as exc:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
     pot_spec = oblock.get("potential") or {"family": "gaussian-well",
@@ -272,9 +284,7 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                  f"unknown probe block {name!r}; valid: {sorted(PROBE_SCHEMAS)}")
     for name, schema in PROBE_SCHEMAS.items():
         block = dict(user_probes.get(name) or {})
-        for key in block:
-            _require(key in schema,
-                     f"unknown parameter {key!r} in probe block {name!r}")
+        _reject_unknown(block, schema, f"probe block {name!r}")
         for key, meta in schema.items():
             if key not in block:
                 _require(not meta["required"] or name not in user_probes,
@@ -461,14 +471,9 @@ def _run_smoothing(cfg: RunConfig) -> ProbeReport:
 
 def _run_strichartz(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["strichartz"]
-    for key in ("p", "q", "alpha"):
-        _require(block[key] is not None, f"strichartz requires {key}")
     pot = build_potential(cfg)
     h = Hamiltonian(cfg.grid, cfg.m, pot)
-    try:
-        pair = AdmissiblePair(block["p"], block["q"], block["alpha"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pair = AdmissiblePair(block["p"], block["q"], block["alpha"])
     report = strichartz_probe(
         h, pair, mode=block["mode"], t_final=block["t_final"],
         samples=block["samples"], time_step=block["time_step"],
@@ -539,45 +544,30 @@ def run(config_path, subcommand: str, out_dir: Optional[str] = None,
         print(f"unknown subcommand {subcommand!r}; valid: {SUBCOMMANDS}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    names = list(PROBE_SUBCOMMANDS) if subcommand == "all" else [subcommand]
+    reports: Dict[str, ProbeReport] = {}
+    errors: Dict[str, Exception] = {}
     try:
         cfg = load_config(config_path, out_dir=out_dir, threads=threads)
-        if cfg.potential_spec["family"] == "polynomial-decay":
-            if subcommand in ("smoothing", "strichartz", "all"):
-                for w in cfg.warnings:
-                    print(f"warning: {w}", file=sys.stderr)
+        for name in names:  # a probe's missing pair fails before any probe runs
+            for key, meta in PROBE_SCHEMAS[name].items():
+                _require(not meta["required"] or cfg.probes[name][key] is not None,
+                         f"probe {name!r} requires parameter {key!r}")
+        if subcommand in ("smoothing", "strichartz", "all"):
+            for w in cfg.warnings:  # only a polynomial-decay potential warns
+                print(f"warning: {w}", file=sys.stderr)
+        for name in names:
+            try:
+                reports[name] = PROBE_RUNNERS[name](cfg)
+            except ConfigError:
+                raise
+            except Exception as exc:  # numerical failure: the other probes still run
+                errors[name] = exc
+            else:
+                _write_reports(reports[name], cfg.output_dir, name)
     except ConfigError as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    names = list(PROBE_SUBCOMMANDS) if subcommand == "all" else [subcommand]
-    # each runner gets its share of the thread budget: all of it for a lone
-    # probe, threads // (probes running at once) inside `all`
-    share = replace(cfg, threads=max(1, cfg.threads // min(cfg.threads, len(names))))
-
-    def attempt(name: str):
-        """The probe's report, or the numerical failure it raised."""
-        try:
-            return PROBE_RUNNERS[name](share)
-        except ConfigError:
-            raise
-        except Exception as exc:  # numerical failure: the other probes still run
-            return exc
-
-    try:
-        if len(names) > 1 and cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                outcomes = dict(zip(names, pool.map(attempt, names)))
-        else:
-            outcomes = {name: attempt(name) for name in names}
-    except ConfigError as exc:
-        print(f"config validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    reports: Dict[str, ProbeReport] = {
-        n: o for n, o in outcomes.items() if not isinstance(o, Exception)}
-    errors = {n: o for n, o in outcomes.items() if isinstance(o, Exception)}
-
-    for name, rep in reports.items():
-        _write_reports(rep, cfg.output_dir, name)
 
     if subcommand == "all":
         summary = {

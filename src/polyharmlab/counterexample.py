@@ -30,7 +30,7 @@ from typing import Dict, Optional
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, outer_product, write_field
+from .grid import ConfigError, GridSpec, outer_product, write_field
 from .hamiltonian import Hamiltonian
 from .potentials import Potential
 from .reporting import ProbeReport
@@ -38,12 +38,12 @@ from .reporting import ProbeReport
 
 def _check_parameters(m: int, n: int, delta: float) -> None:
     if m < 2 or m % 2 != 0:
-        raise ValueError(
+        raise ConfigError(
             f"even m >= 2 required ((-Delta)^m G = -G for odd m), got {m}")
     if n % 2 == 0 or n < 3:
-        raise ValueError(f"odd n >= 3 required, got {n}")
+        raise ConfigError(f"odd n >= 3 required, got {n}")
     if delta <= 0:
-        raise ValueError(f"support radius must be positive, got {delta}")
+        raise ConfigError(f"support radius must be positive, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,14 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     """
     _check_parameters(m, grid.n, delta)
     if method != "mollified":
-        raise ValueError(f"unknown construction {method!r}; use 'mollified'")
+        raise ConfigError(f"unknown construction {method!r}; use 'mollified'")
     if delta < 4.0 * grid.h:
-        raise ValueError(
+        raise ConfigError(
             f"support radius {delta:g} under-resolved: need delta >= 4h = "
             f"{4.0 * grid.h:.4g}"
         )
     if grid.half_width <= delta:
-        raise ValueError(
+        raise ConfigError(
             f"box half-width {grid.half_width:g} must exceed the support "
             f"radius {delta:g}"
         )
@@ -131,7 +131,7 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     if sigma is None:
         sigma = 0.135 * delta
     if not 0 < sigma < delta:
-        raise ValueError(f"mollifier width must lie in (0, delta), got {sigma}")
+        raise ConfigError(f"mollifier width must lie in (0, delta), got {sigma}")
     phi, numer = _mollified_phi(grid, m, sigma)
 
     if np.min(phi) <= 0.0:

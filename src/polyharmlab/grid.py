@@ -34,14 +34,19 @@ f (separable_spectrum).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Sequence, Tuple
 
 import numpy as np
 import scipy.fft
 
-#: Default cap on total grid points (N^n); guards against accidental huge FFTs.
+#: Cap on total grid points (N^n) of every grid; guards against huge FFTs.
 DEFAULT_MAX_POINTS = 2 ** 25
+
+
+class ConfigError(ValueError):
+    """A parameter a config can set violates an invariant; the message names
+    it.  The command line exits 2 on it, not 1 as on a numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -56,19 +61,18 @@ class GridSpec:
     n: int
     npts: int
     half_width: float
-    max_points: int = field(default=DEFAULT_MAX_POINTS, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(f"dimension must be odd, got n={self.n}")
+            raise ConfigError(f"dimension must be odd, got n={self.n}")
         if self.npts < 4 or self.npts % 2 != 0:
-            raise ValueError(f"points-per-axis must be even and >= 4, got N={self.npts}")
+            raise ConfigError(f"points-per-axis must be even and >= 4, got N={self.npts}")
         if not self.half_width > 0:
-            raise ValueError(f"half-width must be positive, got L={self.half_width}")
-        if self.npts ** self.n > self.max_points:
-            raise ValueError(
+            raise ConfigError(f"half-width must be positive, got L={self.half_width}")
+        if self.npts ** self.n > DEFAULT_MAX_POINTS:
+            raise ConfigError(
                 f"grid has {self.npts ** self.n} points, exceeding the "
-                f"memory budget of {self.max_points}"
+                f"memory budget of {DEFAULT_MAX_POINTS}"
             )
 
     @property
@@ -281,7 +285,7 @@ def weight_bracket_power(grid: GridSpec, exponent: float) -> np.ndarray:
 def check_smoothing_gamma(m: int, n: int, gamma: float) -> None:
     """Reject a smoothing order outside the window m - n/2 < gamma <= m - 1/2."""
     if not (m - n / 2.0 < gamma <= m - 0.5):
-        raise ValueError(
+        raise ConfigError(
             f"gamma={gamma} outside the admissible window "
             f"({m - n / 2.0}, {m - 0.5}] for m={m}, n={n}"
         )

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import ConfigError, GridSpec
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def gaussian_well(grid: GridSpec, depth: float, width: float = 1.0,
     """V(x) = -depth exp(-|x - c|^2 / width^2): attractive for depth > 0,
     named "gauss(depth=...,width=...)"."""
     if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+        raise ConfigError(f"width must be positive, got {width}")
     coords = grid.coords()
     if center is None:
         center = (0.0,) * grid.n
@@ -73,7 +73,7 @@ def bracket_decay(grid: GridSpec, amplitude: float, s: float) -> Potential:
     """V(x) = amplitude <x>^{-s}; repulsive for amplitude > 0, named
     "bracket(a=...,s=...)"."""
     if s <= 0:
-        raise ValueError(f"decay exponent must be positive, got {s}")
+        raise ConfigError(f"decay exponent must be positive, got {s}")
     r = grid.radii()
     vals = amplitude * (1.0 + r ** 2) ** (-s / 2.0)
     return Potential(grid, vals, name=f"bracket(a={amplitude:g},s={s:g})")

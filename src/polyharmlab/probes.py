@@ -22,6 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .grid import (
+    ConfigError,
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
@@ -110,7 +111,7 @@ class AdmissiblePair:
 
     def __post_init__(self):
         if not validate_admissible(self.p, self.q, self.alpha):
-            raise ValueError(
+            raise ConfigError(
                 f"(p, q, alpha) = ({self.p}, {self.q}, {self.alpha}) is not "
                 "an admissible pair"
             )
@@ -255,7 +256,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
     grid = h.grid
     check_smoothing_gamma(h.m, grid.n, gamma)
     if t_final <= 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+        raise ConfigError(f"t_final must be positive, got {t_final}")
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma)
@@ -347,11 +348,11 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
     grid = h.grid
     n, m = grid.n, h.m
     if mode not in ("standard", "gain"):
-        raise ValueError(f"mode must be 'standard' or 'gain', got {mode!r}")
+        raise ConfigError(f"mode must be 'standard' or 'gain', got {mode!r}")
     want = Fraction(n, 2 * m) if mode == "standard" else Fraction(n, 2)
     got = _as_fraction(pair.alpha)
     if got is None or abs(float(got) - float(want)) > 1e-12:
-        raise ValueError(
+        raise ConfigError(
             f"{mode} mode needs alpha = {want} (got {pair.alpha}); the "
             "exponent relation of the pair does not match the scaling"
         )
@@ -406,15 +407,15 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
 def _check_sobolev_window(m: int, n: int, alpha: float, p: float, q: float) -> None:
     ip, iq = 1.0 / p, 1.0 / q
     if not (2 * m - n < alpha <= 2 * m - 2.0 * n / (n + 1) + 1e-12):
-        raise ValueError(
+        raise ConfigError(
             f"alpha={alpha} outside ({2 * m - n}, {2 * m - 2 * n / (n + 1):g}]"
         )
     if not min(ip - 0.5, 0.5 - iq) > 1.0 / (2 * n):
-        raise ValueError(
+        raise ConfigError(
             f"(p, q)=({p:g}, {q:g}) violates min(1/p - 1/2, 1/2 - 1/q) > 1/(2n)"
         )
     if not (2.0 / (n + 1) - 1e-12 <= ip - iq <= 1.0 + 1e-12):
-        raise ValueError(
+        raise ConfigError(
             f"1/p - 1/q = {ip - iq:g} outside [2/(n+1), 1] for n={n}"
         )
 
@@ -447,7 +448,7 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     _check_sobolev_window(m, n, alpha, p, q)
     mags, decades = z_ray(z_magnitudes)
     if not (0 < z_arg < 2 * np.pi) or abs(z_arg) < 1e-9:
-        raise ValueError("ray must avoid the positive real axis (z_arg != 0)")
+        raise ConfigError("ray must avoid the positive real axis (z_arg != 0)")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if rng is None:
@@ -694,7 +695,7 @@ def stein_weiss_probe(lam: float, alpha: float, beta: float, n: int,
     exponent triples stabilize under refinement; violating ones keep growing.
     """
     if len(npts_ladder) < 2:
-        raise ValueError("ladder needs at least two resolutions")
+        raise ConfigError("ladder needs at least two resolutions")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .grid import (
+    ConfigError,
     GridSpec,
     forward_transform,
     sphere_area,
@@ -245,15 +246,15 @@ def weighted_resolvent_norm(
 def z_ray(z_magnitudes: Iterable[float]) -> Tuple[np.ndarray, float]:
     """(sorted |z| samples, decades they span) of a log-log slope fit along a
     ray of z: at least 3 positive samples (|z| >= delta > 0) spanning at
-    least 1.5 decades, else ValueError."""
+    least 1.5 decades, else ConfigError."""
     mags = np.sort(np.asarray(list(z_magnitudes), dtype=float))
     if mags.size < 3:
-        raise ValueError("need at least 3 |z| samples")
+        raise ConfigError("need at least 3 |z| samples")
     if mags[0] <= 0:
-        raise ValueError("|z| samples must be positive (|z| >= delta > 0)")
+        raise ConfigError("|z| samples must be positive (|z| >= delta > 0)")
     decades = math.log10(mags[-1] / mags[0])
     if decades < 1.5:
-        raise ValueError(f"|z| samples span {decades:.2f} decades; need >= 1.5")
+        raise ConfigError(f"|z| samples span {decades:.2f} decades; need >= 1.5")
     return mags, decades
 
 

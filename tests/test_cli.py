@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -180,12 +181,26 @@ class TestValidation:
         ("smoothing", {"samples": 0}, "smoothing.samples must be >= 1"),
         ("strichartz", {"p": 4, "q": 4, "alpha": float("nan")},
          "not an admissible pair"),
+        # the library's own argument checks raise ConfigError as well
+        ("smoothing", {"gamma": 5}, "gamma=5.0 outside the admissible window"),
+        ("sobolev", {"alpha": 3}, "alpha=3.0 outside"),
+        ("counterexample", {"m": 3}, "even m >= 2 required"),
+        ("stein-weiss", {"npts_ladder": [8]}, "ladder needs at least two resolutions"),
+        ("strichartz", {"p": 4, "q": 4, "alpha": 1},
+         "standard mode needs alpha = 3/2"),
+        ("strichartz", {"p": 8 / 3, "q": 4, "alpha": 1.5, "mode": "weak"},
+         "mode must be 'standard' or 'gain'"),
+        ("counterexample", {"npts": 8}, "support radius 1 under-resolved"),
+        ("sobolev", {"z_max": 1.0}, "need >= 1.5"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):
         path = write_config(tmp_path, base_config(probes={probe: block}))
-        assert run(path, probe, out_dir=str(tmp_path / "out")) == 2
-        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(path, probe, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path, value, message", [
         (("seed",), True, "seed must be an integer"),
@@ -193,10 +208,13 @@ class TestValidation:
         (("threads",), "abc", "threads must be an integer"),
         (("grid", "npts"), 16.7, "grid.npts must be an integer"),
         (("grid", "n"), "three", "grid.n must be an integer"),
-        (("grid", "max_points"), 1e6 + 0.5, "grid.max_points must be an integer"),
+        (("grid", "max_points"), 2 ** 20, "unknown parameter 'max_points' in the grid block"),
         (("grid", "half_width"), "wide", "grid.half_width must be a number"),
         (("operator", "m"), "one", "operator.m must be an integer"),
         (("operator", "m"), None, "must be set"),
+        (("grid", "npt"), 64, "unknown parameter 'npt' in the grid block"),
+        (("thread",), 4, "unknown parameter 'thread' in the config root"),
+        (("operator", "mass"), 2, "unknown parameter 'mass' in the operator block"),
     ])
     def test_mistyped_top_level_exit_two(self, tmp_path, capsys, path, value,
                                          message):
@@ -331,14 +349,12 @@ class TestSpectrumSubcommand:
                 == data["metrics"]["count_negative"])
         assert data["passes"]["counts_agree"] is True
 
-    def test_file_potential_with_a_raised_budget(self, tmp_path):
-        # grid.max_points is a budget, not part of the grid the file must match
+    def test_file_potential_on_the_config_grid_runs(self, tmp_path):
         grid = GridSpec(3, 8, 4.0)
         with open(tmp_path / "v.bin", "wb") as fh:
             write_field(grid, gaussian_well(grid, 5.0).values, fh)
         cfg = base_config()
-        cfg["grid"] = {"n": 3, "npts": 8, "half_width": 4.0,
-                       "max_points": 2 ** 20}
+        cfg["grid"] = {"n": 3, "npts": 8, "half_width": 4.0}
         cfg["operator"]["potential"] = {"family": "file",
                                         "path": str(tmp_path / "v.bin")}
         cfg["probes"] = {"spectrum": {}}
@@ -416,24 +432,76 @@ class TestAllSubcommand:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_probe_keeps_other_reports(self, tmp_path, monkeypatch,
                                               threads):
-        self._fake_runners(monkeypatch, "spectrum",
-                           FloatingPointError("diverged"))
-        path = write_config(tmp_path, base_config())
         out = tmp_path / "out"
+        on_disk = []
+
+        def diverging(cfg):
+            on_disk.extend(sorted(p.name for p in out.glob("*.json")))
+            raise FloatingPointError("diverged")
+
+        self._fake_runners(monkeypatch, None, None)
+        monkeypatch.setitem(cli.PROBE_RUNNERS, "spectrum", diverging)
+        path = write_config(tmp_path, small_lab_config())
         assert run(path, "all", out_dir=str(out), threads=threads) == 1
+        # the probes before the failure wrote their reports as they returned
+        assert on_disk == ["bs-sweep.json", "kernels.json"]
         summary = json.loads((out / "all.json").read_text())
         assert summary["passed"] is False
         assert summary["failures"] == {"spectrum": "FloatingPointError: diverged"}
         others = [n for n in cli.PROBE_SUBCOMMANDS if n != "spectrum"]
         assert list(summary["probes"]) == others
-        assert all((out / f"{n}.json").exists() for n in others)
+        # the probes after it still ran and wrote theirs
+        for n in others:
+            assert (out / f"{n}.json").exists() and (out / f"{n}.csv").exists()
         assert not (out / "spectrum.json").exists()
+
+    def test_interrupted_run_keeps_finished_reports(self, tmp_path, monkeypatch):
+        self._fake_runners(monkeypatch, "smoothing", KeyboardInterrupt())
+        path = write_config(tmp_path, small_lab_config())
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run(path, "all", out_dir=str(out))
+        assert sorted(p.stem for p in out.glob("*.json")) == [
+            "bs-sweep", "counterexample", "kernels", "spectrum"]
+
+    def test_probes_run_in_order_on_the_calling_thread(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+
+        def recording(name):
+            def runner(cfg):
+                calls.append((name, threading.get_ident(), cfg.threads))
+                return ProbeReport(name=name)
+            return runner
+
+        for name in cli.PROBE_SUBCOMMANDS:
+            monkeypatch.setitem(cli.PROBE_RUNNERS, name, recording(name))
+        path = write_config(tmp_path, small_lab_config())
+        assert run(path, "all", out_dir=str(tmp_path / "out"), threads=4) == 0
+        here = threading.get_ident()
+        assert calls == [(name, here, 4) for name in cli.PROBE_SUBCOMMANDS]
+
+    def test_missing_strichartz_pair_exits_before_any_probe(self, tmp_path,
+                                                            monkeypatch, capsys):
+        calls = []
+        for name in cli.PROBE_SUBCOMMANDS:
+            monkeypatch.setitem(cli.PROBE_RUNNERS, name,
+                                lambda cfg, name=name: calls.append(name))
+        cfg = small_lab_config()
+        del cfg["probes"]["strichartz"]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run(path, "all", out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "probe 'strichartz' requires parameter 'p'" in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_config_error_in_probe_exit_two(self, tmp_path, monkeypatch,
                                             threads):
         self._fake_runners(monkeypatch, "strichartz", ConfigError("bad pair"))
-        path = write_config(tmp_path, base_config())
+        path = write_config(tmp_path, small_lab_config())
         assert run(path, "all", out_dir=str(tmp_path / "out"),
                    threads=threads) == 2
 
@@ -465,11 +533,11 @@ class TestThreadBudget:
                    threads=threads) == 0
         assert seen == [workers]
 
-    @pytest.mark.parametrize("threads,workers", [(1, 1), (2, 1), (16, 2)])
-    def test_all_splits_threads_over_probes(self, tmp_path, monkeypatch,
-                                            threads, workers):
-        # inside `all` the probes already run on the pool: sobolev gets
-        # threads // (probes running at once), no nested oversubscription
+    @pytest.mark.parametrize("threads,workers", [(1, 1), (2, 2), (16, 2)])
+    def test_all_gives_sobolev_the_lone_budget(self, tmp_path, monkeypatch,
+                                               threads, workers):
+        # `all` runs its probes one after another, so sobolev's rows get the
+        # same workers as in a lone sobolev run
         seen = self._record_workers(monkeypatch)
         for name in cli.PROBE_SUBCOMMANDS:
             if name != "sobolev":

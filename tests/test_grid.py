@@ -8,6 +8,7 @@ import pytest
 import scipy.fft
 
 from polyharmlab.grid import (
+    ConfigError,
     GridSpec,
     abs_derivative_symbol,
     apply_multiplier,
@@ -58,18 +59,14 @@ class TestGridSpec:
             GridSpec(3, 15, 4.0)
 
     def test_memory_budget_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="memory budget"):
             GridSpec(3, 512, 4.0)  # 512^3 > 2^25
-        GridSpec(3, 512, 4.0, max_points=2 ** 27)  # raised budget admits it
+        GridSpec(3, 256, 4.0)  # 256^3 = 2^24 is within it
 
     def test_coords_cover_box(self):
         g = GridSpec(1, 8, 2.0)
         assert g.axis_coords()[0] == pytest.approx(-2.0)
         assert g.axis_coords()[-1] == pytest.approx(2.0 - g.h)
-
-    def test_budget_is_not_part_of_the_grid(self):
-        assert GridSpec(3, 8, 2.0, max_points=2 ** 27) == GridSpec(3, 8, 2.0)
-        assert hash(GridSpec(3, 8, 2.0, max_points=2 ** 27)) == hash(GridSpec(3, 8, 2.0))
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_radii_equal_the_meshgrid_formula(self, n):
