@@ -1,4 +1,5 @@
-"""Per-call wall time of the spectral kernel and the operators built on it.
+"""Per-call wall time and traced memory peak of the spectral kernel and the
+operators built on it.
 
     python3 scripts/bench_layers.py                      # this checkout, JSON on stdout
     python3 scripts/bench_layers.py --baseline OTHER/src --out OUT.json
@@ -13,13 +14,16 @@ Layers (ROADMAP "layer by layer"):
   L1  H matvec of a complex vector at 16^3, and of a real one as the
       eigensolver applies it; one assemble_M on the 1419-point support of
       the depth-20 Gaussian well on the 16^3 grid at h = 0.75 (the
-      benchmark's spectral workload), z = 0.5 + 0.03i; the factorization
-      of that block as BSMatrix.factors does it, on a fresh copy per call
-      (the copy is timed in both trees); one sigma_min from those factors,
-      with its ARPACK applications recorded; one birman_schwinger_count on
-      the same support at negative_spectrum's cut (tau = 2e-5); the
-      counterexample's alias-summed profile (counterexample._mollified_phi,
-      m = 2, sigma = 0.135) at 96^3, L = 1.1, the benchmark's scaling
+      benchmark's spectral workload), z = 0.5 + 0.03i, and one on the
+      4945-point support of the depth-5 Gaussian well on the 48^3 grid at
+      L = 12 (h = 0.5, a 373 MiB block; ROADMAP item 9); the
+      factorization of the 1419-point block as BSMatrix.factors does it, on
+      a fresh copy per call (the copy is timed in both trees); one
+      sigma_min from those factors, with its ARPACK applications recorded;
+      one birman_schwinger_count on the 1419-point support at
+      negative_spectrum's cut (tau = 2e-5); the counterexample's
+      alias-summed profile (counterexample._mollified_phi, m = 2,
+      sigma = 0.135) at 96^3, L = 1.1, the benchmark's scaling
       counterexample grid.
   L2  one propagate of a random unit state on the lab grid (16^3, L = 8,
       depth-5 Gaussian well, m = 1) over 65 symmetric times to T = 8, the
@@ -41,17 +45,22 @@ Layers (ROADMAP "layer by layer"):
       the rung draws from the seed-0 stream of the CLI).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
-the given source tree, warms every layer once and then times fixed batches.
+the given source tree, warms every layer once, records the tracemalloc peak
+of one more call (not timed; the layer's set-up and the warm call's result
+are not part of it) and then times fixed batches; the matvecs, at 0.1-1.4 ms
+a call, run 100 (32^3) or 1000 (16^3) calls per batch.
 With --baseline (the src directory of another tree that has the same layer
 functions, with the array API and the sobolev probe's workers argument),
 passes alternate between the baseline tree and this one, with the order
 flipped every round.  The output JSON (written to --out, or
 to stdout without it) holds, per tree and layer, the median and quartiles of
 the per-call time over all batches of all rounds and the sample count, and
-the counts a layer records (the same in every pass, else a list); with
---baseline, per layer, the median and quartiles over rounds of the paired
-ratio current/baseline, each the ratio of the two trees' median batch times
-in that round (the pairing cancels drift of the host between rounds); and
+the counts a layer records (the same in every pass, else a list), and the
+median over rounds of the traced peak in MiB; with --baseline, per layer,
+the median and quartiles over rounds of the paired ratio current/baseline,
+each the ratio of the two trees' median batch times in that round (the
+pairing cancels drift of the host between rounds), and under "peak" the
+same for the traced peaks; and
 the machine: cores, CPU, numpy/scipy versions and thread settings.
 """
 
@@ -64,17 +73,19 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # layer -> (calls per batch, batches per pass)
 BATCHES = {
-    "L0.h_matvec_32": (20, 10),
+    "L0.h_matvec_32": (100, 10),
     "L0.multiplier_160": (1, 4),
-    "L1.h_matvec_16": (100, 10),
-    "L1.h_matvec_16_real": (100, 10),
+    "L1.h_matvec_16": (1000, 10),
+    "L1.h_matvec_16_real": (1000, 10),
     "L1.assemble_M_1419": (1, 6),
+    "L1.assemble_M_4945": (1, 2),
     "L1.factor_1419": (1, 6),
     "L1.sigma_min_1419": (2, 6),
     "L1.bs_count_1419": (2, 6),
@@ -146,6 +157,9 @@ def _layers():
     spectral_h = Hamiltonian(spectral, 1, well)
     block = assemble_M(well, query)
     factors = assemble_M(well, query).factors
+    fine = gaussian_well(GridSpec(3, 48, 12.0), 5.0)
+    if fine.support_indices().size != 4945:
+        raise RuntimeError("the 48^3 well no longer has a 4945-point support")
 
     counter = GridSpec(3, 96, 1.1)
     sobolev = GridSpec(3, 80, 10.0)
@@ -184,6 +198,7 @@ def _layers():
         "L1.h_matvec_16": matvec(16, 8.0),
         "L1.h_matvec_16_real": matvec(16, 8.0, real=True),
         "L1.assemble_M_1419": lambda: assemble_M(well, query),
+        "L1.assemble_M_4945": lambda: assemble_M(fine, query),
         "L1.factor_1419": lambda: dataclasses.replace(
             block, matrix=block.matrix.copy()).factors,
         "L1.sigma_min_1419": lambda: sigma_min(factors),
@@ -205,15 +220,22 @@ def _layers():
 
 
 def _worker() -> None:
-    """One measurement pass: per layer, the per-call time of every batch and
-    the counts the layer records."""
+    """One measurement pass: per layer, the per-call time of every batch, the
+    counts the layer records and the traced peak of one call in bytes."""
     layers = _layers()
-    out, counts = {}, {}
+    out, counts, peaks = {}, {}, {}
     for name, fn in layers.items():
         calls, batches = BATCHES[name]
         result = fn()  # warm caches, plans and lazy set-up
         if name in COUNTS:
             counts[name] = COUNTS[name](result)
+        del result
+        tracemalloc.start()
+        try:
+            fn()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         times = []
         for _ in range(batches):
             start = time.perf_counter()
@@ -221,7 +243,7 @@ def _worker() -> None:
                 fn()
             times.append((time.perf_counter() - start) / calls)
         out[name] = times
-    print(json.dumps({"times": out, "counts": counts}))
+    print(json.dumps({"times": out, "counts": counts, "peaks": peaks}))
 
 
 def _run_pass(src: Path) -> dict:
@@ -294,18 +316,24 @@ def main(argv=None) -> int:
     passes = {label: {name: [] for name in BATCHES} for label in trees}
     # label -> layer -> count -> the distinct values seen over the rounds
     counts = {label: {} for label in trees}
+    # label -> layer -> the traced peak in bytes per round
+    peaks = {label: {name: [] for name in BATCHES} for label in trees}
     order = list(trees)
     for rnd in range(args.rounds):
         for label in (order if rnd % 2 == 0 else order[::-1]):
             result = _run_pass(trees[label])
             for name, times in result["times"].items():
                 passes[label][name].append(times)
+            for name, peak in result["peaks"].items():
+                peaks[label][name].append(peak)
             for name, values in result["counts"].items():
                 for key, value in values.items():
                     seen = counts[label].setdefault(name, {}).setdefault(key, [])
                     if value not in seen:
                         seen.append(value)
             print(f"round {rnd + 1}/{args.rounds}: {label} done", file=sys.stderr)
+
+    import numpy as np
 
     # a layer a tree does not have is left out of that tree's numbers
     passes = {label: {name: rounds for name, rounds in layers.items() if rounds}
@@ -321,12 +349,13 @@ def main(argv=None) -> int:
                                      for name, rounds in passes[label].items()},
                           "counts": {name: {key: seen[0] if len(seen) == 1 else seen
                                             for key, seen in values.items()}
-                                     for name, values in counts[label].items()}}
+                                     for name, values in counts[label].items()},
+                          "peak_mib": {name: float(np.median(values)) / 2 ** 20
+                                       for name, values in peaks[label].items()
+                                       if values}}
                   for label, src in trees.items()},
     }
     if "baseline" in trees:
-        import numpy as np
-
         report["paired_ratio_current_over_baseline"] = {}
         for name in (n for n in BATCHES
                      if n in passes["current"] and n in passes["baseline"]):
@@ -336,6 +365,11 @@ def main(argv=None) -> int:
             report["paired_ratio_current_over_baseline"][name] = {
                 "median": float(med), "q1": float(q1), "q3": float(q3),
                 "rounds": len(ratios)}
+            ratios = [cur / base for cur, base in
+                      zip(peaks["current"][name], peaks["baseline"][name])]
+            q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+            report["paired_ratio_current_over_baseline"][name]["peak"] = {
+                "median": float(med), "q1": float(q1), "q3": float(q3)}
     if args.out is None:
         print(json.dumps(report, indent=2))
         return 0

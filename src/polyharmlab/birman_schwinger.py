@@ -5,7 +5,9 @@ supersmoothing sweeps.
 The sandwiched resolvent w R0(z) v is translation-invariant between grid
 points, so the dense block is gathered from a single resolvent column (the
 multiplier applied to a delta at the origin index) instead of one transform
-per support point; the result is identical to the column-by-column definition.
+per support point, in row panels written straight into the preallocated block
+(an assembly peaks at about the block); the result is identical to the
+column-by-column definition.
 
 Since V is real, w = U v with U = sgn V, a signature matrix on the support,
 and the block is held as the complex-symmetric S = U M = U + v R0(z) v
@@ -37,7 +39,12 @@ from .potentials import Potential
 from .reporting import ProbeReport
 from .resolvent import ResolventQuery, resolvent_symbol_array
 
+#: At 6000 points the complex block is 549 MiB; the support x support int64
+#: offsets of a one-shot gather added 275 MiB, the row panels add none.
 DEFAULT_SUPPORT_CAP = 6000
+
+#: Rows per gather panel: 16-32 were the fastest of 16-256 at 1419 points.
+GATHER_PANEL_ROWS = 32
 
 #: Largest support on which birman_schwinger_count factors its block: one
 #: O(n^3) LDL^T in place, measured at 5 ms for 619 points, 41 ms for 1419,
@@ -169,32 +176,33 @@ def sigma_min(factors: tuple) -> Tuple[float, int]:
     return float(lam[0]) ** -0.5, applications
 
 
-def _gather_block(grid: GridSpec, base_column: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """G[i, j] = base_column[(idx_i - idx_j) mod N per axis].
-
-    The base column tiled twice along every axis holds base_column[d mod N] at
-    every d in [0, 2N)^n, so with F_i the flat index of support point i in that
-    tile and C the flat index of (N, ..., N), entry (i, j) sits at flat index
-    F_i - F_j + C: one subtraction and one gather."""
-    npts = grid.npts
-    tile = np.tile(base_column.reshape(grid.shape), (2,) * grid.n).reshape(-1)
-    multis = np.unravel_index(support, grid.shape)
-    flat = np.ravel_multi_index(multis, (2 * npts,) * grid.n)
-    shift = int(np.ravel_multi_index((npts,) * grid.n, (2 * npts,) * grid.n))
-    return tile[(flat + shift)[:, None] - flat[None, :]]
-
-
 def _signed_block(pot: Potential, sym: np.ndarray,
                   support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(U + v G v, U) on the support, G the grid multiplier sym gathered
-    there, v = |V|^{1/2} and U = sgn V as a vector of +/-1."""
-    grid = pot.grid
-    block = _gather_block(grid, _base_column(grid, sym), support)
+    """(U + v G v, U) on the support, G[i, j] = c[(idx_i - idx_j) mod N per
+    axis] with c the base column of the grid multiplier sym, v = |V|^{1/2}
+    and U = sgn V as a vector of +/-1.
+
+    c tiled twice along every axis holds c[d mod N] at every d in [0, 2N)^n,
+    so with F_i the flat index of support point i in that tile and C the
+    flat index of (N, ..., N), entry (i, j) sits at flat index F_i - F_j + C.
+    Panels of GATHER_PANEL_ROWS rows are gathered and scaled by v, rows
+    first, straight into the block."""
+    grid, npts = pot.grid, pot.grid.npts
+    tile = np.tile(_base_column(grid, sym), (2,) * grid.n).reshape(-1)
+    flat = np.ravel_multi_index(np.unravel_index(support, grid.shape),
+                                (2 * npts,) * grid.n)
+    shifted = flat + int(np.ravel_multi_index((npts,) * grid.n, (2 * npts,) * grid.n))
     values = pot.values.reshape(-1)[support]
     v = np.sqrt(np.abs(values))
+    block = np.empty((support.size, support.size), dtype=tile.dtype)
+    for start in range(0, support.size, GATHER_PANEL_ROWS):
+        rows = slice(start, start + GATHER_PANEL_ROWS)
+        panel = block[rows]
+        # offsets are in the tile by construction; mode "raise" would buffer
+        np.take(tile, shifted[rows, None] - flat[None, :], out=panel, mode="clip")
+        panel *= v[rows, None]
+        panel *= v[None, :]
     signs = np.sign(values)
-    block *= v[:, None]
-    block *= v[None, :]
     block[np.diag_indices(support.size)] += signs
     return block, signs
 

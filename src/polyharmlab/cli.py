@@ -88,7 +88,8 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "lambda_max": _f(4.0, doc="high end of the energy sweep"),
         "lambda_count": _f(4, kind="int", minimum=1),
         "thetas": _f([0.03, 0.01], kind="list", doc="imaginary-offset ladder"),
-        "nu": _f(0.2, doc="exclusion radius around known point spectrum"),
+        "nu": _f(0.2, doc="exclusion radius around known point spectrum; the CLI passes "
+                 "none, so it acts only for library callers of inv_norm_sweep"),
     },
     "spectrum": {
         "clr_constant": _f(1.0, doc="calibrated constant of the bound-state count bound"),

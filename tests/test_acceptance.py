@@ -13,6 +13,13 @@ from polyharmlab import cli
 
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 
+
+def _csv_rows(path):
+    """The rows of a report CSV, past its # generation line."""
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 # bs-sweep rows (lambda, theta, side, sigma_min) at configs/reference.yaml,
 # each sigma_min taken from a dense SVD (scipy.linalg.svdvals) of M(lambda +/- i theta).
 BS_SWEEP_ROWS = [
@@ -38,8 +45,7 @@ BS_SWEEP_ROWS = [
 @pytest.mark.slow
 def test_reference_bs_sweep(tmp_path):
     assert cli.run(REFERENCE, "bs-sweep", out_dir=str(tmp_path), threads=1) == 0
-    with open(tmp_path / "bs-sweep.csv", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    rows = _csv_rows(tmp_path / "bs-sweep.csv")
     assert len(rows) == len(BS_SWEEP_ROWS)
     for row, (lam, theta, side, smin) in zip(rows, BS_SWEEP_ROWS):
         assert float(row["lam"]) == pytest.approx(lam, rel=1e-15)
@@ -66,3 +72,32 @@ def test_reference_sup_ratio(tmp_path, probe, metric, value):
     report = json.loads((tmp_path / f"{probe}.json").read_text(encoding="utf-8"))
     assert report["passes"]["finite"]
     assert report["metrics"][metric] == pytest.approx(value, rel=1e-10)
+
+
+# E0 of the reference well (the spectrum CSV's first eigenvalue) and the
+# counterexample's eigen_residual at configs/reference.yaml.
+REFERENCE_E0 = -0.41314176463471081
+REFERENCE_EIGEN_RESIDUAL = 2.761555947964737e-07
+
+
+@pytest.mark.slow
+def test_reference_spectrum(tmp_path):
+    # the eigensolver's count against the Birman-Schwinger LDL^T count
+    assert cli.run(REFERENCE, "spectrum", out_dir=str(tmp_path), threads=1) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text(encoding="utf-8"))
+    assert report["metrics"]["count_negative"] == 1
+    assert report["metrics"]["count_birman_schwinger"] == 1
+    assert report["passes"]["counts_agree"]
+    rows = _csv_rows(tmp_path / "spectrum.csv")
+    assert len(rows) == 1
+    assert float(rows[0]["eigenvalue"]) == pytest.approx(REFERENCE_E0, rel=1e-9)
+
+
+@pytest.mark.slow
+def test_reference_counterexample(tmp_path):
+    assert cli.run(REFERENCE, "counterexample", out_dir=str(tmp_path), threads=1) == 0
+    report = json.loads((tmp_path / "counterexample.json").read_text(encoding="utf-8"))
+    assert report["passes"]["phi_strictly_positive"]
+    assert report["metrics"]["positivity_margin"] > 0
+    assert report["metrics"]["eigen_residual"] == pytest.approx(
+        REFERENCE_EIGEN_RESIDUAL, rel=1e-6)

@@ -2,6 +2,7 @@
 resolvent identity."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,7 +49,7 @@ def dipole(grid):
 
 def modular_gather(grid, base_column, support):
     """G[i, j] = base_column[(idx_i - idx_j) mod N per axis], from one modular
-    offset per axis: the oracle of the one-gather _gather_block."""
+    offset per axis: the oracle of the panel gather in _signed_block."""
     multis = np.unravel_index(support, grid.shape)
     offsets = np.zeros((support.size, support.size), dtype=np.int64)
     stride = 1
@@ -59,21 +60,48 @@ def modular_gather(grid, base_column, support):
     return base_column.reshape(-1)[offsets]
 
 
+def assert_block_matches_oracle(monkeypatch, grid, support, rng):
+    """The panel path _signed_block, given a random real and a random complex
+    base column and a random mixed-sign V on the support, equals
+    U + v G v of the oracle bitwise (rows scaled first, as the block is)."""
+    values = np.zeros(grid.size)
+    values[support] = (rng.choice([-1.0, 1.0], support.size)
+                       * rng.uniform(0.25, 4.0, support.size))
+    pot = Potential(grid, values.reshape(grid.shape), "random")
+    v, signs = np.sqrt(np.abs(values[support])), np.sign(values[support])
+    for base in (rng.standard_normal(grid.shape),
+                 rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)):
+        monkeypatch.setattr(birman_schwinger, "_base_column", lambda grid, sym: base)
+        block, got_signs = birman_schwinger._signed_block(pot, None, support)
+        assert block.dtype == base.dtype and block.flags.c_contiguous
+        want = v[:, None] * modular_gather(grid, base, support) * v[None, :]
+        want[np.diag_indices(support.size)] += signs
+        np.testing.assert_array_equal(got_signs, signs)
+        np.testing.assert_array_equal(block, want)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("n,npts", [(1, 16), (3, 6), (3, 8)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gather_block_matches_modular_oracle(self, n, npts, seed):
+    def test_gather_block_matches_modular_oracle(self, monkeypatch, n, npts, seed):
         # random supports that contain every corner of the box, so that the
         # offsets wrap around on every axis in both directions
         rng = np.random.default_rng(seed)
         g = GridSpec(n, npts, 3.0)
-        base = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
         corners = [np.ravel_multi_index(c, g.shape)
                    for c in itertools.product((0, npts - 1), repeat=n)]
         picks = rng.choice(g.size, size=g.size // 3, replace=False)
         support = np.unique(np.concatenate([corners, picks]))
-        got = birman_schwinger._gather_block(g, base, support)
-        np.testing.assert_array_equal(got, modular_gather(g, base, support))
+        assert_block_matches_oracle(monkeypatch, g, support, rng)
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 67])
+    def test_gather_block_across_panel_edges(self, monkeypatch, size):
+        # supports on either side of one and two GATHER_PANEL_ROWS panels
+        assert birman_schwinger.GATHER_PANEL_ROWS == 32
+        rng = np.random.default_rng(size)
+        g = GridSpec(3, 8, 3.0)
+        support = np.sort(rng.choice(g.size, size=size, replace=False))
+        assert_block_matches_oracle(monkeypatch, g, support, rng)
 
     @pytest.mark.parametrize("make", [lambda g: truncated_well(g, 4.0, rcut=2.5),
                                       dipole], ids=["well", "mixed-sign"])
@@ -123,6 +151,43 @@ class TestAssembly:
         monkeypatch.setattr(birman_schwinger, "DEFAULT_SUPPORT_CAP", 100)
         with pytest.raises(ValueError, match="exceeds dense cap 100"):
             assemble_M(pot, q)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory traced while fn runs)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def spectral_well():
+    """The depth-20 Gaussian well on the 16^3 grid at h = 0.75, with the
+    1419-point support of the benchmark's spectral blocks."""
+    pot = gaussian_well(GridSpec(3, 16, 6.0), 20.0)
+    assert pot.support_indices().size == 1419
+    return pot
+
+
+class TestAssemblyMemory:
+    """The panel gather writes into the block itself, so an assembly's traced
+    peak stays near the block; a support x support int64 offset array would
+    add half a complex block or a whole real one."""
+
+    def test_assemble_M_peak(self, spectral_well):
+        q = ResolventQuery(z=0.5 + 0.03j, m=1, n=3)
+        bs, peak = traced_peak(lambda: assemble_M(spectral_well, q))
+        assert bs.matrix.nbytes == 1419 ** 2 * 16
+        assert peak <= 1.15 * bs.matrix.nbytes
+
+    def test_count_peak(self, spectral_well):
+        h = Hamiltonian(spectral_well.grid, 1, spectral_well)
+        count, peak = traced_peak(
+            lambda: birman_schwinger_count(spectral_well, h._symbol, 2e-5))
+        assert count == 5
+        assert peak <= 1.15 * 1419 ** 2 * 8
 
 
 def dense_M(bs):
