@@ -42,7 +42,10 @@ Layers (ROADMAP "layer by layer"):
       the probe captures; the same sobolev probe with workers=2, its |z|
       rows on two threads; one operator_norm rung of the benchmark's scaling
       Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
-      the rung draws from the seed-0 stream of the CLI).
+      the rung draws from the seed-0 stream of the CLI); one
+      build_embedded_pair of the benchmark's scaling counterexample (96^3,
+      L = 1.1, m = 2, delta = 1): the profile, the truncated potential and
+      the eigen-residual's Hamiltonian matvec.
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once, records the tracemalloc peak
@@ -98,6 +101,7 @@ BATCHES = {
     "L2.sobolev_80_workers2": (1, 2),
     "L2.pq_refine_80": (1, 4),
     "L2.stein_weiss_64": (1, 3),
+    "L2.embedded_pair_96": (1, 4),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -117,7 +121,7 @@ def _layers():
     from polyharmlab.birman_schwinger import (assemble_M, birman_schwinger_count,
                                               sigma_min)
     from polyharmlab.cli import _stream_tag
-    from polyharmlab.counterexample import _mollified_phi
+    from polyharmlab.counterexample import _mollified_phi, build_embedded_pair
     from polyharmlab.grid import (GridSpec, abs_derivative_symbol,
                                   apply_multiplier, smoothing_weight,
                                   weight_abs_power)
@@ -215,6 +219,7 @@ def _layers():
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
         "L2.stein_weiss_64": lambda: operator_norm(
             *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
+        "L2.embedded_pair_96": lambda: build_embedded_pair(counter, 2, 1.0),
     }
     return layers
 

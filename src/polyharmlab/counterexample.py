@@ -30,7 +30,7 @@ from typing import Dict, Optional
 import numpy as np
 import scipy.fft
 
-from .grid import ConfigError, GridSpec, outer_product, write_field
+from .grid import ConfigError, GridSpec, center_signs, outer_product, write_field
 from .hamiltonian import Hamiltonian
 from .potentials import Potential
 from .reporting import ProbeReport
@@ -79,8 +79,7 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
     # per shift and axis: the shifted frequencies squared and their Gaussian,
     # which carries the centre phase (-1)^k; the last axis keeps its half
     shifted2 = (axis[None, :] + width * np.arange(-1, 2)[:, None]) ** 2
-    sign = np.where(np.arange(grid.npts) % 2 == 0, 1.0, -1.0)
-    gauss = sign * np.exp(-sigma * sigma * shifted2 / 4.0)
+    gauss = center_signs(grid) * np.exp(-sigma * sigma * shifted2 / 4.0)
     half = grid.npts // 2 + 1
     sq_rows = [shifted2] * (grid.n - 1) + [shifted2[:, :half]]
     gauss_rows = [gauss] * (grid.n - 1) + [gauss[:, :half]]
@@ -132,23 +131,23 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
         sigma = 0.135 * delta
     if not 0 < sigma < delta:
         raise ConfigError(f"mollifier width must lie in (0, delta), got {sigma}")
-    phi, numer = _mollified_phi(grid, m, sigma)
+    phi, v = _mollified_phi(grid, m, sigma)
 
     if np.min(phi) <= 0.0:
         raise ValueError("constructed profile not strictly positive on the grid")
 
-    v_raw = numer / phi
-    r = grid.radii()
-    inside = r <= delta + 2.0 * grid.h
-    v_vals = np.where(inside, v_raw, 0.0)
-    leak = float(np.max(np.abs(v_raw[~inside]))) if np.any(~inside) else 0.0
-
-    pot = Potential(grid, v_vals,
+    np.divide(v, phi, out=v)  # V = numerator / phi, over the numerator
+    outside = grid.radii() > delta + 2.0 * grid.h
+    leak = float(np.abs(v[outside]).max(initial=0.0))
+    v[outside] = 0.0
+    pot = Potential(grid, v,
                     name=f"embedded(m={m},n={grid.n},delta={delta:g},{method})")
+    del v, outside
     # through the complex transforms: the real ones would move the recorded
     # residual by rounding (2 % at 96^3)
     phi_c = phi.astype(np.complex128)
-    diff = Hamiltonian(grid, m, pot).apply(phi_c) - phi_c
+    diff = Hamiltonian(grid, m, pot).apply(phi_c)
+    diff -= phi_c
     residuals = {
         "eigen_residual": float(np.linalg.norm(diff) / np.linalg.norm(phi_c)),
         "support_leak": leak,

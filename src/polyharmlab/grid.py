@@ -28,20 +28,29 @@ the centring phase and the scale factors of the unitary transforms cancel
 between the forward and the inverse, so a multiplier applies neither.  Its
 second half, apply_symbol_spectrum, takes fftn(f) from a caller that already
 holds it, for instance as the outer product of 1-D transforms of a separable
-f (separable_spectrum).
+f, written into a buffer the caller owns (outer_product with out).
+
+The elementwise passes over a whole grid array (norm_lp, and the passes of
+the large-grid probes) run over leading-axis slabs of about SLAB_POINTS
+points (slabs), so their temporaries are the size of a slab, not of the grid.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence, Tuple
+from typing import BinaryIO, Iterator, Sequence, Tuple
 
 import numpy as np
 import scipy.fft
 
 #: Cap on total grid points (N^n) of every grid; guards against huge FFTs.
 DEFAULT_MAX_POINTS = 2 ** 25
+
+#: Points per slab of an elementwise pass over a grid array (1 MiB of
+#: complex128): small enough that a slab's temporaries stay in cache.
+SLAB_POINTS = 2 ** 16
 
 
 class ConfigError(ValueError):
@@ -135,13 +144,25 @@ class GridSpec:
             r = np.where(r == 0.0, self.origin_cell_radius(), r)
         return r
 
-    def xi_radii(self) -> np.ndarray:
-        """|xi| on the frequency lattice (FFT ordering)."""
-        return np.sqrt(outer_product([self.axis_freqs() ** 2] * self.n, np.add))
+    def xi_radii(self, rows: slice = slice(None)) -> np.ndarray:
+        """|xi| on the frequency lattice (FFT ordering), or on its
+        leading-axis rows (a slab)."""
+        sq = self.axis_freqs() ** 2
+        return np.sqrt(outer_product([sq[rows]] + [sq] * (self.n - 1), np.add))
 
     def origin_cell_radius(self) -> float:
         """Radius of the n-ball whose volume equals one grid cell."""
         return self.h * (1.0 / unit_ball_volume(self.n)) ** (1.0 / self.n)
+
+
+def slabs(shape: Sequence[int]) -> Iterator[slice]:
+    """Slices of the leading axis of an array of the given shape (at least
+    one axis), each of as many rows as fit in SLAB_POINTS points (at least
+    one row), covering the axis in order."""
+    row = math.prod(shape[1:])
+    step = max(1, SLAB_POINTS // max(row, 1))
+    for start in range(0, shape[0], step):
+        yield slice(start, start + step)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -155,27 +176,35 @@ def sphere_area(n: int, radius: float) -> float:
     return n * unit_ball_volume(n) * radius ** (n - 1)
 
 
-def _center_phase(grid: GridSpec) -> np.ndarray:
-    """(-1)^(k_1+...+k_n) on the lattice: accounts for the physical origin
-    sitting at index N/2 rather than 0."""
-    k = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts).astype(np.int64)
-    return outer_product([np.where(k % 2 == 0, 1.0, -1.0)] * grid.n)
+def center_signs(grid: GridSpec) -> np.ndarray:
+    """(-1)^k along one axis: the centre phase of the transforms is its
+    product over the axes, for the physical origin sits at index N/2."""
+    return np.where(np.arange(grid.npts) % 2 == 0, 1.0, -1.0)
+
+
+def _apply_center_phase(grid: GridSpec, vals: np.ndarray) -> None:
+    """Multiplies vals (grid shape) in place by the centre phase, one axis's
+    signs at a time: each product with +-1 is exact, so the result is that
+    of the whole-grid phase, with no temporary."""
+    sign = center_signs(grid)
+    for axis in range(grid.n):
+        vals *= sign.reshape((-1,) + (1,) * (grid.n - 1 - axis))
 
 
 def forward_transform(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Unitary DFT of the samples values (flat or grid-shaped): the
     frequency-lattice array fhat (FFT ordering, grid shape)."""
     vals = scipy.fft.fftn(np.reshape(values, grid.shape))
-    vals *= _center_phase(grid)
+    _apply_center_phase(grid, vals)
     vals *= grid.cell_volume / (2.0 * np.pi) ** (grid.n / 2)
     return vals
 
 
 def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
     """The samples whose forward_transform is hat, computed in the buffer of
-    hat (complex128, grid shape), which is overwritten: the returned array
-    may share it.  A caller that keeps hat passes a copy."""
-    hat *= _center_phase(grid)
+    hat (complex128, grid shape, C order), which is overwritten and
+    returned.  A caller that keeps hat passes a copy."""
+    _apply_center_phase(grid, hat)
     vals = scipy.fft.ifftn(hat, overwrite_x=True)
     vals *= grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** (grid.n / 2)
     return vals
@@ -201,8 +230,9 @@ def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
                           adjoint: bool = False) -> np.ndarray:
     """ifftn(sym * spec): apply_symbol's complex path from the unnormalized
     complex128 DFT spec = scipy.fft.fftn(values) of its input.  A caller
-    that holds spec (a spectrum taken once, or one built by
-    separable_spectrum) applies a symbol to it at one inverse transform.
+    that holds spec (a spectrum taken once, or the outer product of the 1-D
+    transforms of a separable input) applies a symbol to it at one inverse
+    transform.
 
     spec is consumed: it is multiplied in place and its buffer holds the
     result, so the call needs no temporary the size of the grid; a caller
@@ -218,21 +248,14 @@ def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
 
 
 def outer_product(vectors: Sequence[np.ndarray],
-                  op: np.ufunc = np.multiply) -> np.ndarray:
+                  op: np.ufunc = np.multiply,
+                  out: np.ndarray = None) -> np.ndarray:
     """The grid array whose entry (j_1, ..., j_n) is vectors[0][j_1] op ...
-    op vectors[n-1][j_n]: op.outer folded over one 1-D vector per axis."""
-    out = vectors[0]
-    for vec in vectors[1:]:
-        out = op.outer(out, vec)
-    return out
-
-
-def separable_spectrum(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """scipy.fft.fftn of the outer product of the 1-D samples factors[0],
-    ..., factors[n-1] (one per axis), as the outer product of their 1-D
-    DFTs: equal up to rounding, at the cost of n short transforms and one
-    pass over the grid."""
-    return outer_product([scipy.fft.fft(fac) for fac in factors])
+    op vectors[n-1][j_n], a new array or out (grid shape): op folded over
+    one 1-D vector per axis, so only the last pass runs over the whole grid."""
+    if len(vectors) == 1:
+        return np.positive(vectors[0], out=out)  # a copy
+    return op(outer_product(vectors[:-1], op)[..., None], vectors[-1], out=out)
 
 
 def separable_norm_lp(grid: GridSpec, factors: Sequence[np.ndarray],
@@ -249,25 +272,34 @@ def apply_multiplier(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return apply_symbol(values, sym)
 
 
-def norm_lp(grid: GridSpec, values: np.ndarray, p: float) -> float:
-    """Discrete L^p norm (sum |f|^p h^n)^(1/p) of the samples values on
-    grid; max norm for p = inf.  An even integer p > 2 raises |f|^2 = re^2 +
-    im^2 to p/2 by products, several times cheaper than the float power of
-    |f|; p = 2 squares |f| and takes the correctly rounded square root."""
-    if p < 1:
-        raise ValueError(f"L^p norm requires p >= 1, got p={p}")
-    if np.isinf(p):
-        return float(np.abs(values).max())
+def abs_power(values: np.ndarray, p: float) -> np.ndarray:
+    """|values|^p as a new real array.  An even integer p > 2 raises |f|^2 =
+    re^2 + im^2 to p/2 by products, several times cheaper than the float
+    power of |f|; any other p takes the float power of np.abs(values)."""
     if p % 2 == 0 and p > 2:
         sq = np.square(values.real)
         sq += np.square(values.imag)
         powered = sq * sq
         for _ in range(int(p) // 2 - 2):
             powered *= sq
-    else:
-        powered = np.abs(values)
-        powered **= p
-    total = np.sum(powered) * grid.cell_volume
+        return powered
+    powered = np.abs(values)
+    powered **= p
+    return powered
+
+
+def norm_lp(grid: GridSpec, values: np.ndarray, p: float) -> float:
+    """Discrete L^p norm (sum |f|^p h^n)^(1/p) of the samples values (flat
+    or grid-shaped) on grid; max norm for p = inf.  The sum runs slab by
+    slab (slabs), |f|^p from abs_power; p = 2 squares |f| and takes the
+    correctly rounded square root."""
+    if p < 1:
+        raise ValueError(f"L^p norm requires p >= 1, got p={p}")
+    parts = (values[rows] for rows in slabs(np.shape(values)))
+    if np.isinf(p):
+        return float(np.max([np.abs(part).max() for part in parts]))
+    total = sum(float(np.sum(abs_power(part, p))) for part in parts)
+    total *= grid.cell_volume
     return float(np.sqrt(total) if p == 2 else total ** (1.0 / p))
 
 

@@ -16,6 +16,7 @@ import math
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +26,7 @@ from .grid import (
     ConfigError,
     GridSpec,
     abs_derivative_symbol,
+    abs_power,
     apply_multiplier,
     apply_symbol,
     apply_symbol_spectrum,
@@ -33,7 +35,7 @@ from .grid import (
     outer_product,
     samples_from_spectrum,
     separable_norm_lp,
-    separable_spectrum,
+    slabs,
     smoothing_weight,
     weight_abs_power,
     weighted_l2_norm,
@@ -442,7 +444,11 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     The |z| rows are independent and run on up to `workers` threads (NumPy
     and the transforms release the interpreter lock).  The calling thread
     draws each row's random numbers in row order when the row may start, so
-    the report and the state rng is left in do not depend on workers.
+    the report and the state rng is left in do not depend on workers.  It
+    also allocates the row's three complex buffers then: freed memory
+    returns to the malloc arena of the thread that allocated it, and the
+    calling thread's arena is the one the run's later probes allocate from,
+    where a pool thread's would keep the freed buffers resident and unused.
     """
     n = grid.n
     _check_sobolev_window(m, n, alpha, p, q)
@@ -464,35 +470,43 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     )
 
     # everything that does not depend on |z|, built once and only read
-    xi_abs = grid.xi_radii()
     dsym = abs_derivative_symbol(grid, alpha)
-    xi_2m = xi_abs ** (2 * m)
-    envelope = outer_product(_gaussian_factors(
-        grid, grid.half_width / 8.0, np.zeros(n), np.zeros(n)))
+    envelope = _gaussian_factors(grid, grid.half_width / 8.0, np.zeros(n),
+                                 np.zeros(n))
     packs = frequency_localized_samples(grid, samples, rng)
 
-    def row(mag: float, draws: List[Tuple[float, np.ndarray]]):
-        """(norm, refine_steps, refine_stop) at |z| = mag."""
+    def row_inputs() -> tuple:
+        """A row's three complex buffers and its shell draws."""
+        sym, work, image = (np.empty(grid.shape, dtype=np.complex128)
+                            for _ in range(3))
+        return sym, work, image, _shell_draws(grid, rng, 2)
+
+    def row(mag: float, inputs: tuple):
+        """(norm, refine_steps, refine_stop) at |z| = mag.  The buffers hold
+        the symbol, the work buffer that each candidate is built,
+        transformed and mapped in, and the best image so far; the last two
+        swap when a candidate wins.  The shell samples are screened first,
+        so their draws are released after the first two candidates."""
+        sym, work, image, draws = inputs
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
-        sym = xi_2m - z
-        np.divide(dsym, sym, out=sym)
+        for rows in slabs(grid.shape):  # dsym / (|xi|^{2m} - z)
+            np.subtract(grid.xi_radii(rows) ** (2 * m), z, out=sym[rows])
+            np.divide(dsym[rows], sym[rows], out=sym[rows])
         rho = mag ** (1.0 / (2 * m))
-        best = 0.0
-        best_out = best_den = None
-        for spec, den in _sobolev_candidates(grid, packs, xi_abs, envelope,
-                                             rho, p, draws):
+        best, best_den = 0.0, None
+        for fill in _sobolev_candidates(grid, packs, envelope, rho, p, draws):
+            den = fill(work)
             if den == 0.0:
                 continue
-            out = apply_symbol_spectrum(spec, sym)
-            ratio = norm_lp(grid, out, q) / den
+            ratio = norm_lp(grid, apply_symbol_spectrum(work, sym), q) / den
             if ratio > best:
-                best, best_out, best_den = ratio, out, den
-            del spec, out  # hold only the best image while the next is built
-        if best_out is None:
+                best, best_den = ratio, den
+                image, work = work, image
+        if best_den is None:
             return best, 0, None
-        return _pq_norm_refine(grid, best_out, best_den, best, sym, p, q)
+        return _pq_norm_refine(grid, image, best_den, best, sym, p, q)
 
-    results = _run_rows(row, mags, lambda: _shell_draws(grid, rng, 2), workers)
+    results = _run_rows(row, mags, row_inputs, workers)
     for mag, (norm, steps, stop) in zip(mags, results):
         report.add_row(abs_z=mag, norm=norm, refine_steps=steps, refine_stop=stop)
 
@@ -505,12 +519,13 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     return report
 
 
-def _run_rows(row: Callable, inputs: Sequence, draw: Callable,
+def _run_rows(row: Callable, inputs: Sequence, prepare: Callable,
               workers: int) -> list:
-    """[row(x, draw()) for x in inputs] with up to `workers` rows running at
-    once on threads.  draw() is called in the calling thread, in input
-    order, only when its row may start, so at most `workers` rows' draws are
-    held.  A row's exception propagates once the running rows have ended."""
+    """[row(x, prepare()) for x in inputs] with up to `workers` rows running
+    at once on threads.  prepare() is called in the calling thread, in input
+    order, only when its row may start, so at most `workers` rows' prepared
+    inputs are held.  A row's exception propagates once the running rows
+    have ended."""
     futures: list = []
     running: set = set()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -519,7 +534,7 @@ def _run_rows(row: Callable, inputs: Sequence, draw: Callable,
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in done:
                     fut.result()  # a failed row stops the probe here
-            fut = pool.submit(row, x, draw())
+            fut = pool.submit(row, x, prepare())
             futures.append(fut)
             running.add(fut)
         return [fut.result() for fut in futures]
@@ -534,57 +549,73 @@ def _shell_draws(grid: GridSpec, rng: np.random.Generator,
 
 
 def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
-                        xi_abs: np.ndarray, envelope: np.ndarray, rho: float,
-                        p: float, draws: List[Tuple[float, np.ndarray]]
-                        ) -> Iterator[Tuple[np.ndarray, float]]:
-    """The screening candidates at resonant radius rho as (spectrum, L^p
-    norm) pairs, spectrum = scipy.fft.fftn of the samples: the packs (given
-    by their axis factors), then the shell-localized samples of draws, then
-    the scaled bumps.  A separable candidate's pair comes from its 1-D axis
-    factors.  Built one at a time, each spectrum a fresh array the caller
-    may overwrite, so only the candidate being screened is held."""
-    for factors in packs:
-        yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
-    for vals in _shell_localized_samples(grid, xi_abs, envelope, rho, draws):
-        den = norm_lp(grid, vals, p)
-        yield scipy.fft.fftn(vals, overwrite_x=True), den
-        del vals
-    for factors in _scaled_bumps(grid, rho):
-        yield separable_spectrum(factors), separable_norm_lp(grid, factors, p)
-
-
-def _shell_localized_samples(grid: GridSpec, xi_abs: np.ndarray,
-                             envelope: np.ndarray, rho: float,
-                             draws: List[Tuple[float, np.ndarray]]
-                             ) -> Iterator[np.ndarray]:
-    """Adversarial inputs: frequency content concentrated in a Gaussian
-    annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), times
-    the fixed physical envelope for edge decay; xi_abs is grid.xi_radii().
-    One unit-l2 sample (fresh complex array) per (width factor, phase
-    fractions) pair of draws (_shell_draws), each built in one complex
-    buffer.  draws is emptied as the samples are built, so each pair is
-    released once used."""
-    rho = min(rho, 0.8 * grid.nyquist_radius)
+                        envelope: List[np.ndarray], rho: float, p: float,
+                        draws: List[Tuple[float, np.ndarray]]
+                        ) -> Iterator[Callable[[np.ndarray], float]]:
+    """The screening candidates at resonant radius rho, each a function
+    fill(out) that writes the candidate's spectrum scipy.fft.fftn(samples)
+    into out (a complex128 grid buffer) and returns its L^p norm, 0 for a
+    candidate to skip: the shell-localized samples of draws first, each
+    popped from draws so that it is released once its sample is built, then
+    the packs and the scaled bumps (given by their axis factors), whose
+    spectra are outer products of 1-D transforms."""
     while draws:
-        factor, fractions = draws.pop(0)
-        buf = np.zeros(grid.shape, dtype=np.complex128)
-        np.multiply(fractions, 2.0 * np.pi, out=buf.imag)
-        del fractions
-        np.exp(buf, out=buf)  # the random phases e^{2 pi i u}
-        prof = xi_abs - rho
+        yield partial(_shell_spectrum, grid, envelope, rho, p, draws.pop(0))
+    for factors in list(packs) + _scaled_bumps(grid, rho):
+        yield partial(_separable_spectrum, grid, factors, p)
+
+
+def _separable_spectrum(grid: GridSpec, factors: Sequence[np.ndarray],
+                        p: float, out: np.ndarray) -> float:
+    """Writes scipy.fft.fftn of the outer product of the 1-D samples factors
+    (one per axis) into out, as the outer product of their 1-D transforms,
+    and returns its L^p norm from the factors."""
+    outer_product([scipy.fft.fft(fac) for fac in factors], out=out)
+    return separable_norm_lp(grid, factors, p)
+
+
+def _shell_spectrum(grid: GridSpec, envelope: List[np.ndarray], rho: float,
+                    p: float, draw: Tuple[float, np.ndarray],
+                    out: np.ndarray) -> float:
+    """Writes the spectrum of the shell-localized sample of draw into out
+    and returns the sample's L^p norm, 0 when the sample vanishes."""
+    if not _shell_sample(grid, envelope, rho, draw, out):
+        return 0.0
+    den = norm_lp(grid, out, p)
+    scipy.fft.fftn(out, overwrite_x=True)
+    return den
+
+
+def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
+                  draw: Tuple[float, np.ndarray], out: np.ndarray) -> bool:
+    """Adversarial input: frequency content concentrated in a Gaussian
+    annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), with
+    the random phases of draw = (width factor, phase fractions) from
+    _shell_draws, times the physical envelope (given by its axis factors)
+    for edge decay.  The unit-l2 samples are written into out (complex128,
+    grid shape) slab by slab, with no grid-sized temporary; False, with out
+    unspecified, when the sample vanishes."""
+    factor, fractions = draw
+    rho = min(rho, 0.8 * grid.nyquist_radius)
+    for rows in slabs(grid.shape):
+        part = out[rows]
+        part.real = 0.0
+        np.multiply(fractions[rows], 2.0 * np.pi, out=part.imag)
+        np.exp(part, out=part)  # the random phases e^{2 pi i u}
+        prof = grid.xi_radii(rows)
+        prof -= rho
         prof /= grid.h_xi * factor
         np.square(prof, out=prof)
         np.negative(prof, out=prof)
-        buf *= np.exp(prof, out=prof)  # the Gaussian annulus
-        del prof
-        vals = samples_from_spectrum(grid, buf)
-        vals *= envelope
-        nrm = np.linalg.norm(vals)
-        if nrm == 0:
-            continue
-        vals /= nrm
-        yield vals
-        del buf, vals  # the consumer owns the sample
+        part *= np.exp(prof, out=prof)  # the Gaussian annulus
+    vals = samples_from_spectrum(grid, out)
+    for rows in slabs(grid.shape):
+        vals[rows] *= outer_product([envelope[0][rows]] + envelope[1:])
+    nrm = np.linalg.norm(vals)
+    if nrm == 0:
+        return False
+    vals /= nrm
+    return True
 
 
 def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
@@ -613,24 +644,26 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
         if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
             return best, steps, "converged"
         prev = ratio
-        mag = np.abs(u)
-        mag **= q - 2.0
-        u *= mag  # J_q(u)
-        del mag
-        if not _flush_subnormal(u).any():
+        nonzero = False
+        for rows in slabs(grid.shape):
+            part = u[rows]
+            part *= abs_power(part, q - 2.0)  # J_q(u)
+            nonzero |= bool(_flush_subnormal(part).any())
+        if not nonzero:
             return best, steps, "underflow"  # A* 0 = 0
         w = apply_symbol_spectrum(scipy.fft.fftn(u, overwrite_x=True), sym,
                                   adjoint=True)
-        aw = np.abs(w)
-        peak = aw.max()
+        peak = np.max([np.abs(w[rows]).max() for rows in slabs(grid.shape)])
         if peak == 0.0:
             return best, steps, "underflow"
-        aw /= peak
-        aw **= pp - 2.0
-        w *= aw  # J_p'(w), rescaled by peak^(2 - p')
-        del aw
-        w[~np.isfinite(w)] = 0.0
-        _flush_subnormal(w)
+        for rows in slabs(grid.shape):
+            part = w[rows]
+            aw = np.abs(part)
+            aw /= peak
+            aw **= pp - 2.0
+            part *= aw  # J_p'(w), rescaled by peak^(2 - p')
+            part[~np.isfinite(part)] = 0.0
+            _flush_subnormal(part)
         den = norm_lp(grid, w, p)
         if den == 0.0:
             return best, steps, "underflow"

@@ -17,10 +17,11 @@ from polyharmlab.grid import (
     check_smoothing_gamma,
     forward_transform,
     norm_lp,
+    outer_product,
     read_field,
     samples_from_spectrum,
     separable_norm_lp,
-    separable_spectrum,
+    slabs,
     smoothing_weight,
     sphere_area,
     unit_ball_volume,
@@ -67,6 +68,12 @@ class TestGridSpec:
         g = GridSpec(1, 8, 2.0)
         assert g.axis_coords()[0] == pytest.approx(-2.0)
         assert g.axis_coords()[-1] == pytest.approx(2.0 - g.h)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_xi_radii_of_rows_are_the_rows_of_the_whole_grid(self, n):
+        g = GridSpec(n, 8, 2.0)
+        for rows in (slice(0, 3), slice(3, 8), slice(5, 13)):
+            np.testing.assert_array_equal(g.xi_radii(rows), g.xi_radii()[rows])
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_radii_equal_the_meshgrid_formula(self, n):
@@ -294,9 +301,13 @@ class TestSeparableInputs:
         g = GridSpec(n, npts, 4.0)
         factors = self.bump_factors(g, modulated)
         want = scipy.fft.fftn(self.assemble(factors))
-        got = separable_spectrum(factors)
-        assert got.shape == g.shape
+        # the outer product of the 1-D transforms, written into a buffer
+        out = np.empty(g.shape, dtype=np.complex128)
+        spectra = [scipy.fft.fft(fac) for fac in factors]
+        got = outer_product(spectra, out=out)
+        assert got is out
         assert max_rel(got, want) <= 1e-13
+        np.testing.assert_array_equal(got, outer_product(spectra))
 
     @pytest.mark.parametrize("n,npts", [(1, 32), (3, 16)])
     @pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
@@ -328,6 +339,24 @@ class TestSeparableInputs:
 
 
 class TestNormsAndWeights:
+    @pytest.mark.parametrize("n,npts", [(1, 3 * 2 ** 16 + 10), (3, 70)])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 6.0, np.inf])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_slab_norm_equals_the_whole_array_formula(self, n, npts, p, kind):
+        # the leading axis is not a multiple of the slab rows (65536 rows of
+        # one point in 1-D, 13 rows of 70^2 points in 3-D)
+        g = GridSpec(n, npts, 4.0)
+        rows = [s.stop - s.start for s in slabs(g.shape)]
+        assert len(rows) > 1 and npts % rows[0] != 0
+        f = RNG.standard_normal(g.shape)
+        if kind == "complex":
+            f = f + 1j * RNG.standard_normal(g.shape)
+        if np.isinf(p):
+            assert norm_lp(g, f, p) == float(np.abs(f).max())
+        else:
+            want = (np.sum(np.abs(f) ** p) * g.cell_volume) ** (1.0 / p)
+            assert norm_lp(g, f, p) == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
     def test_even_norm_by_products_matches_the_float_power(self, p):
         g = GridSpec(3, 16, 3.0)

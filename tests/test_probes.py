@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polyharmlab import grid as grid_module
 from polyharmlab import probes
 from polyharmlab.grid import (
     GridSpec,
@@ -351,9 +352,11 @@ class TestSobolevScalingProbe:
         xi_abs, r2 = g.xi_radii(), g.radii() ** 2
         envelope = np.exp(-r2 / (2.0 * (g.half_width / 8.0) ** 2))
         rng = np.random.default_rng(5)
-        samples = full_grid_packs(g, 2, rng)
-        samples += shell_samples_complex_path(g, xi_abs, envelope, rho,
-                                              probes._shell_draws(g, rng, 2))
+        packs = full_grid_packs(g, 2, rng)
+        # the shell samples are screened first, then the packs and bumps
+        draws = probes._shell_draws(g, rng, 2)
+        samples = shell_samples_complex_path(g, xi_abs, envelope, rho, draws)
+        samples += packs
         carrier = np.exp(1j * rho * g.coords()[0])
         for c in (0.5, 1.0, 2.0, 4.0):
             scale = c / rho
@@ -365,29 +368,38 @@ class TestSobolevScalingProbe:
 
         rng = np.random.default_rng(5)
         packs = frequency_localized_samples(g, 2, rng)
-        envelope = outer_product(probes._gaussian_factors(
-            g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
+        envelope = probes._gaussian_factors(g, g.half_width / 8.0,
+                                            np.zeros(3), np.zeros(3))
         draws = probes._shell_draws(g, rng, 2)
-        got = [norm_lp(g, apply_symbol_spectrum(spec, sym), q) / den
-               for spec, den in probes._sobolev_candidates(
-                   g, packs, xi_abs, envelope, rho, p, draws)]
+        got = []
+        # every candidate is built in one reused buffer
+        buf = np.full(g.shape, np.nan, dtype=np.complex128)
+        for fill in probes._sobolev_candidates(g, packs, envelope, rho, p,
+                                               draws):
+            den = fill(buf)
+            got.append(norm_lp(g, apply_symbol_spectrum(buf, sym), q) / den)
+        assert draws == []  # each draw is released once its sample is built
         assert len(samples) > 4 + 2  # some bumps are screened
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("rho", [1.5, 40.0])
-    def test_lean_shell_samples_are_the_complex_path_bitwise(self, rho):
-        # one complex buffer per sample, built in place, gives the bits of
-        # the full-grid construction; rho = 40 is capped below Nyquist
+    def test_lean_shell_samples_are_the_complex_path_bitwise(self, rho,
+                                                             monkeypatch):
+        # one complex buffer per sample, built in place in slabs of 5 of the
+        # 24 leading rows, gives the bits of the full-grid construction;
+        # rho = 40 is capped below Nyquist
+        monkeypatch.setattr(grid_module, "SLAB_POINTS", 5 * 24 * 24)
         g = GridSpec(3, 24, 6.0)
         xi_abs = g.xi_radii()
         envelope = outer_product(probes._gaussian_factors(
             g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
         draws = probes._shell_draws(g, np.random.default_rng(3), 2)
         want = shell_samples_complex_path(g, xi_abs, envelope, rho, draws)
-        got = list(probes._shell_localized_samples(g, xi_abs, envelope, rho,
-                                                   list(draws)))
-        assert len(got) == 2
-        for a, b in zip(got, want):
+        factors = probes._gaussian_factors(g, g.half_width / 8.0,
+                                           np.zeros(3), np.zeros(3))
+        for draw, b in zip(draws, want):
+            a = np.full(g.shape, np.nan, dtype=np.complex128)
+            assert probes._shell_sample(g, factors, rho, draw, a)
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(6))
