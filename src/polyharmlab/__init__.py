@@ -20,9 +20,7 @@ from .potentials import (
 from .resolvent import (
     ResolventQuery,
     boundary_symbol,
-    boundary_value_pairing,
     high_energy_decay_probe,
-    spectral_density,
     weighted_resolvent_norm,
 )
 from .birman_schwinger import (
@@ -31,7 +29,6 @@ from .birman_schwinger import (
     birman_schwinger_count,
     inv_norm_sweep,
     perturbed_resolvent_apply,
-    supersmooth_sweep,
 )
 from .hamiltonian import (
     EigenSet,

@@ -1,6 +1,6 @@
 """Dense Birman-Schwinger operator M(z) = I + w R0(z) v on the potential's
-support set, the bound-state count, the perturbed resolvent, and
-supersmoothing sweeps.
+support set, the bound-state count, the perturbed resolvent, and the
+limiting-absorption sweep of ||M^{-1}||.
 
 The sandwiched resolvent w R0(z) v is translation-invariant between grid
 points, so the dense block is gathered from a single resolvent column (the
@@ -15,8 +15,9 @@ and the block is held as the complex-symmetric S = U M = U + v R0(z) v
 place) serves everything: M^{-1} b = S^{-1} U b, M^{-H} b = U conj(S^{-1}
 conj b), and sigma_min(M) = sigma_min(S) = lambda_max(S^{-H} S^{-1})^{-1/2}
 from ARPACK.  Also M(z-bar) = U M(z)^H U: sigma_min(M(z-bar)) =
-sigma_min(M(z)) and v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweeps factor
-one block per pair z, z-bar.
+sigma_min(M(z)) and v M(z-bar)^{-1} w = w M(z)^{-H} v, so the sweep factors
+one block per pair z, z-bar and the perturbed resolvent at z-bar can use the
+block of z.
 
 The bound-state count reads the inertia of the real block U + v (H0 + tau)^{-1} v
 from one LDL^T (Sylvester's law of inertia).
@@ -26,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .grid import (ConfigError, GridSpec, abs_derivative_symbol, apply_symbol,
-                   check_smoothing_gamma, smoothing_weight)
-from .operators import operator_norm
+from .grid import ConfigError, GridSpec, apply_symbol
 from .potentials import Potential
 from .reporting import ProbeReport
 from .resolvent import ResolventQuery, resolvent_symbol_array
@@ -97,8 +96,6 @@ class BSMatrix:
     matrix: np.ndarray  # S, C-ordered; its LDL^T factors once factored
     signs: np.ndarray  # the diagonal of U, +/-1 per support point
     support: np.ndarray  # flat grid indices, sorted
-    grid: GridSpec
-    potential_name: str = ""
 
     @property
     def size(self) -> int:
@@ -109,9 +106,6 @@ class BSMatrix:
         """(ldu, ipiv, info) of S in place; info > 0 (an exactly zero
         pivot) marks M singular."""
         return _symmetric_ldlt(self.matrix)
-
-    def sigma_min(self) -> float:
-        return sigma_min(self.factors)[0]
 
     def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """M^{-1} rhs = S^{-1} U rhs, or M^{-H} rhs = U conj(S^{-1} conj rhs)
@@ -243,42 +237,9 @@ def assemble_M(pot: Potential, q: ResolventQuery) -> BSMatrix:
         )
     if support.size == 0:
         return BSMatrix(q, np.zeros((0, 0), dtype=np.complex128), np.zeros(0),
-                        support, grid, pot.name)
+                        support)
     block, signs = _signed_block(pot, resolvent_symbol_array(grid, q), support)
-    return BSMatrix(q, block, signs, support, grid, pot.name)
-
-
-def _theta_sweep(report: ProbeReport, pot: Potential, m: int,
-                 lambdas: Sequence[float], thetas: Sequence[float],
-                 measure: Callable[[BSMatrix], Tuple[float, float, int]]
-                 ) -> ProbeReport:
-    """Fill report with a sweep over z = lambda +/- i theta, theta > 0.
-
-    Per lambda (in the given order) and theta (descending), the block of
-    lambda + i theta serves the conjugate pair (module docstring):
-    measure(block) gives (norm, sigma_min, iterations), recorded on a '+'
-    and a '-' row.  Sets the sup of the norms, plateau_ratio (the sup at
-    the smallest theta over the sup at the next one) and the flag finite."""
-    thetas = np.sort(np.asarray(list(thetas), dtype=float))[::-1]
-    if np.any(thetas <= 0):
-        raise ConfigError("theta ladder must be positive")
-    sup_by_theta = {}
-    for lam in lambdas:
-        for th in thetas:
-            # the block dies with measure's return (peak memory)
-            q = ResolventQuery(z=complex(lam, th), m=m, n=pot.grid.n)
-            norm, smin, iterations = measure(assemble_M(pot, q))
-            for side in ("+", "-"):
-                report.add_row(lam=lam, theta=th, side=side, norm=norm,
-                               sigma_min=smin, iterations=iterations)
-            sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), norm)
-    sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
-    ths = sorted(sup_by_theta)
-    if len(ths) >= 2:
-        a, b = sup_by_theta[ths[0]], sup_by_theta[ths[1]]
-        report.metrics["plateau_ratio"] = a / b if b else np.inf
-    report.passes["finite"] = bool(np.isfinite(sup))
-    return report
+    return BSMatrix(q, block, signs, support)
 
 
 def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
@@ -286,7 +247,13 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
                    point_spectrum: Sequence[float] = ()) -> ProbeReport:
     """Table of ||M^{-1}(lambda +/- i theta)|| = 1 / sigma_min over the
     sweep, with the nu-neighborhoods of known point spectrum excluded from
-    the lambda grid."""
+    the lambda grid.
+
+    Per lambda (ascending) and theta > 0 (descending), the block of
+    lambda + i theta serves the conjugate pair (module docstring): its
+    sigma_min and ARPACK applications are recorded on a '+' and a '-' row.
+    Sets the sup of the norms, plateau_ratio (the sup at the smallest theta
+    over the sup at the next one) and the flag finite."""
     lambdas = np.asarray(sorted(lambdas), dtype=float)
     keep = np.ones(lambdas.size, dtype=bool)
     for ev in point_spectrum:
@@ -296,12 +263,27 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
         params={"m": m, "n": pot.grid.n, "nu": nu, "potential": pot.name,
                 "excluded_lambdas": list(map(float, lambdas[~keep]))},
     )
-
-    def measure(bs: BSMatrix) -> Tuple[float, float, int]:
-        smin, applications = sigma_min(bs.factors)
-        return (1.0 / smin if smin > 0 else np.inf), smin, applications
-
-    return _theta_sweep(report, pot, m, lambdas[keep], thetas, measure)
+    thetas = np.sort(np.asarray(list(thetas), dtype=float))[::-1]
+    if np.any(thetas <= 0):
+        raise ConfigError("theta ladder must be positive")
+    sup_by_theta = {}
+    for lam in lambdas[keep]:
+        for th in thetas:
+            # the block lives only until sigma_min returns (peak memory)
+            q = ResolventQuery(z=complex(lam, th), m=m, n=pot.grid.n)
+            smin, applications = sigma_min(assemble_M(pot, q).factors)
+            norm = 1.0 / smin if smin > 0 else np.inf
+            for side in ("+", "-"):
+                report.add_row(lam=lam, theta=th, side=side, norm=norm,
+                               sigma_min=smin, iterations=applications)
+            sup_by_theta[float(th)] = max(sup_by_theta.get(float(th), 0.0), norm)
+    sup = report.metrics["sup"] = max(sup_by_theta.values(), default=0.0)
+    ths = sorted(sup_by_theta)
+    if len(ths) >= 2:
+        a, b = sup_by_theta[ths[0]], sup_by_theta[ths[1]]
+        report.metrics["plateau_ratio"] = a / b if b else np.inf
+    report.passes["finite"] = bool(np.isfinite(sup))
+    return report
 
 
 def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery,
@@ -334,55 +316,3 @@ def perturbed_resolvent_apply(pot: Potential, q: ResolventQuery,
     spread[support] = right * coeffs
     correction = apply_symbol(spread.reshape(grid.shape), sym)
     return g0 - correction
-
-
-def supersmooth_sweep(pot: Potential, m: int, gamma: float, eps: float,
-                      lambdas: Sequence[float], thetas: Sequence[float],
-                      projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                      ) -> ProbeReport:
-    """Sup over the sweep of ||W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W||.
-
-    gamma must satisfy m - n/2 < gamma <= m - 1/2, and W is
-    grid.smoothing_weight: <x>^{-1/2-eps} at the upper edge, otherwise
-    |x|^{-m+gamma}.  A projector callback (physical flat array -> physical
-    flat array) applies P_ac on both sides; with it the lambda grid may cross
-    eigenvalue neighborhoods.  Each norm is at most 50 power iterations, all
-    drawing their start vectors from one seed-0 stream.
-    """
-    grid = pot.grid
-    n = grid.n
-    check_smoothing_gamma(m, n, gamma)
-    projected = projector is not None
-    rng = np.random.default_rng(0)
-    wgt = smoothing_weight(grid, m, gamma, eps)
-    dsym = abs_derivative_symbol(grid, gamma)
-
-    def sandwich(q: ResolventQuery, bs: BSMatrix) -> Callable[[np.ndarray], np.ndarray]:
-        """W |D|^gamma [P_ac] R(z) [P_ac] |D|^gamma W for the block bs of q."""
-        def apply(vec: np.ndarray) -> np.ndarray:
-            u = apply_symbol(wgt * vec.reshape(grid.shape), dsym).reshape(-1)
-            if projected:
-                u = projector(u)
-            r = perturbed_resolvent_apply(pot, q, u, bs=bs)
-            if projected:
-                r = projector(r.reshape(-1))
-            return (wgt * apply_symbol(r.reshape(grid.shape), dsym)).reshape(-1)
-        return apply
-
-    def measure(bs: BSMatrix) -> Tuple[float, float, int]:
-        # W, |D|^gamma and P_ac are self-adjoint and R(z-bar) = R(z)*, so
-        # the operator at z-bar is the adjoint of the one at z: one norm
-        # estimate serves both rows
-        smin = bs.sigma_min()
-        qc = ResolventQuery(z=complex(bs.query.z).conjugate(), m=m, n=n)
-        est = operator_norm(sandwich(bs.query, bs), sandwich(qc, bs),
-                            grid.size, rng=rng)
-        return est.norm, smin, est.iterations
-
-    report = ProbeReport(
-        name="supersmooth_sweep",
-        params={"m": m, "n": n, "gamma": gamma, "eps": eps,
-                "projected": projected, "potential": pot.name},
-        provenance={"grid": grid.provenance()},
-    )
-    return _theta_sweep(report, pot, m, lambdas, thetas, measure)

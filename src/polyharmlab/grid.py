@@ -20,8 +20,8 @@ the grid passed beside them wherever the cell volume or the lattice is
 needed.  No call writes to or freezes the caller's arrays, except where a
 docstring says that a buffer is consumed.  The frequency side is an array in
 FFT ordering that only the transform pair produces (forward_transform) and
-consumes (samples_from_spectrum, in place); it serves the quantities that
-live there (shell integrals, the boundary pairing, frequency-built samples).
+consumes (samples_from_spectrum, in place); the probes build samples there
+(the sobolev shell samples), and the tests read spectra there.
 
 A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
 the centring phase and the scale factors of the unitary transforms cancel

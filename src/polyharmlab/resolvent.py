@@ -1,14 +1,18 @@
 """The free resolvent R0(z) = ((-Delta)^m - z)^{-1} on the grid: the query
-type, its lattice symbol, boundary values and the high-energy decay probe.
+type, its lattice symbol, the boundary values R0_pm(lam) and the high-energy
+decay probe.
 
-The boundary pairing realizes
+On the positive half-line z = lam > 0, the symbol of R0_pm(lam)
+(boundary_symbol) realizes
 
-    <R0_pm(lam) f, g> = p.v. sum_xi fhat conj(ghat) / (|xi|^{2m} - lam)
-                        +/- (pi i / 2m) lam^{(1-2m)/(2m)} * (shell integral),
+    p.v. 1/(|xi|^{2m} - lam)  +/-  pi i c delta(|xi| - rho),
+    rho = lam^{1/(2m)},  c = (1/2m) lam^{(1-2m)/(2m)},
 
 with a symmetric principal-value exclusion window around the resonant shell
-|xi| = lam^{1/(2m)} plus an analytically integrated window correction, and a
-shell-binned surface integral weighted by exact shell area over bin volume.
+|xi| = rho, and the surface term spread over the shell bin, the annulus
+|xi - rho| <= h_xi/2, weighted by exact shell area over the lattice measure of
+the binned cells.  The shell part (sigma_+ - sigma_-)/2 pi i is the spectral
+density E'_0(lam) of (-Delta)^m.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .grid import (
-    ConfigError,
-    GridSpec,
-    forward_transform,
-    sphere_area,
-    weight_bracket_power,
-)
+from .grid import ConfigError, GridSpec, sphere_area, weight_bracket_power
 from .operators import NormEstimate, operator_norm, weighted_multiplier
 from .reporting import ProbeReport, fit_loglog
 
@@ -91,132 +89,34 @@ class ResolventQuery:
         return 1.0 / (xi_abs ** (2 * self.m) - complex(self.z))
 
 
-def _check_shell(grid: GridSpec, rho: float) -> None:
+def boundary_symbol(grid: GridSpec, lam: float, m: int, side: str) -> np.ndarray:
+    """Lattice symbol of R0_pm(lam) for lam > 0 and side '+' or '-' (module
+    docstring).  The principal-value window is |s| < w, with s =
+    |xi|^{2m} - lam and w three local symbol gradients times the lattice
+    spacing; the resonant shell must lie inside the Nyquist radius."""
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    if lam <= 0:
+        raise ValueError(f"boundary values need lambda > 0, got {lam}")
+    rho = lam ** (1.0 / (2 * m))
     if rho >= grid.nyquist_radius:
         raise ValueError(
             f"resonant shell radius {rho:.4g} exceeds the lattice Nyquist "
             f"radius {grid.nyquist_radius:.4g}"
         )
-
-
-def _shell_bin(grid: GridSpec, xi_abs: np.ndarray,
-               rho: float) -> Tuple[np.ndarray, float, float]:
-    """The bin of the sphere |xi| = rho on the frequency lattice, xi_abs =
-    grid.xi_radii(): (mask of the annulus [rho - h/2, rho + h/2], exact shell
-    area, lattice measure of the binned cells)."""
-    mask = np.abs(xi_abs - rho) <= grid.h_xi / 2
-    return mask, sphere_area(grid.n, rho), np.count_nonzero(mask) * grid.cell_volume_xi
-
-
-def shell_integral(grid: GridSpec, values_hat: np.ndarray, rho: float) -> complex:
-    """Integral of a frequency-lattice function over the sphere |xi| = rho,
-    estimated by binning the annulus [rho - h/2, rho + h/2] and weighting by
-    exact shell area over bin volume.
-
-    The bin volume is the lattice measure of the binned cells (cell volume
-    times occupancy), so quasi-random fluctuations of the lattice shell count
-    cancel between numerator and denominator; the estimator reduces to
-    (mean binned density) x (exact shell area)."""
-    _check_shell(grid, rho)
-    mask, area, bin_volume = _shell_bin(grid, grid.xi_radii(), rho)
-    if not bin_volume:
-        return 0.0 + 0.0j
-    bin_sum = complex(np.sum(values_hat[mask])) * grid.cell_volume_xi
-    return bin_sum * area / bin_volume
-
-
-def _resonant_shell(grid: GridSpec, lam: float, m: int) -> Tuple[float, float]:
-    """(rho, c) for lam > 0: the resonant radius rho = lam^{1/(2m)}, checked
-    against the lattice, and the spectral-measure factor
-    c = (1/2m) lam^{(1-2m)/(2m)}."""
-    if lam <= 0:
-        raise ValueError(f"boundary values need lambda > 0, got {lam}")
-    rho = lam ** (1.0 / (2 * m))
-    _check_shell(grid, rho)
-    return rho, lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
-
-
-def _boundary_setup(grid: GridSpec, lam: float, m: int, side: str):
-    """(rho, |xi|, s, w, surface coefficient) of R0_pm(lam): the lattice
-    |xi|, s = |xi|^{2m} - lam, the principal-value exclusion half-width w in
-    s (three local symbol gradients times the lattice spacing), and
-    +/- pi i c on side '+' / '-'."""
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-    rho, c = _resonant_shell(grid, lam, m)
+    c = lam ** ((1.0 - 2 * m) / (2.0 * m)) / (2 * m)
     xi_abs = grid.xi_radii()
     w = 3.0 * (2 * m * rho ** (2 * m - 1)) * grid.h_xi
-    return rho, xi_abs, xi_abs ** (2 * m) - lam, w, (np.pi * 1j if side == "+" else -np.pi * 1j) * c
-
-
-def boundary_value_pairing(grid: GridSpec, f: np.ndarray, g: np.ndarray,
-                           lam: float, side: str, m: int) -> complex:
-    """<R0_pm(lam) f, g> for the samples f and g on grid and lam > 0:
-    principal-value lattice sum plus the signed surface term of the limiting
-    absorption boundary value."""
-    rho, _, s, w, coef = _boundary_setup(grid, lam, m, side)
-    density = forward_transform(grid, f) * np.conj(forward_transform(grid, g))
-
-    outside = np.abs(s) >= w
-    pv = complex(np.sum(density[outside] / s[outside])) * grid.cell_volume_xi
-
-    # Window correction: the principal value of A(s)/s over |s| < w is
-    # integrated analytically for a cubic fit (a line below 4 bins) of the
-    # binned spectral density A(s), giving 2 a1 w + (2/3) a3 w^3 (even terms
-    # cancel by symmetry).
-    band = np.abs(s) < 3 * w
-    if np.any(band):
-        sb = s[band]
-        ab = density[band] * grid.cell_volume_xi
-        nbins = 16
-        edges = np.linspace(-3 * w, 3 * w, nbins + 1)
-        centers, dens = [], []
-        for i in range(nbins):
-            sel = (sb >= edges[i]) & (sb < edges[i + 1])
-            if np.any(sel):
-                centers.append(0.5 * (edges[i] + edges[i + 1]))
-                dens.append(np.sum(ab[sel]) / (edges[i + 1] - edges[i]))
-        if len(centers) >= 2:
-            deg = 3 if len(centers) >= 4 else 1
-            dens = np.asarray(dens, dtype=np.complex128)
-            fit = [np.polynomial.polynomial.polyfit(centers, part, deg)
-                   for part in (dens.real, dens.imag)]
-            a = [complex(re, im) for re, im in zip(*fit)]
-            correction = 2.0 * a[1] * w
-            if deg == 3:
-                correction += (2.0 / 3.0) * a[3] * w ** 3
-            pv += correction
-
-    return pv + coef * shell_integral(grid, density, rho)
-
-
-def boundary_symbol(grid: GridSpec, lam: float, m: int, side: str) -> np.ndarray:
-    """Effective lattice symbol of R0_pm(lam): 1/(|xi|^{2m} - lam) outside the
-    principal-value window, zero inside it, and the signed surface term
-    distributed over shell_integral's resonant-shell bin (shell area over
-    bin volume).
-
-    Pairing two functions against this diagonal symbol reproduces
-    boundary_value_pairing up to the density-dependent window correction, and
-    it realizes R0_pm(lam) as an operator on the grid.
-    """
-    rho, xi_abs, s, w, coef = _boundary_setup(grid, lam, m, side)
+    s = xi_abs ** (2 * m) - lam
+    coef = (np.pi * 1j if side == "+" else -np.pi * 1j) * c
     sym = np.zeros(grid.shape, dtype=np.complex128)
     outside = np.abs(s) >= w
     sym[outside] = 1.0 / s[outside]
-    mask, area, bin_volume = _shell_bin(grid, xi_abs, rho)
+    mask = np.abs(xi_abs - rho) <= grid.h_xi / 2
+    bin_volume = np.count_nonzero(mask) * grid.cell_volume_xi
     if bin_volume:
-        sym[mask] += coef * area / bin_volume
+        sym[mask] += coef * sphere_area(grid.n, rho) / bin_volume
     return sym
-
-
-def spectral_density(grid: GridSpec, f: np.ndarray, lam: float, m: int) -> float:
-    """Spectral measure density <E'(lam) f, f> of (-Delta)^m for the samples
-    f on grid: shell-binned (1/2m) lam^{(1-2m)/(2m)} * integral of |fhat|^2
-    over |xi| = lam^{1/(2m)}."""
-    rho, c = _resonant_shell(grid, lam, m)
-    surf = shell_integral(grid, np.abs(forward_transform(grid, f)) ** 2, rho)
-    return float(np.real(surf)) * c
 
 
 def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:

@@ -19,12 +19,9 @@ from polyharmlab.birman_schwinger import (
     inv_norm_sweep,
     perturbed_resolvent_apply,
     sigma_min,
-    supersmooth_sweep,
 )
-from polyharmlab.grid import (GridSpec, apply_multiplier, apply_symbol,
-                              weight_bracket_power)
-from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, projector_ac
-from polyharmlab.operators import operator_norm
+from polyharmlab.grid import GridSpec, apply_symbol
+from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum
 from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
 from polyharmlab.resolvent import ResolventQuery, resolvent_symbol_array
 
@@ -217,7 +214,7 @@ def _sigma_case(name):
         bs = _bs(truncated_well(g, 5.0, rcut=2.5) if name == "well" else dipole(g), z)
         return bs.matrix, dense_M(bs)
     if name.startswith("conjugate-pair"):
-        # the sweeps take sigma_min(M(z-bar)) from S(z)
+        # the sweep takes sigma_min(M(z-bar)) from S(z)
         pot = dipole(g) if name.endswith("mixed-sign") else truncated_well(g, 5.0, rcut=2.5)
         return _bs(pot, z).matrix, _block(pot, np.conj(z))
     size = int(name.split("-")[1])
@@ -243,14 +240,13 @@ class TestSigmaMin:
         assert sigma_min(_factors(sym)) == sigma_min(_factors(sym))
 
     def test_exact_zero_pivot_is_singular(self):
-        g = GridSpec(3, 8, 3.0)
         for signs in ([1.0] * 5, [1.0, -1.0, 1.0, -1.0, -1.0]):
             mat = np.diag([1.0, 2.0, 0.0, 3.0, 4.0]).astype(np.complex128)
             bs = BSMatrix(ResolventQuery(z=1.0 + 0.1j, m=1, n=3), mat,
-                          np.array(signs), np.arange(5), g)
+                          np.array(signs), np.arange(5))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # sytrf reports by info, not a warning
-                assert bs.sigma_min() == 0.0
+                assert sigma_min(bs.factors) == (0.0, 0)
             assert bs.factors[2] == 3  # D[2, 2] = 0
             for adjoint in (False, True):
                 with pytest.raises(scipy.linalg.LinAlgError):
@@ -435,10 +431,9 @@ class TestConjugateBlock:
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 2.0, rcut=1.5)
         inv = inv_norm_sweep(pot, 1, [0.5, 1.0], [0.1, 0.03], nu=0.1)
-        sup = supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], [0.1])
-        assert (len(inv.rows), len(sup.rows)) == (8, 2)
+        assert len(inv.rows) == 8
         assert queries == [complex(0.5, 0.1), complex(0.5, 0.03), complex(1.0, 0.1),
-                           complex(1.0, 0.03), complex(1.0, 0.1)]
+                           complex(1.0, 0.03)]
 
     def test_unrelated_block_rejected(self):
         g = GridSpec(3, 8, 3.0)
@@ -462,110 +457,9 @@ class TestSweeps:
         assert rep.passes["finite"]
 
     def test_theta_validation(self):
-        # a negative theta and theta = 0 at lambda > 0, in both sweeps
+        # a negative theta and theta = 0 at lambda > 0
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 1.0, rcut=1.5)
         for thetas in ([0.1, -0.1], [0.1, 0.0]):
             with pytest.raises(ValueError, match="theta ladder must be positive"):
                 inv_norm_sweep(pot, 1, [1.0], thetas, nu=0.1)
-            with pytest.raises(ValueError, match="theta ladder must be positive"):
-                supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], thetas)
-
-    def test_supersmooth_gamma_window(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 1.0, rcut=1.5)
-        with pytest.raises(ValueError):
-            supersmooth_sweep(pot, 1, 0.75, 0.1, [1.0], [0.1])  # gamma > m - 1/2
-        with pytest.raises(ValueError):
-            supersmooth_sweep(pot, 1, -0.5, 0.1, [1.0], [0.1])  # gamma <= m - n/2
-
-    def test_supersmooth_identity_projector(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 1.0, rcut=1.5)
-        plain = supersmooth_sweep(pot, 1, 0.5, 0.1, [1.0], [0.1])
-        seen = []
-        proj = supersmooth_sweep(pot, 1, 0.5, 0.1, [1.0], [0.1],
-                                 projector=lambda v: seen.append(v.shape) or v)
-        assert proj.rows == plain.rows
-        assert (proj.params["projected"], plain.params["projected"]) == (True, False)
-        assert seen and set(seen) == {(g.size,)}
-
-    def test_supersmooth_projector_ac_on_bound_state(self):
-        g = GridSpec(3, 8, 3.0)
-        pot = truncated_well(g, 8.0, rcut=1.5)
-        h = Hamiltonian(g, 1, pot)
-        assert h.eigenset().count_negative >= 1
-
-        def p_ac(vec):
-            return projector_ac(h, vec)
-
-        rep = supersmooth_sweep(pot, 1, 0.5, 0.1, [-0.5, 1.0], [0.1],
-                                projector=p_ac)
-        assert rep.params["projected"] and len(rep.rows) == 4
-        assert all(np.isfinite(row["norm"]) and row["norm"] > 0 for row in rep.rows)
-        assert rep.passes["finite"]
-
-    def test_supersmooth_finite(self):
-        g = GridSpec(3, 12, 5.0)
-        pot = truncated_well(g, 1.0, rcut=2.5)
-        rep = supersmooth_sweep(pot, 1, 0.5, 0.5, [1.0], [0.1])
-        assert rep.passes["finite"]
-        assert rep.metrics["sup"] > 0
-
-
-class TestSupersmoothPair:
-    """One power iteration per conjugate pair: the operator at z-bar is the
-    adjoint of the one at z, so both rows carry the same norm."""
-
-    LAMBDAS, THETAS = [0.5, 1.5], [0.1, 0.03]
-
-    @pytest.fixture(scope="class")
-    def dipole_sweep(self):
-        g = GridSpec(3, 12, 5.0)
-        return g, dipole(g), supersmooth_sweep(dipole(g), 1, 0.5, 0.5,
-                                               self.LAMBDAS, self.THETAS)
-
-    def test_rows_of_a_pair_are_equal(self, dipole_sweep):
-        rows = dipole_sweep[2].rows
-        assert len(rows) == 8
-        for plus, minus in zip(rows[0::2], rows[1::2]):
-            assert (plus["side"], minus["side"]) == ("+", "-")
-            assert (plus["lam"], plus["theta"]) == (minus["lam"], minus["theta"])
-            assert plus["norm"] == minus["norm"] > 0
-            assert plus["iterations"] == minus["iterations"]
-
-    def test_minus_row_matches_its_own_power_iteration(self, dipole_sweep):
-        # the - operator built from a freshly assembled M(z-bar), its adjoint
-        # from M(z): W |D|^gamma R(z-bar) |D|^gamma W with gamma = m - 1/2
-        g, pot, rep = dipole_sweep
-        wgt = weight_bracket_power(g, -1.0)
-        dsym = g.xi_radii() ** 0.5
-
-        def op(z):
-            q = ResolventQuery(z=z, m=1, n=3)
-            bs = assemble_M(pot, q)
-
-            def apply(vec):
-                u = apply_multiplier(wgt * vec.reshape(g.shape), dsym)
-                r = perturbed_resolvent_apply(pot, q, u, bs=bs)
-                return (wgt * apply_multiplier(r, dsym)).reshape(-1)
-            return apply
-
-        for row in rep.rows[1::2]:
-            z = complex(row["lam"], -row["theta"])
-            est = operator_norm(op(z), op(np.conj(z)), g.size,
-                                rng=np.random.default_rng(3))
-            assert row["norm"] == pytest.approx(est.norm, rel=1e-6)
-
-    def test_one_power_iteration_per_pair(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return operator_norm(*args, **kwargs)
-
-        monkeypatch.setattr(birman_schwinger, "operator_norm", counting)
-        g = GridSpec(3, 8, 3.0)
-        rep = supersmooth_sweep(dipole(g), 1, 0.5, 0.5, self.LAMBDAS, self.THETAS)
-        assert len(rep.rows) == 8
-        assert len(calls) == 4

@@ -17,14 +17,11 @@ PACKAGE = ROOT / "src" / "polyharmlab"
 
 #: Unreached on purpose, each with the ROADMAP item or test role that keeps it.
 PENDING = {
-    # item 3: the frequency-side Kato constant wires these in
+    # item 3: the V != 0 path of the frequency-side Kato constant
     "birman_schwinger.perturbed_resolvent_apply": "ROADMAP item 3",
     "birman_schwinger.BSMatrix.solve": "ROADMAP item 3",
-    "birman_schwinger.supersmooth_sweep": "ROADMAP item 3 (keep one path)",
-    "resolvent.boundary_value_pairing": "ROADMAP item 3",
-    "resolvent.shell_integral": "ROADMAP item 3",
-    "resolvent.spectral_density": "ROADMAP item 3",
-    "grid.forward_transform": "ROADMAP item 3",
+    # traced by bench/tracer.py (ROADMAP item 1); the unitary-DFT oracle of the tests
+    "grid.forward_transform": "ROADMAP item 1; test oracle (unitary DFT)",
     # oracles of the tests
     "grid.GridSpec.freqs": "test oracle (per-axis frequencies)",
 }

@@ -1,6 +1,6 @@
 """The free resolvent: the query and its partial-fraction roots, boundary
-values (pairing oracle, Stone consistency, boundary symbol), and the
-weighted-norm machinery."""
+values through boundary_symbol (continuum oracle, Stone's formula, the shell
+part, the window), and the weighted-norm machinery."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,17 @@ import scipy.integrate as si
 
 from polyharmlab.grid import (
     GridSpec,
+    apply_symbol,
     forward_transform,
     samples_from_spectrum,
+    sphere_area,
     weight_bracket_power,
 )
 from polyharmlab import resolvent
 from polyharmlab.resolvent import (
     ResolventQuery,
     boundary_symbol,
-    boundary_value_pairing,
     high_energy_decay_probe,
-    shell_integral,
-    spectral_density,
     weighted_resolvent_norm,
 )
 
@@ -89,89 +88,112 @@ def gaussian_pairing_oracle(lam=1.0):
 
 
 GRID = GridSpec(3, 160, 30.0)
+LAMBDAS = (0.5, 1.0, 2.0)
 
 
 @pytest.fixture(scope="module")
-def gaussian():
-    return np.exp(-np.sum(GRID.coords() ** 2, axis=0))
+def density():
+    """|fhat|^2 of f = e^{-|x|^2} on GRID."""
+    f = np.exp(-np.sum(GRID.coords() ** 2, axis=0))
+    return np.abs(forward_transform(GRID, f)) ** 2
+
+
+@pytest.fixture(scope="module")
+def pairings(density):
+    """<R0_pm(lam) f, f> = sum of boundary_symbol * |fhat|^2 over the lattice,
+    by (lam, side), for lam in LAMBDAS."""
+    return {(lam, side): complex(np.sum(boundary_symbol(GRID, lam, 1, side) * density)
+                                 * GRID.cell_volume_xi)
+            for lam in LAMBDAS for side in ("+", "-")}
+
+
+def shell_part(grid, lam, m):
+    """(sigma_+ - sigma_-) / 2 pi i of boundary_symbol: the lattice density
+    E'_0(lam) of (-Delta)^m."""
+    return ((boundary_symbol(grid, lam, m, "+") - boundary_symbol(grid, lam, m, "-"))
+            / (2j * np.pi))
 
 
 class TestBoundaryPairing:
-    def test_matches_continuum_oracle(self, gaussian):
-        truth = gaussian_pairing_oracle()
-        got = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
-        assert abs(got - truth) / abs(truth) < 0.05
-        # surface term alone converges much faster than the principal value
-        assert got.imag == pytest.approx(truth.imag, rel=0.02)
+    """<R0_pm(lam) f, f> for f = e^{-|x|^2} on 160^3 with L = 30, paired
+    through boundary_symbol."""
 
-    def test_sides_conjugate(self, gaussian):
-        plus = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
-        minus = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "-", 1)
-        assert plus.real == pytest.approx(minus.real, rel=1e-12)
-        assert plus.imag == pytest.approx(-minus.imag, rel=1e-12)
+    def test_matches_continuum_oracle(self, pairings):
+        # the surface term; the principal value (real part) reads 0.899,
+        # 0.539 and 0.021 against 1.133, 0.542 and -0.150, and is not held
+        for lam in LAMBDAS:
+            truth = gaussian_pairing_oracle(lam)
+            assert pairings[lam, "+"].imag == pytest.approx(truth.imag, rel=0.01)
 
-    def test_imaginary_part_sign(self, gaussian):
-        for lam in (0.5, 1.0, 2.0):
-            assert boundary_value_pairing(GRID, gaussian, gaussian,
-                                          lam, "+", 1).imag >= 0.0
+    def test_sides_conjugate(self, pairings):
+        for lam in LAMBDAS:
+            plus, minus = pairings[lam, "+"], pairings[lam, "-"]
+            assert plus.real == pytest.approx(minus.real, rel=1e-12)
+            assert plus.imag == pytest.approx(-minus.imag, rel=1e-12)
 
-    def test_stone_formula_exact(self, gaussian):
-        # density == (pairing+ - pairing-) / (2 pi i), by shared shell binning
-        lam = 1.0
-        plus = boundary_value_pairing(GRID, gaussian, gaussian, lam, "+", 1)
-        minus = boundary_value_pairing(GRID, gaussian, gaussian, lam, "-", 1)
-        stone = complex((plus - minus) / (2j * np.pi))
-        dens = spectral_density(GRID, gaussian, lam, 1)
-        assert stone.real == pytest.approx(dens, abs=1e-14)
-        assert abs(stone.imag) < 1e-14
+    def test_imaginary_part_sign(self, pairings):
+        for lam in LAMBDAS:
+            assert pairings[lam, "+"].imag >= 0.0
 
-    def test_theta_extrapolation_consistency(self, gaussian):
+    def test_stone_formula_exact(self, density):
+        # <E'_0(lam) f, f> = (pi/4) sqrt(lam) e^{-lam/2} for f = e^{-|x|^2}
+        for lam in LAMBDAS:
+            stone = complex(np.sum(shell_part(GRID, lam, 1) * density)
+                            * GRID.cell_volume_xi)
+            assert abs(stone.imag) < 1e-14
+            want = np.pi / 4 * np.sqrt(lam) * np.exp(-lam / 2)
+            assert stone.real == pytest.approx(want, rel=0.01)
+
+    def test_theta_extrapolation_consistency(self, density, pairings):
         # interior pairings at z = lam + i theta, quadratically extrapolated
         # to theta = 0, approach the boundary pairing
-        dens = np.abs(forward_transform(GRID, gaussian)) ** 2
         xi2 = GRID.xi_radii() ** 2
         thetas = [0.4, 0.2, 0.1]
-        vals = [complex(np.sum(dens / (xi2 - (1.0 + 1j * th))) * GRID.cell_volume_xi)
+        vals = [complex(np.sum(density / (xi2 - (1.0 + 1j * th))) * GRID.cell_volume_xi)
                 for th in thetas]
         coeff = np.polynomial.polynomial.polyfit(thetas, np.array(vals), 2)
-        boundary = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
+        boundary = pairings[1.0, "+"]
         assert abs(coeff[0] - boundary) / abs(boundary) < 0.08
 
-    def test_validation(self, gaussian):
-        with pytest.raises(ValueError):
-            boundary_value_pairing(GRID, gaussian, gaussian, -1.0, "+", 1)
-        with pytest.raises(ValueError):
-            boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "0", 1)
-        with pytest.raises(ValueError):
-            # resonant shell beyond the Nyquist radius
-            boundary_value_pairing(GRID, gaussian, gaussian,
-                                   (2 * GRID.nyquist_radius) ** 2, "+", 1)
+    def test_validation(self):
+        with pytest.raises(ValueError, match="lambda > 0"):
+            boundary_symbol(GRID, -1.0, 1, "+")
+        with pytest.raises(ValueError, match="side must be"):
+            boundary_symbol(GRID, 1.0, 1, "0")
+        with pytest.raises(ValueError, match="Nyquist"):
+            boundary_symbol(GRID, (2 * GRID.nyquist_radius) ** 2, 1, "+")
 
 
 class TestShellIntegral:
+    """The shell part of boundary_symbol integrates over the resonant shell
+    |xi| = rho: c times the surface integral, c = 1/(2 rho) for m = 1."""
+
     def test_constant_density_gives_area(self):
         g = GridSpec(3, 64, 16.0)
-        ones = np.ones(g.shape, dtype=np.complex128)
         rho = 1.5
-        got = shell_integral(g, ones, rho)
-        assert complex(got).real == pytest.approx(4 * np.pi * rho ** 2, rel=1e-12)
+        got = complex(np.sum(shell_part(g, rho ** 2, 1)) * g.cell_volume_xi)
+        assert got.real == pytest.approx(4 * np.pi * rho ** 2 / (2 * rho), rel=1e-12)
 
     def test_radial_profile(self):
         g = GridSpec(3, 64, 16.0)
-        prof = np.exp(-g.xi_radii() ** 2).astype(np.complex128)
         rho = 1.2
-        got = complex(shell_integral(g, prof, rho)).real
-        assert got == pytest.approx(4 * np.pi * rho ** 2 * np.exp(-rho ** 2), rel=0.01)
+        prof = np.exp(-g.xi_radii() ** 2)
+        got = complex(np.sum(shell_part(g, rho ** 2, 1) * prof) * g.cell_volume_xi).real
+        want = 4 * np.pi * rho ** 2 * np.exp(-rho ** 2) / (2 * rho)
+        assert got == pytest.approx(want, rel=0.01)
 
 
 class TestBoundarySymbol:
-    def test_pairing_against_symbol(self, gaussian):
-        # the diagonal symbol reproduces the pairing up to the window correction
-        fhat = forward_transform(GRID, gaussian)
-        sym = boundary_symbol(GRID, 1.0, 1, "+")
-        via_symbol = complex(np.sum(sym * np.abs(fhat) ** 2) * GRID.cell_volume_xi)
-        direct = boundary_value_pairing(GRID, gaussian, gaussian, 1.0, "+", 1)
-        assert abs(via_symbol - direct) / abs(direct) < 0.05
+    def test_pairing_against_symbol(self):
+        # the symbol applied as a grid operator gives the pairing summed on
+        # the frequency lattice (Parseval)
+        g = GridSpec(3, 32, 6.0)
+        f = np.exp(-np.sum(g.coords() ** 2, axis=0))
+        sym = boundary_symbol(g, 1.0, 1, "+")
+        via_operator = complex(np.vdot(f, apply_symbol(f, sym)) * g.cell_volume)
+        via_symbol = complex(np.sum(sym * np.abs(forward_transform(g, f)) ** 2)
+                             * g.cell_volume_xi)
+        assert via_operator == pytest.approx(via_symbol, rel=1e-12)
 
     def test_sides_conjugate(self):
         g = GridSpec(3, 32, 6.0)
@@ -180,12 +202,19 @@ class TestBoundarySymbol:
         np.testing.assert_allclose(sp, np.conj(sm), atol=1e-14)
 
     def test_window_zeroed(self):
+        # m = 2, lam = 1: rho = 1, c = 1/4, window |s| < 3 * 4 * h_xi
         g = GridSpec(3, 32, 6.0)
-        sym = boundary_symbol(g, 1.0, 2, "+")
-        s = g.xi_radii() ** 4 - 1.0
-        # inside the exclusion window, only the shell surface term remains
-        inside = np.abs(s) < 1e-12  # s = 0 exactly on-shell is the worst case
-        assert np.all(np.isfinite(sym))
+        xi_abs = g.xi_radii()
+        inside = np.abs(xi_abs ** 4 - 1.0) < 3.0 * 4 * g.h_xi
+        shell = np.abs(xi_abs - 1.0) <= g.h_xi / 2
+        assert np.any(shell) and np.all(inside[shell]) and np.any(inside & ~shell)
+        bin_volume = np.count_nonzero(shell) * g.cell_volume_xi
+        for side, sign in (("+", 1.0), ("-", -1.0)):
+            sym = boundary_symbol(g, 1.0, 2, side)
+            assert np.all(sym[inside & ~shell] == 0)
+            coef = sign * np.pi * 1j * 0.25
+            np.testing.assert_array_equal(
+                sym[shell], coef * sphere_area(3, 1.0) / bin_volume)
 
 
 class TestWeightedResolventNorm:
