@@ -1,15 +1,16 @@
 """Matrix-free Hamiltonian H = (-Delta)^m + V: eigensolvers, bound-state
 counting, the absolutely-continuous projector, and time propagation.
 
-Eigenpairs come from ARPACK's implicitly restarted Lanczos
-(scipy.sparse.linalg.eigsh) on H as a real symmetric operator, applied in
-real arithmetic.  The negative spectrum is the lowest k pairs, with k sized by
-the exact Birman-Schwinger count and doubled until at most half of them lie
-below the cut and none of the counted ones is missing, so multiplicities are
-captured without deflation; an unconverged solve raises instead of
-truncating the count.  The count checks every solve, so a counted eigenset is
-converged to ARPACK's tol 1e-10 rather than to machine precision; only an
-uncounted one (support too large to count) keeps the tighter solve.
+Eigenpairs come from LOBPCG (scipy.sparse.linalg.lobpcg) on H as a real
+symmetric operator, applied in real arithmetic and preconditioned by the
+inverse kinetic symbol, so its iteration count does not grow with the
+spectral width as the grid is refined.  The negative spectrum is the lowest
+k pairs, with k sized by the exact Birman-Schwinger count (count + 1,
+doubled until no copy of a level is missing) or, when the support is too
+large to count, started at 4 and doubled until at most half of them lie
+below the cut; multiplicities are captured without deflation.  Every pair
+below the cut meets one absolute residual bound on both paths, and a solve
+that leaves one above it raises instead of truncating the count.
 
 Every time sum is one Chebyshev series in H scaled to the spectral interval,
 summed by one recurrence with one matvec per term: propagate's states
@@ -21,14 +22,15 @@ leading axis indexes the states and whose other axes are the grid's shape.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import lobpcg
 
 from .birman_schwinger import birman_schwinger_count
-from .grid import GridSpec, apply_symbol
+from .grid import GridSpec, apply_symbol, slabs
 from .potentials import Potential
 
 
@@ -60,10 +62,13 @@ class Hamiltonian:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """H on samples, flat or grid-shaped, as an array of the same shape:
         real for real input (the symbol is real and even), complex for
-        complex input.  values is left unchanged."""
+        complex input.  values is left unchanged.  V is added one slab at
+        a time (slabs), so the only grid-sized temporaries are the
+        transform's."""
         vals = np.asarray(values).reshape(self.grid.shape)
         out = apply_symbol(vals, self._symbol)
-        out += self.potential.values * vals
+        for rows in slabs(out.shape):
+            out[rows] += self.potential.values[rows] * vals[rows]
         return out.reshape(np.shape(values))
 
     def eigenset(self) -> "EigenSet":
@@ -93,74 +98,106 @@ class EigenSet:
 
 
 class LanczosError(RuntimeError):
-    """An eigensolve did not converge."""
+    """An eigensolve left a pair below its cut above RESIDUAL_TOL."""
+
+
+#: Every returned pair below the cut has ||H x - theta x|| <= RESIDUAL_TOL
+#: (absolute, x unit in the flat l2 sense).
+RESIDUAL_TOL = 1e-10
+#: Shift sigma of the kinetic preconditioner (|xi|^{2m} + sigma)^{-1}.
+PRECONDITIONER_SHIFT = 1.0
+#: LOBPCG iterations per run, and runs per solve: a run that leaves a pair
+#: below the cut above RESIDUAL_TOL is restarted from its Ritz vectors.
+RUN_ITERATIONS = 40
+MAX_RUNS = 5
+
+
+def _per_column(fn: Callable) -> Callable:
+    """The block map X -> [fn(x_1), ..., fn(x_k)] of a map on one vector."""
+    def block(cols: np.ndarray) -> np.ndarray:
+        out = np.empty(cols.shape)
+        for j in range(cols.shape[1]):
+            out[:, j] = fn(cols[:, j])
+        return out
+    return block
 
 
 def lanczos_extreme(h: Hamiltonian, k: int,
                     rng: Optional[np.random.Generator] = None,
-                    tol: float = 0.0) -> EigenSet:
-    """The k lowest eigenpairs in ascending order, from one ARPACK run on H
-    restricted to real vectors.
+                    cut: float = np.inf) -> EigenSet:
+    """The k lowest Ritz pairs in ascending order, from LOBPCG on H
+    restricted to real vectors; raises LanczosError unless every pair below
+    cut has ||H x - theta x|| <= RESIDUAL_TOL.
 
-    ARPACK stops when every Ritz pair (theta, x) has ||H x - theta x|| <=
-    tol |theta| (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998); tol 0
-    means machine precision.  H maps real vectors to real vectors (V is real
-    and the symbol is real and even), and the real symmetric solver returns
-    orthonormal vectors inside a degenerate level.  The start vector is drawn
-    from rng, so results are deterministic.  Raises LanczosError when ARPACK
-    does not converge.
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) is preconditioned
+    by the kinetic symbol (|xi|^{2m} + PRECONDITIONER_SHIFT)^{-1} through
+    apply_symbol (Teter, Payne & Allan, Phys. Rev. B 40 (1989) 12255), so
+    its rate does not degrade with the spectral width (pi/h)^{2m} as
+    Lanczos's does.  H and the preconditioner act one column at a time,
+    H through Hamiltonian.apply.  A run stops once every pair meets
+    RESIDUAL_TOL or after RUN_ITERATIONS; the residuals are then recomputed
+    here, and only the pairs below cut are judged, for continuum pairs
+    above it can converge far more slowly.  Up to MAX_RUNS runs are made.
+    H maps real vectors to real vectors (V is real and the symbol is real
+    and even).  The start block is drawn from rng, so results are
+    deterministic.  The name is that of the Lanczos solver this replaced;
+    the benchmark traces the layer under it.
     """
     if k > 50:
         raise ValueError(f"k capped at 50, got {k}")
-    size = h.grid.size
     if rng is None:
         rng = np.random.default_rng(0)
-    op = LinearOperator((size, size), dtype=np.float64, matvec=h.apply)
-    try:
-        vals, vecs = eigsh(op, k=k, which="SA", tol=tol,
-                           v0=rng.standard_normal(size))
-    except ArpackNoConvergence as exc:
-        raise LanczosError(
-            f"ARPACK unconverged for {k} eigenpairs: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs.T[order]
-    residuals = [float(np.linalg.norm(h.apply(vec) - val * vec))
-                 for val, vec in zip(vals, vecs)]
-    return EigenSet([float(val) for val in vals],
-                    vecs.astype(np.complex128).reshape((k,) + h.grid.shape),
-                    residuals)
+    inverse = 1.0 / (h._symbol + PRECONDITIONER_SHIFT)
+    matmat = _per_column(h.apply)
+    precondition = _per_column(lambda col: apply_symbol(
+        col.reshape(h.grid.shape), inverse).reshape(-1))
+    vecs = rng.standard_normal((k, h.grid.size)).T
+    for _ in range(MAX_RUNS):
+        with warnings.catch_warnings():
+            # lobpcg warns when it stops short of tol; the check below decides
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = lobpcg(matmat, vecs, M=precondition, tol=RESIDUAL_TOL,
+                                maxiter=RUN_ITERATIONS, largest=False)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        residuals = np.array([np.linalg.norm(h.apply(vec) - val * vec)
+                              for val, vec in zip(vals, vecs.T)])
+        loose = (vals < cut) & (residuals > RESIDUAL_TOL)
+        if not loose.any():
+            return EigenSet([float(val) for val in vals],
+                            vecs.T.astype(np.complex128, order="C").reshape(
+                                (k,) + h.grid.shape),
+                            [float(res) for res in residuals])
+    raise LanczosError(
+        f"{int(loose.sum())} of {k} pairs below {cut:g} above residual "
+        f"{RESIDUAL_TOL:g} after {MAX_RUNS} runs of {RUN_ITERATIONS} LOBPCG "
+        f"iterations: theta {vals[loose]}, residuals {residuals[loose]}")
 
 
 def negative_spectrum(h: Hamiltonian) -> EigenSet:
     """All eigenvalues below -tau_neg, tau_neg = 1e-6 max(1, max|V|), with
     eigenvectors and the Birman-Schwinger count of them.
 
-    The lowest k pairs are computed from one seed-0 stream, k capped at 50 and
-    at size - 1.  k starts at the smallest 4 * 2^j holding twice the count
-    (at 4 when the support is too large to count) and doubles while more than
-    half of the pairs lie below -tau_neg or fewer than the count do.
-    Lanczos sees a second copy of a degenerate level only once rounding has
-    grown it from the start vector, and the pairs above the cut give it the
-    iterations to do so (with only one pair above the cut, copies were missed
-    on 12^3 test wells).  A missed copy leaves fewer pairs below the cut than
-    the count, so with a count the solve stops at ARPACK's tol 1e-10 (relative
-    residual) and the count catches a miss; without one it converges to
-    machine precision, as nothing else would.
+    The lowest k pairs come from lanczos_extreme, every solve drawing its
+    start block from one seed-0 stream, k capped at 50 and at size - 1.
+    LOBPCG resolves a degenerate level whole when the block holds one pair
+    above it.  With the count, k starts at count + 1 and doubles while fewer
+    than the count lie below -tau_neg or none lies above it.  Without one
+    (support too large to count), k starts at 4 and doubles while more than
+    half of the pairs lie below -tau_neg.  Either way only the pairs below
+    the cut are held to RESIDUAL_TOL: the continuum pairs above it converge
+    slowly and are not returned.
     """
     tau_neg = 1e-6 * max(1.0, h.potential.max_abs)
     count = birman_schwinger_count(h.potential, h._symbol, tau_neg)
-    tol = 0.0 if count is None else 1e-10
     rng = np.random.default_rng(0)
     k_max = min(50, h.grid.size - 1)
-    k = 4
-    while count is not None and 2 * count > k:
-        k *= 2
-    k = min(k, k_max)
+    k = min(4 if count is None else count + 1, k_max)
     while True:
-        es = lanczos_extreme(h, k, rng=rng, tol=tol)
+        es = lanczos_extreme(h, k, rng=rng, cut=-tau_neg)
         below = sum(1 for e in es.eigenvalues if e < -tau_neg)
-        missing = count is not None and below < count
-        if (2 * below <= k and not missing) or (k == k_max and below < k):
+        done = 2 * below <= k if count is None else count <= below < k
+        if done or (k == k_max and below < k):
             break
         if k == k_max:
             raise RuntimeError(f"more than {k} eigenvalues below -{tau_neg:g}")

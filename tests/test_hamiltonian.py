@@ -4,11 +4,17 @@ Chebyshev propagation."""
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.special import jv
 
 from polyharmlab import birman_schwinger, hamiltonian
-from polyharmlab.grid import GridSpec, forward_transform, norm_lp, samples_from_spectrum
+from polyharmlab.grid import (
+    GridSpec,
+    apply_symbol,
+    forward_transform,
+    norm_lp,
+    samples_from_spectrum,
+    slabs,
+)
 from polyharmlab.hamiltonian import (
     Hamiltonian,
     LanczosError,
@@ -182,6 +188,18 @@ class TestSpectralKernel:
         assert arr.flags.writeable
         assert not np.shares_memory(out, arr)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_slab_wise_potential_term(self, dtype):
+        # V is added slab by slab: bitwise the whole-grid sum
+        g = GridSpec(3, 64, 8.0)
+        assert len(list(slabs(g.shape))) >= 3
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
+        vals = RNG.standard_normal(g.shape).astype(dtype)
+        if dtype is np.complex128:
+            vals += 1j * RNG.standard_normal(g.shape)
+        want = apply_symbol(vals, h._symbol) + h.potential.values * vals
+        np.testing.assert_array_equal(h.apply(vals), want)
+
 
 class TestDenseEquivalence:
     def test_hermitian(self, small_dense):
@@ -292,28 +310,15 @@ class TestEigensolvers:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The k of every lanczos_extreme call, in order."""
-        ks = []
+        """The (k, cut) of every lanczos_extreme call, in order."""
+        seen = []
         inner = hamiltonian.lanczos_extreme
 
-        def counted(h, k, rng=None, tol=0.0):
-            ks.append(k)
-            return inner(h, k, rng=rng, tol=tol)
+        def counted(h, k, rng=None, cut=np.inf):
+            seen.append((k, cut))
+            return inner(h, k, rng=rng, cut=cut)
 
         monkeypatch.setattr(hamiltonian, "lanczos_extreme", counted)
-        return ks
-
-    @pytest.fixture
-    def tols(self, monkeypatch):
-        """The tol that eigsh receives in every solve, in order."""
-        seen = []
-        inner = hamiltonian.eigsh
-
-        def recorded(*args, tol, **kwargs):
-            seen.append(tol)
-            return inner(*args, tol=tol, **kwargs)
-
-        monkeypatch.setattr(hamiltonian, "eigsh", recorded)
         return seen
 
     def five_states(self):
@@ -321,52 +326,81 @@ class TestEigensolvers:
         g = GridSpec(3, 8, 3.0)
         return Hamiltonian(g, 1, gaussian_well(g, 20.0))
 
+    @staticmethod
+    def cut(h):
+        return -1e-6 * max(1.0, h.potential.max_abs)
+
     def test_count_sizes_a_single_solve(self, solves):
-        es = negative_spectrum(self.five_states())
-        assert solves == [16]
+        h = self.five_states()
+        es = negative_spectrum(h)
+        assert solves == [(6, self.cut(h))]
         assert len(es) == es.count_birman_schwinger == 5
 
-    def test_solve_short_of_the_count_doubles_k(self, monkeypatch, solves,
-                                                tols):
-        # a missed copy shows as fewer pairs below the cut than the count: the
-        # loose solve still doubles k, and the report keeps the disagreement
+    def test_solve_short_of_the_count_doubles_k(self, monkeypatch, solves):
+        # a missed copy shows as fewer pairs below the cut than the count:
+        # the block doubles up to the cap, and the report keeps the
+        # disagreement
         monkeypatch.setattr(hamiltonian, "birman_schwinger_count",
                             lambda pot, symbol, tau: 6)
         es = negative_spectrum(self.five_states())
-        assert solves == [16, 32, 50]
-        assert tols == [1e-10] * 3
+        assert [k for k, _ in solves] == [7, 14, 28, 50]
         assert len(es) == 5 and es.count_birman_schwinger == 6
 
     def test_uncounted_support_starts_at_four(self, monkeypatch, solves):
         monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 100)
         es = negative_spectrum(self.five_states())
-        assert solves == [4, 8, 16]
+        assert [k for k, _ in solves] == [4, 8, 16]
         assert len(es) == 5 and es.count_birman_schwinger is None
 
-    def test_counted_solve_stops_at_1e_10(self, tols):
-        # the count checks the solve, so the continuum pairs above the cut
-        # need not converge to machine precision
-        es = negative_spectrum(self.five_states())
-        assert tols == [1e-10]
+    def test_counted_solve_stops_at_1e_10(self, solves):
+        # the pairs below the cut are held to 1e-10 absolute; the continuum
+        # pair above it is not judged
+        h = self.five_states()
+        es = negative_spectrum(h)
+        assert hamiltonian.RESIDUAL_TOL == 1e-10
+        assert [cut for _, cut in solves] == [self.cut(h)]
         assert len(es) == es.count_birman_schwinger == 5
-        assert max(es.residuals) < 1e-10 * abs(es.eigenvalues[0])
+        assert max(es.residuals) <= 1e-10
 
-    def test_uncounted_solve_converges_to_machine_precision(self, monkeypatch,
-                                                            tols):
+    def test_uncounted_solve_meets_the_same_bound(self, monkeypatch, solves):
         monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 100)
-        es = negative_spectrum(self.five_states())
-        assert tols == [0.0, 0.0, 0.0]
+        h = self.five_states()
+        es = negative_spectrum(h)
+        assert [cut for _, cut in solves] == [self.cut(h)] * 3
         assert es.count_birman_schwinger is None
+        assert len(es) == 5 and max(es.residuals) <= 1e-10
 
     def test_unconverged_solve_raises(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.zeros(0),
-                                      np.zeros((0, 0)))
-
-        monkeypatch.setattr(hamiltonian, "eigsh", unconverged)
-        g = GridSpec(3, 8, 3.0)
+        # one LOBPCG iteration per run leaves the pairs below the cut loose
+        monkeypatch.setattr(hamiltonian, "RUN_ITERATIONS", 1)
         with pytest.raises(LanczosError):
-            negative_spectrum(Hamiltonian(g, 1, gaussian_well(g, 20.0)))
+            negative_spectrum(self.five_states())
+
+    def test_unconverged_uncounted_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(birman_schwinger, "COUNT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(hamiltonian, "RUN_ITERATIONS", 1)
+        with pytest.raises(LanczosError):
+            negative_spectrum(self.five_states())
+
+    def test_pairs_above_the_cut_are_not_judged(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "RUN_ITERATIONS", 2)
+        h = self.five_states()
+        es = lanczos_extreme(h, 6, cut=-np.inf)
+        assert max(es.residuals) > 1e-10
+        with pytest.raises(LanczosError):
+            lanczos_extreme(h, 6)
+
+    def test_solves_repeat_exactly(self, monkeypatch):
+        # the spectral workload's well: the start block is fixed, so two
+        # solves agree bitwise and make the same number of matvecs
+        g = GridSpec(3, 16, 6.0)
+        runs = []
+        for _ in range(2):
+            h = Hamiltonian(g, 1, gaussian_well(g, 20.0))
+            calls = _count_matvecs(monkeypatch, h)
+            runs.append((negative_spectrum(h).eigenvalues, len(calls)))
+        assert len(runs[0][0]) == 5 and runs[0][1] > 0
+        assert runs[0] == runs[1]
 
     def test_k_cap(self, small_h):
         with pytest.raises(ValueError):
@@ -377,6 +411,43 @@ class TestEigensolvers:
         g2 = GridSpec(3, 8, 4.0)
         with pytest.raises(ValueError):
             Hamiltonian(g1, 1, gaussian_well(g2, 1.0))
+
+
+def _radial_ground_state(depth, radius=40.0, steps=(8000, 16000)):
+    """E0 of -u'' - depth e^{-r^2} u = E u, u(0) = u(radius) = 0: the l = 0
+    channel of -Delta + V on R^3 for the radial V = -depth e^{-|x|^2}.
+    Second-order differences at two steps, Richardson-extrapolated."""
+    values = []
+    for n in steps:
+        dr = radius / n
+        r = dr * np.arange(1, n)
+        diag = 2.0 / dr ** 2 - depth * np.exp(-r ** 2)
+        off = np.full(n - 2, -1.0 / dr ** 2)
+        values.append(scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, 0), eigvals_only=True)[0])
+    return (4.0 * values[1] - values[0]) / 3.0
+
+
+class TestRadialOracle:
+    """The lattice E0 of the reference well against the continuum value."""
+
+    @pytest.fixture(scope="class")
+    def continuum(self):
+        return _radial_ground_state(5.0)
+
+    def test_continuum_value(self, continuum):
+        assert continuum == pytest.approx(-0.406121, abs=1e-6)
+
+    @pytest.mark.parametrize("npts,within", [(48, True), (32, False)])
+    def test_lattice_ground_state(self, continuum, npts, within):
+        # h = 0.5 is uncounted (support 4945) and within 1e-4; the reference
+        # spacing h = 0.75 is more than 1 % off
+        g = GridSpec(3, npts, 12.0)
+        es = negative_spectrum(Hamiltonian(g, 1, gaussian_well(g, 5.0)))
+        assert es.count_birman_schwinger is (None if within else 1)
+        assert len(es) == 1 and es.residuals[0] <= 1e-10
+        error = abs(es.eigenvalues[0] / continuum - 1.0)
+        assert (error < 1e-4) if within else (error > 1e-2)
 
 
 class TestChecks:
