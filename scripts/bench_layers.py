@@ -45,7 +45,9 @@ Layers (ROADMAP "layer by layer"):
       the rung draws from the seed-0 stream of the CLI); one
       build_embedded_pair of the benchmark's scaling counterexample (96^3,
       L = 1.1, m = 2, delta = 1): the profile, the truncated potential and
-      the eigen-residual's Hamiltonian matvec.
+      the eigen-residual's Hamiltonian matvec; the benchmark's scaling decay
+      probe, the library op high_energy_decay_probe (64^3, L = 8, m = 1,
+      s = 1, four |z| from 1 to 10^1.5 on the positive half-line, seed 0).
 
 Each measurement pass runs in a fresh process that imports polyharmlab from
 the given source tree, warms every layer once, records the tracemalloc peak
@@ -102,6 +104,7 @@ BATCHES = {
     "L2.pq_refine_80": (1, 4),
     "L2.stein_weiss_64": (1, 3),
     "L2.embedded_pair_96": (1, 4),
+    "L2.decay_probe_64": (1, 2),
 }
 
 # ROADMAP item 2 targets; the 160^3 one was set for scipy.fft with two
@@ -129,7 +132,7 @@ def _layers():
     from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
     from polyharmlab.probes import _refine_quadratic_smoothing, sobolev_scaling_probe
-    from polyharmlab.resolvent import ResolventQuery
+    from polyharmlab.resolvent import ResolventQuery, high_energy_decay_probe
 
     rng = np.random.default_rng(0)
 
@@ -195,6 +198,7 @@ def _layers():
                                    abs_derivative_symbol(sw, -1.0),
                                    weight_abs_power(sw, 0.0))
     sw_start = ladder.standard_normal(sw.size)
+    decay = GridSpec(3, 64, 8.0)
 
     layers = {
         "L0.h_matvec_32": matvec(32, 12.0),
@@ -220,6 +224,9 @@ def _layers():
         "L2.stein_weiss_64": lambda: operator_norm(
             *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
         "L2.embedded_pair_96": lambda: build_embedded_pair(counter, 2, 1.0),
+        "L2.decay_probe_64": lambda: high_energy_decay_probe(
+            decay, 1, 3, 1.0, np.logspace(0.0, 1.5, 4),
+            rng=np.random.default_rng(0)),
     }
     return layers
 

@@ -482,11 +482,10 @@ def _run_strichartz(cfg: RunConfig) -> ProbeReport:
     return _with_seed(report, cfg, "strichartz")
 
 
-# Each sobolev |z| row in flight adds three complex grid arrays to the
-# probe's working set, its symbol and two buffers, and two real ones, its
-# shell draws, until they are used (80^3: a traced peak of 38, 72 and 106 MB
-# at 1, 2 and 3 rows), so a lone sobolev on a many-core host holds at most
-# two rows at once.
+# Each sobolev |z| row in flight adds two complex grid arrays to the probe's
+# working set, its symbol and its work buffer (80^3: a traced peak of 23, 41
+# and 58 MB at 1, 2 and 3 rows), so a lone sobolev on a many-core host holds
+# at most two rows at once.
 SOBOLEV_MAX_ROWS = 2
 
 

@@ -210,20 +210,25 @@ def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
     return vals
 
 
-def apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
+def apply_symbol(values: np.ndarray, sym: np.ndarray, adjoint: bool = False,
+                 overwrite: bool = False) -> np.ndarray:
     """ifftn(sym * fftn(values)) over every axis: the Fourier multiplier sym
-    (lattice array in FFT ordering) on physical samples.  Only the kernel's
-    own temporary is overwritten, never values.
+    (lattice array in FFT ordering) on physical samples; with adjoint, the
+    multiplier conj(sym).  Only the kernel's own temporary is overwritten,
+    never values, unless overwrite lets the complex path transform values
+    in place (a caller's temporary).
 
     Real values with a real sym stay real: irfftn(sym_half * rfftn(values))
-    with sym_half the last-axis half of sym.  That requires sym to be even,
-    sym(-xi) = sym(xi), as every radial symbol is; the complex result would
-    then be real up to rounding.  Every other input takes the complex path."""
+    with sym_half the last-axis half of sym, where conj(sym) = sym.  That
+    requires sym to be even, sym(-xi) = sym(xi), as every radial symbol is;
+    the complex result would then be real up to rounding.  Every other
+    input takes the complex path."""
     if np.isrealobj(values) and np.isrealobj(sym):
         out = scipy.fft.rfftn(values)
         out *= sym[..., :out.shape[-1]]
         return scipy.fft.irfftn(out, s=values.shape, overwrite_x=True)
-    return apply_symbol_spectrum(scipy.fft.fftn(values), sym)
+    return apply_symbol_spectrum(scipy.fft.fftn(values, overwrite_x=overwrite),
+                                 sym, adjoint=adjoint)
 
 
 def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,

@@ -36,10 +36,13 @@ def operator_norm(
     """Largest singular value of A via power iteration on A* A.
 
     Stops after max_iter iterations or when the Rayleigh quotient stagnates to
-    relative tolerance rtol, whichever comes first.  The iterates keep the
-    start's arithmetic: a real start stays real as long as A and A* map real
-    vectors to real ones, so a real operator runs real transforms.  Without
-    a start the iteration starts from a complex Gaussian draw from rng.
+    relative tolerance rtol, whichever comes first; the estimate is converged
+    when the quotient stagnated or the last residual is below sqrt(rtol).
+    The iterates keep the start's arithmetic: a real start stays real as
+    long as A and A* map real vectors to real ones, so a real operator runs
+    real transforms.  Without a start the iteration starts from a complex
+    Gaussian draw from rng.  The residual and the next iterate are formed in
+    the buffer of the iterate, so an iteration holds the iterate and A* A v.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -55,6 +58,7 @@ def operator_norm(
     rho_prev = None
     rho = 0.0
     residual = np.inf
+    stagnated = False
     it = 0
     for it in range(1, max_iter + 1):
         w = apply_a_adjoint(apply_a(v))
@@ -62,16 +66,19 @@ def operator_norm(
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return NormEstimate(0.0, it, 0.0, True, v)
-        residual = float(np.linalg.norm(w - rho * v) / nw)
-        if rho_prev is not None and abs(rho - rho_prev) <= rtol * max(abs(rho), 1e-300):
-            v = w / nw
-            rho_prev = rho
+        if v.dtype != w.dtype:
+            v = v.astype(w.dtype)  # a real start under a complex operator
+        v *= rho
+        np.subtract(w, v, out=v)
+        residual = float(np.linalg.norm(v) / nw)
+        np.divide(w, nw, out=v)
+        del w  # the next A* A v takes its place
+        stagnated = (rho_prev is not None
+                     and abs(rho - rho_prev) <= rtol * max(abs(rho), 1e-300))
+        if stagnated:
             break
         rho_prev = rho
-        v = w / nw
-    converged = residual < np.sqrt(rtol) or (
-        rho_prev is not None and it < max_iter
-    )
+    converged = bool(stagnated or residual < np.sqrt(rtol))
     return NormEstimate(float(np.sqrt(max(rho, 0.0))), it, residual, converged, v)
 
 
@@ -80,13 +87,16 @@ def weighted_multiplier(w_out: np.ndarray, sym: np.ndarray, w_in: np.ndarray
                                    Callable[[np.ndarray], np.ndarray]]:
     """(A, A*) on flat vectors for A = W_out m(D) W_in, with pointwise real
     weights and the lattice symbol sym of m(D) (grid-shaped arrays), and
-    A* = W_in conj(m)(D) W_out.  Real weights and a real symbol keep a real
-    vector real: apply_symbol's real transforms."""
-    def sandwich(left, symbol, right):
+    A* = W_in conj(m)(D) W_out, which applies conj(sym) without a conjugated
+    copy of sym.  Real weights and a real symbol keep a real vector real:
+    apply_symbol's real transforms.  Each apply transforms its own weighted
+    temporary in place."""
+    def sandwich(left, right, adjoint):
         def apply(vec: np.ndarray) -> np.ndarray:
-            out = apply_symbol(right * vec.reshape(symbol.shape), symbol)
+            out = apply_symbol(right * vec.reshape(sym.shape), sym,
+                               adjoint=adjoint, overwrite=True)
             out *= left
             return out.reshape(-1)
         return apply
 
-    return sandwich(w_out, sym, w_in), sandwich(w_in, np.conj(sym), w_out)
+    return sandwich(w_out, w_in, False), sandwich(w_in, w_out, True)

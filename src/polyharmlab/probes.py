@@ -12,6 +12,7 @@ the induced quadratic form where the functional is quadratic.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -443,12 +444,13 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
 
     The |z| rows are independent and run on up to `workers` threads (NumPy
     and the transforms release the interpreter lock).  The calling thread
-    draws each row's random numbers in row order when the row may start, so
-    the report and the state rng is left in do not depend on workers.  It
-    also allocates the row's three complex buffers then: freed memory
-    returns to the malloc arena of the thread that allocated it, and the
-    calling thread's arena is the one the run's later probes allocate from,
-    where a pool thread's would keep the freed buffers resident and unused.
+    moves rng past each row's random numbers in row order when the row may
+    start, keeping a copy of the generator per shell sample, so the report
+    and the state rng is left in do not depend on workers.  It also
+    allocates the row's two complex buffers then: freed memory returns to
+    the malloc arena of the thread that allocated it, and the calling
+    thread's arena is the one the run's later probes allocate from, where a
+    pool thread's would keep the freed buffers resident and unused.
     """
     n = grid.n
     _check_sobolev_window(m, n, alpha, p, q)
@@ -476,34 +478,34 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     packs = frequency_localized_samples(grid, samples, rng)
 
     def row_inputs() -> tuple:
-        """A row's three complex buffers and its shell draws."""
-        sym, work, image = (np.empty(grid.shape, dtype=np.complex128)
-                            for _ in range(3))
-        return sym, work, image, _shell_draws(grid, rng, 2)
+        """A row's two complex buffers and its shell draws."""
+        sym, work = (np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
+        return sym, work, _shell_draws(grid, rng, 2)
 
     def row(mag: float, inputs: tuple):
         """(norm, refine_steps, refine_stop) at |z| = mag.  The buffers hold
-        the symbol, the work buffer that each candidate is built,
-        transformed and mapped in, and the best image so far; the last two
-        swap when a candidate wins.  The shell samples are screened first,
-        so their draws are released after the first two candidates."""
-        sym, work, image, draws = inputs
+        the symbol and the work buffer that each candidate is built,
+        transformed and mapped in.  The screening keeps the best candidate's
+        fill and norm, not its image, and builds that image once more, with
+        the same arithmetic, as the refinement's start."""
+        sym, work, draws = inputs
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
         for rows in slabs(grid.shape):  # dsym / (|xi|^{2m} - z)
             np.subtract(grid.xi_radii(rows) ** (2 * m), z, out=sym[rows])
             np.divide(dsym[rows], sym[rows], out=sym[rows])
         rho = mag ** (1.0 / (2 * m))
-        best, best_den = 0.0, None
+        best, best_fill, best_den = 0.0, None, None
         for fill in _sobolev_candidates(grid, packs, envelope, rho, p, draws):
             den = fill(work)
             if den == 0.0:
                 continue
             ratio = norm_lp(grid, apply_symbol_spectrum(work, sym), q) / den
             if ratio > best:
-                best, best_den = ratio, den
-                image, work = work, image
-        if best_den is None:
+                best, best_fill, best_den = ratio, fill, den
+        if best_fill is None:
             return best, 0, None
+        best_fill(work)
+        image = apply_symbol_spectrum(work, sym)
         return _pq_norm_refine(grid, image, best_den, best, sym, p, q)
 
     results = _run_rows(row, mags, row_inputs, workers)
@@ -541,26 +543,48 @@ def _run_rows(row: Callable, inputs: Sequence, prepare: Callable,
 
 
 def _shell_draws(grid: GridSpec, rng: np.random.Generator,
-                 count: int) -> List[Tuple[float, np.ndarray]]:
-    """The random numbers of count shell-localized samples: per sample a
-    width factor in [1, 3) and one uniform phase fraction per lattice
-    point, drawn in that order."""
-    return [(rng.uniform(1.0, 3.0), rng.random(grid.shape)) for _ in range(count)]
+                 count: int) -> List[np.random.Generator]:
+    """The random numbers of count shell-localized samples, each drawn as a
+    width factor in [1, 3) and one uniform phase fraction per lattice point
+    (rng.uniform(1.0, 3.0), then rng.random(grid.shape)): per sample a copy
+    of rng from which _shell_sample draws them.  rng is moved past them by
+    drawing them slab by slab into one reused buffer, so it ends where the
+    draws of the whole grids leave it."""
+    draws = []
+    for _ in range(count):
+        draws.append(copy.deepcopy(rng))
+        rng.uniform(1.0, 3.0)
+        for _ in _phase_fractions(grid, rng):
+            pass
+    return draws
+
+
+def _phase_fractions(grid: GridSpec, gen: np.random.Generator
+                     ) -> Iterator[Tuple[slice, np.ndarray]]:
+    """(rows, fractions) per slab (slabs) of gen.random(grid.shape), drawn
+    slab by slab into one reused buffer, which each step overwrites: the
+    fractions of the whole grid, bit for bit, for any slab size."""
+    buf = None
+    for rows in slabs(grid.shape):
+        count = len(range(grid.npts)[rows])
+        if buf is None:
+            buf = np.empty((count,) + grid.shape[1:])
+        yield rows, gen.random(out=buf[:count])
 
 
 def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
                         envelope: List[np.ndarray], rho: float, p: float,
-                        draws: List[Tuple[float, np.ndarray]]
+                        draws: Sequence[np.random.Generator]
                         ) -> Iterator[Callable[[np.ndarray], float]]:
     """The screening candidates at resonant radius rho, each a function
     fill(out) that writes the candidate's spectrum scipy.fft.fftn(samples)
     into out (a complex128 grid buffer) and returns its L^p norm, 0 for a
-    candidate to skip: the shell-localized samples of draws first, each
-    popped from draws so that it is released once its sample is built, then
-    the packs and the scaled bumps (given by their axis factors), whose
-    spectra are outer products of 1-D transforms."""
-    while draws:
-        yield partial(_shell_spectrum, grid, envelope, rho, p, draws.pop(0))
+    candidate to skip, with the same bits at every call: the
+    shell-localized samples of draws (_shell_draws) first, then the packs
+    and the scaled bumps (given by their axis factors), whose spectra are
+    outer products of 1-D transforms."""
+    for draw in draws:
+        yield partial(_shell_spectrum, grid, envelope, rho, p, draw)
     for factors in list(packs) + _scaled_bumps(grid, rho):
         yield partial(_separable_spectrum, grid, factors, p)
 
@@ -575,7 +599,7 @@ def _separable_spectrum(grid: GridSpec, factors: Sequence[np.ndarray],
 
 
 def _shell_spectrum(grid: GridSpec, envelope: List[np.ndarray], rho: float,
-                    p: float, draw: Tuple[float, np.ndarray],
+                    p: float, draw: np.random.Generator,
                     out: np.ndarray) -> float:
     """Writes the spectrum of the shell-localized sample of draw into out
     and returns the sample's L^p norm, 0 when the sample vanishes."""
@@ -587,20 +611,23 @@ def _shell_spectrum(grid: GridSpec, envelope: List[np.ndarray], rho: float,
 
 
 def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
-                  draw: Tuple[float, np.ndarray], out: np.ndarray) -> bool:
+                  draw: np.random.Generator, out: np.ndarray) -> bool:
     """Adversarial input: frequency content concentrated in a Gaussian
     annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), with
-    the random phases of draw = (width factor, phase fractions) from
-    _shell_draws, times the physical envelope (given by its axis factors)
-    for edge decay.  The unit-l2 samples are written into out (complex128,
-    grid shape) slab by slab, with no grid-sized temporary; False, with out
-    unspecified, when the sample vanishes."""
-    factor, fractions = draw
+    random phases, times the physical envelope (given by its axis factors)
+    for edge decay.  The width factor and the phase fractions are drawn
+    from a copy of draw (a generator from _shell_draws), which is left
+    unchanged, so every build of a sample has the same bits.  The unit-l2
+    samples are written into out (complex128, grid shape) slab by slab,
+    with no grid-sized temporary; False, with out unspecified, when the
+    sample vanishes."""
+    gen = copy.deepcopy(draw)
+    factor = gen.uniform(1.0, 3.0)
     rho = min(rho, 0.8 * grid.nyquist_radius)
-    for rows in slabs(grid.shape):
+    for rows, fractions in _phase_fractions(grid, gen):
         part = out[rows]
         part.real = 0.0
-        np.multiply(fractions[rows], 2.0 * np.pi, out=part.imag)
+        np.multiply(fractions, 2.0 * np.pi, out=part.imag)
         np.exp(part, out=part)  # the random phases e^{2 pi i u}
         prof = grid.xi_radii(rows)
         prof -= rho

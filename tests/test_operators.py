@@ -68,6 +68,27 @@ class TestOperatorNorm:
         cplx = operator_norm(*dense_pair(mat), 20, max_iter=500, rtol=1e-12)
         assert real.norm == pytest.approx(cplx.norm, rel=1e-9)
         assert real.norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-9)
+        # a complex operator turns a real start's iterates complex
+        cmat = mat + 1j * RNG.standard_normal((20, 20))
+        mixed = operator_norm(*dense_pair(cmat), 20, max_iter=500, rtol=1e-12,
+                              start=RNG.standard_normal(20))
+        assert mixed.vector.dtype == np.complex128
+        assert mixed.norm == pytest.approx(np.linalg.norm(cmat, 2), rel=1e-9)
+
+    def test_stagnation_on_the_last_iteration_converges(self):
+        # A* A = diag(1, 0.01) from a start near its lower eigenvector: the
+        # quotient moves by 20 % from iteration 1 to 2, within rtol = 0.5,
+        # while the residual stays above sqrt(rtol)
+        d = np.array([1.0, 0.1])
+        a = lambda v: d * v
+        est = operator_norm(a, a, 2, max_iter=2, rtol=0.5,
+                            start=np.array([0.0005, 1.0]))
+        assert est.iterations == 2
+        assert est.residual > np.sqrt(0.5)
+        assert est.converged is True
+        capped = operator_norm(a, a, 2, max_iter=2, rtol=0.1,
+                               start=np.array([0.0005, 1.0]))
+        assert capped.converged is False
 
     def test_zero_start_rejected(self):
         mat = np.eye(3, dtype=complex)

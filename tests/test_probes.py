@@ -1,5 +1,6 @@
 """Admissible pairs, sample families, and the space-time / scaling probes."""
 
+import copy
 import sys
 import threading
 from fractions import Fraction
@@ -100,6 +101,12 @@ def full_grid_packs(g, count, rng):
         vals = np.exp(-r2 / (2.0 * width ** 2)) * np.exp(1j * phase)
         out.append(vals / norm_lp(g, vals, 2))
     return out
+
+
+def full_grid_draws(g, rng, count):
+    """The shell samples' random numbers as whole grids: per sample the
+    width factor, then one phase fraction per lattice point."""
+    return [(rng.uniform(1.0, 3.0), rng.random(g.shape)) for _ in range(count)]
 
 
 def shell_samples_complex_path(g, xi_abs, envelope, rho, draws):
@@ -354,7 +361,7 @@ class TestSobolevScalingProbe:
         rng = np.random.default_rng(5)
         packs = full_grid_packs(g, 2, rng)
         # the shell samples are screened first, then the packs and bumps
-        draws = probes._shell_draws(g, rng, 2)
+        draws = full_grid_draws(g, rng, 2)
         samples = shell_samples_complex_path(g, xi_abs, envelope, rho, draws)
         samples += packs
         carrier = np.exp(1j * rho * g.coords()[0])
@@ -378,7 +385,6 @@ class TestSobolevScalingProbe:
                                                draws):
             den = fill(buf)
             got.append(norm_lp(g, apply_symbol_spectrum(buf, sym), q) / den)
-        assert draws == []  # each draw is released once its sample is built
         assert len(samples) > 4 + 2  # some bumps are screened
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -393,14 +399,39 @@ class TestSobolevScalingProbe:
         xi_abs = g.xi_radii()
         envelope = outer_product(probes._gaussian_factors(
             g, g.half_width / 8.0, np.zeros(3), np.zeros(3)))
-        draws = probes._shell_draws(g, np.random.default_rng(3), 2)
-        want = shell_samples_complex_path(g, xi_abs, envelope, rho, draws)
+        want = shell_samples_complex_path(
+            g, xi_abs, envelope, rho, full_grid_draws(g, np.random.default_rng(3), 2))
         factors = probes._gaussian_factors(g, g.half_width / 8.0,
                                            np.zeros(3), np.zeros(3))
-        for draw, b in zip(draws, want):
+        for draw, b in zip(probes._shell_draws(g, np.random.default_rng(3), 2),
+                           want):
             a = np.full(g.shape, np.nan, dtype=np.complex128)
             assert probes._shell_sample(g, factors, rho, draw, a)
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("slab_rows", [5, 24])
+    def test_streamed_draws_are_the_full_grid_draws_bitwise(self, slab_rows,
+                                                            monkeypatch):
+        # the fractions drawn slab by slab from a sample's generator are one
+        # full draw, for a slab size that divides the 24 rows and one that
+        # does not, and rng is left where the full draws leave it
+        monkeypatch.setattr(grid_module, "SLAB_POINTS", slab_rows * 24 * 24)
+        g = GridSpec(3, 24, 6.0)
+        rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+        draws = probes._shell_draws(g, rng, 2)
+        want = full_grid_draws(g, oracle, 2)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        for draw, (factor, fractions) in zip(draws, want):
+            before = draw.bit_generator.state
+            for _ in range(2):  # a sample is drawn anew at every build
+                gen = copy.deepcopy(draw)
+                assert gen.uniform(1.0, 3.0) == factor
+                got = np.concatenate([part.copy() for _, part in
+                                      probes._phase_fractions(g, gen)])
+                np.testing.assert_array_equal(got, fractions)
+                out = np.empty(g.shape, dtype=np.complex128)
+                probes._shell_sample(g, [np.ones(24)] * 3, 2.0, draw, out)
+            assert draw.bit_generator.state == before
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_do_not_depend_on_workers(self, seed):

@@ -1,14 +1,18 @@
 """Traced memory bounds of the large-grid probes: one sobolev probe at one
-and two workers, and the embedded-pair construction, each bounded in
-complex128 grids of its grid (64^3 for sobolev, 48^3 for the pair).
+and two workers, the embedded-pair construction and the high-energy decay
+probe, each bounded in complex128 grids of its grid (64^3 for sobolev and
+the decay probe, 48^3 for the pair).
 
-Each |z| row of the sobolev probe holds three complex buffers: its symbol,
-the best image and the work buffer, and the phase draws of its two shell
-samples (two real grids) until they are used; the shared |xi|^alpha is one
-real grid, and every other full-grid pass runs in slabs of at most
-grid.SLAB_POINTS points (a quarter of a 64^3 grid).  The embedded
-pair holds phi, V and the kinetic symbol (real) beside phi's complex cast,
-the transform buffer and the V phi product of one Hamiltonian matvec."""
+Each |z| row of the sobolev probe holds two complex buffers, its symbol and
+the work buffer; the screening keeps the best candidate's recipe, not its
+image, and the shell samples' phase fractions are drawn slab by slab.  The
+shared |xi|^alpha is one real grid, and every other full-grid pass runs in
+slabs of at most grid.SLAB_POINTS points (a quarter of a 64^3 grid).  The
+embedded pair holds phi, V and the kinetic symbol (real) beside the half
+spectrum and the real result of one real-transform Hamiltonian matvec.  The
+decay probe holds the boundary symbol and the weight, the iterate and A* A v
+of the power iteration, and one weighted temporary that each apply
+transforms in place."""
 
 import tracemalloc
 
@@ -18,6 +22,7 @@ import pytest
 from polyharmlab.counterexample import build_embedded_pair
 from polyharmlab.grid import GridSpec
 from polyharmlab.probes import sobolev_scaling_probe
+from polyharmlab.resolvent import high_energy_decay_probe
 
 
 def traced_peak_in_grids(grid, call):
@@ -34,7 +39,7 @@ def traced_peak_in_grids(grid, call):
 
 
 class TestWorkingSet:
-    @pytest.mark.parametrize("workers,bound", [(1, 5.5), (2, 10.0)])
+    @pytest.mark.parametrize("workers,bound", [(1, 3.5), (2, 6.0)])
     def test_sobolev_probe(self, workers, bound):
         g = GridSpec(3, 64, 10.0)
         peak = traced_peak_in_grids(g, lambda: sobolev_scaling_probe(
@@ -45,4 +50,12 @@ class TestWorkingSet:
     def test_embedded_pair(self):
         g = GridSpec(3, 48, 1.1)
         peak = traced_peak_in_grids(g, lambda: build_embedded_pair(g, 2, 1.0))
-        assert peak <= 5.5
+        assert peak <= 3.0
+
+    def test_decay_probe(self):
+        # the scaling workload's decay probe: 64^3, L = 8, m = 1, s = 1
+        g = GridSpec(3, 64, 8.0)
+        peak = traced_peak_in_grids(g, lambda: high_energy_decay_probe(
+            g, 1, 3, 1.0, np.logspace(0.0, 1.5, 4),
+            rng=np.random.default_rng(0)))
+        assert peak <= 6.0
