@@ -34,9 +34,15 @@ Layers (ROADMAP "layer by layer"):
       spectrum probes; one iteration of the smoothing refinement
       (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
       adjoint) on the lab Hamiltonian over the same 65 times, from the
-      same random unit state; the benchmark's scaling sobolev probe (80^3,
-      L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from 0.3 to 10 on
-      the imaginary axis, three packs, the seed-0 stream of the CLI); one
+      same random unit state; one smoothing probe and one Strichartz probe
+      on the lab Hamiltonian with the lab workload's parameters (smoothing:
+      gamma = 0, eps = 0.1, T = 8, three packs, step 0.25, no refinement;
+      Strichartz: (p, q, alpha) = (8/3, 4, 3/2), standard mode, T = 4, three
+      packs, step 0.25; each on the seed-0 stream of the CLI, the eigenset
+      already cached on the Hamiltonian); the benchmark's scaling sobolev
+      probe (80^3, L = 10, m = 1, alpha = 0, p = 1.2, q = 6, four |z| from
+      0.3 to 10 on the imaginary axis, three packs, the seed-0 stream of the
+      CLI); one
       p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
       from (a copy of) the best screened candidate, which a set-up run of
       the probe captures; the same sobolev probe with workers=2, its |z|
@@ -99,6 +105,8 @@ BATCHES = {
     "L2.negative_spectrum_spectral": (1, 3),
     "L2.negative_spectrum_lab": (1, 5),
     "L2.refine_iter_16_T8": (1, 5),
+    "L2.smoothing_probe_lab": (1, 5),
+    "L2.strichartz_probe_lab": (1, 5),
     "L2.sobolev_80": (1, 2),
     "L2.sobolev_80_workers2": (1, 2),
     "L2.pq_refine_80": (1, 4),
@@ -131,7 +139,9 @@ def _layers():
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
     from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
-    from polyharmlab.probes import _refine_quadratic_smoothing, sobolev_scaling_probe
+    from polyharmlab.probes import (AdmissiblePair, _refine_quadratic_smoothing,
+                                    kato_smoothing_probe, sobolev_scaling_probe,
+                                    strichartz_probe)
     from polyharmlab.resolvent import ResolventQuery, high_energy_decay_probe
 
     rng = np.random.default_rng(0)
@@ -218,6 +228,15 @@ def _layers():
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
         "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
             lab_h, weight, dsym, times, psi, 1),
+        "L2.smoothing_probe_lab": lambda: kato_smoothing_probe(
+            lab_h, 0.0, eps=0.1, t_final=8.0, samples=3, time_step=0.25,
+            rng=np.random.default_rng([0, _stream_tag("smoothing")]),
+            refine_iters=0, plateau_tol=0.05),
+        "L2.strichartz_probe_lab": lambda: strichartz_probe(
+            lab_h, AdmissiblePair(8.0 / 3.0, 4.0, 1.5), mode="standard",
+            t_final=4.0, samples=3, time_step=0.25,
+            rng=np.random.default_rng([0, _stream_tag("strichartz")]),
+            plateau_tol=0.05),
         "L2.sobolev_80": run_sobolev,
         "L2.sobolev_80_workers2": lambda: run_sobolev(workers=2),
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),

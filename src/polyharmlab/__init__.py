@@ -9,7 +9,6 @@ from .grid import (
     forward_transform,
     norm_lp,
     read_field,
-    weighted_l2_norm,
     write_field,
 )
 from .potentials import (

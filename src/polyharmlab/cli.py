@@ -56,7 +56,7 @@ SUBCOMMANDS = PROBE_SUBCOMMANDS + ("all",)
 #: family also reads coupling.
 POTENTIAL_KEYS = {
     "gaussian-well": {"depth": "number", "width": "number"},
-    "polynomial-decay": {"g": "number", "amplitude": "number", "s": "number"},
+    "polynomial-decay": {"amplitude": "number", "s": "number"},
     "embedded-counterexample": {"delta": "number"},
     "file": {"path": "str"},
 }
@@ -331,7 +331,7 @@ def build_potential(cfg: RunConfig) -> Potential:
         pot = gaussian_well(cfg.grid, float(spec.get("depth", 1.0)),
                             float(spec.get("width", 1.0)))
     elif family == "polynomial-decay":
-        pot = bracket_decay(cfg.grid, float(spec.get("g", spec.get("amplitude", 1.0))),
+        pot = bracket_decay(cfg.grid, float(spec.get("amplitude", 1.0)),
                             float(spec["s"]))
     elif family == "embedded-counterexample":
         pair = build_embedded_pair(cfg.grid, cfg.m,

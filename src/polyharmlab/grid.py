@@ -349,18 +349,6 @@ def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
     return sym
 
 
-def weighted_l2_norm(grid: GridSpec, values: np.ndarray,
-                     weight: np.ndarray) -> float:
-    """||weight * f||_2 with cell-volume weighting for the samples values
-    (grid shape); weight is a nonnegative array on the grid."""
-    w = np.asarray(weight, dtype=np.float64).reshape(grid.shape)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight must be finite on the grid (regularize the origin cell)")
-    if np.any(w < 0):
-        raise ValueError("weight must be nonnegative")
-    return float(np.sqrt(np.sum(w ** 2 * np.abs(values) ** 2) * grid.cell_volume))
-
-
 # Flat binary serialization: magic, n, N, L, tag byte, then interleaved
 # re/im float64 payload in row-major order, exactly 16 bytes per grid point.
 # The tag byte is 0 (physical samples); tag 1 marked frequency-side values,

@@ -208,10 +208,12 @@ def negative_spectrum(h: Hamiltonian) -> EigenSet:
 
 def clr_check(h: Hamiltonian, c: float) -> Tuple[int, float, bool]:
     """Bound-state count against the semiclassical bound
-    N0 <= c * h^n sum |V_-|^{n/2m} (only the attractive part binds)."""
+    N0 <= c * h^n sum V_-^{n/2m}, V_- = max(-V, 0) (only the attractive part
+    binds, so a repulsive V has bound 0)."""
     n0 = h.eigenset().count_negative
     p = h.grid.n / (2.0 * h.m)
-    bound = c * h.grid.cell_volume * float(np.sum(np.abs(h.potential.values) ** p))
+    attractive = np.maximum(-h.potential.values, 0.0)
+    bound = c * h.grid.cell_volume * float(np.sum(attractive ** p))
     return n0, bound, n0 <= bound
 
 

@@ -29,7 +29,6 @@ from .grid import (
     abs_derivative_symbol,
     abs_power,
     apply_multiplier,
-    apply_symbol,
     apply_symbol_spectrum,
     check_smoothing_gamma,
     norm_lp,
@@ -39,7 +38,6 @@ from .grid import (
     slabs,
     smoothing_weight,
     weight_abs_power,
-    weighted_l2_norm,
 )
 from .hamiltonian import Hamiltonian, projector_ac, propagate, propagate_adjoint
 from .operators import NormEstimate, operator_norm, weighted_multiplier
@@ -176,55 +174,75 @@ def _symmetric_times(t_final: float, step: float) -> np.ndarray:
     return np.concatenate([-pos[:0:-1], pos])
 
 
-def _partial_trapezoids(times: np.ndarray, sq_norms: np.ndarray,
-                        t_checks: Sequence[float]) -> List[float]:
-    """Trapezoid integrals of sq_norms over [-T_j, T_j] for each checkpoint."""
-    vals = []
-    for tc in t_checks:
-        sel = np.abs(times) <= tc + 1e-12
-        vals.append(float(np.trapezoid(sq_norms[sel], times[sel])))
-    return vals
+def _abs_derivative(values: np.ndarray, dsym: Optional[np.ndarray]) -> np.ndarray:
+    """|D|^s values for dsym the symbol of |D|^s (abs_derivative_symbol), or
+    values itself for dsym None, s = 0: the identity needs no transform."""
+    return values if dsym is None else apply_multiplier(values, dsym)
+
+
+def _space_time_ratios(h: Hamiltonian, times: np.ndarray,
+                       op: Callable[[np.ndarray], np.ndarray], p: float, q: float,
+                       psi0: np.ndarray, t_checks: Sequence[float]) -> List[float]:
+    """|| op e^{itH} P_ac psi0 ||_{L^p_t([-T_j, T_j]) L^q_x} / ||psi0||_2 at
+    each checkpoint T_j of t_checks, on the symmetric time grid times: one
+    propagation, one norm_lp of op(state) per snapshot, and the p-th root of
+    the trapezoid of their p-th powers (their max at p = inf)."""
+    grid = h.grid
+    snap = np.array([norm_lp(grid, op(st), q)
+                     for st in propagate(h, projector_ac(h, psi0), times)])
+    within = [np.abs(times) <= tc + 1e-12 for tc in t_checks]
+    if math.isinf(p):
+        mixed = [float(np.max(snap[sel])) for sel in within]
+    else:
+        powered = snap ** p
+        mixed = [float(np.trapezoid(powered[sel], times[sel])) ** (1.0 / p)
+                 for sel in within]
+    denom = norm_lp(grid, psi0, 2)
+    return [c / denom for c in mixed]
 
 
 def plateau_increments(values: Sequence[float]) -> List[float]:
     """Relative increments between successive checkpoint integrals."""
-    out = []
-    for a, b in zip(values, values[1:]):
-        out.append((b - a) / a if a > 0 else math.inf)
-    return out
+    return [(b - a) / a if a > 0 else math.inf for a, b in zip(values, values[1:])]
 
 
-def _sup_over_samples(report: ProbeReport, grid: GridSpec, samples: int,
-                      rng: Optional[np.random.Generator], t_final: float,
-                      ratios_of: Callable[[np.ndarray, List[float]], List[float]],
-                      plateau_tol: float, power: float) -> Tuple[float, np.ndarray]:
-    """Sup over sample states of a functional truncated to [-T, T].
+def _sup_over_samples(report: ProbeReport, h: Hamiltonian, samples: int,
+                      rng: Optional[np.random.Generator], times: np.ndarray,
+                      op: Callable[[np.ndarray], np.ndarray], p: float, q: float,
+                      plateau_tol: float, integral: bool = False
+                      ) -> Tuple[float, np.ndarray]:
+    """Sup over sample states of the _space_time_ratios of op on the time
+    grid times over [-T, T].
 
     The states are `samples` frequency_localized_samples drawn from rng
-    (seed 0 without one).  ratios_of(psi0, t_checks) gives the functional's
-    ratio at each T-checkpoint of t_checks = [T/4, T/2, T]; each becomes a
-    row.  The sample with the largest final ratio is the sup, and its
-    plateau increments are taken on ratio ** power, the time integral
-    itself.  Sets the plateau metrics and the finite / plateau flags, and
-    returns (sup ratio, sup sample)."""
+    (seed 0 without one).  Each state's ratio at the T-checkpoints t_checks
+    = [T/4, T/2, T] becomes a row: the ratio itself, or with integral its
+    p-th power, the time integral.  The sample with the largest final value
+    is the sup, and its plateau increments are taken on the time integral
+    (the ratio itself when p = inf).  Sets the plateau metrics and the
+    finite / plateau flags, and returns (sup value, sup sample)."""
+    t_final = float(times[-1])
     t_checks = [t_final / 4.0, t_final / 2.0, t_final]
+    power = 1 if math.isinf(p) else p
     packs = [outer_product(factors) for factors in
-             frequency_localized_samples(grid, samples, rng or np.random.default_rng(0))]
+             frequency_localized_samples(h.grid, samples, rng or np.random.default_rng(0))]
     if not packs:
         raise ValueError("need at least one sample")
-    best_ratios, best_state = None, None
+    best, best_curve, best_state = None, None, None
     for idx, psi0 in enumerate(packs):
-        ratios = ratios_of(psi0, t_checks)
-        for tc, ratio in zip(t_checks, ratios):
-            report.add_row(sample=idx, t_check=tc, ratio=ratio)
-        if best_ratios is None or ratios[-1] > best_ratios[-1]:
-            best_ratios, best_state = ratios, psi0
-    incs = plateau_increments([r ** power for r in best_ratios])
+        ratios = _space_time_ratios(h, times, op, p, q, psi0, t_checks)
+        curve = [r ** power for r in ratios]
+        values = curve if integral else ratios
+        for tc, value in zip(t_checks, values):
+            report.add_row(sample=idx, t_check=tc, ratio=value)
+        if best is None or values[-1] > best[-1]:
+            best, best_curve, best_state = values, curve, psi0
+    incs = plateau_increments(best_curve)
     report.metrics.update(plateau_increments=incs, plateau_increment=incs[-1],
                           plateau_tol=plateau_tol, t_checks=t_checks)
-    report.passes["finite"] = bool(np.isfinite(best_ratios[-1]))
+    report.passes["finite"] = bool(np.isfinite(best[-1]))
     report.passes["plateau"] = bool(incs[-1] < plateau_tol)
-    return best_ratios[-1], best_state
+    return best[-1], best_state
 
 
 def _time_integral_report(name: str, h: Hamiltonian, plateau_tol: float,
@@ -252,7 +270,8 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
 
         integral_{-T}^{T} || W |D|^gamma e^{itH} P_ac psi0 ||^2 dt / ||psi0||^2
 
-    with W from grid.smoothing_weight.  The max over seeded wave packets is
+    with W from grid.smoothing_weight: the square of the space-time ratio
+    at p = q = 2 of A = W |D|^gamma.  The max over seeded wave packets is
     refined by power iteration on the induced quadratic form; the report
     carries the plateau curve over the T-checkpoints T/4, T/2, T.
     """
@@ -262,24 +281,15 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
         raise ConfigError(f"t_final must be positive, got {t_final}")
 
     weight = smoothing_weight(grid, h.m, gamma, eps)
-    dsym = abs_derivative_symbol(grid, gamma)
+    dsym = abs_derivative_symbol(grid, gamma) if gamma else None
     times = _symmetric_times(t_final, time_step)
 
     report = _time_integral_report(
         "kato_smoothing", h, plateau_tol, gamma=gamma, eps=eps, t_final=t_final,
         samples=samples, time_step=time_step)
-
-    def ratios_of(psi0: np.ndarray, t_checks: List[float]) -> List[float]:
-        states = propagate(h, projector_ac(h, psi0), times)
-        sq = np.array([
-            weighted_l2_norm(grid, apply_multiplier(st, dsym), weight) ** 2
-            for st in states
-        ])
-        denom = norm_lp(grid, psi0, 2) ** 2
-        return [c / denom for c in _partial_trapezoids(times, sq, t_checks)]
-
     best_ratio, best_state = _sup_over_samples(
-        report, grid, samples, rng, t_final, ratios_of, plateau_tol, power=1)
+        report, h, samples, rng, times, lambda st: weight * _abs_derivative(st, dsym),
+        2.0, 2.0, plateau_tol, integral=True)
 
     refined = best_ratio
     if refine_iters > 0:
@@ -296,7 +306,7 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
 
 
 def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
-                                dsym: np.ndarray, times: np.ndarray,
+                                dsym: Optional[np.ndarray], times: np.ndarray,
                                 start: np.ndarray, iters: int) -> NormEstimate:
     """Power iteration on the quadratic smoothing form B*B, at most iters
     steps from start; the form's value is the estimate's norm squared.
@@ -304,8 +314,9 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
     B maps psi to the snapshots (sqrt(w_k) W |D|^gamma e^{i t_k H} P_ac psi)_k
     with trapezoid weights w_k: one forward propagation.  B* weights every
     snapshot back and sums sum_k e^{-i t_k H} (...) with propagate_adjoint,
-    one Clenshaw recurrence.  The flat l2 form is scale-invariant, so the
-    cell-volume factors cancel in the ratio.
+    one Clenshaw recurrence.  dsym is the symbol of |D|^gamma, or None for
+    gamma = 0 (_abs_derivative).  The flat l2 form is scale-invariant, so
+    the cell-volume factors cancel in the ratio.
     """
     grid = h.grid
     ends = np.concatenate([times[:1], times, times[-1:]])
@@ -314,12 +325,12 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
     def apply_b(vec: np.ndarray) -> np.ndarray:
         states = propagate(h, projector_ac(h, vec), times)
         return np.concatenate([
-            sk * weight.reshape(-1) * apply_multiplier(st, dsym).reshape(-1)
+            sk * weight.reshape(-1) * _abs_derivative(st, dsym).reshape(-1)
             for sk, st in zip(sw, states)
         ])
 
     def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
-        weighted = np.stack([sk * apply_symbol(weight * g.reshape(grid.shape), dsym)
+        weighted = np.stack([sk * _abs_derivative(weight * g.reshape(grid.shape), dsym)
                              for sk, g in zip(sw, snaps.reshape(times.size, -1))])
         return projector_ac(h, propagate_adjoint(h, weighted, times)).reshape(-1)
 
@@ -376,27 +387,17 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
         q1 = 1.0 / inv_q1 if inv_q1 > 0 else math.inf
     sobolev_const = 0.0
 
-    def ratios_of(psi0: np.ndarray, t_checks: List[float]) -> List[float]:
+    def measured(st: np.ndarray) -> np.ndarray:
         nonlocal sobolev_const
-        states = propagate(h, projector_ac(h, psi0), times)
-        snap_q = np.empty(times.size)
-        for k, st in enumerate(states):
-            meas = apply_multiplier(st, gsym) if gsym is not None else st
-            snap_q[k] = norm_lp(grid, meas, q)
-            if mode == "gain" and snap_q[k] > 0:
-                sobolev_const = max(sobolev_const, norm_lp(grid, st, q1) / snap_q[k])
-        if math.isinf(p):
-            mixed = [float(np.max(snap_q[np.abs(times) <= tc + 1e-12]))
-                     for tc in t_checks]
-        else:
-            mixed = [c ** (1.0 / p) for c in
-                     _partial_trapezoids(times, snap_q ** p, t_checks)]
-        denom = norm_lp(grid, psi0, 2)
-        return [c / denom for c in mixed]
+        meas = _abs_derivative(st, gsym)
+        if mode == "gain":
+            norm_q = norm_lp(grid, meas, q)
+            if norm_q > 0:
+                sobolev_const = max(sobolev_const, norm_lp(grid, st, q1) / norm_q)
+        return meas
 
     report.metrics["sup_ratio"], _ = _sup_over_samples(
-        report, grid, samples, rng, t_final, ratios_of, plateau_tol,
-        power=1 if math.isinf(p) else p)
+        report, h, samples, rng, times, measured, p, q, plateau_tol)
     if mode == "gain":
         report.metrics.update(sobolev_partner_q1=q1,
                               sobolev_fitted_constant=sobolev_const)

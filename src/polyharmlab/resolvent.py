@@ -130,15 +130,15 @@ def resolvent_symbol_array(grid: GridSpec, q: ResolventQuery) -> np.ndarray:
 def weighted_resolvent_norm(
     grid: GridSpec,
     q: ResolventQuery,
-    s: float,
+    weight: np.ndarray,
     rng: Optional[np.random.Generator] = None,
     max_iter: int = 50,
     rtol: float = 1e-6,
     start: Optional[np.ndarray] = None,
 ) -> NormEstimate:
-    """Operator norm of <x>^{-s} R0(z) <x>^{-s} on the grid, matrix-free."""
-    w = weight_bracket_power(grid, -s)
-    apply, adjoint = weighted_multiplier(w, resolvent_symbol_array(grid, q), w)
+    """Operator norm of W R0(z) W on the grid, matrix-free, for the real
+    weight W (grid shape, only read), e.g. <x>^{-s} = weight_bracket_power(grid, -s)."""
+    apply, adjoint = weighted_multiplier(weight, resolvent_symbol_array(grid, q), weight)
     return operator_norm(apply, adjoint, grid.size,
                          rng=rng, max_iter=max_iter, rtol=rtol, start=start)
 
@@ -171,8 +171,10 @@ def high_energy_decay_probe(
 
     The ray is the positive half-line approached from the + side
     (z = lambda + i0, the boundary-value operators), where the decay law is
-    sharp.
+    sharp.  n must be the grid's; one weight <x>^{-s} serves every |z|.
     """
+    if n != grid.n:
+        raise ValueError(f"n={n} does not match the {grid.n}-d grid")
     mags, decades = z_ray(z_magnitudes)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -182,12 +184,13 @@ def high_energy_decay_probe(
         params={"m": m, "n": n, "s": s, "z_arg": 0.0, "side": "+"},
         provenance={"grid": grid.provenance()},
     )
+    weight = weight_bracket_power(grid, -s)
     norms = []
     warm = None
     for mag in mags:
         z = complex(mag)
         q = ResolventQuery(z=z, m=m, n=n, side="+")
-        est = weighted_resolvent_norm(grid, q, s, rng=rng, start=warm)
+        est = weighted_resolvent_norm(grid, q, weight, rng=rng, start=warm)
         warm = est.vector
         if not est.converged and est.residual > 1e-2:
             raise RuntimeError(

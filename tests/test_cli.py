@@ -142,6 +142,9 @@ class TestValidation:
          "unknown parameter 's' in the gaussian-well potential"),
         ({"family": "file", "path": "v.field", "s": 6.0},
          "unknown parameter 's' in the file potential"),
+        # the amplitude has one key, the name bracket_decay gives it
+        ({"family": "polynomial-decay", "s": 6.0, "amplitude": 1.0, "g": 2.0},
+         "unknown parameter 'g' in the polynomial-decay potential"),
     ])
     def test_malformed_potential_exit_two(self, tmp_path, capsys, potential,
                                           message):
@@ -154,9 +157,9 @@ class TestValidation:
     def test_potential_fields_typed(self):
         raw = base_config()
         raw["operator"]["potential"] = {"family": "polynomial-decay", "s": "5",
-                                        "g": 2}
+                                        "amplitude": 2}
         spec = parse_config(raw).potential_spec
-        assert spec == {"family": "polynomial-decay", "s": 5.0, "g": 2.0}
+        assert spec == {"family": "polynomial-decay", "s": 5.0, "amplitude": 2.0}
         assert raw["operator"]["potential"]["s"] == "5"
         raw["operator"]["potential"] = {"family": "polynomial-decay", "s": 5,
                                         "amplitude": 0.5, "coupling": 2}

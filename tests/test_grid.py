@@ -27,7 +27,6 @@ from polyharmlab.grid import (
     unit_ball_volume,
     weight_abs_power,
     weight_bracket_power,
-    weighted_l2_norm,
     write_field,
 )
 from polyharmlab.hamiltonian import (Hamiltonian, projector_ac, propagate,
@@ -382,13 +381,6 @@ class TestNormsAndWeights:
         assert norm_lp(g, f.real, 4.0) == norm_lp(g, f, 4.0)
         with pytest.raises(ValueError):
             norm_lp(g, f, 0.5)
-
-    def test_weighted_l2_matches_direct_sum(self):
-        g = GridSpec(3, 8, 2.0)
-        f = random_samples(g)
-        w = weight_bracket_power(g, -1.0)
-        direct = np.sqrt(np.sum(w ** 2 * np.abs(f) ** 2) * g.cell_volume)
-        assert weighted_l2_norm(g, f, w) == pytest.approx(direct)
 
     def test_abs_weight_finite_at_origin(self):
         g = GridSpec(3, 8, 2.0)

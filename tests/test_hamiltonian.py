@@ -460,6 +460,20 @@ class TestChecks:
         assert bound == pytest.approx(expect)
         assert ok == (n0 <= bound)
 
+    def test_clr_bound_counts_only_the_attractive_part(self):
+        g = GridSpec(3, 8, 4.0)
+        n0, bound, ok = clr_check(Hamiltonian(g, 1, bracket_decay(g, 2.0, 3.0)), 1.0)
+        assert (n0, bound, ok) == (0, 0.0, True)
+        # a well off centre beside a repulsive bump: V takes both signs, and
+        # only V_- = max(-V, 0) enters the sum
+        vals = (gaussian_well(g, 4.0, center=(1.5, 0.0, 0.0)).values
+                + bracket_decay(g, 1.0, 3.0).values)
+        assert vals.min() < 0 < vals.max()
+        _, bound, _ = clr_check(Hamiltonian(g, 1, Potential(g, vals, "mixed")), 1.0)
+        attractive = g.cell_volume * float(np.sum((-vals[vals < 0]) ** 1.5))
+        assert bound == pytest.approx(attractive, rel=1e-12)
+        assert bound < g.cell_volume * float(np.sum(np.abs(vals) ** 1.5))
+
 
 class TestProjector:
     def test_removes_bound_states(self):

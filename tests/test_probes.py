@@ -22,6 +22,7 @@ from polyharmlab.grid import (
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
 from polyharmlab.potentials import Potential, gaussian_well
+from polyharmlab.reporting import ProbeReport
 from polyharmlab.probes import (
     AdmissiblePair,
     _refine_quadratic_smoothing,
@@ -196,6 +197,77 @@ class TestKatoSmoothingProbe:
             kato_smoothing_probe(h, -0.5)  # at/below m - n/2
         with pytest.raises(ValueError):
             kato_smoothing_probe(h, 0.25, t_final=-1.0)
+
+
+class TestSpaceTimeFunctional:
+    """The one space-time functional both time-integral probes measure,
+    || A e^{itH} P_ac psi0 ||_{L^p_t L^q_x} / ||psi0||_2."""
+
+    T_FINAL = 2.0
+
+    def case(self, potential):
+        g = GridSpec(3, 16, 6.0)
+        h = Hamiltonian(g, 1, potential(g))
+        times = probes._symmetric_times(self.T_FINAL, 0.25)
+        t_checks = [self.T_FINAL / 4.0, self.T_FINAL / 2.0, self.T_FINAL]
+        return g, h, times, t_checks
+
+    def test_free_identity_l2_is_unitary(self):
+        # V = 0, A = 1, p = q = 2: ||e^{itH} psi0||_2 = ||psi0||_2 at every t,
+        # so the ratio is sqrt(2 T_j) at every checkpoint
+        g, h, times, t_checks = self.case(_free)
+        for factors in frequency_localized_samples(g, 2, np.random.default_rng(2)):
+            ratios = probes._space_time_ratios(h, times, lambda st: st, 2.0, 2.0,
+                                               outer_product(factors), t_checks)
+            np.testing.assert_allclose(ratios, np.sqrt(2.0 * np.array(t_checks)),
+                                       rtol=1e-10)
+
+    def test_unbounded_functional_fails_the_plateau(self):
+        # the time integral 2 T_j doubles with T: increment 1 per doubling
+        _, h, times, _ = self.case(_free)
+        rep = ProbeReport("unbounded")
+        best, _ = probes._sup_over_samples(
+            rep, h, 2, np.random.default_rng(2), times, lambda st: st, 2.0, 2.0,
+            probes.PLATEAU_TOL, integral=True)
+        assert best == pytest.approx(2.0 * self.T_FINAL, rel=1e-10)
+        np.testing.assert_allclose(rep.metrics["plateau_increments"], [1.0, 1.0],
+                                   rtol=1e-9)
+        assert rep.passes == {"finite": True, "plateau": False}
+
+    def test_smoothing_identity_path_matches_the_multiplier(self):
+        # gamma = 0 skips |D|^0; the rows equal the time integral of
+        # ||W |D|^0 u(t)||^2 taken through the all-ones multiplier
+        g, h, times, t_checks = self.case(lambda g: gaussian_well(g, 5.0))
+        rep = kato_smoothing_probe(h, 0.0, t_final=self.T_FINAL, samples=2,
+                                   refine_iters=0, rng=np.random.default_rng(2))
+        weight = smoothing_weight(g, 1, 0.0, 0.1)
+        ones = abs_derivative_symbol(g, 0.0)
+        assert np.all(ones == 1.0)
+        packs = frequency_localized_samples(g, 2, np.random.default_rng(2))
+        for idx, factors in enumerate(packs):
+            psi0 = outer_product(factors)
+            sq = np.array([
+                np.sum(weight ** 2 * np.abs(apply_multiplier(st, ones)) ** 2)
+                * g.cell_volume
+                for st in propagate(h, projector_ac(h, psi0), times)])
+            want = [np.trapezoid(sq[np.abs(times) <= tc + 1e-12],
+                                 times[np.abs(times) <= tc + 1e-12])
+                    / norm_lp(g, psi0, 2) ** 2 for tc in t_checks]
+            got = [row["ratio"] for row in rep.rows if row["sample"] == idx]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_refinement_identity_path_matches_the_multiplier(self):
+        g = GridSpec(3, 10, 5.0)
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0, 1.0))
+        weight = smoothing_weight(g, 1, 0.0, 0.1)
+        times = np.linspace(-1.0, 1.0, 9)
+        start = outer_product(
+            frequency_localized_samples(g, 1, np.random.default_rng(2))[0])
+        bare = _refine_quadratic_smoothing(h, weight, None, times, start, 3)
+        forced = _refine_quadratic_smoothing(
+            h, weight, abs_derivative_symbol(g, 0.0), times, start, 3)
+        assert bare.iterations == forced.iterations
+        assert bare.norm == pytest.approx(forced.norm, rel=1e-12)
 
 
 class TestRefinement:

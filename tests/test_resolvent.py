@@ -234,7 +234,7 @@ class TestWeightedResolventNorm:
         for j in range(g.size):
             dense[:, j] = apply(eye[:, j].astype(np.complex128))
         top = float(np.linalg.svd(dense, compute_uv=False)[0])
-        est = weighted_resolvent_norm(g, q, 1.0, max_iter=200, rtol=1e-10)
+        est = weighted_resolvent_norm(g, q, w, max_iter=200, rtol=1e-10)
         assert est.norm == pytest.approx(top, rel=1e-6)
 
     def test_closures_leave_input_alone(self, monkeypatch):
@@ -256,19 +256,21 @@ class TestWeightedResolventNorm:
         monkeypatch.setattr(resolvent, "operator_norm", checking)
         for q in (ResolventQuery(z=-2.0 + 0.5j, m=1, n=3),
                   ResolventQuery(z=1.0, m=1, n=3, side="-")):
-            weighted_resolvent_norm(g, q, 1.0, max_iter=3)
+            weighted_resolvent_norm(g, q, weight_bracket_power(g, -1.0),
+                                    max_iter=3)
         assert len(checked) == 4
 
     def test_boundary_query_uses_regularized_symbol(self):
         g = GridSpec(3, 32, 6.0)
         q = ResolventQuery(z=1.0, m=1, n=3, side="+")
-        est = weighted_resolvent_norm(g, q, 1.0)
+        est = weighted_resolvent_norm(g, q, weight_bracket_power(g, -1.0))
         assert np.isfinite(est.norm) and est.norm > 0
 
     def test_zero_z_rejected(self):
         g = GridSpec(3, 8, 3.0)
         with pytest.raises(ValueError, match="Riesz kernel"):
-            weighted_resolvent_norm(g, ResolventQuery(z=0.0, m=1, n=3), 1.0)
+            weighted_resolvent_norm(g, ResolventQuery(z=0.0, m=1, n=3),
+                                    weight_bracket_power(g, -1.0))
 
 
 class TestDecayProbe:
@@ -287,3 +289,26 @@ class TestDecayProbe:
         assert rep.metrics["expected_slope"] == pytest.approx(-0.5)
         assert rep.passes["norms_finite_positive"]
         assert rep.metrics["decades"] >= 1.5
+
+    def test_dimension_must_match_the_grid(self):
+        g = GridSpec(3, 8, 4.0)
+        with pytest.raises(ValueError, match="n=5 does not match the 3-d grid"):
+            high_energy_decay_probe(g, 1, 5, 1.0, np.logspace(0.0, 1.5, 4))
+
+    def test_weight_built_once_per_probe(self, monkeypatch):
+        # one <x>^{-s} for the whole ray, one weighted_resolvent_norm per |z|
+        g = GridSpec(3, 16, 4.0)
+        calls = {"weight": 0, "norm": 0}
+        build, norm = resolvent.weight_bracket_power, resolvent.weighted_resolvent_norm
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(resolvent, "weight_bracket_power", counted("weight", build))
+        monkeypatch.setattr(resolvent, "weighted_resolvent_norm", counted("norm", norm))
+        rep = high_energy_decay_probe(g, 1, 3, 1.0, np.logspace(0.0, 1.5, 4))
+        assert calls == {"weight": 1, "norm": 4}
+        assert len(rep.rows) == 4
