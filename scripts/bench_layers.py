@@ -4,6 +4,8 @@ operators built on it.
     python3 scripts/bench_layers.py                      # this checkout, JSON on stdout
     python3 scripts/bench_layers.py --baseline OTHER/src --out OUT.json
                                                          # interleaved with another tree
+    python3 scripts/bench_layers.py --layers L2.sobolev_80 L2.pq_refine_80
+                                                         # only the layers named
 
 Layers (ROADMAP "layer by layer"):
 
@@ -45,7 +47,9 @@ Layers (ROADMAP "layer by layer"):
       CLI); one
       p -> q refinement (probes._pq_norm_refine) of that probe at |z| = 0.3,
       from (a copy of) the best screened candidate, which a set-up run of
-      the probe captures; the same sobolev probe with workers=2, its |z|
+      the probe captures, and one at |z| = 3.107, the third row, whose
+      iterates run down into the subnormal range before the refinement
+      stops by underflow; the same sobolev probe with workers=2, its |z|
       rows on two threads; one operator_norm rung of the benchmark's scaling
       Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
       the rung draws from the seed-0 stream of the CLI); one
@@ -110,6 +114,7 @@ BATCHES = {
     "L2.sobolev_80": (1, 2),
     "L2.sobolev_80_workers2": (1, 2),
     "L2.pq_refine_80": (1, 4),
+    "L2.pq_refine_80_underflow": (1, 4),
     "L2.stein_weiss_64": (1, 3),
     "L2.embedded_pair_96": (1, 4),
     "L2.decay_probe_64": (1, 2),
@@ -187,7 +192,7 @@ def _layers():
             sobolev, 1, 0.0, 1.2, 6.0, mags, samples=3,
             rng=np.random.default_rng([0, _stream_tag("sobolev")]), workers=workers)
 
-    # the refinement's arguments at the first |z|, taken from one probe run;
+    # the refinement's arguments per |z|, taken from one probe run;
     # arrays are copied, since the refinement may overwrite its start
     def copies(args):
         return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
@@ -240,6 +245,7 @@ def _layers():
         "L2.sobolev_80": run_sobolev,
         "L2.sobolev_80_workers2": lambda: run_sobolev(workers=2),
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
+        "L2.pq_refine_80_underflow": lambda: refine(*copies(refine_args[2])),
         "L2.stein_weiss_64": lambda: operator_norm(
             *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
         "L2.embedded_pair_96": lambda: build_embedded_pair(counter, 2, 1.0),
@@ -250,12 +256,14 @@ def _layers():
     return layers
 
 
-def _worker() -> None:
-    """One measurement pass: per layer, the per-call time of every batch, the
-    counts the layer records and the traced peak of one call in bytes."""
+def _worker(names) -> None:
+    """One measurement pass over the layers names (every layer when empty):
+    per layer, the per-call time of every batch, the counts the layer records
+    and the traced peak of one call in bytes."""
     layers = _layers()
     out, counts, peaks = {}, {}, {}
-    for name, fn in layers.items():
+    for name in names or layers:
+        fn = layers[name]
         calls, batches = BATCHES[name]
         result = fn()  # warm caches, plans and lazy set-up
         if name in COUNTS:
@@ -277,9 +285,10 @@ def _worker() -> None:
     print(json.dumps({"times": out, "counts": counts, "peaks": peaks}))
 
 
-def _run_pass(src: Path) -> dict:
+def _run_pass(src: Path, names) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--worker"], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--worker", "--layers",
+                           *names], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -336,10 +345,12 @@ def main(argv=None) -> int:
                          "of 5 rounds swing by more than 10 %%")
     ap.add_argument("--out", type=Path, default=None,
                     help="JSON file to write (overwritten); stdout when absent")
+    ap.add_argument("--layers", nargs="*", choices=list(BATCHES), default=[],
+                    metavar="LAYER", help="the layers to time; all when absent")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        _worker()
+        _worker(args.layers)
         return 0
 
     trees = {"current": ROOT / "src"}
@@ -354,7 +365,7 @@ def main(argv=None) -> int:
     order = list(trees)
     for rnd in range(args.rounds):
         for label in (order if rnd % 2 == 0 else order[::-1]):
-            result = _run_pass(trees[label])
+            result = _run_pass(trees[label], args.layers)
             for name, times in result["times"].items():
                 passes[label][name].append(times)
             for name, peak in result["peaks"].items():

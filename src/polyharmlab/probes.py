@@ -169,6 +169,13 @@ def frequency_localized_samples(grid: GridSpec, count: int,
 
 
 def _symmetric_times(t_final: float, step: float) -> np.ndarray:
+    """The time grid [-T, T] of the time-integral probes: a step near step,
+    at least two steps on each side of 0.  ConfigError unless T = t_final is
+    positive and finite and step positive."""
+    if not 0 < t_final < math.inf:
+        raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+    if not step > 0:
+        raise ConfigError(f"time_step must be positive, got {step}")
     nt = max(2, int(round(t_final / step)))
     pos = np.linspace(0.0, t_final, nt + 1)
     return np.concatenate([-pos[:0:-1], pos])
@@ -277,12 +284,9 @@ def kato_smoothing_probe(h: Hamiltonian, gamma: float, eps: float = 0.1,
     """
     grid = h.grid
     check_smoothing_gamma(h.m, grid.n, gamma)
-    if t_final <= 0:
-        raise ConfigError(f"t_final must be positive, got {t_final}")
-
+    times = _symmetric_times(t_final, time_step)
     weight = smoothing_weight(grid, h.m, gamma, eps)
     dsym = abs_derivative_symbol(grid, gamma) if gamma else None
-    times = _symmetric_times(t_final, time_step)
 
     report = _time_integral_report(
         "kato_smoothing", h, plateau_tol, gamma=gamma, eps=eps, t_final=t_final,
@@ -660,8 +664,25 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
     Returns (best ratio, steps, stop): steps counts the iterates the map
     produced, and stop is "converged" when the ratio changed by at most 2e-4
     relative, "underflow" when an iterate or its adjoint image flushed to
-    zero, and "cap" after 40 steps."""
+    zero or is certain to, and "cap" after 40 steps.
+
+    "Certain to" skips the transform pair whose outcome the scale of its
+    input already fixes.  The kernel ifftn(s) of a multiplier s is bounded
+    by mean|s|, so no entry of ifftn(s * fftn(v)) exceeds mean|s| * sum|v|
+    (flat sums).  When 4 times that bound (a margin for rounding) puts every
+    entry of J_p'(A* J_q(u)) below the smallest normal double or where its
+    p-th power rounds to 0, the iteration stops before A*: the pair would
+    give den = 0 at this step.  When it puts every entry of the next iterate
+    where its q-th power rounds to 0 and its (q-1)-th power is below the
+    smallest normal, it stops before A with steps + 1: the next step's ratio
+    would be 0, which leaves best and fails or skips the convergence test,
+    and J_q would flush it to 0.  Either way the result, steps and stop
+    included, is the one the skipped pair would give."""
     pp = p / (p - 1.0)  # conjugate exponent of p
+    kernel_bound = sum(float(np.abs(sym[rows]).sum())  # mean|sym|
+                       for rows in slabs(sym.shape)) / sym.size
+    adjoint_limit = max(_TINY, _power_underflow(p)) / 4.0
+    forward_limit = min(_power_underflow(q), _TINY ** (1.0 / (q - 1.0))) / 4.0
     u = image
     best = 0.0
     prev = 0.0
@@ -672,18 +693,22 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
         if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
             return best, steps, "converged"
         prev = ratio
-        nonzero = False
+        mass = 0.0  # sum |J_q(u)|
         for rows in slabs(grid.shape):
             part = u[rows]
-            part *= abs_power(part, q - 2.0)  # J_q(u)
-            nonzero |= bool(_flush_subnormal(part).any())
-        if not nonzero:
-            return best, steps, "underflow"  # A* 0 = 0
+            powered = abs_power(part, q - 2.0)
+            part *= powered  # J_q(u)
+            _flush_subnormal(part)
+            mass += float(np.abs(part, out=powered).sum())
+            del powered  # not held while the next slab's is built
+        if kernel_bound * mass < adjoint_limit:
+            return best, steps, "underflow"  # A* 0 = 0, or den = 0 below
         w = apply_symbol_spectrum(scipy.fft.fftn(u, overwrite_x=True), sym,
                                   adjoint=True)
         peak = np.max([np.abs(w[rows]).max() for rows in slabs(grid.shape)])
         if peak == 0.0:
             return best, steps, "underflow"
+        mass = 0.0  # sum |J_p'(w)|
         for rows in slabs(grid.shape):
             part = w[rows]
             aw = np.abs(part)
@@ -692,11 +717,23 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
             part *= aw  # J_p'(w), rescaled by peak^(2 - p')
             part[~np.isfinite(part)] = 0.0
             _flush_subnormal(part)
+            mass += float(np.abs(part, out=aw).sum())
         den = norm_lp(grid, w, p)
         if den == 0.0:
             return best, steps, "underflow"
+        if steps < 39 and kernel_bound * mass < forward_limit:
+            return best, steps + 1, "underflow"  # ratio 0, then J_q flushes
         u = apply_symbol_spectrum(scipy.fft.fftn(w, overwrite_x=True), sym)
     return best, 40, "cap"
+
+
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
+
+
+def _power_underflow(s: float) -> float:
+    """The magnitude below which an s-th power rounds to 0: 2^(-1075 / s),
+    -1075 being one below the exponent of the smallest subnormal double."""
+    return 2.0 ** ((math.log2(np.finfo(np.float64).smallest_subnormal) - 1.0) / s)
 
 
 def _flush_subnormal(a: np.ndarray) -> np.ndarray:
@@ -704,9 +741,8 @@ def _flush_subnormal(a: np.ndarray) -> np.ndarray:
     set to zero, in place.  The duality maps raise small entries to high
     powers, and arithmetic on subnormal operands is many times slower."""
     parts = a.view(np.float64)
-    tiny = np.finfo(np.float64).tiny
-    small = parts < tiny
-    small &= parts > -tiny
+    small = parts < _TINY
+    small &= parts > -_TINY
     np.copyto(parts, 0.0, where=small)
     return a
 

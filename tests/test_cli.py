@@ -195,6 +195,11 @@ class TestValidation:
          "mode must be 'standard' or 'gain'"),
         ("counterexample", {"npts": 8}, "support radius 1 under-resolved"),
         ("sobolev", {"z_max": 1.0}, "need >= 1.5"),
+        ("strichartz", {"p": 8 / 3, "q": 4, "alpha": 1.5, "t_final": -1},
+         "t_final must be positive"),
+        ("strichartz", {"p": 8 / 3, "q": 4, "alpha": 1.5, "time_step": 0},
+         "time_step must be positive"),
+        ("smoothing", {"time_step": 0}, "time_step must be positive"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):

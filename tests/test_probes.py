@@ -1,9 +1,11 @@
 """Admissible pairs, sample families, and the space-time / scaling probes."""
 
 import copy
+import math
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,13 +13,16 @@ import pytest
 from polyharmlab import grid as grid_module
 from polyharmlab import probes
 from polyharmlab.grid import (
+    ConfigError,
     GridSpec,
     abs_derivative_symbol,
+    abs_power,
     apply_multiplier,
     apply_symbol_spectrum,
     norm_lp,
     outer_product,
     samples_from_spectrum,
+    slabs,
     smoothing_weight,
 )
 from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
@@ -374,6 +379,21 @@ class TestTimeIntegralDriver:
         with pytest.raises(ValueError, match="need at least one sample"):
             TIME_INTEGRAL_PROBES[name](h, t_final=1.0, samples=0)
 
+    @pytest.mark.parametrize("name", TIME_INTEGRAL_PROBES)
+    @pytest.mark.parametrize("t_final, time_step, message", [
+        (0.0, 0.25, "t_final must be positive"),
+        (-1.0, 0.25, "t_final must be positive"),
+        (math.inf, 0.25, "t_final must be positive and finite"),
+        (1.0, 0.0, "time_step must be positive"),
+        (1.0, -0.25, "time_step must be positive"),
+    ])
+    def test_time_grid_rejected(self, name, t_final, time_step, message):
+        g = GridSpec(3, 8, 4.0)
+        h = Hamiltonian(g, 1, _free(g))
+        with pytest.raises(ConfigError, match=message):
+            TIME_INTEGRAL_PROBES[name](h, t_final=t_final, time_step=time_step,
+                                       samples=1)
+
 
 class TestStrichartzProbe:
     def test_free_standard_mode(self):
@@ -403,6 +423,53 @@ class TestStrichartzProbe:
         with pytest.raises(ValueError):
             strichartz_probe(h, AdmissiblePair(Fraction(8, 3), 4, Fraction(3, 2)),
                              mode="nope")
+
+
+def _refine_every_transform(grid, image, den, ratio, sym, p, q, stops):
+    """probes._pq_norm_refine as it was before its underflow stops skipped
+    transforms: each stop is taken only once a transform's output shows it.
+    Appends (where, step, detail) of the stop to stops."""
+    pp = p / (p - 1.0)
+    u = image
+    best = 0.0
+    prev = 0.0
+    for steps in range(40):
+        if steps:
+            ratio = norm_lp(grid, u, q) / den
+        best = max(best, ratio)
+        if prev > 0 and abs(ratio - prev) <= 2e-4 * prev:
+            stops.append(("converged", steps, None))
+            return best, steps, "converged"
+        prev = ratio
+        nonzero = False
+        for rows in slabs(grid.shape):
+            part = u[rows]
+            part *= abs_power(part, q - 2.0)
+            nonzero |= bool(probes._flush_subnormal(part).any())
+        if not nonzero:
+            stops.append(("J_q flushed", steps, ratio))
+            return best, steps, "underflow"
+        w = apply_symbol_spectrum(probes.scipy.fft.fftn(u, overwrite_x=True),
+                                  sym, adjoint=True)
+        peak = np.max([np.abs(w[rows]).max() for rows in slabs(grid.shape)])
+        if peak == 0.0:
+            stops.append(("peak", steps, None))
+            return best, steps, "underflow"
+        for rows in slabs(grid.shape):
+            part = w[rows]
+            aw = np.abs(part)
+            aw /= peak
+            aw **= pp - 2.0
+            part *= aw
+            part[~np.isfinite(part)] = 0.0
+            probes._flush_subnormal(part)
+        den = norm_lp(grid, w, p)
+        if den == 0.0:
+            stops.append(("den", steps, "normal" if w.any() else "all flushed"))
+            return best, steps, "underflow"
+        u = apply_symbol_spectrum(probes.scipy.fft.fftn(w, overwrite_x=True), sym)
+    stops.append(("cap", 40, None))
+    return best, 40, "cap"
 
 
 class TestSobolevScalingProbe:
@@ -561,6 +628,54 @@ class TestSobolevScalingProbe:
         assert probes._pq_norm_refine(g, image, 1.0, 0.125, sym, 1.2, 6.0) == \
             (0.125, 0, "underflow")
         assert calls == []
+
+    # (label, symbol scale, start: image scale or the constant-start
+    # exponent, p, q, where the loop that runs every transform stops)
+    UNDERFLOW_CASES = [
+        # J_p'(A* J_q u) flushes everywhere: den = 0 at step 0
+        ("a_flushed", -60, -196, 1.2, 6.0, ("den", 0, "all flushed")),
+        # J_p'(A* J_q u) is normal, its p-th powers round to 0: den = 0 at 1
+        ("a_pth_power", 0, -37, 1.2, 6.0, ("den", 1, "normal")),
+        # the next iterate's ratio is 0 and J_q flushes it at step 3
+        ("b", 0, -3, 1.2, 6.0, ("J_q flushed", 3, 0.0)),
+        # a constant start 2^-611 under the constant symbol 2^38: every
+        # ratio after step 0 is 0 (q-th powers round to 0), J_q never
+        # flushes, and the exponent of the scale drifts down by a factor
+        # q - 1 = 1.125 a step, so that the 40th iterate would flush
+        ("b_at_cap", 38, -611, 1.05, 2.125, ("cap", 40, None)),
+    ]
+
+    @pytest.mark.parametrize("label, sym_exp, start_exp, p, q, path",
+                             UNDERFLOW_CASES,
+                             ids=[case[0] for case in UNDERFLOW_CASES])
+    def test_refinement_skips_only_transforms_of_a_certain_underflow(
+            self, monkeypatch, label, sym_exp, start_exp, p, q, path):
+        # the refinement's (best, steps, stop) equal those of the loop that
+        # runs every transform, one fftn/ifftn pair fewer where a stop is
+        # certain before A* (a) or before A (b); at the cap A still runs
+        g = GridSpec(3, 16, 8.0)
+        if label == "b_at_cap":
+            image = np.full(g.shape, 2.0 ** start_exp, dtype=complex)
+            sym = np.full(g.shape, 2.0 ** sym_exp, dtype=complex)
+        else:
+            phases = np.random.default_rng(0).random(g.shape)
+            image = (np.exp(-g.radii() ** 2 / 4.0) * np.exp(2j * np.pi * phases)
+                     * 2.0 ** start_exp)
+            sym = 2.0 ** sym_exp / (g.xi_radii() ** 2 - 1j)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(probes.scipy.fft, name, partial(
+                lambda f, *a, **k: calls.append(1) or f(*a, **k),
+                getattr(probes.scipy.fft, name)))
+        stops = []
+        every = _refine_every_transform(g, image.copy(), 1.0, 0.125, sym, p, q,
+                                        stops)
+        every_calls = len(calls)
+        calls.clear()
+        assert probes._pq_norm_refine(g, image, 1.0, 0.125, sym, p, q) == every
+        assert stops == [path]
+        assert every[1:] == (path[1], "cap" if label == "b_at_cap" else "underflow")
+        assert every_calls - len(calls) == (0 if label == "b_at_cap" else 2)
 
     def test_flush_subnormal(self):
         tiny = np.finfo(np.float64).tiny
