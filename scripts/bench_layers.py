@@ -4,8 +4,6 @@ operators built on it.
     python3 scripts/bench_layers.py                      # this checkout, JSON on stdout
     python3 scripts/bench_layers.py --baseline OTHER/src --out OUT.json
                                                          # interleaved with another tree
-    python3 scripts/bench_layers.py --layers L2.sobolev_80 L2.pq_refine_80
-                                                         # only the layers named
 
 Layers (ROADMAP "layer by layer"):
 
@@ -256,14 +254,12 @@ def _layers():
     return layers
 
 
-def _worker(names) -> None:
-    """One measurement pass over the layers names (every layer when empty):
-    per layer, the per-call time of every batch, the counts the layer records
-    and the traced peak of one call in bytes."""
+def _worker() -> None:
+    """One measurement pass: per layer, the per-call time of every batch, the
+    counts the layer records and the traced peak of one call in bytes."""
     layers = _layers()
     out, counts, peaks = {}, {}, {}
-    for name in names or layers:
-        fn = layers[name]
+    for name, fn in layers.items():
         calls, batches = BATCHES[name]
         result = fn()  # warm caches, plans and lazy set-up
         if name in COUNTS:
@@ -285,10 +281,9 @@ def _worker(names) -> None:
     print(json.dumps({"times": out, "counts": counts, "peaks": peaks}))
 
 
-def _run_pass(src: Path, names) -> dict:
+def _run_pass(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--worker", "--layers",
-                           *names], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--worker"], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -345,12 +340,10 @@ def main(argv=None) -> int:
                          "of 5 rounds swing by more than 10 %%")
     ap.add_argument("--out", type=Path, default=None,
                     help="JSON file to write (overwritten); stdout when absent")
-    ap.add_argument("--layers", nargs="*", choices=list(BATCHES), default=[],
-                    metavar="LAYER", help="the layers to time; all when absent")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        _worker(args.layers)
+        _worker()
         return 0
 
     trees = {"current": ROOT / "src"}
@@ -365,7 +358,7 @@ def main(argv=None) -> int:
     order = list(trees)
     for rnd in range(args.rounds):
         for label in (order if rnd % 2 == 0 else order[::-1]):
-            result = _run_pass(trees[label], args.layers)
+            result = _run_pass(trees[label])
             for name, times in result["times"].items():
                 passes[label][name].append(times)
             for name, peak in result["peaks"].items():
