@@ -52,29 +52,50 @@ PROBE_SUBCOMMANDS = (
 )
 SUBCOMMANDS = PROBE_SUBCOMMANDS + ("all",)
 
-#: The keys each potential family reads, with their schema kinds; every
-#: family also reads coupling.
-POTENTIAL_KEYS = {
-    "gaussian-well": {"depth": "number", "width": "number"},
-    "polynomial-decay": {"amplitude": "number", "s": "number"},
-    "embedded-counterexample": {"delta": "number"},
-    "file": {"path": "str"},
-}
-POTENTIAL_FAMILIES = tuple(POTENTIAL_KEYS)
-
-#: The keys of the config root and of its grid and operator blocks.
-TOP_LEVEL_KEYS = ("seed", "threads", "output_dir", "grid", "operator", "probes")
-GRID_KEYS = ("n", "npts", "half_width")
-OPERATOR_KEYS = ("m", "potential")
-
-
 # ---------------------------------------------------------------------------
-# parameter schemas (the machine-readable probe table)
+# config schemas: one table per block (list-probes prints the probe tables)
 # ---------------------------------------------------------------------------
 
 def _f(default=None, required=False, kind="number", doc="", minimum=None):
     return {"default": default, "required": required, "type": kind, "doc": doc,
             "minimum": minimum}
+
+
+ROOT_SCHEMA = {
+    "seed": _f(required=True, kind="int", doc="root of every probe's random stream"),
+    "threads": _f(kind="int", minimum=1, doc="core budget (default: the CPU count)"),
+    "output_dir": _f("reports", kind="str"),
+    "grid": _f(required=True, kind="mapping"),
+    "operator": _f(required=True, kind="mapping"),
+    "probes": _f(kind="mapping", doc="one block per probe (default: none)"),
+}
+
+GRID_SCHEMA = {
+    "n": _f(required=True, kind="int", doc="dimension"),
+    "npts": _f(required=True, kind="int", doc="points per axis"),
+    "half_width": _f(required=True, doc="the box is [-half_width, half_width)^n"),
+}
+
+OPERATOR_SCHEMA = {
+    "m": _f(required=True, kind="int", doc="order of (-Delta)^m"),
+    "potential": _f({"family": "gaussian-well"}, kind="mapping"),
+}
+
+
+def _potential(**keys):
+    return {"family": _f(required=True, kind="str"), **keys,
+            "coupling": _f(1.0, doc="factor on the family's values")}
+
+
+#: The keys each potential family reads, coupling included.
+POTENTIAL_SCHEMAS = {
+    "gaussian-well": _potential(depth=_f(1.0), width=_f(1.0)),
+    "polynomial-decay": _potential(amplitude=_f(1.0),
+                                   s=_f(required=True, doc="decay exponent, > 0")),
+    "embedded-counterexample": _potential(delta=_f(1.0, doc="support radius")),
+    "file": _potential(path=_f(required=True, kind="str",
+                               doc="a field binary on the config grid")),
+}
 
 
 PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
@@ -183,12 +204,6 @@ def _require(cond: bool, invariant: str) -> None:
         raise ConfigError(invariant)
 
 
-def _reject_unknown(keys, known, where: str) -> None:
-    for key in keys:
-        _require(key in known, f"unknown parameter {key!r} in {where}; "
-                 f"valid: {list(known)}")
-
-
 def _is_number(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -203,7 +218,7 @@ def _coerce(where: str, kind: str, value: Any) -> Any:
 
     int must be integral, number goes through float() (so a YAML string such
     as 1e-12 is accepted), list must be a sequence of numbers and int_list one
-    of integers, bool and str must already have their type."""
+    of integers, bool, str and mapping must already have their type."""
     if value is None:
         return None
     if kind == "int":
@@ -223,95 +238,85 @@ def _coerce(where: str, kind: str, value: Any) -> Any:
         _require(isinstance(value, (list, tuple)) and all(map(_is_integral, value)),
                  f"{where} must be a list of integers, got {value!r}")
         return [int(x) for x in value]
-    _require(isinstance(value, {"bool": bool, "str": str}[kind]),
+    _require(isinstance(value, {"bool": bool, "str": str, "mapping": dict}[kind]),
              f"{where} must be a {kind}, got {value!r}")
     return value
 
 
+def _parse_block(raw: Optional[Dict[str, Any]], schema: Dict[str, Dict[str, Any]],
+                 where: str, prefix: str = "") -> Dict[str, Any]:
+    """The block raw resolved against its schema: each key typed by _coerce,
+    held to its minimum (a tolerance to > 0), at its default when absent.  An
+    unknown key, an absent required key and a null where the key is required
+    or its default is not null are ConfigErrors naming prefix + key.  raw None
+    is a block left out of the config: every key takes its default, a
+    required one's None included (run() checks those of the probes it runs)."""
+    block = {} if raw is None else raw
+    for key in block:
+        _require(key in schema, f"unknown parameter {key!r} in {where}; "
+                 f"valid: {list(schema)}")
+    out = {}
+    for key, meta in schema.items():
+        name = prefix + key
+        if key in block:
+            value = block[key]
+            _require(value is not None or meta["default"] is None
+                     and not meta["required"], f"{name} must be set")
+        else:
+            _require(raw is None or not meta["required"],
+                     f"{where} requires parameter {key!r}")
+            value = meta["default"]
+        value = out[key] = _coerce(name, meta["type"], value)
+        if value is None:
+            continue
+        _require(meta["minimum"] is None or value >= meta["minimum"],
+                 f"{name} must be >= {meta['minimum']}, got {value!r}")
+        _require(key not in _TOLERANCE_KEYS or value > 0,
+                 f"tolerance {name} must be strictly positive")
+    return out
+
+
 def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
                  threads: Optional[int] = None) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _reject_unknown(raw, TOP_LEVEL_KEYS, "the config root")
-    seed = _coerce("seed", "int", raw.get("seed"))
-    _require(seed is not None, "seed present: an integer seed field is mandatory")
-    gblock = raw.get("grid") or {}
-    _require(isinstance(gblock, dict) and set(GRID_KEYS) <= set(gblock),
-             "grid block with n, npts, half_width is mandatory")
-    _reject_unknown(gblock, GRID_KEYS, "the grid block")
-    oblock = raw.get("operator") or {}
-    _require(isinstance(oblock, dict) and "m" in oblock,
-             "operator block with m is mandatory")
-    _reject_unknown(oblock, OPERATOR_KEYS, "the operator block")
-    m = _coerce("operator.m", "int", oblock["m"])
-    n, npts = (_coerce(f"grid.{key}", "int", gblock[key]) for key in ("n", "npts"))
-    half_width = _coerce("grid.half_width", "number", gblock["half_width"])
-    _require(None not in (m, n, npts, half_width), "grid and operator fields must be set")
+    """The config raw resolved against its block schemas; threads and
+    out_dir (the CLI's --threads and --out) stand in for the config's keys."""
+    _require(isinstance(raw, dict), "config root must be a mapping")
+    root = _parse_block(raw if threads is None else dict(raw, threads=threads),
+                        ROOT_SCHEMA, "the config root")
+    gblock = _parse_block(root["grid"], GRID_SCHEMA, "the grid block", "grid.")
+    oblock = _parse_block(root["operator"], OPERATOR_SCHEMA, "the operator block",
+                          "operator.")
+    m, n = oblock["m"], gblock["n"]
     _require(n > 2 * m, f"n > 2m: got n={n}, m={m}")
     try:
-        grid = GridSpec(n, npts, half_width)
+        grid = GridSpec(**gblock)
     except ConfigError as exc:
         raise ConfigError(f"grid block invalid: {exc}") from exc
 
-    pot_spec = oblock.get("potential") or {"family": "gaussian-well",
-                                           "depth": 1.0, "width": 1.0}
-    _require(isinstance(pot_spec, dict), "operator.potential must be a mapping")
-    family = pot_spec.get("family")
-    _require(family in POTENTIAL_FAMILIES,
-             f"potential family must be one of {POTENTIAL_FAMILIES}, got {family!r}")
-    kinds = dict(POTENTIAL_KEYS[family], coupling="number")
-    spec = {"family": family}
-    for key, value in pot_spec.items():
-        if key != "family":
-            _require(key in kinds, f"unknown parameter {key!r} in the {family} potential")
-            _require(value is not None, f"operator.potential.{key} must be set")
-            spec[key] = _coerce(f"operator.potential.{key}", kinds[key], value)
-
+    family = oblock["potential"].get("family")
+    _require(family in tuple(POTENTIAL_SCHEMAS), "potential family must be one of "
+             f"{tuple(POTENTIAL_SCHEMAS)}, got {family!r}")
+    spec = _parse_block(oblock["potential"], POTENTIAL_SCHEMAS[family],
+                        f"the {family} potential", "operator.potential.")
     warnings: List[str] = []
     if family == "polynomial-decay":
-        s = spec.get("s", 0.0)
-        _require(s > 0, "polynomial-decay potential needs s > 0")
-        if s <= 2 * m:
+        _require(spec["s"] > 0, "polynomial-decay potential needs s > 0")
+        if spec["s"] <= 2 * m:
             warnings.append(
-                f"polynomial decay s={s:g} <= 2m={2 * m}: outside the "
-                "hypothesis range of the smoothing estimates"
-            )
+                f"polynomial decay s={spec['s']:g} <= 2m={2 * m}: outside the "
+                "hypothesis range of the smoothing estimates")
 
-    probes: Dict[str, Dict[str, Any]] = {}
-    user_probes = raw.get("probes") or {}
-    _require(isinstance(user_probes, dict), "probes block must be a mapping")
-    for name in user_probes:
-        _require(name in PROBE_SCHEMAS,
-                 f"unknown probe block {name!r}; valid: {sorted(PROBE_SCHEMAS)}")
-    for name, schema in PROBE_SCHEMAS.items():
-        block = dict(user_probes.get(name) or {})
-        _reject_unknown(block, schema, f"probe block {name!r}")
-        for key, meta in schema.items():
-            if key not in block:
-                _require(not meta["required"] or name not in user_probes,
-                         f"probe {name!r} requires parameter {key!r}")
-                block[key] = meta["default"]
-            block[key] = _coerce(f"{name}.{key}", meta["type"], block[key])
-            if meta["minimum"] is not None and block[key] is not None:
-                _require(block[key] >= meta["minimum"],
-                         f"{name}.{key} must be >= {meta['minimum']}, "
-                         f"got {block[key]!r}")
-        for key in _TOLERANCE_KEYS:
-            if key in block and block[key] is not None:
-                _require(block[key] > 0,
-                         f"tolerance {name}.{key} must be strictly positive")
-        probes[name] = block
-
-    outp = Path(out_dir if out_dir is not None
-                else raw.get("output_dir", "reports"))
-    nthreads = _coerce("threads", "int", raw.get("threads") if threads is None else threads)
-    if nthreads is None:
-        nthreads = os.cpu_count() or 1
-    _require(nthreads >= 1, "threads must be >= 1")
-
-    return RunConfig(grid=grid, m=m, potential_spec=spec, seed=seed,
-                     output_dir=outp, threads=nthreads, probes=probes,
-                     warnings=warnings)
+    given = _parse_block(root["probes"], {name: _f(kind="mapping")
+                                          for name in PROBE_SCHEMAS},
+                         "the probes block", "probes.")
+    probes = {name: _parse_block(given[name], schema, f"probe block {name!r}",
+                                 f"{name}.")
+              for name, schema in PROBE_SCHEMAS.items()}
+    return RunConfig(grid=grid, m=m, potential_spec=spec, seed=root["seed"],
+                     output_dir=Path(root["output_dir"] if out_dir is None
+                                     else out_dir),
+                     threads=root["threads"] or os.cpu_count() or 1,
+                     probes=probes, warnings=warnings)
 
 
 def load_config(path, out_dir: Optional[str] = None,
@@ -324,22 +329,17 @@ def load_config(path, out_dir: Optional[str] = None,
 
 
 def build_potential(cfg: RunConfig) -> Potential:
+    """The potential of the resolved spec (every key set by parse_config)."""
     spec = cfg.potential_spec
     family = spec["family"]
-    coupling = float(spec.get("coupling", 1.0))
     if family == "gaussian-well":
-        pot = gaussian_well(cfg.grid, float(spec.get("depth", 1.0)),
-                            float(spec.get("width", 1.0)))
+        pot = gaussian_well(cfg.grid, spec["depth"], spec["width"])
     elif family == "polynomial-decay":
-        pot = bracket_decay(cfg.grid, float(spec.get("amplitude", 1.0)),
-                            float(spec["s"]))
+        pot = bracket_decay(cfg.grid, spec["amplitude"], spec["s"])
     elif family == "embedded-counterexample":
-        pair = build_embedded_pair(cfg.grid, cfg.m,
-                                   float(spec.get("delta", 1.0)))
-        pot = pair.potential
-    elif family == "file":
-        path = spec.get("path")
-        _require(path is not None, "file potential needs a path")
+        pot = build_embedded_pair(cfg.grid, cfg.m, spec["delta"]).potential
+    else:  # file
+        path = spec["path"]
         try:
             with open(path, "rb") as fh:
                 grid, values = read_field(fh)
@@ -351,10 +351,8 @@ def build_potential(cfg: RunConfig) -> Potential:
                  f"file potential {path} holds complex or non-finite values; "
                  "it must be real and finite")
         pot = Potential(cfg.grid, values.real, name=f"file({Path(path).name})")
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError(f"unknown potential family {family!r}")
-    if coupling != 1.0:
-        pot = pot.scaled(coupling)
+    if spec["coupling"] != 1.0:
+        pot = pot.scaled(spec["coupling"])
     return pot
 
 

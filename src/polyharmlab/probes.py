@@ -29,6 +29,7 @@ from .grid import (
     abs_derivative_symbol,
     abs_power,
     apply_multiplier,
+    apply_symbol,
     apply_symbol_spectrum,
     check_smoothing_gamma,
     norm_lp,
@@ -703,8 +704,7 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
             del powered  # not held while the next slab's is built
         if kernel_bound * mass < adjoint_limit:
             return best, steps, "underflow"  # A* 0 = 0, or den = 0 below
-        w = apply_symbol_spectrum(scipy.fft.fftn(u, overwrite_x=True), sym,
-                                  adjoint=True)
+        w = apply_symbol(u, sym, adjoint=True, overwrite=True)
         peak = np.max([np.abs(w[rows]).max() for rows in slabs(grid.shape)])
         if peak == 0.0:
             return best, steps, "underflow"
@@ -723,7 +723,7 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
             return best, steps, "underflow"
         if steps < 39 and kernel_bound * mass < forward_limit:
             return best, steps + 1, "underflow"  # ratio 0, then J_q flushes
-        u = apply_symbol_spectrum(scipy.fft.fftn(w, overwrite_x=True), sym)
+        u = apply_symbol(w, sym, overwrite=True)
     return best, 40, "cap"
 
 

@@ -113,7 +113,8 @@ class TestValidation:
 
     def test_unknown_probe_block(self):
         cfg = base_config(probes={"nonsense": {}})
-        with pytest.raises(ConfigError, match="unknown probe block"):
+        with pytest.raises(ConfigError,
+                           match="unknown parameter 'nonsense' in the probes block"):
             parse_config(cfg)
 
     def test_unknown_parameter(self):
@@ -145,6 +146,7 @@ class TestValidation:
         # the amplitude has one key, the name bracket_decay gives it
         ({"family": "polynomial-decay", "s": 6.0, "amplitude": 1.0, "g": 2.0},
          "unknown parameter 'g' in the polynomial-decay potential"),
+        ({"family": ["file"], "path": "v.field"}, "potential family must be one of"),
     ])
     def test_malformed_potential_exit_two(self, tmp_path, capsys, potential,
                                           message):
@@ -159,7 +161,8 @@ class TestValidation:
         raw["operator"]["potential"] = {"family": "polynomial-decay", "s": "5",
                                         "amplitude": 2}
         spec = parse_config(raw).potential_spec
-        assert spec == {"family": "polynomial-decay", "s": 5.0, "amplitude": 2.0}
+        assert spec == {"family": "polynomial-decay", "s": 5.0, "amplitude": 2.0,
+                        "coupling": 1.0}
         assert raw["operator"]["potential"]["s"] == "5"
         raw["operator"]["potential"] = {"family": "polynomial-decay", "s": 5,
                                         "amplitude": 0.5, "coupling": 2}
@@ -167,6 +170,14 @@ class TestValidation:
         raw["operator"]["potential"] = {"family": "gaussian-well", "depth": 5,
                                         "width": 1.0, "coupling": 1.0}
         assert parse_config(raw).potential_spec["depth"] == 5.0
+        # the spec is resolved: every key a family reads holds its value or
+        # its schema default, and no potential block is the unit Gaussian well
+        raw["operator"]["potential"] = {"family": "embedded-counterexample"}
+        assert parse_config(raw).potential_spec == {
+            "family": "embedded-counterexample", "delta": 1.0, "coupling": 1.0}
+        del raw["operator"]["potential"]
+        assert parse_config(raw).potential_spec == {
+            "family": "gaussian-well", "depth": 1.0, "width": 1.0, "coupling": 1.0}
 
     def test_strichartz_requires_pair(self):
         cfg = base_config(probes={"strichartz": {"t_final": 1.0}})
@@ -200,6 +211,14 @@ class TestValidation:
         ("strichartz", {"p": 8 / 3, "q": 4, "alpha": 1.5, "time_step": 0},
          "time_step must be positive"),
         ("smoothing", {"time_step": 0}, "time_step must be positive"),
+        # an explicit null is accepted only where the default is null
+        ("smoothing", {"gamma": None}, "smoothing.gamma must be set"),
+        ("kernels", {"trials": None}, "kernels.trials must be set"),
+        ("sobolev", {"p": None}, "sobolev.p must be set"),
+        ("stein-weiss", {"half_width": None}, "stein-weiss.half_width must be set"),
+        ("counterexample", {"npts": None}, "counterexample.npts must be set"),
+        ("strichartz", {"p": None, "q": 4, "alpha": 1.5}, "strichartz.p must be set"),
+        ("kernels", 5, "probes.kernels must be a mapping"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):
@@ -223,6 +242,15 @@ class TestValidation:
         (("grid", "npt"), 64, "unknown parameter 'npt' in the grid block"),
         (("thread",), 4, "unknown parameter 'thread' in the config root"),
         (("operator", "mass"), 2, "unknown parameter 'mass' in the operator block"),
+        (("output_dir",), 5, "output_dir must be a str"),
+        (("grid",), None, "grid must be set"),
+        (("operator", "potential"), None, "operator.potential must be set"),
+        # a required potential key is checked at parse time, whichever
+        # probe runs (kernels builds no potential)
+        (("operator", "potential"), {"family": "file"},
+         "the file potential requires parameter 'path'"),
+        (("operator", "potential"), {"family": "polynomial-decay"},
+         "the polynomial-decay potential requires parameter 's'"),
     ])
     def test_mistyped_top_level_exit_two(self, tmp_path, capsys, path, value,
                                          message):
@@ -232,8 +260,11 @@ class TestValidation:
             block = block[key]
         block[path[-1]] = value
         path = write_config(tmp_path, cfg)
-        assert run(path, "kernels", out_dir=str(tmp_path / "out")) == 2
-        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run(path, "kernels", out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_top_level_fields_typed(self, monkeypatch):
         cfg = parse_config(base_config(
@@ -245,6 +276,14 @@ class TestValidation:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
         assert parse_config(base_config(threads=None)).threads == 5
         assert parse_config(base_config(threads=None), threads=1).threads == 1
+        # --threads is held to the config key's minimum
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            parse_config(base_config(), threads=0)
+        # an empty or null probes block, like a null probe block, leaves the
+        # probe at its defaults
+        for given in ({}, None, {"kernels": None}):
+            cfg = parse_config(base_config(probes=given))
+            assert cfg.probes["kernels"]["trials"] == 1000
 
     def test_parameters_typed_by_schema(self):
         cfg = parse_config(base_config(probes={
