@@ -49,11 +49,12 @@ Layers (ROADMAP "layer by layer"):
       iterates run down into the subnormal range before the refinement
       stops by underflow; the same sobolev probe with workers=2, its |z|
       rows on two threads; one operator_norm rung of the benchmark's scaling
-      Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, the start vector
-      the rung draws from the seed-0 stream of the CLI); one
+      Stein-Weiss ladder at 64^3 (L = 6, |x|^{-1} |D|^{-1}, from a copy,
+      timed in both trees, of the start vector the rung draws from the
+      seed-0 stream of the CLI, since operator_norm consumes its start); one
       build_embedded_pair of the benchmark's scaling counterexample (96^3,
       L = 1.1, m = 2, delta = 1): the profile, the truncated potential and
-      the eigen-residual's Hamiltonian matvec; the benchmark's scaling decay
+      the eigen-residual's real-transform matvec; the benchmark's scaling decay
       probe, the library op high_energy_decay_probe (64^3, L = 8, m = 1,
       s = 1, four |z| from 1 to 10^1.5 on the positive half-line, seed 0).
 
@@ -245,7 +246,7 @@ def _layers():
         "L2.pq_refine_80": lambda: refine(*copies(refine_args[0])),
         "L2.pq_refine_80_underflow": lambda: refine(*copies(refine_args[2])),
         "L2.stein_weiss_64": lambda: operator_norm(
-            *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start),
+            *sw_apply, sw.size, max_iter=120, rtol=1e-8, start=sw_start.copy()),
         "L2.embedded_pair_96": lambda: build_embedded_pair(counter, 2, 1.0),
         "L2.decay_probe_64": lambda: high_energy_decay_probe(
             decay, 1, 3, 1.0, np.logspace(0.0, 1.5, 4),

@@ -25,13 +25,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
-import scipy.fft
 
-from .grid import ConfigError, GridSpec, center_signs, outer_product, write_field
-from .hamiltonian import Hamiltonian
+from .grid import (ConfigError, GridSpec, apply_symbol, center_signs,
+                   outer_product, real_inverse_fft, slabs, write_field)
 from .potentials import Potential
 from .reporting import ProbeReport
 
@@ -73,7 +72,9 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
     Each of the 3^n alias terms has a separable Gaussian factor, built as the
     outer product of its 1-D factors.  Both symbols are real and even, so
     only the half spectrum of the last axis is built (centre phase
-    included) and synthesized by one real inverse transform."""
+    included, as complex128 for real_inverse_fft) and synthesized by one
+    real inverse transform, the numerator's first: each transform consumes
+    its half spectrum, which is released before the next one runs."""
     axis = grid.axis_freqs()
     width = 2.0 * grid.nyquist_radius
     # per shift and axis: the shifted frequencies squared and their Gaussian,
@@ -83,7 +84,7 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
     half = grid.npts // 2 + 1
     sq_rows = [shifted2] * (grid.n - 1) + [shifted2[:, :half]]
     gauss_rows = [gauss] * (grid.n - 1) + [gauss[:, :half]]
-    phi_hat = np.zeros(grid.shape[:-1] + (half,))
+    phi_hat = np.zeros(grid.shape[:-1] + (half,), dtype=np.complex128)
     for kv in np.ndindex(*([3] * grid.n)):
         term = 1.0 + outer_product([r[k] for r, k in zip(sq_rows, kv)],
                                    np.add)  # 1 + |xi|^2
@@ -92,11 +93,14 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
         phi_hat += term
     xi2 = outer_product([r[1] for r in sq_rows], np.add)  # the unshifted |xi|^2
     numer_hat = (1.0 - xi2 ** m) * phi_hat
+    del xi2
     scale = grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** grid.n
-    phi = scipy.fft.irfftn(phi_hat, s=grid.shape, overwrite_x=True)
-    phi *= scale
-    numer = scipy.fft.irfftn(numer_hat, s=grid.shape, overwrite_x=True)
+    numer = real_inverse_fft(numer_hat, grid.shape)
+    del numer_hat
     numer *= scale
+    phi = real_inverse_fft(phi_hat, grid.shape)
+    del phi_hat
+    phi *= scale
     return phi, numer
 
 
@@ -137,13 +141,17 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
         raise ValueError("constructed profile not strictly positive on the grid")
 
     np.divide(v, phi, out=v)  # V = numerator / phi, over the numerator
-    outside = grid.radii() > delta + 2.0 * grid.h
-    leak = float(np.abs(v[outside]).max(initial=0.0))
-    v[outside] = 0.0
+    leak = _truncate(grid, v, delta)
     pot = Potential(grid, v,
                     name=f"embedded(m={m},n={grid.n},delta={delta:g},{method})")
-    del v, outside
-    diff = Hamiltonian(grid, m, pot).apply(phi)  # real phi: real transforms
+    del v
+    # H phi - phi by real transforms, with |xi|^{2m} on the half lattice
+    kinetic = np.empty(grid.shape[:-1] + (grid.npts // 2 + 1,))
+    for rows in slabs(kinetic.shape):
+        kinetic[rows] = grid.xi_radii(rows, half=True) ** (2 * m)
+    diff = apply_symbol(phi, kinetic)
+    for rows in slabs(grid.shape):
+        diff[rows] += pot.values[rows] * phi[rows]
     diff -= phi
     residuals = {
         "eigen_residual": float(np.linalg.norm(diff) / np.linalg.norm(phi)),
@@ -156,15 +164,37 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     return EmbeddedPair(pot, phi, delta, m, grid.n, residuals)
 
 
+def _exterior(grid: GridSpec, delta: float) -> Iterator[Tuple[slice, np.ndarray]]:
+    """(rows, outside) per slab (slabs): outside marks the points of the
+    rows beyond the truncation radius |x| > delta + 2h."""
+    for rows in slabs(grid.shape):
+        yield rows, grid.radii(rows=rows) > delta + 2.0 * grid.h
+
+
+def _truncate(grid: GridSpec, values: np.ndarray, delta: float) -> float:
+    """Zeroes values (grid shape) in place beyond the truncation radius
+    (_exterior) and returns the largest |value| it zeroed, 0 for none."""
+    leak = 0.0
+    for rows, outside in _exterior(grid, delta):
+        part = values[rows]
+        leak = max(leak, _max_abs(part, outside))
+        part[outside] = 0.0
+    return leak
+
+
+def _max_abs(values: np.ndarray, where: np.ndarray) -> float:
+    """max |values| over the points where is true, 0 for none."""
+    return float(np.max(np.abs(values), where=where, initial=0.0))
+
+
 def verify_embedded(pair: EmbeddedPair) -> ProbeReport:
     """Report the eigen-residual and support leak that the construction
     measured, with the truncated exterior and the positivity margin."""
     grid = pair.grid
     residual = pair.residuals["eigen_residual"]
     leak = pair.residuals["support_leak"]
-    r = grid.radii()
-    outside = r > pair.delta + 2.0 * grid.h
-    post_leak = float(np.max(np.abs(pair.potential.values[outside]))) if np.any(outside) else 0.0
+    post_leak = max(_max_abs(pair.potential.values[rows], outside)
+                    for rows, outside in _exterior(grid, pair.delta))
     margin = float(np.min(pair.phi))
     report = ProbeReport(
         name="embedded_pair",

@@ -135,20 +135,31 @@ class GridSpec:
         """Frequency coordinates in FFT ordering, shape (n,) + grid shape."""
         return np.stack(np.meshgrid(*[self.axis_freqs()] * self.n, indexing="ij"))
 
-    def radii(self, regularize_origin: bool = False) -> np.ndarray:
-        """|x| on the grid.  With regularize_origin, the origin cell is set to
-        the radius of the ball with the same volume as one cell (keeps singular
-        radial weights finite and refinement-stable)."""
-        r = np.sqrt(outer_product([self.axis_coords() ** 2] * self.n, np.add))
+    def radii(self, regularize_origin: bool = False,
+              rows: slice = slice(None)) -> np.ndarray:
+        """|x| on the grid, or on its leading-axis rows (a slab).  With
+        regularize_origin, the origin cell is set to the radius of the ball
+        with the same volume as one cell (keeps singular radial weights
+        finite and refinement-stable)."""
+        sq = self.axis_coords() ** 2
+        r = outer_product([sq[rows]] + [sq] * (self.n - 1), np.add)
+        np.sqrt(r, out=r)
         if regularize_origin:
             r = np.where(r == 0.0, self.origin_cell_radius(), r)
         return r
 
-    def xi_radii(self, rows: slice = slice(None)) -> np.ndarray:
+    def xi_radii(self, rows: slice = slice(None),
+                 half: bool = False) -> np.ndarray:
         """|xi| on the frequency lattice (FFT ordering), or on its
-        leading-axis rows (a slab)."""
+        leading-axis rows (a slab); with half, on the half lattice of the
+        real transforms, the first N/2 + 1 entries of the last axis."""
         sq = self.axis_freqs() ** 2
-        return np.sqrt(outer_product([sq[rows]] + [sq] * (self.n - 1), np.add))
+        axes = [sq] * self.n
+        if half:
+            axes[-1] = sq[:self.npts // 2 + 1]
+        axes[0] = axes[0][rows]
+        r = outer_product(axes, np.add)
+        return np.sqrt(r, out=r)
 
     def origin_cell_radius(self) -> float:
         """Radius of the n-ball whose volume equals one grid cell."""
@@ -219,16 +230,35 @@ def apply_symbol(values: np.ndarray, sym: np.ndarray, adjoint: bool = False,
     in place (a caller's temporary).
 
     Real values with a real sym stay real: irfftn(sym_half * rfftn(values))
-    with sym_half the last-axis half of sym, where conj(sym) = sym.  That
-    requires sym to be even, sym(-xi) = sym(xi), as every radial symbol is;
-    the complex result would then be real up to rounding.  Every other
-    input takes the complex path."""
+    (real_inverse_fft) with sym_half the last-axis half of sym, where
+    conj(sym) = sym; sym may be given on the half lattice alone
+    (xi_radii(half=True)).  That requires sym to be even, sym(-xi) =
+    sym(xi), as every radial symbol is; the complex result would then be
+    real up to rounding.  Every other input takes the complex path."""
     if np.isrealobj(values) and np.isrealobj(sym):
         out = scipy.fft.rfftn(values)
         out *= sym[..., :out.shape[-1]]
-        return scipy.fft.irfftn(out, s=values.shape, overwrite_x=True)
+        return real_inverse_fft(out, values.shape)
     return apply_symbol_spectrum(scipy.fft.fftn(values, overwrite_x=overwrite),
                                  sym, adjoint=adjoint)
+
+
+def real_inverse_fft(half: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """scipy.fft.irfftn(half, s=shape) over every axis, bit for bit, from
+    the complex128 half spectrum half (shape[:-1] + (shape[-1] // 2 + 1,)).
+
+    half is consumed: the leading axes are inverted in its buffer, then one
+    1-D inverse real transform of the last axis writes the real result, so
+    the call holds half and the result alone (irfftn first copies its input
+    into a whole-array temporary that tracemalloc does not see).  Neither
+    pass scales; the result is multiplied once by 1/N^n, rounded from long
+    double as scipy.fft's own factor is."""
+    if half.ndim > 1:
+        half = scipy.fft.ifftn(half, axes=range(half.ndim - 1),
+                               norm="forward", overwrite_x=True)
+    out = scipy.fft.irfft(half, n=shape[-1], norm="forward")
+    out *= float(1 / np.longdouble(math.prod(shape)))
+    return out
 
 
 def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
@@ -339,13 +369,14 @@ def smoothing_weight(grid: GridSpec, m: int, gamma: float,
     return weight_abs_power(grid, -m + gamma)
 
 
-def abs_derivative_symbol(grid: GridSpec, order: float) -> np.ndarray:
+def abs_derivative_symbol(grid: GridSpec, order: float,
+                          rows: slice = slice(None)) -> np.ndarray:
     """Lattice symbol |xi|^order of |D|^order, zero at the zero mode when the
-    order is negative."""
+    order is negative, or its leading-axis rows (a slab)."""
     with np.errstate(divide="ignore"):
-        sym = grid.xi_radii() ** order
+        sym = grid.xi_radii(rows) ** order
     if order < 0:
-        sym[(0,) * grid.n] = 0.0
+        sym[np.isinf(sym)] = 0.0  # the zero mode, 0^order
     return sym
 
 

@@ -43,12 +43,18 @@ def operator_norm(
     real transforms.  Without a start the iteration starts from a complex
     Gaussian draw from rng.  The residual and the next iterate are formed in
     the buffer of the iterate, so an iteration holds the iterate and A* A v.
+
+    start is consumed: a contiguous float64 or complex128 start is the
+    first iterate in its own buffer, so a caller that passes the vector of
+    an earlier estimate as a warm start holds no copy of it, and a caller
+    that still needs start passes a copy.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if start is not None:
         start = np.asarray(start)
-        v = start.astype(np.result_type(start, np.float64)).reshape(-1)
+        v = start.astype(np.result_type(start, np.float64),
+                         copy=False).reshape(-1)
     else:
         v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     nv = np.linalg.norm(v)

@@ -478,7 +478,6 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     )
 
     # everything that does not depend on |z|, built once and only read
-    dsym = abs_derivative_symbol(grid, alpha)
     envelope = _gaussian_factors(grid, grid.half_width / 8.0, np.zeros(n),
                                  np.zeros(n))
     packs = frequency_localized_samples(grid, samples, rng)
@@ -496,9 +495,10 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
         the same arithmetic, as the refinement's start."""
         sym, work, draws = inputs
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
-        for rows in slabs(grid.shape):  # dsym / (|xi|^{2m} - z)
+        for rows in slabs(grid.shape):  # |xi|^alpha / (|xi|^{2m} - z)
             np.subtract(grid.xi_radii(rows) ** (2 * m), z, out=sym[rows])
-            np.divide(dsym[rows], sym[rows], out=sym[rows])
+            np.divide(abs_derivative_symbol(grid, alpha, rows), sym[rows],
+                      out=sym[rows])
         rho = mag ** (1.0 / (2 * m))
         best, best_fill, best_den = 0.0, None, None
         for fill in _sobolev_candidates(grid, packs, envelope, rho, p, draws):

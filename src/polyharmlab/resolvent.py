@@ -137,7 +137,8 @@ def weighted_resolvent_norm(
     start: Optional[np.ndarray] = None,
 ) -> NormEstimate:
     """Operator norm of W R0(z) W on the grid, matrix-free, for the real
-    weight W (grid shape, only read), e.g. <x>^{-s} = weight_bracket_power(grid, -s)."""
+    weight W (grid shape, only read), e.g. <x>^{-s} = weight_bracket_power(grid, -s).
+    start is consumed, as by operator_norm."""
     apply, adjoint = weighted_multiplier(weight, resolvent_symbol_array(grid, q), weight)
     return operator_norm(apply, adjoint, grid.size,
                          rng=rng, max_iter=max_iter, rtol=rtol, start=start)
@@ -171,7 +172,9 @@ def high_energy_decay_probe(
 
     The ray is the positive half-line approached from the + side
     (z = lambda + i0, the boundary-value operators), where the decay law is
-    sharp.  n must be the grid's; one weight <x>^{-s} serves every |z|.
+    sharp.  n must be the grid's; one weight <x>^{-s} serves every |z|,
+    and each estimate's final vector, the next |z|'s start, is the next
+    power iteration's first iterate in its own buffer.
     """
     if n != grid.n:
         raise ValueError(f"n={n} does not match the {grid.n}-d grid")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from polyharmlab.counterexample import build_embedded_pair
 from polyharmlab.grid import (
     ConfigError,
     GridSpec,
@@ -19,6 +20,7 @@ from polyharmlab.grid import (
     norm_lp,
     outer_product,
     read_field,
+    real_inverse_fft,
     samples_from_spectrum,
     separable_norm_lp,
     slabs,
@@ -71,8 +73,23 @@ class TestGridSpec:
     @pytest.mark.parametrize("n", [1, 3])
     def test_xi_radii_of_rows_are_the_rows_of_the_whole_grid(self, n):
         g = GridSpec(n, 8, 2.0)
+        half = g.xi_radii()[..., :5]
         for rows in (slice(0, 3), slice(3, 8), slice(5, 13)):
             np.testing.assert_array_equal(g.xi_radii(rows), g.xi_radii()[rows])
+            np.testing.assert_array_equal(g.radii(rows=rows), g.radii()[rows])
+            np.testing.assert_array_equal(g.xi_radii(rows, half=True),
+                                          half[rows])
+            np.testing.assert_array_equal(
+                abs_derivative_symbol(g, -1.5, rows),
+                abs_derivative_symbol(g, -1.5)[rows])
+
+    def test_half_lattice_is_the_real_transforms(self):
+        # rfftn's last axis holds the frequencies 0, ..., N/2
+        g = GridSpec(3, 8, 2.0)
+        assert g.xi_radii(half=True).shape == scipy.fft.rfftn(
+            np.zeros(g.shape)).shape
+        np.testing.assert_array_equal(g.xi_radii(half=True)[0, 0],
+                                      g.h_xi * np.arange(5))
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_radii_equal_the_meshgrid_formula(self, n):
@@ -256,6 +273,36 @@ class TestSpectralKernel:
         sym = 1j * g.freqs()[n - 1]
         want = scipy.fft.ifftn(sym * scipy.fft.fftn(vals))
         np.testing.assert_array_equal(apply_symbol(vals, sym), want)
+
+    @pytest.mark.parametrize("n,npts", [(1, 6), (1, 16), (1, 96), (3, 4),
+                                        (3, 10), (3, 16), (3, 24)])
+    def test_real_inverse_fft_is_irfftn(self, n, npts):
+        shape = (npts,) * n
+        half = scipy.fft.rfftn(RNG.standard_normal(shape))
+        half *= RNG.standard_normal(half.shape)  # a spectrum of no symmetry
+        want = scipy.fft.irfftn(half, s=shape)
+        got = real_inverse_fft(half, shape)  # consumes half
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_irfftn_call_remains(self, monkeypatch):
+        # irfftn copies its input into a hidden whole-array temporary
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.fft.irfftn called")
+
+        monkeypatch.setattr(scipy.fft, "irfftn", refuse)
+        g = GridSpec(3, 16, 2.5)
+        vals = RNG.standard_normal(g.shape)
+        assert apply_symbol(vals, g.xi_radii() ** 2).dtype == np.float64
+        build_embedded_pair(GridSpec(3, 16, 1.1), 2, 1.0)
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    def test_real_path_accepts_a_half_lattice_symbol(self, n, npts):
+        g = GridSpec(n, npts, 2.5)
+        vals = RNG.standard_normal(g.shape)
+        np.testing.assert_array_equal(
+            apply_symbol(vals, g.xi_radii(half=True) ** 4),
+            apply_symbol(vals, g.xi_radii() ** 4))
 
     @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
     @pytest.mark.parametrize("kind", ["xi^2", "xi^4", "xi^0.7", "xi^-1.5",

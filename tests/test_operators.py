@@ -45,6 +45,17 @@ class TestOperatorNorm:
         assert warm.iterations <= cold.iterations
         assert warm.norm == pytest.approx(2.0, rel=1e-6)
 
+    def test_start_is_consumed_as_the_first_iterate(self):
+        mat = np.diag(np.linspace(1.0, 2.0, 40)).astype(complex)
+        a, at = dense_pair(mat)
+        start = RNG.standard_normal(40) + 0j
+        est = operator_norm(a, at, 40, max_iter=400, rtol=1e-12, start=start)
+        assert np.shares_memory(est.vector, start)
+        warm = operator_norm(a, at, 40, max_iter=400, rtol=1e-12,
+                             start=est.vector)
+        assert np.shares_memory(warm.vector, start)
+        assert warm.norm == pytest.approx(2.0, rel=1e-6)
+
     def test_result_fields(self):
         mat = np.eye(3, dtype=complex)
         a, at = dense_pair(mat)
