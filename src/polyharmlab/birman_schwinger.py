@@ -243,11 +243,9 @@ def assemble_M(pot: Potential, q: ResolventQuery) -> BSMatrix:
 
 
 def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
-                   thetas: Sequence[float], nu: float,
-                   point_spectrum: Sequence[float] = ()) -> ProbeReport:
+                   thetas: Sequence[float]) -> ProbeReport:
     """Table of ||M^{-1}(lambda +/- i theta)|| = 1 / sigma_min over the
-    sweep, with the nu-neighborhoods of known point spectrum excluded from
-    the lambda grid.
+    sweep.
 
     Per lambda (ascending) and theta > 0 (descending), the block of
     lambda + i theta serves the conjugate pair (module docstring): its
@@ -255,19 +253,15 @@ def inv_norm_sweep(pot: Potential, m: int, lambdas: Sequence[float],
     Sets the sup of the norms, plateau_ratio (the sup at the smallest theta
     over the sup at the next one) and the flag finite."""
     lambdas = np.asarray(sorted(lambdas), dtype=float)
-    keep = np.ones(lambdas.size, dtype=bool)
-    for ev in point_spectrum:
-        keep &= np.abs(lambdas - ev) >= nu
     report = ProbeReport(
         name="inv_norm_sweep",
-        params={"m": m, "n": pot.grid.n, "nu": nu, "potential": pot.name,
-                "excluded_lambdas": list(map(float, lambdas[~keep]))},
+        params={"m": m, "n": pot.grid.n, "potential": pot.name},
     )
     thetas = np.sort(np.asarray(list(thetas), dtype=float))[::-1]
     if np.any(thetas <= 0):
         raise ConfigError("theta ladder must be positive")
     sup_by_theta = {}
-    for lam in lambdas[keep]:
+    for lam in lambdas:
         for th in thetas:
             # the block lives only until sigma_min returns (peak memory)
             q = ResolventQuery(z=complex(lam, th), m=m, n=pot.grid.n)

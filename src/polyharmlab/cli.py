@@ -109,8 +109,8 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "lambda_max": _f(4.0, doc="high end of the energy sweep"),
         "lambda_count": _f(4, kind="int", minimum=1),
         "thetas": _f([0.03, 0.01], kind="list", doc="imaginary-offset ladder"),
-        "nu": _f(0.2, doc="exclusion radius around known point spectrum; the CLI passes "
-                 "none, so it acts only for library callers of inv_norm_sweep"),
+        "nu": _f(0.2, doc="read, held positive and otherwise ignored: the sweep "
+                 "excludes no energies; kept because the benchmark's configs set it"),
     },
     "spectrum": {
         "clr_constant": _f(1.0, doc="calibrated constant of the bound-state count bound"),
@@ -408,8 +408,7 @@ def _run_bs_sweep(cfg: RunConfig) -> ProbeReport:
     pot = build_potential(cfg)
     lambdas = np.linspace(block["lambda_min"], block["lambda_max"],
                           block["lambda_count"])
-    report = inv_norm_sweep(pot, cfg.m, list(lambdas), block["thetas"],
-                            block["nu"])
+    report = inv_norm_sweep(pot, cfg.m, list(lambdas), block["thetas"])
     report.provenance.update(seed=cfg.seed, grid=cfg.grid.provenance())
     return report
 

@@ -20,15 +20,16 @@ the grid passed beside them wherever the cell volume or the lattice is
 needed.  No call writes to or freezes the caller's arrays, except where a
 docstring says that a buffer is consumed.  The frequency side is an array in
 FFT ordering that only the transform pair produces (forward_transform) and
-consumes (samples_from_spectrum, in place); the probes build samples there
-(the sobolev shell samples), and the tests read spectra there.
+consumes (samples_from_spectrum); the probes build samples there (the
+sobolev shell samples), and the tests read spectra there.
 
-A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f)):
-the centring phase and the scale factors of the unitary transforms cancel
-between the forward and the inverse, so a multiplier applies neither.  Its
-second half, apply_symbol_spectrum, takes fftn(f) from a caller that already
-holds it, for instance as the outer product of 1-D transforms of a separable
-f, written into a buffer the caller owns (outer_product with out).
+A Fourier multiplier (apply_symbol, apply_multiplier) is ifftn(sigma * fftn(f))
+over the grid's axes, one call for a stack of states: the centring phase and
+the scale factors of the unitary transforms cancel between the forward and
+the inverse, so a multiplier applies neither.  Its second half,
+apply_symbol_spectrum, takes fftn(f) from a caller that already holds it, for
+instance as the outer product of 1-D transforms of a separable f, written
+into a buffer the caller owns (outer_product with out).
 
 The elementwise passes over a whole grid array (norm_lp, and the passes of
 the large-grid probes) run over leading-axis slabs of about SLAB_POINTS
@@ -212,9 +213,9 @@ def forward_transform(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
-    """The samples whose forward_transform is hat, computed in the buffer of
-    hat (complex128, grid shape, C order), which is overwritten and
-    returned.  A caller that keeps hat passes a copy."""
+    """The samples whose forward_transform is hat (complex128, grid shape,
+    C order), returned in hat's buffer where the scipy.fft backend
+    transforms in place (pocketfft does).  hat is consumed."""
     _apply_center_phase(grid, hat)
     vals = scipy.fft.ifftn(hat, overwrite_x=True)
     vals *= grid.cell_volume_xi * grid.size / (2.0 * np.pi) ** (grid.n / 2)
@@ -223,11 +224,12 @@ def samples_from_spectrum(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
 
 def apply_symbol(values: np.ndarray, sym: np.ndarray, adjoint: bool = False,
                  overwrite: bool = False) -> np.ndarray:
-    """ifftn(sym * fftn(values)) over every axis: the Fourier multiplier sym
-    (lattice array in FFT ordering) on physical samples; with adjoint, the
-    multiplier conj(sym).  Only the kernel's own temporary is overwritten,
-    never values, unless overwrite lets the complex path transform values
-    in place (a caller's temporary).
+    """ifftn(sym * fftn(values)) over the trailing sym.ndim axes: the Fourier
+    multiplier sym (lattice array in FFT ordering) on physical samples, or
+    in one call on a stack of them, each state bit for bit as alone; with
+    adjoint, the multiplier conj(sym).  Only the kernel's own temporary is
+    overwritten, never values, unless overwrite lets the complex path
+    transform values in place (a caller's temporary).
 
     Real values with a real sym stay real: irfftn(sym_half * rfftn(values))
     (real_inverse_fft) with sym_half the last-axis half of sym, where
@@ -236,25 +238,25 @@ def apply_symbol(values: np.ndarray, sym: np.ndarray, adjoint: bool = False,
     sym(xi), as every radial symbol is; the complex result would then be
     real up to rounding.  Every other input takes the complex path."""
     if np.isrealobj(values) and np.isrealobj(sym):
-        out = scipy.fft.rfftn(values)
+        out = scipy.fft.rfftn(values, axes=range(-sym.ndim, 0))
         out *= sym[..., :out.shape[-1]]
-        return real_inverse_fft(out, values.shape)
-    return apply_symbol_spectrum(scipy.fft.fftn(values, overwrite_x=overwrite),
-                                 sym, adjoint=adjoint)
+        return real_inverse_fft(out, values.shape[values.ndim - sym.ndim:])
+    return apply_symbol_spectrum(scipy.fft.fftn(
+        values, axes=range(-sym.ndim, 0), overwrite_x=overwrite), sym, adjoint)
 
 
 def real_inverse_fft(half: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """scipy.fft.irfftn(half, s=shape) over every axis, bit for bit, from
-    the complex128 half spectrum half (shape[:-1] + (shape[-1] // 2 + 1,)).
+    """scipy.fft.irfftn(half, s=shape), bit for bit, from the complex128
+    half spectrum half (trailing axes shape[:-1] + (shape[-1] // 2 + 1,)).
 
-    half is consumed: the leading axes are inverted in its buffer, then one
-    1-D inverse real transform of the last axis writes the real result, so
-    the call holds half and the result alone (irfftn first copies its input
-    into a whole-array temporary that tracemalloc does not see).  Neither
-    pass scales; the result is multiplied once by 1/N^n, rounded from long
-    double as scipy.fft's own factor is."""
-    if half.ndim > 1:
-        half = scipy.fft.ifftn(half, axes=range(half.ndim - 1),
+    half is consumed: its other transformed axes are inverted in its buffer,
+    then one 1-D inverse real transform of the last axis writes the real
+    result, so the call holds half and the result alone (irfftn first
+    copies its input into a whole-array temporary that tracemalloc does not
+    see).  Neither pass scales; the result is multiplied once by 1/N^n,
+    rounded from long double as scipy.fft's own factor is."""
+    if len(shape) > 1:
+        half = scipy.fft.ifftn(half, axes=range(-len(shape), -1),
                                norm="forward", overwrite_x=True)
     out = scipy.fft.irfft(half, n=shape[-1], norm="forward")
     out *= float(1 / np.longdouble(math.prod(shape)))
@@ -263,14 +265,14 @@ def real_inverse_fft(half: np.ndarray, shape: Sequence[int]) -> np.ndarray:
 
 def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
                           adjoint: bool = False) -> np.ndarray:
-    """ifftn(sym * spec): apply_symbol's complex path from the unnormalized
-    complex128 DFT spec = scipy.fft.fftn(values) of its input.  A caller
-    that holds spec (a spectrum taken once, or the outer product of the 1-D
-    transforms of a separable input) applies a symbol to it at one inverse
-    transform.
+    """ifftn(sym * spec) over the trailing sym.ndim axes: apply_symbol's
+    complex path from the unnormalized complex128 DFT spec = scipy.fft.fftn
+    of its input.  A caller that holds spec (a spectrum taken once, or the
+    outer product of the 1-D transforms of a separable input) applies a
+    symbol to it at one inverse transform.
 
-    spec is consumed: it is multiplied in place and its buffer holds the
-    result, so the call needs no temporary the size of the grid; a caller
+    spec is consumed: it is multiplied in place and transformed in its
+    buffer, so the call needs no temporary the size of the grid; a caller
     that still needs spec passes a copy.  adjoint applies conj(sym) without
     a conjugated copy of sym: conj(conj(spec) * sym) equals spec * conj(sym)
     bitwise."""
@@ -279,7 +281,7 @@ def apply_symbol_spectrum(spec: np.ndarray, sym: np.ndarray,
     spec *= sym
     if adjoint:
         np.conjugate(spec, out=spec)
-    return scipy.fft.ifftn(spec, overwrite_x=True)
+    return scipy.fft.ifftn(spec, axes=range(-sym.ndim, 0), overwrite_x=True)
 
 
 def outer_product(vectors: Sequence[np.ndarray],

@@ -60,15 +60,16 @@ class Hamiltonian:
         return (min(0.0, vmin), sym_max + max(0.0, vmax))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """H on samples, flat or grid-shaped, as an array of the same shape:
-        real for real input (the symbol is real and even), complex for
-        complex input.  values is left unchanged.  V is added one slab at
-        a time (slabs), so the only grid-sized temporaries are the
+        """H on samples (flat or grid-shaped) or in one apply_symbol call on
+        a stack of them, as an array of the same shape: real for real input
+        (the symbol is real and even), complex for complex input.  values is
+        left unchanged.  V is added one slab (slabs) of the grid's leading
+        axis at a time, so the only stack-sized temporaries are the
         transform's."""
-        vals = np.asarray(values).reshape(self.grid.shape)
+        vals = np.asarray(values).reshape((-1,) + self.grid.shape)
         out = apply_symbol(vals, self._symbol)
-        for rows in slabs(out.shape):
-            out[rows] += self.potential.values[rows] * vals[rows]
+        for rows in slabs(self.grid.shape):
+            out[:, rows] += self.potential.values[rows] * vals[:, rows]
         return out.reshape(np.shape(values))
 
     def eigenset(self) -> "EigenSet":
@@ -112,16 +113,6 @@ RUN_ITERATIONS = 40
 MAX_RUNS = 5
 
 
-def _per_column(fn: Callable) -> Callable:
-    """The block map X -> [fn(x_1), ..., fn(x_k)] of a map on one vector."""
-    def block(cols: np.ndarray) -> np.ndarray:
-        out = np.empty(cols.shape)
-        for j in range(cols.shape[1]):
-            out[:, j] = fn(cols[:, j])
-        return out
-    return block
-
-
 def lanczos_extreme(h: Hamiltonian, k: int,
                     rng: Optional[np.random.Generator] = None,
                     cut: float = np.inf) -> EigenSet:
@@ -133,24 +124,27 @@ def lanczos_extreme(h: Hamiltonian, k: int,
     by the kinetic symbol (|xi|^{2m} + PRECONDITIONER_SHIFT)^{-1} through
     apply_symbol (Teter, Payne & Allan, Phys. Rev. B 40 (1989) 12255), so
     its rate does not degrade with the spectral width (pi/h)^{2m} as
-    Lanczos's does.  H and the preconditioner act one column at a time,
-    H through Hamiltonian.apply.  A run stops once every pair meets
-    RESIDUAL_TOL or after RUN_ITERATIONS; the residuals are then recomputed
-    here, and only the pairs below cut are judged, for continuum pairs
-    above it can converge far more slowly.  Up to MAX_RUNS runs are made.
-    H maps real vectors to real vectors (V is real and the symbol is real
-    and even).  The start block is drawn from rng, so results are
-    deterministic.  The name is that of the Lanczos solver this replaced;
-    the benchmark traces the layer under it.
+    Lanczos's does.  H (Hamiltonian.apply) and the preconditioner act on
+    each block of 1 to k columns that LOBPCG passes as one stack, returning
+    a C-ordered block, so LOBPCG's BLAS products round as per column.  A
+    run stops once every pair meets RESIDUAL_TOL or after RUN_ITERATIONS;
+    the residuals are then recomputed here, and only the pairs below cut
+    are judged, for continuum pairs above it can converge far more slowly.
+    Up to MAX_RUNS runs are made.  H maps real vectors to real vectors (V is
+    real and the symbol is real and even).  The start block is drawn from
+    rng, so results are deterministic.  The name is that of the Lanczos
+    solver this replaced; the benchmark traces the layer under it.
     """
     if k > 50:
         raise ValueError(f"k capped at 50, got {k}")
     if rng is None:
         rng = np.random.default_rng(0)
     inverse = 1.0 / (h._symbol + PRECONDITIONER_SHIFT)
-    matmat = _per_column(h.apply)
-    precondition = _per_column(lambda col: apply_symbol(
-        col.reshape(h.grid.shape), inverse).reshape(-1))
+    def by_block(fn: Callable) -> Callable:  # (size, j) columns as a stack
+        return lambda cols: np.ascontiguousarray(
+            fn(cols.T.reshape((-1,) + h.grid.shape)).reshape(cols.shape[1], -1).T)
+    matmat = by_block(h.apply)
+    precondition = by_block(lambda stack: apply_symbol(stack, inverse))
     vecs = rng.standard_normal((k, h.grid.size)).T
     for _ in range(MAX_RUNS):
         with warnings.catch_warnings():
@@ -160,13 +154,14 @@ def lanczos_extreme(h: Hamiltonian, k: int,
                                 maxiter=RUN_ITERATIONS, largest=False)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        residuals = np.array([np.linalg.norm(h.apply(vec) - val * vec)
-                              for val, vec in zip(vals, vecs.T)])
+        rows = np.ascontiguousarray(vecs.T)
+        gap = h.apply(rows) - vals[:, None] * rows
+        # the BLAS dot per row, as np.linalg.norm of each row rounds it
+        residuals = np.sqrt(np.vecdot(gap, gap))
         loose = (vals < cut) & (residuals > RESIDUAL_TOL)
         if not loose.any():
             return EigenSet([float(val) for val in vals],
-                            vecs.T.astype(np.complex128, order="C").reshape(
-                                (k,) + h.grid.shape),
+                            rows.astype(np.complex128).reshape((k,) + h.grid.shape),
                             [float(res) for res in residuals])
     raise LanczosError(
         f"{int(loose.sum())} of {k} pairs below {cut:g} above residual "

@@ -183,8 +183,8 @@ def _symmetric_times(t_final: float, step: float) -> np.ndarray:
 
 
 def _abs_derivative(values: np.ndarray, dsym: Optional[np.ndarray]) -> np.ndarray:
-    """|D|^s values for dsym the symbol of |D|^s (abs_derivative_symbol), or
-    values itself for dsym None, s = 0: the identity needs no transform."""
+    """|D|^s values (samples or a stack) for dsym the symbol of |D|^s
+    (abs_derivative_symbol), or values itself for dsym None (s = 0)."""
     return values if dsym is None else apply_multiplier(values, dsym)
 
 
@@ -316,27 +316,30 @@ def _refine_quadratic_smoothing(h: Hamiltonian, weight: np.ndarray,
     """Power iteration on the quadratic smoothing form B*B, at most iters
     steps from start; the form's value is the estimate's norm squared.
 
-    B maps psi to the snapshots (sqrt(w_k) W |D|^gamma e^{i t_k H} P_ac psi)_k
-    with trapezoid weights w_k: one forward propagation.  B* weights every
-    snapshot back and sums sum_k e^{-i t_k H} (...) with propagate_adjoint,
-    one Clenshaw recurrence.  dsym is the symbol of |D|^gamma, or None for
-    gamma = 0 (_abs_derivative).  The flat l2 form is scale-invariant, so
+    B maps psi to the snapshots (s_k W |D|^gamma e^{i t_k H} P_ac psi)_k
+    with s_k = sqrt(w_k) for the trapezoid weights w_k: one forward
+    propagation, then |D|^gamma on the stack of snapshots in one call.  B*
+    weights the stack back, s_k |D|^gamma (W g_k), and sums sum_k
+    e^{-i t_k H} (...) with propagate_adjoint, one Clenshaw recurrence.
+    dsym is the symbol of |D|^gamma, or None for gamma = 0
+    (_abs_derivative).  The flat l2 form is scale-invariant, so
     the cell-volume factors cancel in the ratio.
     """
     grid = h.grid
     ends = np.concatenate([times[:1], times, times[-1:]])
-    sw = np.sqrt(0.5 * (ends[2:] - ends[:-2]))
+    sw = np.sqrt(0.5 * (ends[2:] - ends[:-2])).reshape((-1,) + (1,) * grid.n)
 
+    # each product is formed in place in the stack that |D|^gamma returns;
+    # IEEE products commute, so (s_k W) |D|^gamma psi_k keeps its bits
     def apply_b(vec: np.ndarray) -> np.ndarray:
-        states = propagate(h, projector_ac(h, vec), times)
-        return np.concatenate([
-            sk * weight.reshape(-1) * _abs_derivative(st, dsym).reshape(-1)
-            for sk, st in zip(sw, states)
-        ])
+        snaps = _abs_derivative(propagate(h, projector_ac(h, vec), times), dsym)
+        snaps *= sw * weight
+        return snaps.reshape(-1)
 
     def apply_b_adjoint(snaps: np.ndarray) -> np.ndarray:
-        weighted = np.stack([sk * _abs_derivative(weight * g.reshape(grid.shape), dsym)
-                             for sk, g in zip(sw, snaps.reshape(times.size, -1))])
+        stack = snaps.reshape((times.size,) + grid.shape)
+        weighted = _abs_derivative(weight * stack, dsym)
+        weighted *= sw
         return projector_ac(h, propagate_adjoint(h, weighted, times)).reshape(-1)
 
     # B is complex even on real samples, so iterate in complex from the start
@@ -414,6 +417,8 @@ def strichartz_probe(h: Hamiltonian, pair: AdmissiblePair,
 # ---------------------------------------------------------------------------
 
 def _check_sobolev_window(m: int, n: int, alpha: float, p: float, q: float) -> None:
+    if not p > 1:  # the L^p norm and the refinement's p' = p/(p - 1)
+        raise ConfigError(f"p={p:g} must exceed 1 for a finite p' = p/(p - 1)")
     ip, iq = 1.0 / p, 1.0 / q
     if not (2 * m - n < alpha <= 2 * m - 2.0 * n / (n + 1) + 1e-12):
         raise ConfigError(
@@ -502,16 +507,15 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
         rho = mag ** (1.0 / (2 * m))
         best, best_fill, best_den = 0.0, None, None
         for fill in _sobolev_candidates(grid, packs, envelope, rho, p, draws):
-            den = fill(work)
+            spec, den = fill(work)
             if den == 0.0:
                 continue
-            ratio = norm_lp(grid, apply_symbol_spectrum(work, sym), q) / den
+            ratio = norm_lp(grid, apply_symbol_spectrum(spec, sym), q) / den
             if ratio > best:
                 best, best_fill, best_den = ratio, fill, den
         if best_fill is None:
             return best, 0, None
-        best_fill(work)
-        image = apply_symbol_spectrum(work, sym)
+        image = apply_symbol_spectrum(best_fill(work)[0], sym)
         return _pq_norm_refine(grid, image, best_den, best, sym, p, q)
 
     results = _run_rows(row, mags, row_inputs, workers)
@@ -581,14 +585,16 @@ def _phase_fractions(grid: GridSpec, gen: np.random.Generator
 def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
                         envelope: List[np.ndarray], rho: float, p: float,
                         draws: Sequence[np.random.Generator]
-                        ) -> Iterator[Callable[[np.ndarray], float]]:
+                        ) -> Iterator[Callable[[np.ndarray],
+                                               Tuple[np.ndarray, float]]]:
     """The screening candidates at resonant radius rho, each a function
-    fill(out) that writes the candidate's spectrum scipy.fft.fftn(samples)
-    into out (a complex128 grid buffer) and returns its L^p norm, 0 for a
-    candidate to skip, with the same bits at every call: the
-    shell-localized samples of draws (_shell_draws) first, then the packs
-    and the scaled bumps (given by their axis factors), whose spectra are
-    outer products of 1-D transforms."""
+    fill(out) that builds the candidate's spectrum scipy.fft.fftn(samples)
+    in out (a complex128 grid buffer; the spectrum is out unless the
+    scipy.fft backend returns new arrays) and returns (spectrum, L^p norm),
+    the norm 0 for a candidate to skip, with the same bits at every call:
+    the shell-localized samples of draws (_shell_draws) first, then the
+    packs and the scaled bumps (given by their axis factors), whose spectra
+    are outer products of 1-D transforms."""
     for draw in draws:
         yield partial(_shell_spectrum, grid, envelope, rho, p, draw)
     for factors in list(packs) + _scaled_bumps(grid, rho):
@@ -596,37 +602,39 @@ def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
 
 
 def _separable_spectrum(grid: GridSpec, factors: Sequence[np.ndarray],
-                        p: float, out: np.ndarray) -> float:
-    """Writes scipy.fft.fftn of the outer product of the 1-D samples factors
-    (one per axis) into out, as the outer product of their 1-D transforms,
-    and returns its L^p norm from the factors."""
-    outer_product([scipy.fft.fft(fac) for fac in factors], out=out)
-    return separable_norm_lp(grid, factors, p)
+                        p: float, out: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(out, norm): scipy.fft.fftn of the outer product of the 1-D samples
+    factors (one per axis), written into out as the outer product of their
+    1-D transforms, and its L^p norm from the factors."""
+    spec = outer_product([scipy.fft.fft(fac) for fac in factors], out=out)
+    return spec, separable_norm_lp(grid, factors, p)
 
 
 def _shell_spectrum(grid: GridSpec, envelope: List[np.ndarray], rho: float,
                     p: float, draw: np.random.Generator,
-                    out: np.ndarray) -> float:
-    """Writes the spectrum of the shell-localized sample of draw into out
-    and returns the sample's L^p norm, 0 when the sample vanishes."""
-    if not _shell_sample(grid, envelope, rho, draw, out):
-        return 0.0
-    den = norm_lp(grid, out, p)
-    scipy.fft.fftn(out, overwrite_x=True)
-    return den
+                    out: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(spectrum, norm) of the shell-localized sample of draw, built in out
+    and transformed in its buffer where the backend allows: the sample's
+    scipy.fft.fftn and its L^p norm, (out, 0) when the sample vanishes."""
+    vals = _shell_sample(grid, envelope, rho, draw, out)
+    if vals is None:
+        return out, 0.0
+    den = norm_lp(grid, vals, p)
+    return scipy.fft.fftn(vals, overwrite_x=True), den
 
 
 def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
-                  draw: np.random.Generator, out: np.ndarray) -> bool:
+                  draw: np.random.Generator,
+                  out: np.ndarray) -> Optional[np.ndarray]:
     """Adversarial input: frequency content concentrated in a Gaussian
     annulus around |xi| = rho (capped at 0.8 of the Nyquist radius), with
     random phases, times the physical envelope (given by its axis factors)
     for edge decay.  The width factor and the phase fractions are drawn
     from a copy of draw (a generator from _shell_draws), which is left
-    unchanged, so every build of a sample has the same bits.  The unit-l2
-    samples are written into out (complex128, grid shape) slab by slab,
-    with no grid-sized temporary; False, with out unspecified, when the
-    sample vanishes."""
+    unchanged, so every build of a sample has the same bits.  The spectrum
+    is built in out (complex128, grid shape) slab by slab, with no
+    grid-sized temporary; returns the unit-l2 samples (samples_from_spectrum
+    of out), or None when the sample vanishes."""
     gen = copy.deepcopy(draw)
     factor = gen.uniform(1.0, 3.0)
     rho = min(rho, 0.8 * grid.nyquist_radius)
@@ -646,9 +654,9 @@ def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
         vals[rows] *= outer_product([envelope[0][rows]] + envelope[1:])
     nrm = np.linalg.norm(vals)
     if nrm == 0:
-        return False
+        return None
     vals /= nrm
-    return True
+    return vals
 
 
 def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
@@ -715,7 +723,6 @@ def _pq_norm_refine(grid: GridSpec, image: np.ndarray, den: float,
             aw /= peak
             aw **= pp - 2.0
             part *= aw  # J_p'(w), rescaled by peak^(2 - p')
-            part[~np.isfinite(part)] = 0.0
             _flush_subnormal(part)
             mass += float(np.abs(part, out=aw).sum())
         den = norm_lp(grid, w, p)

@@ -274,7 +274,7 @@ class TestSigmaMin:
         monkeypatch.setattr(birman_schwinger, "_sym_solve", counting)
         g = GridSpec(3, 8, 3.0)
         pot = dipole(g)
-        rep = inv_norm_sweep(pot, 1, [1.0], [0.1], nu=0.1)
+        rep = inv_norm_sweep(pot, 1, [1.0], [0.1])
         plus, minus = rep.rows
         assert (plus["side"], minus["side"]) == ("+", "-")
         assert plus["iterations"] == minus["iterations"] == len(solves) // 2 > 0
@@ -287,7 +287,7 @@ class TestSigmaMin:
     def test_sweep_repeats_exactly(self):
         # sigma_min and the application counts of every row, run to run
         pot = dipole(GridSpec(3, 12, 5.0))
-        runs = [inv_norm_sweep(pot, 1, [0.5, 1.5], [0.1, 0.01], nu=0.1).rows
+        runs = [inv_norm_sweep(pot, 1, [0.5, 1.5], [0.1, 0.01]).rows
                 for _ in range(2)]
         assert runs[0] == runs[1]
         assert all(row["iterations"] > 0 for row in runs[0])
@@ -430,7 +430,7 @@ class TestConjugateBlock:
         monkeypatch.setattr(birman_schwinger, "assemble_M", recording)
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 2.0, rcut=1.5)
-        inv = inv_norm_sweep(pot, 1, [0.5, 1.0], [0.1, 0.03], nu=0.1)
+        inv = inv_norm_sweep(pot, 1, [0.5, 1.0], [0.1, 0.03])
         assert len(inv.rows) == 8
         assert queries == [complex(0.5, 0.1), complex(0.5, 0.03), complex(1.0, 0.1),
                            complex(1.0, 0.03)]
@@ -446,20 +446,10 @@ class TestConjugateBlock:
 
 
 class TestSweeps:
-    def test_inv_norm_sweep_excludes_point_spectrum(self):
-        g = GridSpec(3, 12, 5.0)
-        pot = truncated_well(g, 2.0, rcut=2.5)
-        rep = inv_norm_sweep(pot, 1, [0.5, 1.0, 1.5], [0.1, 0.03], nu=0.2,
-                             point_spectrum=[1.0])
-        lams = {row["lam"] for row in rep.rows}
-        assert 1.0 not in lams
-        assert rep.params["excluded_lambdas"] == [1.0]
-        assert rep.passes["finite"]
-
     def test_theta_validation(self):
         # a negative theta and theta = 0 at lambda > 0
         g = GridSpec(3, 8, 3.0)
         pot = truncated_well(g, 1.0, rcut=1.5)
         for thetas in ([0.1, -0.1], [0.1, 0.0]):
             with pytest.raises(ValueError, match="theta ladder must be positive"):
-                inv_norm_sweep(pot, 1, [1.0], thetas, nu=0.1)
+                inv_norm_sweep(pot, 1, [1.0], thetas)

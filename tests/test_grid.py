@@ -326,6 +326,43 @@ class TestSpectralKernel:
         assert max_rel(got, want) <= 1e-12
 
 
+class TestStacks:
+    """A stack of states (a leading axis over the states) takes one kernel
+    call, and each state comes out bit for bit as alone."""
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("case", ["real", "real half lattice", "complex",
+                                      "complex adjoint"])
+    def test_stack_equals_per_state_calls(self, n, npts, k, case):
+        g = GridSpec(n, npts, 2.5)
+        if case.startswith("real"):
+            sym = g.xi_radii(half=case.endswith("lattice")) ** 2 + 0.5
+            stack = RNG.standard_normal((k,) + g.shape)
+        else:
+            sym = 1.0 / (g.xi_radii() ** 2 - (1.0 + 0.3j))
+            stack = RNG.standard_normal((k,) + g.shape) + 1j * RNG.standard_normal(
+                (k,) + g.shape)
+        adjoint = case.endswith("adjoint")
+        before = stack.copy()
+        got = apply_symbol(stack, sym, adjoint=adjoint)
+        want = np.stack([apply_symbol(state, sym, adjoint=adjoint)
+                         for state in stack])
+        assert got.shape == stack.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(stack, before)
+
+    @pytest.mark.parametrize("n,npts", [(1, 16), (3, 8)])
+    def test_real_inverse_fft_of_a_stack_is_irfftn(self, n, npts):
+        # irfftn with s and no axes inverts the trailing len(s) axes
+        shape = (npts,) * n
+        half = scipy.fft.rfftn(RNG.standard_normal((3,) + shape),
+                               axes=range(-n, 0))
+        half *= RNG.standard_normal(half.shape)
+        want = scipy.fft.irfftn(half, s=shape)
+        np.testing.assert_array_equal(real_inverse_fft(half, shape), want)
+
+
 class TestSeparableInputs:
     @staticmethod
     def bump_factors(g, modulated):

@@ -1,9 +1,12 @@
 """Matrix-free Hamiltonian: dense equivalence, eigensolvers, projector, and
 Chebyshev propagation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import lobpcg
 from scipy.special import jv
 
 from polyharmlab import birman_schwinger, hamiltonian
@@ -199,6 +202,33 @@ class TestSpectralKernel:
             vals += 1j * RNG.standard_normal(g.shape)
         want = apply_symbol(vals, h._symbol) + h.potential.values * vals
         np.testing.assert_array_equal(h.apply(vals), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_apply_on_a_stack(self, monkeypatch, dtype, k):
+        # a (k,) + grid stack, over a grid of several slabs, takes one kernel
+        # call and equals the whole-grid formula state by state, bitwise; the
+        # (k, size) block of the same states keeps its shape
+        g = GridSpec(3, 48, 8.0)
+        assert len(list(slabs(g.shape))) >= 2
+        h = Hamiltonian(g, 1, gaussian_well(g, 5.0))
+        stack = RNG.standard_normal((k,) + g.shape).astype(dtype)
+        if dtype is np.complex128:
+            stack += 1j * RNG.standard_normal(stack.shape)
+        before = stack.copy()
+        want = np.stack([apply_symbol(state, h._symbol) + h.potential.values * state
+                         for state in stack])
+        calls = []
+        inner = hamiltonian.apply_symbol
+        monkeypatch.setattr(hamiltonian, "apply_symbol",
+                            lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        got = h.apply(stack)
+        assert len(calls) == 1
+        assert got.shape == stack.shape and got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(h.apply(stack.reshape(k, -1)),
+                                      want.reshape(k, -1))
+        np.testing.assert_array_equal(stack, before)
 
 
 class TestDenseEquivalence:
@@ -401,6 +431,41 @@ class TestEigensolvers:
             runs.append((negative_spectrum(h).eigenvalues, len(calls)))
         assert len(runs[0][0]) == 5 and runs[0][1] > 0
         assert runs[0] == runs[1]
+
+    def test_block_operators_match_a_per_column_reference(self, monkeypatch):
+        # LOBPCG given H and the preconditioner one column at a time, from
+        # the same start, returns the same pairs bit for bit: the block maps
+        # hand back each column's bits in a C-ordered block, as LOBPCG's BLAS
+        # products round them; the residuals are one norm per vector
+        monkeypatch.setattr(hamiltonian, "MAX_RUNS", 1)
+        h = self.five_states()
+        k, shape = 6, h.grid.shape
+        es = lanczos_extreme(h, k, rng=np.random.default_rng(5), cut=-np.inf)
+
+        def per_column(fn):
+            def block(cols):
+                out = np.empty(cols.shape)
+                for j in range(cols.shape[1]):
+                    out[:, j] = fn(cols[:, j])
+                return out
+            return block
+
+        inverse = 1.0 / (h._symbol + hamiltonian.PRECONDITIONER_SHIFT)
+        start = np.random.default_rng(5).standard_normal((k, h.grid.size)).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = lobpcg(
+                per_column(h.apply), start,
+                M=per_column(lambda col: apply_symbol(col.reshape(shape),
+                                                      inverse).reshape(-1)),
+                tol=hamiltonian.RESIDUAL_TOL,
+                maxiter=hamiltonian.RUN_ITERATIONS, largest=False)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        assert es.eigenvalues == list(vals)
+        np.testing.assert_array_equal(es.vectors.reshape(k, -1), vecs.T)
+        assert es.residuals == [np.linalg.norm(h.apply(vec) - val * vec)
+                                for val, vec in zip(vals, vecs.T)]
 
     def test_k_cap(self, small_h):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from polyharmlab import grid as grid_module
 from polyharmlab import probes
@@ -40,6 +41,21 @@ from polyharmlab.probes import (
     strichartz_probe,
     validate_admissible,
 )
+
+
+class _CopyingBackend:
+    """A scipy.fft backend that never transforms in place: pocketfft called
+    without overwrite_x, so every result is a new array."""
+
+    __ua_domain__ = "numpy.scipy.fft"
+
+    @staticmethod
+    def __ua_function__(method, args, kwargs):
+        fn = getattr(scipy.fft._pocketfft, method.__name__, None)
+        if fn is None:
+            return NotImplemented
+        kwargs = {key: val for key, val in kwargs.items() if key != "overwrite_x"}
+        return fn(*args, **kwargs)
 
 
 def _free(grid):
@@ -541,10 +557,43 @@ class TestSobolevScalingProbe:
         buf = np.full(g.shape, np.nan, dtype=np.complex128)
         for fill in probes._sobolev_candidates(g, packs, envelope, rho, p,
                                                draws):
-            den = fill(buf)
-            got.append(norm_lp(g, apply_symbol_spectrum(buf, sym), q) / den)
+            spec, den = fill(buf)
+            got.append(norm_lp(g, apply_symbol_spectrum(spec, sym), q) / den)
         assert len(samples) > 4 + 2  # some bumps are screened
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_shell_candidate_under_a_copying_backend(self):
+        # a scipy.fft backend that returns new arrays, never transforming in
+        # place: the screening reads each transform's result from its return
+        # value, so the rows and one shell candidate's norm and ratio are
+        # those of the default backend.  With no packs, and no bump fitting
+        # this grid, the shell samples are the only candidates; the rows run
+        # on a pool thread, so the backend is set globally
+        g = GridSpec(3, 16, 8.0)
+        p, q, rho = 1.2, 6.0, 1.5
+        sym = 1.0 / (g.xi_radii() ** 2 - rho ** 2 * 1j)
+
+        def rows():
+            return sobolev_scaling_probe(g, 1, 0.0, p, q, [0.3, 1.0, 10.0],
+                                         samples=0,
+                                         rng=np.random.default_rng(4)).rows
+
+        def candidate():
+            envelope = probes._gaussian_factors(g, g.half_width / 8.0,
+                                                np.zeros(3), np.zeros(3))
+            draws = probes._shell_draws(g, np.random.default_rng(4), 1)
+            fill = next(probes._sobolev_candidates(g, [], envelope, rho, p, draws))
+            spec, den = fill(np.empty(g.shape, dtype=np.complex128))
+            return den, norm_lp(g, apply_symbol_spectrum(spec, sym), q) / den
+
+        for check in (rows, candidate):
+            want = check()
+            scipy.fft.set_global_backend(_CopyingBackend, only=True)
+            try:
+                got = check()
+            finally:
+                scipy.fft.set_global_backend("scipy", try_last=True)
+            np.testing.assert_equal(got, want)
 
     @pytest.mark.parametrize("rho", [1.5, 40.0])
     def test_lean_shell_samples_are_the_complex_path_bitwise(self, rho,
@@ -564,8 +613,9 @@ class TestSobolevScalingProbe:
         for draw, b in zip(probes._shell_draws(g, np.random.default_rng(3), 2),
                            want):
             a = np.full(g.shape, np.nan, dtype=np.complex128)
-            assert probes._shell_sample(g, factors, rho, draw, a)
-            np.testing.assert_array_equal(a, b)
+            vals = probes._shell_sample(g, factors, rho, draw, a)
+            assert np.shares_memory(vals, a)  # built in the buffer
+            np.testing.assert_array_equal(vals, b)
 
     @pytest.mark.parametrize("slab_rows", [5, 24])
     def test_streamed_draws_are_the_full_grid_draws_bitwise(self, slab_rows,
