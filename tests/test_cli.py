@@ -198,9 +198,6 @@ class TestValidation:
         # the library's own argument checks raise ConfigError as well
         ("smoothing", {"gamma": 5}, "gamma=5.0 outside the admissible window"),
         ("sobolev", {"alpha": 3}, "alpha=3.0 outside"),
-        # inside the (p, q) window at n = 3, but without a finite p' = p/(p-1)
-        ("sobolev", {"p": 0.9, "q": 4}, "p=0.9 must exceed 1"),
-        ("sobolev", {"p": 1, "q": 4}, "p=1 must exceed 1"),
         ("counterexample", {"m": 3}, "even m >= 2 required"),
         ("stein-weiss", {"npts_ladder": [8]}, "ladder needs at least two resolutions"),
         ("strichartz", {"p": 4, "q": 4, "alpha": 1},
@@ -222,6 +219,9 @@ class TestValidation:
         ("counterexample", {"npts": None}, "counterexample.npts must be set"),
         ("strichartz", {"p": None, "q": 4, "alpha": 1.5}, "strichartz.p must be set"),
         ("kernels", 5, "probes.kernels must be a mapping"),
+        # inside the (p, q) window at n = 3, but without a finite p' = p/(p-1)
+        ("sobolev", {"p": 0.9, "q": 4}, "p=0.9 must exceed 1"),
+        ("sobolev", {"p": 1, "q": 4}, "p=1 must exceed 1"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):
