@@ -31,10 +31,7 @@ Layers (ROADMAP "layer by layer"):
       negative_spectrum of the spectral workload's Hamiltonian (16^3, L = 6,
       depth 20, m = 1) and one of the lab Hamiltonian (16^3, L = 8, depth 5,
       m = 1), the eigenset of the lab workload's smoothing, Strichartz and
-      spectrum probes; one iteration of the smoothing refinement
-      (_refine_quadratic_smoothing, gamma = 0, a forward propagate and its
-      adjoint) on the lab Hamiltonian over the same 65 times, from the
-      same random unit state; one smoothing probe and one Strichartz probe
+      spectrum probes; one smoothing probe and one Strichartz probe
       on the lab Hamiltonian with the lab workload's parameters (smoothing:
       gamma = 0, eps = 0.1, T = 8, three packs, step 0.25, no refinement;
       Strichartz: (p, q, alpha) = (8/3, 4, 3/2), standard mode, T = 4, three
@@ -107,7 +104,6 @@ BATCHES = {
     "L2.propagate_16_T8": (1, 6),
     "L2.negative_spectrum_spectral": (1, 3),
     "L2.negative_spectrum_lab": (1, 5),
-    "L2.refine_iter_16_T8": (1, 5),
     "L2.smoothing_probe_lab": (1, 5),
     "L2.strichartz_probe_lab": (1, 5),
     "L2.sobolev_80": (1, 2),
@@ -130,6 +126,7 @@ COUNTS = {"L1.sigma_min_1419": lambda result: {"applications": result[1]}}
 def _layers():
     """name -> zero-argument callable doing one call of the layer."""
     import dataclasses
+    import inspect
 
     import numpy as np
     from polyharmlab import probes
@@ -138,14 +135,12 @@ def _layers():
     from polyharmlab.cli import _stream_tag
     from polyharmlab.counterexample import _mollified_phi, build_embedded_pair
     from polyharmlab.grid import (GridSpec, abs_derivative_symbol,
-                                  apply_multiplier, smoothing_weight,
-                                  weight_abs_power)
+                                  apply_multiplier, weight_abs_power)
     from polyharmlab.hamiltonian import Hamiltonian, negative_spectrum, propagate
     from polyharmlab.operators import operator_norm, weighted_multiplier
     from polyharmlab.potentials import gaussian_well
-    from polyharmlab.probes import (AdmissiblePair, _refine_quadratic_smoothing,
-                                    kato_smoothing_probe, sobolev_scaling_probe,
-                                    strichartz_probe)
+    from polyharmlab.probes import (AdmissiblePair, kato_smoothing_probe,
+                                    sobolev_scaling_probe, strichartz_probe)
     from polyharmlab.resolvent import ResolventQuery, high_energy_decay_probe
 
     rng = np.random.default_rng(0)
@@ -163,8 +158,9 @@ def _layers():
     psi = rng.standard_normal(lab.shape) + 1j * rng.standard_normal(lab.shape)
     psi /= np.linalg.norm(psi)
     times = np.linspace(-8.0, 8.0, 65)
-    weight = smoothing_weight(lab, 1, 0.0, 0.1)
-    dsym = abs_derivative_symbol(lab, 0.0)
+    # a tree from before the refinement's removal refines 6 steps by default
+    no_refine = ({"refine_iters": 0} if "refine_iters" in
+                 inspect.signature(kato_smoothing_probe).parameters else {})
 
     big = GridSpec(3, 160, 10.0)
     vals = rng.standard_normal(big.shape) + 1j * rng.standard_normal(big.shape)
@@ -230,12 +226,10 @@ def _layers():
         "L2.propagate_16_T8": lambda: propagate(lab_h, psi, times),
         "L2.negative_spectrum_spectral": lambda: negative_spectrum(spectral_h),
         "L2.negative_spectrum_lab": lambda: negative_spectrum(lab_h),
-        "L2.refine_iter_16_T8": lambda: _refine_quadratic_smoothing(
-            lab_h, weight, dsym, times, psi, 1),
         "L2.smoothing_probe_lab": lambda: kato_smoothing_probe(
             lab_h, 0.0, eps=0.1, t_final=8.0, samples=3, time_step=0.25,
             rng=np.random.default_rng([0, _stream_tag("smoothing")]),
-            refine_iters=0, plateau_tol=0.05),
+            plateau_tol=0.05, **no_refine),
         "L2.strichartz_probe_lab": lambda: strichartz_probe(
             lab_h, AdmissiblePair(8.0 / 3.0, 4.0, 1.5), mode="standard",
             t_final=4.0, samples=3, time_step=0.25,

@@ -37,7 +37,6 @@ from .hamiltonian import (
     negative_spectrum,
     projector_ac,
     propagate,
-    propagate_adjoint,
 )
 from .counterexample import (
     EmbeddedPair,

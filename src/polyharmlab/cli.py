@@ -123,7 +123,8 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "half_width": _f(1.1),
         "delta": _f(1.0, doc="support radius of the potential"),
         "sigma": _f(None, doc="mollifier width (default 0.135 * delta)"),
-        "method": _f("mollified", kind="str"),
+        "method": _f("mollified", kind="str", doc="must be mollified, the only "
+                     "construction; kept because the benchmark's configs set it"),
         "residual_tol": _f(1e-3, doc="max allowed eigenvalue-equation residual"),
         "save": _f(False, kind="bool", doc="write the pair into the output directory"),
     },
@@ -133,8 +134,9 @@ PROBE_SCHEMAS: Dict[str, Dict[str, Dict[str, Any]]] = {
         "t_final": _f(8.0),
         "samples": _f(3, kind="int", minimum=1),
         "time_step": _f(0.25),
-        "refine_iters": _f(0, kind="int", doc="quadratic-form power-iteration steps",
-                           minimum=0),
+        "refine_iters": _f(0, kind="int", minimum=0, doc="must be 0: the time-domain "
+                           "refinement was removed; kept because the benchmark's "
+                           "configs set it"),
         "plateau_tol": _f(0.05, doc="relative increment budget per T-doubling"),
     },
     "strichartz": {
@@ -312,6 +314,12 @@ def parse_config(raw: Dict[str, Any], out_dir: Optional[str] = None,
     probes = {name: _parse_block(given[name], schema, f"probe block {name!r}",
                                  f"{name}.")
               for name, schema in PROBE_SCHEMAS.items()}
+    _require(probes["smoothing"]["refine_iters"] == 0,
+             "smoothing.refine_iters must be 0: the time-domain refinement was "
+             "removed; the key stays because the benchmark's configs set it")
+    _require(probes["counterexample"]["method"] == "mollified",
+             "counterexample.method must be 'mollified', the only construction, "
+             f"got {probes['counterexample']['method']!r}")
     return RunConfig(grid=grid, m=m, potential_spec=spec, seed=root["seed"],
                      output_dir=Path(root["output_dir"] if out_dir is None
                                      else out_dir),
@@ -443,7 +451,6 @@ def _run_counterexample(cfg: RunConfig) -> ProbeReport:
     block = cfg.probes["counterexample"]
     grid = GridSpec(block["n"], block["npts"], block["half_width"])
     pair = build_embedded_pair(grid, block["m"], block["delta"],
-                               method=block["method"],
                                sigma=block["sigma"])
     report = verify_embedded(pair)
     report.provenance.update(seed=cfg.seed)
@@ -462,8 +469,7 @@ def _run_smoothing(cfg: RunConfig) -> ProbeReport:
     report = kato_smoothing_probe(
         h, block["gamma"], eps=block["eps"], t_final=block["t_final"],
         samples=block["samples"], time_step=block["time_step"],
-        rng=_probe_rng(cfg, "smoothing"), refine_iters=block["refine_iters"],
-        plateau_tol=block["plateau_tol"])
+        rng=_probe_rng(cfg, "smoothing"), plateau_tol=block["plateau_tol"])
     return _with_seed(report, cfg, "smoothing")
 
 

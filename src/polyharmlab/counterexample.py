@@ -9,7 +9,7 @@ agrees with G outside a ball B(0, delta) therefore yields a potential
 supported in B(0, delta) with ((-Delta)^m + V) phi = phi: an eigenvalue
 embedded at 1 inside the essential spectrum [0, infinity).
 
-The construction (method "mollified") takes phi = G * rho_sigma with a
+The construction (the only one, "mollified") takes phi = G * rho_sigma with a
 Gaussian mollifier, so phi-hat = e^{-sigma^2 xi^2 / 4} / (1 + |xi|^2) exactly
 and the numerator phi - (-Delta)^m phi = Q(-Delta) rho_sigma is an analytic
 bump of width sigma (Q the polynomial (1 - t^m)/(1 + t) in t = -Delta).  The
@@ -105,7 +105,6 @@ def _mollified_phi(grid: GridSpec, m: int, sigma: float):
 
 
 def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
-                        method: str = "mollified",
                         sigma: Optional[float] = None) -> EmbeddedPair:
     """Construct the embedded-eigenvalue pair on a grid.
 
@@ -114,12 +113,9 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     potential vanishes up to the recorded Gaussian leak; the discarded
     exterior values are recorded as support_leak, not silently dropped.  The
     eigen-residual ||H phi - phi|| / ||phi|| measures exactly that truncation
-    and decreases under N-refinement.  method must be "mollified", the only
-    construction.
+    and decreases under N-refinement.
     """
     _check_parameters(m, grid.n, delta)
-    if method != "mollified":
-        raise ConfigError(f"unknown construction {method!r}; use 'mollified'")
     if delta < 4.0 * grid.h:
         raise ConfigError(
             f"support radius {delta:g} under-resolved: need delta >= 4h = "
@@ -143,7 +139,7 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
     np.divide(v, phi, out=v)  # V = numerator / phi, over the numerator
     leak = _truncate(grid, v, delta)
     pot = Potential(grid, v,
-                    name=f"embedded(m={m},n={grid.n},delta={delta:g},{method})")
+                    name=f"embedded(m={m},n={grid.n},delta={delta:g},mollified)")
     del v
     # H phi - phi by real transforms, with |xi|^{2m} on the half lattice
     kinetic = np.empty(grid.shape[:-1] + (grid.npts // 2 + 1,))
@@ -158,7 +154,7 @@ def build_embedded_pair(grid: GridSpec, m: int, delta: float = 1.0,
         "support_leak": leak,
         "positivity_margin": float(np.min(phi)),
         "max_abs_v": pot.max_abs,
-        "method": method,
+        "method": "mollified",
         "sigma": sigma,
     }
     return EmbeddedPair(pot, phi, delta, m, grid.n, residuals)

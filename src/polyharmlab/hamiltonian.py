@@ -12,9 +12,8 @@ below the cut; multiplicities are captured without deflation.  Every pair
 below the cut meets one absolute residual bound on both paths, and a solve
 that leaves one above it raises instead of truncating the count.
 
-Every time sum is one Chebyshev series in H scaled to the spectral interval,
-summed by one recurrence with one matvec per term: propagate's states
-e^{itH} psi0 and propagate_adjoint's sum_k e^{-i t_k H} g_k (Clenshaw).
+Propagation is one Chebyshev series in H scaled to the spectral interval,
+summed by one recurrence with one matvec per term for every output time.
 
 A stack of states (eigenvectors, propagated states) is one array whose
 leading axis indexes the states and whose other axes are the grid's shape.
@@ -269,19 +268,6 @@ def _chebyshev_coeffs(args: np.ndarray, tol: float) -> np.ndarray:
 _BLOCK = 32
 
 
-def _expansion(h: Hamiltonian, times: np.ndarray) -> Tuple[np.ndarray, Callable]:
-    """Coefficients c_k(t) of e^{itH} = sum_k c_k(t) T_k(H~) for each time
-    (rows) and order (columns), and H~ = (H - mid) / half: H scaled to
-    spectral_bounds padded by 1 %.  Those bounds contain the spectrum, so
-    |H~| < 1 and every recurrence in H~ stays bounded."""
-    e_min, e_max = h.spectral_bounds
-    half = 0.5 * (e_max - e_min) * 1.01 + 1e-12
-    mid = 0.5 * (e_max + e_min)
-    coeffs = _chebyshev_coeffs(half * times, 1e-12)
-    coeffs *= np.exp(1j * mid * times)[:, None]
-    return coeffs, lambda vec: (h.apply(vec) - mid * vec) / half
-
-
 def propagate(h: Hamiltonian, psi0: np.ndarray,
               times: Sequence[float]) -> np.ndarray:
     """e^{itH} psi0 at each requested time, in any order, as the stack of
@@ -290,9 +276,20 @@ def propagate(h: Hamiltonian, psi0: np.ndarray,
     One recurrence T_k(H~) psi0 serves every output time (Tal-Ezer & Kosloff
     1984): the vectors do not depend on t, so each state is sum_k c_k(t)
     T_k(H~) psi0, truncated once the coefficients fall below 1e-12 at the
-    largest |t|.
+    largest |t|.  H~ = (H - mid) / half is H scaled to spectral_bounds
+    padded by 1 %.  Those bounds contain the spectrum, so |H~| < 1 and the
+    recurrence stays bounded.
     """
-    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
+    e_min, e_max = h.spectral_bounds
+    half = 0.5 * (e_max - e_min) * 1.01 + 1e-12
+    mid = 0.5 * (e_max + e_min)
+    t = np.asarray(times, dtype=float)
+    coeffs = _chebyshev_coeffs(half * t, 1e-12)
+    coeffs *= np.exp(1j * mid * t)[:, None]
+
+    def scaled(vec: np.ndarray) -> np.ndarray:
+        return (h.apply(vec) - mid * vec) / half
+
     v0 = np.reshape(psi0, -1).astype(np.complex128)
     out = np.zeros((coeffs.shape[0], v0.size), dtype=np.complex128)
     block = np.empty((min(_BLOCK, coeffs.shape[1]), v0.size), dtype=np.complex128)
@@ -307,27 +304,3 @@ def propagate(h: Hamiltonian, psi0: np.ndarray,
             block[k - start] = cur
         out += coeffs[:, start:stop] @ block[:stop - start]
     return out.reshape((len(times),) + h.grid.shape)
-
-
-def propagate_adjoint(h: Hamiltonian, states: np.ndarray,
-                      times: Sequence[float]) -> np.ndarray:
-    """sum_k e^{-i t_k H} states[k], the adjoint of psi -> (e^{i t_k H} psi)_k,
-    with grid shape.  states is a stack with one state per time.
-
-    With propagate's coefficients c_j(t), the sum is sum_j T_j(H~) b_j with
-    b_j = sum_k conj(c_j(t_k)) states[k].  Clenshaw's recurrence (Clenshaw
-    1955) y_j = b_j + 2 H~ y_{j+1} - y_{j+2} sums it from the highest order
-    down, one matvec per order; each block of b_j is built with one
-    (block x times) @ (times x points) product as the recurrence reaches it.
-    """
-    coeffs, scaled = _expansion(h, np.asarray(times, dtype=float))
-    snaps = np.asarray(states, dtype=np.complex128).reshape(coeffs.shape[0], -1)
-    conj_t = coeffs.conj().T
-    nxt = cur = np.zeros(snaps.shape[1], dtype=np.complex128)
-    for stop in range(coeffs.shape[1], 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        block = conj_t[start:stop] @ snaps
-        for j in range(stop - 1, max(start, 1) - 1, -1):
-            nxt, cur = cur, block[j - start] + 2.0 * scaled(cur) - nxt
-    # order 0: b_0 + H~ y_1 - y_2, with y_1 in cur and y_2 in nxt
-    return (block[0] + scaled(cur) - nxt).reshape(h.grid.shape)

@@ -222,6 +222,13 @@ class TestValidation:
         # inside the (p, q) window at n = 3, but without a finite p' = p/(p-1)
         ("sobolev", {"p": 0.9, "q": 4}, "p=0.9 must exceed 1"),
         ("sobolev", {"p": 1, "q": 4}, "p=1 must exceed 1"),
+        # keys the benchmark's configs set, each held to its one value
+        ("smoothing", {"refine_iters": 1},
+         "smoothing.refine_iters must be 0: the time-domain refinement was removed"),
+        ("counterexample", {"method": "nope"},
+         "counterexample.method must be 'mollified', the only construction"),
+        # 1.8e-10 below 2 pi: as near the positive real axis as z_arg 1.8e-10
+        ("sobolev", {"z_arg": 6.283185307}, "outside [1e-9, 2 pi - 1e-9]"),
     ])
     def test_mistyped_parameter_exit_two(self, tmp_path, capsys, probe, block,
                                          message):

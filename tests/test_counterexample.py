@@ -92,10 +92,6 @@ class TestBuildMollified:
             build_embedded_pair(g, 2, delta=0.2)  # under-resolved support
         with pytest.raises(ValueError):
             build_embedded_pair(g, 2, delta=1.0, sigma=1.5)
-        with pytest.raises(ValueError):
-            build_embedded_pair(g, 2, delta=1.0, method="nope")
-        with pytest.raises(ValueError, match="unknown construction"):
-            build_embedded_pair(g, 2, delta=1.0, method="blend")  # removed
 
 
 class TestSerialization:

@@ -31,8 +31,7 @@ from polyharmlab.grid import (
     weight_bracket_power,
     write_field,
 )
-from polyharmlab.hamiltonian import (Hamiltonian, projector_ac, propagate,
-                                     propagate_adjoint)
+from polyharmlab.hamiltonian import Hamiltonian, projector_ac, propagate
 from polyharmlab.potentials import gaussian_well
 
 RNG = np.random.default_rng(42)
@@ -118,13 +117,11 @@ class TestCallerArrays:
         assert h.eigenset().count_negative >= 1  # projector_ac has work to do
         times = [-1.0, 0.5, 2.0]
         psi = random_samples(g)
-        stack = np.stack([random_samples(g) for _ in times])
         calls = [
             (psi, lambda: propagate(h, psi, times)),
             (psi, lambda: projector_ac(h, psi)),
             (psi, lambda: norm_lp(g, psi, 3.0)),
             (psi, lambda: write_field(g, psi, io.BytesIO())),
-            (stack, lambda: propagate_adjoint(h, stack, times)),
         ]
         for arr, call in calls:
             before = arr.copy()

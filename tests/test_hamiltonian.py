@@ -26,7 +26,6 @@ from polyharmlab.hamiltonian import (
     negative_spectrum,
     projector_ac,
     propagate,
-    propagate_adjoint,
 )
 from polyharmlab.potentials import Potential, bracket_decay, gaussian_well
 
@@ -99,15 +98,6 @@ def _stepped_run(h, psi0, times, half, mid, tol):
             t_prev = t
         out.append(cur.reshape(grid.shape))
     return np.stack(out)
-
-
-def _stepped_adjoint(h, states, times):
-    """sum_k e^{-i t_k H} states[k] by a backward sweep of short steps: one
-    propagate per time step.  The independent oracle of propagate_adjoint."""
-    acc = states[-1]
-    for k in range(len(times) - 2, -1, -1):
-        acc = states[k] + propagate(h, acc, [times[k] - times[k + 1]])[0]
-    return propagate(h, acc, [-times[0]])[0]
 
 
 def _count_matvecs(monkeypatch, h):
@@ -711,40 +701,3 @@ class TestChebyshevCoeffs:
         half, _ = _scaling(Hamiltonian(g, 1, gaussian_well(g, 5.0)))
         times = np.linspace(-8.0, 8.0, 65)
         assert hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape == (65, 195)
-
-
-class TestPropagateAdjoint:
-    @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
-    def test_matches_stepped_sum(self, n, npts, m, t_final):
-        g = GridSpec(n, npts, 5.0)
-        h = Hamiltonian(g, m, gaussian_well(g, 5.0))
-        times = np.linspace(-t_final, t_final, 17)
-        states = np.stack([_unit_random(g) for _ in times])
-        want = _stepped_adjoint(h, states, times)
-        got = propagate_adjoint(h, states, times)
-        assert got.shape == g.shape
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("n,npts,m,t_final", [(3, 12, 1, 4.0), (5, 6, 2, 0.5)])
-    def test_adjoint_identity(self, n, npts, m, t_final):
-        # <(e^{i t_k H} x)_k, (y_k)_k> = <x, sum_k e^{-i t_k H} y_k>
-        g = GridSpec(n, npts, 5.0)
-        h = Hamiltonian(g, m, gaussian_well(g, 5.0))
-        times = np.linspace(-t_final, t_final, 17)
-        x = _unit_random(g)
-        ys = np.stack([_unit_random(g) for _ in times])
-        lhs = np.vdot(propagate(h, x, times), ys)
-        rhs = np.vdot(x, propagate_adjoint(h, ys, times))
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-    def test_one_recurrence(self, monkeypatch):
-        g = GridSpec(3, 12, 5.0)
-        h = Hamiltonian(g, 1, gaussian_well(g, 3.0))
-        times = np.linspace(-3.0, 3.0, 33)
-        half, _ = _scaling(h)
-        terms = hamiltonian._chebyshev_coeffs(half * times, 1e-12).shape[1]
-        states = np.stack([_unit_random(g) for _ in times])
-        calls = _count_matvecs(monkeypatch, h)
-        propagate_adjoint(h, states, times)
-        assert terms > 2 * hamiltonian._BLOCK
-        assert len(calls) <= terms
