@@ -72,7 +72,9 @@ the median and quartiles over rounds of the paired ratio current/baseline,
 each the ratio of the two trees' median batch times in that round (the
 pairing cancels drift of the host between rounds), and under "peak" the
 same for the traced peaks; and
-the machine: cores, CPU, numpy/scipy versions and thread settings.
+the machine: cores, CPU, numpy/scipy versions and thread settings, the
+thread count of each loaded OpenBLAS among them (the times of the layers
+that call BLAS, and of a tree whose sobolev rows do, depend on it).
 """
 
 from __future__ import annotations
@@ -300,10 +302,36 @@ def _commit(src: Path) -> str:
         return "unknown"
 
 
+def _blas_threads() -> dict:
+    """OpenBLAS library file -> the thread count it runs at, for each
+    OpenBLAS loaded in this process (numpy's, and scipy's once scipy.linalg
+    is imported), read as bench/worker.py's _environment reads it."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    threads = {}
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                get = getattr(lib, sym)
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads[Path(path).name] = get()
+                break
+    return threads
+
+
 def _machine() -> dict:
     import numpy
     import scipy
     import scipy.fft
+    import scipy.linalg  # loads scipy's own OpenBLAS
 
     cpu = platform.processor()
     try:
@@ -315,6 +343,7 @@ def _machine() -> dict:
     threads = {k: os.environ.get(k) for k in
                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     threads["scipy.fft.workers"] = scipy.fft.get_workers()
+    threads["openblas"] = _blas_threads()
     return {
         "cores": os.cpu_count(),
         "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,

@@ -411,7 +411,10 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
     allocates the row's two complex buffers then: freed memory returns to
     the malloc arena of the thread that allocated it, and the calling
     thread's arena is the one the run's later probes allocate from, where a
-    pool thread's would keep the freed buffers resident and unused.
+    pool thread's would keep the freed buffers resident and unused.  It
+    builds the row's scaled bumps then too, whose axis factors are
+    normalized by BLAS dots: a row makes no BLAS or LAPACK call (see
+    _run_rows), so its time does not depend on the BLAS thread count.
     """
     n = grid.n
     _check_sobolev_window(m, n, alpha, p, q)
@@ -438,10 +441,12 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                                  np.zeros(n))
     packs = frequency_localized_samples(grid, samples, rng)
 
-    def row_inputs() -> tuple:
-        """A row's two complex buffers and its shell draws."""
+    def row_inputs(mag: float) -> tuple:
+        """A row's two complex buffers, its shell draws and its scaled
+        bumps."""
         sym, work = (np.empty(grid.shape, dtype=np.complex128) for _ in range(2))
-        return sym, work, _shell_draws(grid, rng, 2)
+        return (sym, work, _shell_draws(grid, rng, 2),
+                _scaled_bumps(grid, mag ** (1.0 / (2 * m))))
 
     def row(mag: float, inputs: tuple):
         """(norm, refine_steps, refine_stop) at |z| = mag.  The buffers hold
@@ -449,7 +454,7 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
         transformed and mapped in.  The screening keeps the best candidate's
         fill and norm, not its image, and builds that image once more, with
         the same arithmetic, as the refinement's start."""
-        sym, work, draws = inputs
+        sym, work, draws, bumps = inputs
         z = mag * complex(math.cos(z_arg), math.sin(z_arg))
         for rows in slabs(grid.shape):  # |xi|^alpha / (|xi|^{2m} - z)
             np.subtract(grid.xi_radii(rows) ** (2 * m), z, out=sym[rows])
@@ -457,7 +462,8 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
                       out=sym[rows])
         rho = mag ** (1.0 / (2 * m))
         best, best_fill, best_den = 0.0, None, None
-        for fill in _sobolev_candidates(grid, packs, envelope, rho, p, draws):
+        for fill in _sobolev_candidates(grid, packs + bumps, envelope, rho, p,
+                                        draws):
             spec, den = fill(work)
             if den == 0.0:
                 continue
@@ -484,14 +490,19 @@ def sobolev_scaling_probe(grid: GridSpec, m: int, alpha: float, p: float,
 
 def _run_rows(row: Callable, inputs: Sequence, prepare: Callable,
               workers: int) -> list:
-    """[row(x, prepare()) for x in inputs] with up to `workers` rows running
-    at once on threads; at workers == 1 the rows run in the calling thread,
-    under its thread-local settings (a scipy.fft backend, say).  prepare()
-    is called in the calling thread, in input order, only when its row may
-    start, so at most `workers` rows' prepared inputs are held.  A row's
-    exception propagates once the running rows have ended."""
+    """[row(x, prepare(x)) for x in inputs] with up to `workers` rows
+    running at once on threads; at workers == 1 the rows run in the calling
+    thread, under its thread-local settings (a scipy.fft backend, say).
+    prepare(x) is called in the calling thread, in input order, only when
+    its row may start, so at most `workers` rows' prepared inputs are held.
+    A row's exception propagates once the running rows have ended.
+
+    A row makes no BLAS or LAPACK call (np.linalg.norm, np.dot, ...); what
+    needs one goes in prepare.  A BLAS call on a large array wakes
+    OpenBLAS's own worker threads, which then spin on the cores that the
+    other rows need."""
     if workers == 1:
-        return [row(x, prepare()) for x in inputs]
+        return [row(x, prepare(x)) for x in inputs]
     futures: list = []
     running: set = set()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -500,7 +511,7 @@ def _run_rows(row: Callable, inputs: Sequence, prepare: Callable,
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 for fut in done:
                     fut.result()  # a failed row stops the probe here
-            fut = pool.submit(row, x, prepare())
+            fut = pool.submit(row, x, prepare(x))
             futures.append(fut)
             running.add(fut)
         return [fut.result() for fut in futures]
@@ -536,7 +547,7 @@ def _phase_fractions(grid: GridSpec, gen: np.random.Generator
         yield rows, gen.random(out=buf[:count])
 
 
-def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
+def _sobolev_candidates(grid: GridSpec, separable: Sequence[List[np.ndarray]],
                         envelope: List[np.ndarray], rho: float, p: float,
                         draws: Sequence[np.random.Generator]
                         ) -> Iterator[Callable[[np.ndarray],
@@ -547,11 +558,12 @@ def _sobolev_candidates(grid: GridSpec, packs: Sequence[List[np.ndarray]],
     scipy.fft backend returns new arrays) and returns (spectrum, L^p norm),
     the norm 0 for a candidate to skip, with the same bits at every call:
     the shell-localized samples of draws (_shell_draws) first, then the
-    packs and the scaled bumps (given by their axis factors), whose spectra
-    are outer products of 1-D transforms."""
+    separable samples (the packs, then the scaled bumps at rho, each given
+    by its axis factors), whose spectra are outer products of 1-D
+    transforms."""
     for draw in draws:
         yield partial(_shell_spectrum, grid, envelope, rho, p, draw)
-    for factors in list(packs) + _scaled_bumps(grid, rho):
+    for factors in separable:
         yield partial(_separable_spectrum, grid, factors, p)
 
 
@@ -587,8 +599,12 @@ def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
     from a copy of draw (a generator from _shell_draws), which is left
     unchanged, so every build of a sample has the same bits.  The spectrum
     is built in out (complex128, grid shape) slab by slab, with no
-    grid-sized temporary; returns the unit-l2 samples (samples_from_spectrum
-    of out), or None when the sample vanishes."""
+    grid-sized temporary; returns the samples (samples_from_spectrum of out)
+    scaled to unit flat l2 norm, not norm_lp's L^2 (the refinement's
+    underflow stops depend on the absolute scale), or None when the sample
+    vanishes.  The norm is a slab-wise sum of squares, not a BLAS call (see
+    _run_rows), with no temporary: a slab-sized one, larger than the rows'
+    other slab temporaries, would grow the row threads' malloc arenas."""
     gen = copy.deepcopy(draw)
     factor = gen.uniform(1.0, 3.0)
     rho = min(rho, 0.8 * grid.nyquist_radius)
@@ -606,7 +622,11 @@ def _shell_sample(grid: GridSpec, envelope: List[np.ndarray], rho: float,
     vals = samples_from_spectrum(grid, out)
     for rows in slabs(grid.shape):
         vals[rows] *= outer_product([envelope[0][rows]] + envelope[1:])
-    nrm = np.linalg.norm(vals)
+    total = 0.0  # sum |vals|^2 by einsum's own loop: no BLAS, no temporary
+    for rows in slabs(grid.shape):
+        flat = vals[rows].reshape(-1).view(np.float64)
+        total += float(np.einsum("i,i->", flat, flat))
+    nrm = math.sqrt(total)
     if nrm == 0:
         return None
     vals /= nrm

@@ -136,14 +136,19 @@ def full_grid_draws(g, rng, count):
 def shell_samples_complex_path(g, xi_abs, envelope, rho, draws):
     """_shell_localized_samples through full-grid temporaries and the complex
     synthesis of a fresh spectrum: the construction the in-place one
-    replaced, for the same draws."""
+    replaced, for the same draws.  The flat l2 norm is summed slab by slab,
+    as _shell_sample sums it; the lean shell-sample test holds it to
+    np.linalg.norm."""
     rho = min(rho, 0.8 * g.nyquist_radius)
     out = []
     for factor, fractions in draws:
         prof = np.exp(-((xi_abs - rho) / (g.h_xi * factor)) ** 2)
         phases = np.exp(2j * np.pi * fractions)
         vals = samples_from_spectrum(g, prof * phases) * envelope
-        out.append(vals / np.linalg.norm(vals))
+        flats = (vals[rows].reshape(-1).view(np.float64)
+                 for rows in slabs(g.shape))
+        out.append(vals / math.sqrt(sum(float(np.einsum("i,i->", f, f))
+                                        for f in flats)))
     return out
 
 
@@ -479,7 +484,8 @@ class TestSobolevScalingProbe:
         got = []
         # every candidate is built in one reused buffer
         buf = np.full(g.shape, np.nan, dtype=np.complex128)
-        for fill in probes._sobolev_candidates(g, packs, envelope, rho, p,
+        separable = packs + probes._scaled_bumps(g, rho)
+        for fill in probes._sobolev_candidates(g, separable, envelope, rho, p,
                                                draws):
             spec, den = fill(buf)
             got.append(norm_lp(g, apply_symbol_spectrum(spec, sym), q) / den)
@@ -539,6 +545,7 @@ class TestSobolevScalingProbe:
             vals = probes._shell_sample(g, factors, rho, draw, a)
             assert np.shares_memory(vals, a)  # built in the buffer
             np.testing.assert_array_equal(vals, b)
+            assert abs(np.linalg.norm(vals) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("slab_rows", [5, 24])
     def test_streamed_draws_are_the_full_grid_draws_bitwise(self, slab_rows,
@@ -583,6 +590,29 @@ class TestSobolevScalingProbe:
             sys.setswitchinterval(interval)
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("npts", [16, 32])
+    def test_rows_make_no_blas_call(self, npts, monkeypatch):
+        # a BLAS call in one row wakes OpenBLAS's worker threads, which spin
+        # on the core the other row needs: at two workers every call of the
+        # BLAS-backed functions comes from the calling thread (the packs'
+        # and the bumps' factor norms), none from a row.  The 32^3 rows
+        # screen scaled bumps, which no 16^3 row fits
+        g = GridSpec(3, npts, 8.0)
+        mags = np.geomspace(0.3, 10.0, 4)
+        assert any(probes._scaled_bumps(g, math.sqrt(mag))
+                   for mag in mags) == (npts == 32)
+        callers = []
+        for owner, name in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"),
+                            (np, "inner")):
+            def recording(*args, _call=getattr(owner, name), **kwargs):
+                callers.append(threading.get_ident())
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(owner, name, recording)
+        sobolev_scaling_probe(g, 1, 0.0, 1.2, 6.0, mags, samples=2,
+                              rng=np.random.default_rng(0), workers=2)
+        assert callers  # not vacuous: the packs are normalized
+        assert set(callers) == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_row_failure_surfaces_and_leaves_no_thread(self, monkeypatch,
